@@ -25,11 +25,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .counting import Valuation, committee_score
+from .counting import Valuation
 from .engine import (
     GeneratorFunction,
     Rule,
     derived_generator,
+    extension_scores,
     generator_step,
     step_generator,
 )
@@ -315,12 +316,11 @@ def _continuity_certificate(rule: Rule, a: Profile, b: Profile, k: int) -> int |
     needed = 1
     for level in range(k):
         for X in trace[level]:
-            outside = [c for c in range(rule.m) if c not in X]
-            score_a = {c: committee_score(v, a, X | {c}) for c in outside}
-            score_b = {c: committee_score(v, b, X | {c}) for c in outside}
+            score_a = extension_scores(v, a, X)
+            score_b = extension_scores(v, b, X)
             best = max(score_a.values())
-            argmax = [c for c in outside if score_a[c] == best]
-            for d in outside:
+            argmax = [c for c in score_a if score_a[c] == best]
+            for d in score_a:
                 if X | {d} in trace[level + 1]:
                     continue
                 gap = best - score_a[d]  # positive: d is not an argmax at X

@@ -27,6 +27,10 @@ from .engine import Rule, generator_step
 from .profiles import Profile
 
 
+class UnknownRuleError(KeyError):
+    """A rule, table or zoo name that the catalog does not define."""
+
+
 def harmonic(x: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, x + 1)), Fraction(0))
 
@@ -56,7 +60,7 @@ def thiele_table(name: str, m: int) -> ThieleTable:
         # Rewards candidates backed by already-satisfied voters; accepts
         # clones but trusts recommendations, so it fails distrust.
         return ThieleTable.from_function(m, lambda x: x if x <= 1 else 2 * x + 1)
-    raise KeyError(f"unknown Thiele table {name!r}")
+    raise UnknownRuleError(f"unknown Thiele table {name!r}")
 
 
 def sav_table(m: int) -> StepCountingTable:
@@ -79,7 +83,7 @@ def step_counting_table(name: str, m: int) -> StepCountingTable:
         return sav_table(m)
     if name in ("av-cc-alternating", "alternating"):
         return step_thiele_as_step_counting(alternating_table(m))
-    raise KeyError(f"unknown counting table {name!r}")
+    raise UnknownRuleError(f"unknown counting table {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +234,8 @@ def make_zoo_rule(
         ok, why = validate_thiele(h)
         if not ok:
             raise ValueError(f"invalid Thiele counting function: {why}")
-        negated = Valuation(
-            "reverse-thiele",
-            "custom",
-            lambda ballot, committee: -h(len(ballot & committee)),
+        negated = thiele_valuation(
+            ThieleTable(tuple(-v for v in h.values)), "reverse-thiele"
         )
         return Rule(
             name or "reverse-seq-thiele",
@@ -247,7 +249,7 @@ def make_zoo_rule(
         rule = make_seq_thiele(thiele_table("clone-trusting", m), "clone-trusting")
         rule.violates = "distrust"
         return rule
-    raise KeyError(f"unknown zoo rule {zoo_id!r}")
+    raise UnknownRuleError(f"unknown zoo rule {zoo_id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +275,7 @@ def make(name: str, m: int) -> Rule:
     if name.startswith("reverse-"):
         base = name.removeprefix("reverse-")
         return make_zoo_rule("reverse-seq-thiele", m, thiele_table(base, m), name)
-    raise KeyError(f"unknown rule {name!r}")
+    raise UnknownRuleError(f"unknown rule {name!r}")
 
 
 RULE_NAMES = THIELE_NAMES + (

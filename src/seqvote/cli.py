@@ -14,7 +14,7 @@ Reports are JSON documents with sorted keys, rationals rendered as ``p/q``
 strings, candidates as indices, and no timestamps, so identical inputs give
 byte-identical output.  Exit codes: 0 all pass/computed, 1 a violation was
 found (or a witness reproduced one), 2 usage or parse error, 3 a cap was
-exceeded.
+exceeded, 4 an internal error (a bug in seqvote, never the input's fault).
 """
 
 from __future__ import annotations
@@ -24,18 +24,20 @@ import hashlib
 import json
 import re
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
 from . import catalog, witnesses
 from .axioms import AxiomReport, Bounds, NStats, run_suite
+from .catalog import UnknownRuleError
 from .counting import (
     StepCountingTable,
     StepThieleTable,
     ThieleTable,
-    committee_score,
+    validate_thiele,
 )
-from .engine import BranchCapError, Rule
+from .engine import BranchCapError, Rule, extension_scores
 from .oracle import EnumerationCapError
 from .profiles import Profile, ProfileError, SymmetrizationCapError
 from .witnesses import Witness, WitnessNotApplicable
@@ -44,6 +46,11 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
+
+
+class UsageError(ValueError):
+    """A command-line argument the command cannot use (bad size, unreadable file)."""
 
 
 class ProfileParseError(ValueError):
@@ -189,25 +196,27 @@ def parse_counting_table(text: str):
 
 
 def rule_from_table(table, name: str = "table") -> Rule:
+    """The sequential rule of a parsed table; an invalid table is a parse error."""
     if isinstance(table, ThieleTable):
-        return catalog.make_seq_thiele(table, name)
-    if isinstance(table, StepThieleTable):
-        return catalog.make_step_thiele(table, name)
-    return catalog.make_step_scoring(table, name)
+        make = catalog.make_seq_thiele
+    elif isinstance(table, StepThieleTable):
+        make = catalog.make_step_thiele
+    else:
+        make = catalog.make_step_scoring
+    try:
+        return make(table, name)
+    except ValueError as exc:
+        raise TableParseError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
 # Report rendering
 
 
-def _fraction_str(value: Fraction) -> str:
-    return str(value)
-
-
 def to_jsonable(obj):
     """Recursively turn report structures into deterministic JSON values."""
     if isinstance(obj, Fraction):
-        return _fraction_str(obj)
+        return str(obj)
     if isinstance(obj, Profile):
         return {
             "m": obj.m,
@@ -303,9 +312,16 @@ def render_compute_pretty(report: dict) -> str:
 # Commands
 
 
+def _read_input(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def _load_rule(args, m: int) -> tuple[Rule, str | None]:
     if args.table:
-        table_text = Path(args.table).read_text()
+        table_text = _read_input(args.table)
         table = parse_counting_table(table_text)
         if table.m != m:
             raise TableParseError(f"table is for m={table.m}, input needs m={m}")
@@ -314,12 +330,14 @@ def _load_rule(args, m: int) -> tuple[Rule, str | None]:
 
 
 def cmd_compute(args) -> int:
-    profile_text = Path(args.profile).read_text()
+    profile_text = _read_input(args.profile)
     profile = parse_profile(profile_text)
     rule, table_digest = _load_rule(args, profile.m)
     if args.branch_cap:
         rule.branch_cap = args.branch_cap
     k = args.k
+    if not 0 <= k <= profile.m:
+        raise UsageError(f"committee size {k} outside 0..{profile.m}")
     trace = rule.trace(profile, k)
     steps = []
     for j in range(1, k + 1):
@@ -328,11 +346,7 @@ def cmd_compute(args) -> int:
         for parent in parents:
             entry = {"parent": parent}
             if rule.valuation is not None:
-                entry["scores"] = {
-                    c: committee_score(rule.valuation, profile, parent | {c})
-                    for c in range(profile.m)
-                    if c not in parent
-                }
+                entry["scores"] = extension_scores(rule.valuation, profile, parent)
             entry["extensions"] = frozenset(
                 W for W in trace[j] if parent < W
             )
@@ -394,16 +408,21 @@ _NAMED_TABLES = ("seqav", "seqpav", "seqccav", "clone-trusting")
 def cmd_witness(args) -> int:
     source = args.table_or_rule
     if source in _NAMED_TABLES:
+        if args.m < 1:
+            raise UsageError(f"--m must be at least 1, got {args.m}")
         table = catalog.thiele_table(source, args.m)
         digest = _digest(
             "\n".join(f"h({x})={v}" for x, v in enumerate(table.values))
         )
     else:
-        text = Path(source).read_text()
+        text = _read_input(source)
         table = parse_counting_table(text)
         digest = _digest(text)
         if not isinstance(table, ThieleTable):
             raise TableParseError("witness constructions need a one-argument table h(x)")
+        ok, why = validate_thiele(table)
+        if not ok:
+            raise TableParseError(f"invalid Thiele counting function: {why}")
     try:
         witness = witnesses.build_witness(args.construction, table)
     except WitnessNotApplicable as exc:
@@ -485,12 +504,18 @@ def main(argv=None) -> int:
         if args.command == "witness":
             return cmd_witness(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ProfileParseError, TableParseError, ProfileError, KeyError, ValueError) as exc:
+    except (
+        UsageError, ProfileParseError, TableParseError, ProfileError, UnknownRuleError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BranchCapError, EnumerationCapError, SymmetrizationCapError) as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except Exception as exc:  # the boundary: report a bug as one, not as bad input
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_USAGE
 
 

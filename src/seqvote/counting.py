@@ -8,8 +8,10 @@ decided exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 from .profiles import Profile
@@ -152,6 +154,14 @@ class WeightTable:
     def __call__(self, x: int, z: int) -> Fraction:
         return self.values[x][z - 1]
 
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(D, rows)``: ``D`` the lcm of the denominators and
+        ``rows[x][z] = D * v(x, z)``, indexed by ballot size (column 0 unused)."""
+        scale = math.lcm(*(v.denominator for row in self.values for v in row))
+        rows = tuple((0,) + tuple(int(v * scale) for v in row) for row in self.values)
+        return scale, rows
+
     @classmethod
     def from_function(cls, m: int, fn) -> "WeightTable":
         return cls(
@@ -220,59 +230,117 @@ def validate_step_counting(h: StepCountingTable) -> ValidationResult:
 # Valuations and scores
 
 
+class ScaledLevel(NamedTuple):
+    """One committee size of a counting function, scaled to integers.
+
+    ``denominator`` is the lcm ``D`` of the denominators of ``h(., y, .)``;
+    ``values[x][z]`` is ``D * h(x, y, z)`` and ``gains[x][z]`` is
+    ``D * (h(x+1, y, z) - h(x, y, z))``, the forward-difference weight of
+    :func:`weight_from_counting` scaled by ``D``.  Rows are indexed by ballot
+    size ``z`` directly (column 0 is unused); entries no ballot can reach
+    (``x > min(y, z)``) are 0.
+    """
+
+    denominator: int
+    values: tuple[tuple[int, ...], ...]
+    gains: tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True, eq=False)
 class Valuation:
     """A pure score function on (ballot, committee) pairs.
 
     ``kind`` records the provenance: ``thiele``, ``step-thiele``,
-    ``step-scoring``, or ``custom``.  Evaluations are memoized; the function
-    must depend only on the pair itself.
+    ``step-scoring``, or ``custom``.  A table-backed valuation carries its
+    counting function as a lookup ``counting(x, y, z)`` (``x`` approved
+    committee members, committee size ``y``, ballot size ``z``; ``y = 0`` is
+    the empty committee) and scores through integer levels built once per
+    committee size; a custom valuation carries an arbitrary ``fn(ballot,
+    committee)``, which must depend only on the pair itself.
     """
 
     name: str
     kind: str
-    fn: Callable[[frozenset[int], frozenset[int]], Fraction]
+    fn: Callable[[frozenset[int], frozenset[int]], Fraction] | None = None
     table: object = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    counting: Callable[[int, int, int], Fraction] | None = None
+    _levels: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        if (self.fn is None) == (self.counting is None):
+            raise ValueError("provide exactly one of fn/counting")
 
     def value(self, ballot: frozenset[int], committee: frozenset[int]) -> Fraction:
-        key = (ballot, committee)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._cache[key] = frac(self.fn(ballot, committee))
-        return hit
+        if self.counting is not None:
+            return self.counting(len(ballot & committee), len(committee), len(ballot))
+        return frac(self.fn(ballot, committee))
+
+    def level(self, y: int, m: int) -> ScaledLevel:
+        """The integer rows for committee size ``y`` over ballots of size ``<= m``.
+
+        Built on first use and kept: at most ``m + 1`` levels per ``m``.
+        """
+        key = (y, m)
+        level = self._levels.get(key)
+        if level is None:
+            h = self.counting
+            zero = Fraction(0)
+            grid = [
+                [h(x, y, z) if 1 <= z and x <= z else zero for z in range(m + 1)]
+                for x in range(y + 1)
+            ]
+            scale = math.lcm(*(v.denominator for row in grid for v in row))
+            values = tuple(tuple(int(v * scale) for v in row) for row in grid)
+            gains = tuple(
+                tuple(b - a if x < z else 0 for z, (a, b) in enumerate(zip(low, high)))
+                for x, (low, high) in enumerate(zip(values, values[1:]))
+            )
+            level = self._levels[key] = ScaledLevel(scale, values, gains)
+        return level
 
 
 def thiele_valuation(table: ThieleTable, name: str | None = None) -> Valuation:
     return Valuation(
         name or "thiele",
         "thiele",
-        lambda ballot, committee: table(len(ballot & committee)),
-        table,
+        table=table,
+        counting=lambda x, y, z: table(x),
     )
 
 
 def step_thiele_valuation(table: StepThieleTable, name: str | None = None) -> Valuation:
-    def fn(ballot, committee):
-        if not committee:
-            return Fraction(0)
-        return table(len(ballot & committee), len(committee))
-
-    return Valuation(name or "step-thiele", "step-thiele", fn, table)
+    return Valuation(
+        name or "step-thiele",
+        "step-thiele",
+        table=table,
+        counting=lambda x, y, z: table(x, y) if y else Fraction(0),
+    )
 
 
 def step_scoring_valuation(table: StepCountingTable, name: str | None = None) -> Valuation:
-    def fn(ballot, committee):
-        if not committee:
-            return Fraction(0)
-        return table(len(ballot & committee), len(committee), len(ballot))
+    return Valuation(
+        name or "step-scoring",
+        "step-scoring",
+        table=table,
+        counting=lambda x, y, z: table(x, y, z) if y else Fraction(0),
+    )
 
-    return Valuation(name or "step-scoring", "step-scoring", fn, table)
+
+def scaled_score(level: ScaledLevel, profile: Profile, committee: frozenset[int]) -> int:
+    """``D * sum_i h(|A_i & W|, y, |A_i|)`` for the level's size ``y``."""
+    values = level.values
+    return sum(
+        count * values[len(ballot & committee)][len(ballot)]
+        for ballot, count in profile.ballot_counts
+    )
 
 
 def committee_score(valuation: Valuation, profile: Profile, committee) -> Fraction:
     """The exact total score ``sum_i v(A_i, W)`` over all voters."""
     committee = frozenset(committee)
+    if valuation.counting is not None:
+        level = valuation.level(len(committee), profile.m)
+        return Fraction(scaled_score(level, profile, committee), level.denominator)
     total = Fraction(0)
     for ballot, count in profile.ballot_counts:
         total += count * valuation.value(ballot, committee)

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from dataclasses import dataclass
 
-from .counting import Valuation, WeightTable, committee_score
+from .counting import Valuation, WeightTable, committee_score, scaled_score
 from .profiles import Profile
 
 Family = frozenset  # of frozenset[int]
@@ -30,20 +30,54 @@ class NoCandidatesError(ValueError):
     """A generator step was asked to extend the full candidate set."""
 
 
-def _argmax(scores: dict[int, Fraction]) -> frozenset[int]:
+def _argmax(scores: dict) -> frozenset[int]:
     best = max(scores.values())
     return frozenset(c for c, s in scores.items() if s == best)
+
+
+def _outside(profile: Profile, committee: frozenset[int]) -> list[int]:
+    outside = [c for c in range(profile.m) if c not in committee]
+    if not outside:
+        raise NoCandidatesError("committee already contains every candidate")
+    return outside
+
+
+def _approval_gains(
+    rows, profile: Profile, committee: frozenset[int], outside: list[int]
+) -> dict[int, int]:
+    """One pass over the distinct ballots of weighted approval voting.
+
+    A ballot of size ``z`` approving ``x`` members of ``committee`` adds
+    ``count * rows[x][z]`` to every candidate outside the committee that it
+    approves.  ``rows`` are integers, so no rational is built per ballot.
+    """
+    gains = dict.fromkeys(outside, 0)
+    for ballot, count in profile.ballot_counts:
+        weight = count * rows[len(ballot & committee)][len(ballot)]
+        if weight:
+            for c in ballot:
+                if c in gains:
+                    gains[c] += weight
+    return gains
 
 
 def extension_scores(
     valuation: Valuation, profile: Profile, committee: frozenset[int]
 ) -> dict[int, Fraction]:
-    """Scores of ``W + {c}`` for every candidate ``c`` outside ``W``."""
+    """Exact scores of ``W + {c}`` for every candidate ``c`` outside ``W``.
+
+    For a table-backed valuation this is one pass over the ballots: the score
+    of ``W + {c}`` is the scaled score of ``W`` at the next size plus the
+    scaled forward-difference gain of ``c``, over the level's denominator.
+    """
     committee = frozenset(committee)
-    outside = [c for c in range(profile.m) if c not in committee]
-    if not outside:
-        raise NoCandidatesError("committee already contains every candidate")
-    return {c: committee_score(valuation, profile, committee | {c}) for c in outside}
+    outside = _outside(profile, committee)
+    if valuation.counting is None:
+        return {c: committee_score(valuation, profile, committee | {c}) for c in outside}
+    level = valuation.level(len(committee) + 1, profile.m)
+    gains = _approval_gains(level.gains, profile, committee, outside)
+    base = scaled_score(level, profile, committee)
+    return {c: Fraction(base + gain, level.denominator) for c, gain in gains.items()}
 
 
 def generator_step(
@@ -53,9 +87,17 @@ def generator_step(
 
     This is the generator function of the sequential rule induced by
     ``valuation``; it is complete (never empty for a proper committee) and,
-    because scores add over disjoint electorates, consistent.
+    because scores add over disjoint electorates, consistent.  For a
+    table-backed valuation it is one weighted approval step under the
+    counting function's forward differences, compared as integers scaled by
+    the level's positive denominator, so the tied set is the exact one.
     """
-    return _argmax(extension_scores(valuation, profile, committee))
+    committee = frozenset(committee)
+    if valuation.counting is None:
+        return _argmax(extension_scores(valuation, profile, committee))
+    outside = _outside(profile, committee)
+    level = valuation.level(len(committee) + 1, profile.m)
+    return _argmax(_approval_gains(level.gains, profile, committee, outside))
 
 
 def weighted_approval_step(
@@ -68,33 +110,32 @@ def weighted_approval_step(
     ballot size; the argmax set is returned.
     """
     committee = frozenset(committee)
-    outside = [c for c in range(profile.m) if c not in committee]
-    if not outside:
-        raise NoCandidatesError("committee already contains every candidate")
-    totals = {c: Fraction(0) for c in outside}
-    for ballot, count in profile.ballot_counts:
-        w = count * weights(len(committee & ballot), len(ballot))
-        for c in ballot:
-            if c in totals:
-                totals[c] += w
-    return _argmax(totals)
+    outside = _outside(profile, committee)
+    _, rows = weights.scaled
+    return _argmax(_approval_gains(rows, profile, committee, outside))
 
 
 StepFn = Callable[[Profile, frozenset], frozenset]
 
 
 def step_trace(
-    step: StepFn, profile: Profile, k: int, branch_cap: int = DEFAULT_BRANCH_CAP
+    step: StepFn,
+    profile: Profile,
+    k: int,
+    branch_cap: int = DEFAULT_BRANCH_CAP,
+    prefix: Optional[tuple[Family, ...]] = None,
 ) -> tuple[Family, ...]:
     """Run a generator step for ``k`` rounds, keeping all tied branches.
 
     Returns the tuple ``(f(A,0), ..., f(A,k))``; duplicate committees reached
-    through different parents are merged.
+    through different parents are merged.  A ``prefix`` ``(f(A,0), ...,
+    f(A,j))`` already traced with the same step and profile is extended
+    rather than recomputed.
     """
     if not 0 <= k <= profile.m:
         raise ValueError(f"committee size {k} outside 0..{profile.m}")
-    families = [frozenset({frozenset()})]
-    for _ in range(k):
+    families = list(prefix) if prefix else [frozenset({frozenset()})]
+    for _ in range(len(families) - 1, k):
         frontier = set()
         for committee in families[-1]:
             extension = step(profile, committee)
@@ -104,7 +145,7 @@ def step_trace(
             if len(frontier) > branch_cap:
                 raise BranchCapError(f"more than {branch_cap} tied committees")
         families.append(frozenset(frontier))
-    return tuple(families)
+    return tuple(families[: k + 1])
 
 
 def sequential_trace(
@@ -170,17 +211,24 @@ class Rule:
             raise ValueError(f"committee size {k} outside 0..{self.m}")
 
     def trace(self, profile: Profile, k: Optional[int] = None) -> tuple[Family, ...]:
-        """``(f(A,0), ..., f(A,k))``, computed once per profile and cached."""
+        """``(f(A,0), ..., f(A,k))``, cached per profile.
+
+        The cached trace is extended only as far as the largest ``k`` asked
+        for, so a tie cap can only fire at a level that is reported.
+        """
         if k is None:
             k = self.m
         self._check(profile, k)
         key = profile if self.id_sensitive else profile.canonical()
         cached = self._traces.get(key)
-        if cached is None:
+        if cached is None or len(cached) <= k:
             if self.step is not None:
-                cached = step_trace(self.step, key, self.m, self.branch_cap)
+                cached = step_trace(self.step, key, k, self.branch_cap, prefix=cached)
             else:
-                cached = tuple(self.apply_direct(key, j) for j in range(self.m + 1))
+                done = cached or ()
+                cached = done + tuple(
+                    self.apply_direct(key, j) for j in range(len(done), k + 1)
+                )
             self._traces[key] = cached
         return cached[: k + 1]
 
@@ -217,17 +265,6 @@ class GeneratorFunction:
     m: int
     fn: StepFn
     complete: bool
-
-
-def valuation_generator(
-    valuation: Valuation, m: int, name: str | None = None
-) -> GeneratorFunction:
-    return GeneratorFunction(
-        name or f"step({valuation.name})",
-        m,
-        lambda a, w: generator_step(valuation, a, w),
-        complete=True,
-    )
 
 
 def step_generator(rule: Rule) -> GeneratorFunction:

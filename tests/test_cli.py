@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from seqvote import catalog, witnesses
 from seqvote.cli import (
     EXIT_CAP,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
@@ -234,6 +236,57 @@ def test_compute_exit_codes(tmp_path, capsys):
 
     code, _, _ = run_cli("compute", "unknown-rule", str(ties), "1", capsys=capsys)
     assert code == EXIT_USAGE
+
+
+def test_compute_cap_applies_only_up_to_k(tmp_path, capsys):
+    # Size 1 has one winner and size 2 ties three ways: a cap of two must not
+    # fire for k=1, whose trace never reaches size 2.
+    path = tmp_path / "p.txt"
+    path.write_text("m=4\n2: 0\n1: 1\n1: 2\n1: 3\n")
+    code, out, _ = run_cli("compute", "seqav", str(path), "1", "--branch-cap", "2", capsys=capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["trace"][1]["committees"] == [[0]]
+    code, _, err = run_cli("compute", "seqav", str(path), "2", "--branch-cap", "2", capsys=capsys)
+    assert code == EXIT_CAP and "cap" in err.lower()
+
+
+def test_input_errors_exit_2(tmp_path, capsys):
+    path = tmp_path / "p1.txt"
+    path.write_text(P1_TEXT)
+    decreasing = tmp_path / "dec.cfg"
+    decreasing.write_text("h(0)=0\nh(1)=1\nh(2)=1/2\nh(3)=1/3\n")
+    missing = str(tmp_path / "missing.txt")
+    for argv, message in (
+        (["compute", "seqav", str(path), "4"], "committee size 4 outside 0..3"),
+        (["compute", "seqav", missing, "1"], "cannot read"),
+        (["compute", "reverse-borda", str(path), "1"], "unknown Thiele table"),
+        (["compute", "table", str(path), "2", "--table", str(decreasing)], "h decreases"),
+        (["witness", "T2", str(decreasing)], "h decreases"),
+        (["witness", "T2", missing], "cannot read"),
+        (["witness", "T2", "seqav", "--m", "0"], "--m must be at least 1"),
+    ):
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert code == EXIT_USAGE and out == "", argv
+        assert err.startswith("error: ") and message in err, argv
+
+
+def test_internal_errors_are_not_usage_errors(tmp_path, capsys, monkeypatch):
+    def unverified(*args):
+        raise witnesses.WitnessVerificationError("T2: replay disagrees")
+
+    monkeypatch.setattr(witnesses, "build_witness", unverified)
+    code, out, err = run_cli("witness", "T2", "seqav", capsys=capsys)
+    assert code == EXIT_INTERNAL and out == ""
+    assert "internal error: WitnessVerificationError: T2: replay disagrees" in err
+
+    def broken_lookup(name, m):
+        raise KeyError("internal table slot")
+
+    monkeypatch.setattr(catalog, "make", broken_lookup)
+    path = tmp_path / "p1.txt"
+    path.write_text(P1_TEXT)
+    code, _, err = run_cli("compute", "seqav", str(path), "1", capsys=capsys)
+    assert code == EXIT_INTERNAL and "internal error: KeyError" in err
 
 
 # ---------------------------------------------------------------------------

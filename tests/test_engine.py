@@ -4,11 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqvote.axioms import _anonymous_profiles
-from seqvote.catalog import make, sav_table, thiele_table
+from seqvote.catalog import make, make_zoo_rule, sav_table, thiele_table
 from seqvote.counting import (
+    StepCountingTable,
+    StepThieleTable,
+    ThieleTable,
     WeightTable,
     committee_score,
     step_scoring_valuation,
+    step_thiele_as_step_counting,
+    step_thiele_valuation,
+    thiele_as_step_counting,
     thiele_valuation,
     weight_from_counting,
 )
@@ -16,6 +22,7 @@ from seqvote.engine import (
     BranchCapError,
     NoCandidatesError,
     derive_generator,
+    extension_scores,
     generator_step,
     run_sequential,
     sequential_trace,
@@ -24,7 +31,7 @@ from seqvote.engine import (
 from seqvote.oracle import all_committees
 from seqvote.profiles import Profile
 
-from util import fam, naive_best_extensions, naive_sequential, thiele_value
+from util import fam, naive_best_extensions, naive_score, naive_sequential, thiele_value
 
 P1_BALLOTS = [{0, 1}, {0, 1}, {0, 1}, {2}]
 P1 = Profile.from_ballots(3, P1_BALLOTS)
@@ -112,6 +119,21 @@ def test_branch_cap_enforced():
         run_sequential(AV, p, 2, branch_cap=2)
 
 
+def test_trace_stops_at_the_requested_size():
+    # One winner at size 1, three tied committees at size 2: a cap of two
+    # only bites when size 2 is asked for, and the size-1 prefix survives.
+    rule = make("seqav", 4)
+    rule.branch_cap = 2
+    p = Profile.from_ballots(4, [{0}, {0}, {1}, {2}, {3}])
+    assert rule.apply(p, 1) == fam({0})
+    with pytest.raises(BranchCapError):
+        rule.apply(p, 2)
+    assert rule.trace(p, 1) == (fam(set()), fam({0}))
+    rule.branch_cap = 3
+    assert rule.apply(p, 2) == fam({0, 1}, {0, 2}, {0, 3})
+    assert rule.trace(p) == tuple(sequential_trace(rule.valuation, p, 4))
+
+
 def test_weighted_approval_step_plain():
     ones = WeightTable.from_function(3, lambda x, z: 1)
     assert weighted_approval_step(ones, P1, frozenset()) == {0, 1}
@@ -195,3 +217,90 @@ def test_rule_validates_inputs():
         rule.apply(P1, 5)
     with pytest.raises(ValueError):
         rule.apply(Profile.from_ballots(2, [{0}]), 1)
+
+
+# ---------------------------------------------------------------------------
+# Differential test: the integer scoring pass against literal scoring
+
+
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_increments = st.fractions(min_value=0, max_value=3, max_denominator=6)
+
+
+@st.composite
+def _counting_cases(draw):
+    """``(m, valuation, literal value(ballot, committee), 3-argument table)``.
+
+    Tables are arbitrary rationals (``h(0) != 0``, negative entries, non-unit
+    denominators), plus the catalog's reversal of a valid Thiele table.
+    """
+    m = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("thiele", "step-thiele", "step-scoring", "reverse")))
+    if kind == "thiele":
+        values = draw(st.lists(_rationals, min_size=m + 1, max_size=m + 1))
+        table = ThieleTable(values)
+        return m, thiele_valuation(table), thiele_value(values), thiele_as_step_counting(table)
+    if kind == "reverse":
+        base = draw(_increments)
+        steps = [draw(_increments.filter(bool))] + draw(
+            st.lists(_increments, min_size=m - 1, max_size=m - 1)
+        )
+        values = [base]
+        for step in steps:
+            values.append(values[-1] + step)
+        negated = [-v for v in values]
+        rule = make_zoo_rule("reverse-seq-thiele", m, ThieleTable(values))
+        table = thiele_as_step_counting(ThieleTable(negated))
+        return m, rule.valuation, thiele_value(negated), table
+    if kind == "step-thiele":
+        rows = draw(st.lists(
+            st.lists(_rationals, min_size=m + 1, max_size=m + 1), min_size=m, max_size=m
+        ))
+        table = StepThieleTable(rows)
+
+        def value(ballot, committee):
+            return rows[len(committee) - 1][len(ballot & committee)] if committee else 0
+
+        return m, step_thiele_valuation(table), value, step_thiele_as_step_counting(table)
+    grid = draw(st.lists(
+        st.lists(st.lists(_rationals, min_size=m, max_size=m), min_size=m, max_size=m),
+        min_size=m + 1, max_size=m + 1,
+    ))
+    table = StepCountingTable(grid)
+
+    def value(ballot, committee):
+        if not committee:
+            return 0
+        return grid[len(ballot & committee)][len(committee) - 1][len(ballot) - 1]
+
+    return m, step_scoring_valuation(table), value, table
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_counting_cases(), data=st.data())
+def test_integer_scoring_matches_literal_scores(case, data):
+    m, valuation, value, table = case
+    ballot = st.sets(st.integers(0, m - 1), min_size=1).map(frozenset)
+    ballots = data.draw(st.lists(ballot, min_size=1, max_size=6))
+    profile = Profile.from_ballots(m, ballots)
+    weights = weight_from_counting(table)
+    for committee in all_committees(m, m - 1):
+        expected = {
+            c: naive_score(value, ballots, committee | {c})
+            for c in range(m)
+            if c not in committee
+        }
+        scores = extension_scores(valuation, profile, committee)
+        assert scores == expected
+        assert scores == {
+            c: committee_score(valuation, profile, committee | {c}) for c in expected
+        }
+        assert generator_step(valuation, profile, committee) == weighted_approval_step(
+            weights[len(committee)], profile, committee
+        )
+    assert committee_score(valuation, profile, frozenset()) == naive_score(
+        value, ballots, frozenset()
+    )
+    assert list(sequential_trace(valuation, profile, m)) == naive_sequential(
+        value, m, ballots, m
+    )
