@@ -6,10 +6,14 @@ axioms (non-imposition, continuity) can never be refuted by bounded search,
 so they come back as ``pass`` or ``inconclusive``.  That asymmetry is stated
 in each report's note.
 
-Profile universes enumerate anonymous profiles (ballot multisets) with
-canonical voter ids; for id-sensitive rules the permutation-quantified
-checks enumerate raw ballot-to-id assignments instead.  Enumeration order is
-canonical throughout, so the first witness found is deterministic.
+Profile universes (:class:`seqvote.oracle.ProfileUniverse`) stream
+anonymous profiles (ballot multisets); the checkers handle them as count
+vectors over the ballots and build a :class:`Profile` only on a trace-cache
+miss or for a witness.  For id-sensitive rules the single-profile checks
+enumerate raw ballot-to-id assignments instead.  Enumeration order is
+canonical throughout, so the first witness found is deterministic, and every
+universe is capped: one over its cap raises
+:class:`seqvote.oracle.EnumerationCapError` before it yields anything.
 
 Default bounds: single-profile checks search up to five voters and pairwise
 checks up to three voters per side, all configurable; the checks quantified
@@ -20,9 +24,9 @@ permutation product tractable.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 from .counting import Valuation
@@ -30,12 +34,13 @@ from .engine import (
     GeneratorFunction,
     Rule,
     derived_generator,
-    extension_scores,
+    extension_gains,
     generator_step,
     step_generator,
 )
-from .oracle import all_ballots, all_committees, committees_of_size
+from .oracle import ProfileUniverse, all_ballots, all_committees, committees_of_size
 from .profiles import (
+    BallotCounts,
     Profile,
     apply_candidate_permutation,
     apply_voter_permutation,
@@ -101,36 +106,83 @@ DEFAULT_BOUNDS = Bounds()
 # Profile universes
 
 
-@lru_cache(maxsize=None)
-def _anonymous_profiles(m: int, n_max: int) -> tuple[Profile, ...]:
-    ballots = all_ballots(m)
-    out = []
-    for n in range(1, n_max + 1):
-        for combo in itertools.combinations_with_replacement(ballots, n):
-            out.append(Profile.from_ballots(m, combo))
-    return tuple(out)
+def _universe(rule: Rule, n_max: int) -> ProfileUniverse:
+    return ProfileUniverse(rule.m, n_max, ordered=rule.id_sensitive)
 
 
-@lru_cache(maxsize=None)
-def _ordered_profiles(m: int, n_max: int) -> tuple[Profile, ...]:
-    ballots = all_ballots(m)
-    out = []
-    for n in range(1, n_max + 1):
-        for combo in itertools.product(ballots, repeat=n):
-            out.append(Profile.from_ballots(m, combo))
-    return tuple(out)
+class _Search:
+    """The profiles a single-profile check searches, in canonical order.
 
+    For an anonymous rule an item is a count vector over the ballots: it is
+    traced by its ballot counts, and a :class:`Profile` is built only on a
+    trace-cache miss or for a witness.  For an id-sensitive rule an item is a
+    real profile, one per assignment of ballots to voter ids.
+    """
 
-def _profiles_for(rule: Rule, n_max: int) -> tuple[Profile, ...]:
-    if rule.id_sensitive:
-        return _ordered_profiles(rule.m, n_max)
-    return _anonymous_profiles(rule.m, n_max)
+    def __init__(self, rule: Rule, n_max: int):
+        self.universe = _universe(rule, n_max)
+        # (ballot index, committee, count) -> that kind's shrinking moves
+        self._moves: dict[tuple[int, frozenset, int], list] = {}
+
+    def __iter__(self) -> Iterator:
+        universe = self.universe
+        return iter(universe) if universe.ordered else universe.vectors()
+
+    def key(self, item) -> Profile | BallotCounts:
+        """What :meth:`Rule.trace` takes for ``item``."""
+        return item if self.universe.ordered else self.universe.counts(item)
+
+    def counts(self, item) -> BallotCounts:
+        return item.ballot_counts if self.universe.ordered else self.universe.counts(item)
+
+    def profile(self, item) -> Profile:
+        return item if self.universe.ordered else self.universe.profile(item)
+
+    def shrunk(self, item, committee: frozenset) -> Iterator:
+        """Every other item where voters drop approvals outside ``committee``.
+
+        Each voter (id-sensitive) or each ballot kind's voters (anonymous)
+        choose among the non-empty sub-ballots keeping the committee part;
+        for count vectors the choices of one kind are its multisets of
+        sub-ballots, added to the vector as moves.
+        """
+        if self.universe.ordered:
+            per_voter = [_ballot_shrinkings(b, committee) for _, b in item.votes]
+            for choice in itertools.product(*per_voter):
+                if choice == item.ballots():
+                    continue
+                votes = tuple((v, b) for (v, _), b in zip(item.votes, choice))
+                yield Profile(item.m, votes, checked=True)
+            return
+        per_kind = [
+            self._kind_moves(i, committee, count) for i, count in enumerate(item) if count
+        ]
+        for moves in itertools.product(*per_kind):
+            shrunk = [0] * len(item)
+            for i in itertools.chain.from_iterable(moves):
+                shrunk[i] += 1
+            shrunk = tuple(shrunk)
+            if shrunk != item:
+                yield shrunk
+
+    def _kind_moves(self, i: int, committee: frozenset, count: int) -> list:
+        """The multisets of sub-ballots ``count`` voters of ballot ``i`` pick."""
+        key = (i, committee, count)
+        moves = self._moves.get(key)
+        if moves is None:
+            universe = self.universe
+            options = _ballot_shrinkings(universe.ballots[i], committee)
+            moves = self._moves[key] = list(itertools.combinations_with_replacement(
+                [universe.index[b] for b in options], count
+            ))
+        return moves
 
 
 def _shifted(profile: Profile, above: int) -> Profile:
     return Profile(
         profile.m,
         tuple((above + i + 1, b) for i, (_, b) in enumerate(profile.votes)),
+        checked=True,
     )
 
 
@@ -191,7 +243,7 @@ def compute_n_stats(profile: Profile, committee) -> NStats:
 def check_anonymity(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
     """Voter relabelings never change the outcome (universal, exhaustive)."""
     used = {"m": rule.m, "n": bounds.n_perm, "permutations": "all of S_n plus an id shift"}
-    for profile in _profiles_for(rule, bounds.n_perm):
+    for profile in _universe(rule, bounds.n_perm):
         ids = profile.voter_ids
         perms = [dict(zip(ids, image)) for image in itertools.permutations(ids)]
         perms.append({v: v + 1 for v in ids})
@@ -218,7 +270,7 @@ def check_anonymity(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
 def check_neutrality(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
     """Candidate relabelings permute the outcome (universal, exhaustive)."""
     used = {"m": rule.m, "n": bounds.n_perm, "permutations": "all of S_m"}
-    for profile in _profiles_for(rule, bounds.n_perm):
+    for profile in _universe(rule, bounds.n_perm):
         for tau in itertools.permutations(range(rule.m)):
             other = apply_candidate_permutation(tau, profile)
             for k in range(rule.m + 1):
@@ -253,14 +305,16 @@ def check_non_imposition(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRe
     targets = {(k, W) for k in range(1, m + 1) for W in committees_of_size(m, k)}
     found: dict[tuple[int, frozenset], Profile] = {}
     singleton_seen = {k: False for k in range(1, m + 1)}
-    for profile in _profiles_for(rule, bounds.n_single):
-        trace = rule.trace(profile)
+    search = _Search(rule, bounds.n_single)
+    for item in search:
+        trace = rule.trace(search.key(item))
         for k in range(1, m + 1):
             fam = trace[k]
             if len(fam) == 1:
                 singleton_seen[k] = True
                 key = (k, next(iter(fam)))
-                found.setdefault(key, profile)
+                if key not in found:
+                    found[key] = search.profile(item)
         if len(found) == len(targets):
             electing = {
                 (k, tuple(sorted(W))): found[(k, W)]
@@ -316,8 +370,10 @@ def _continuity_certificate(rule: Rule, a: Profile, b: Profile, k: int) -> int |
     needed = 1
     for level in range(k):
         for X in trace[level]:
-            score_a = extension_scores(v, a, X)
-            score_b = extension_scores(v, b, X)
+            # gains share one positive factor per level, so push // gap is
+            # the ratio of the exact score differences, rounded down
+            score_a = extension_gains(v, a, X)
+            score_b = extension_gains(v, b, X)
             best = max(score_a.values())
             argmax = [c for c in score_a if score_a[c] == best]
             for d in score_a:
@@ -326,7 +382,7 @@ def _continuity_certificate(rule: Rule, a: Profile, b: Profile, k: int) -> int |
                 gap = best - score_a[d]  # positive: d is not an argmax at X
                 push = min(score_b[d] - score_b[c] for c in argmax)
                 if push > 0:
-                    needed = max(needed, int(push / gap) + 1)
+                    needed = max(needed, push // gap + 1)
     return needed
 
 
@@ -382,13 +438,14 @@ def continuity_search(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRepor
         "j_max": bounds.j_max,
     }
     worst = 0
-    for a in _profiles_for(rule, bounds.n_continuity):
+    others = list(_universe(rule, bounds.n_continuity_other))
+    for a in _universe(rule, bounds.n_continuity):
         singleton_ks = [
             k for k in range(1, rule.m + 1) if len(rule.apply(a, k)) == 1
         ]
         if not singleton_ks:
             continue
-        for b in _profiles_for(rule, bounds.n_continuity_other):
+        for b in others:
             for k in singleton_ks:
                 report = check_continuity(rule, a, b, k, bounds.j_max)
                 if report.verdict != "pass":
@@ -413,14 +470,15 @@ def continuity_search(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRepor
 def check_committee_monotonicity(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
     """Winners extend smaller winners and extend to larger ones (universal)."""
     used = {"m": rule.m, "n": bounds.n_single}
-    for profile in _profiles_for(rule, bounds.n_single):
-        trace = rule.trace(profile)
+    search = _Search(rule, bounds.n_single)
+    for item in search:
+        trace = rule.trace(search.key(item))
         for k in range(1, rule.m + 1):
             for W in trace[k]:
                 if not any(W - {x} in trace[k - 1] for x in W):
                     return AxiomReport(
                         "committee-monotonicity", rule.name, "violation", used,
-                        witness={"profile": profile, "k": k, "committee": W,
+                        witness={"profile": search.profile(item), "k": k, "committee": W,
                                  "missing": "no winning parent one size down"},
                     )
             for W in trace[k - 1]:
@@ -429,7 +487,7 @@ def check_committee_monotonicity(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) ->
                 ):
                     return AxiomReport(
                         "committee-monotonicity", rule.name, "violation", used,
-                        witness={"profile": profile, "k": k - 1, "committee": W,
+                        witness={"profile": search.profile(item), "k": k - 1, "committee": W,
                                  "missing": "no winning extension one size up"},
                     )
     return AxiomReport("committee-monotonicity", rule.name, "pass-exhaustive", used)
@@ -439,43 +497,128 @@ def check_generator_consistency(
     g: GeneratorFunction, bounds: Bounds = DEFAULT_BOUNDS
 ) -> AxiomReport:
     """On disjoint electorates with intersecting choices, the combined choice
-    is exactly the intersection (universal over the searched pairs)."""
+    is exactly the intersection (universal over the searched pairs).
+
+    ``A`` and ``B`` range over the anonymous universe in canonical order and
+    ``B``'s voters are renumbered above ``A``'s.  An anonymous generator sees
+    only count vectors, the union of two electorates is their sum, and each
+    distinct ``(vector, W)`` is evaluated once.  An id-sensitive generator is
+    evaluated on real profiles; ``g`` of the renumbered ``B`` is memoized on
+    the offset, and the union is built only when the choices intersect.
+    """
     m = g.m
     used = {"m": m, "n_each": bounds.n_pair_each}
     committees = all_committees(m, m - 1)
-    profiles = _anonymous_profiles(m, bounds.n_pair_each)
-    memo: dict[tuple[Profile, frozenset], frozenset] = {}
+    universe = ProfileUniverse(m, bounds.n_pair_each)
+    search = _consistency_by_ids if g.id_sensitive else _consistency_by_counts
+    witness = search(g, universe, committees)
+    if witness is not None:
+        return AxiomReport("generator-consistency", g.name, "violation", used, witness=witness)
+    return AxiomReport("generator-consistency", g.name, "pass-exhaustive", used)
 
-    def evaluate(profile: Profile, committee: frozenset) -> frozenset:
-        key = (profile, committee)
-        out = memo.get(key)
+
+def _consistency_witness(a, b, W, ga, gb, gab, joint) -> dict:
+    return {
+        "a": a, "b": b, "committee": W,
+        "g_a": ga, "g_b": gb, "g_combined": gab, "intersection": joint,
+    }
+
+
+def _consistency_by_counts(
+    g: GeneratorFunction, universe: ProfileUniverse, committees
+) -> dict | None:
+    # A row holds, per committee, the choice as a candidate bit mask (None
+    # until evaluated), then the profile once built.
+    width = len(committees)
+    rows: dict[tuple[int, ...], list] = {}
+
+    def row(vector):
+        out = rows.get(vector)
         if out is None:
-            out = memo[key] = g.fn(profile, committee)
+            out = rows[vector] = [None] * (width + 1)
         return out
 
-    for a in profiles:
-        for b in profiles:
-            shifted = _shifted(b, max(a.voter_ids))
-            combined = a + shifted
-            for W in committees:
-                ga = evaluate(a, W)
+    def choose(vector, choice_row, i):
+        profile = choice_row[width]
+        if profile is None:
+            profile = choice_row[width] = universe.profile(vector)
+        mask = choice_row[i] = sum(1 << c for c in g.fn(profile, committees[i]))
+        return mask
+
+    def members(mask):
+        return frozenset(c for c in range(g.m) if mask >> c & 1)
+
+    vectors = list(universe.vectors())
+    for a in vectors:
+        row_a = row(a)
+        for b in vectors:
+            row_b = row(b)
+            row_ab = None
+            for i in range(width):
+                ga = row_a[i]
+                if ga is None:
+                    ga = choose(a, row_a, i)
                 if not ga:
                     continue
-                gb = evaluate(shifted, W)
+                gb = row_b[i]
+                if gb is None:
+                    gb = choose(b, row_b, i)
                 joint = ga & gb
                 if not joint:
                     continue
-                gab = evaluate(combined, W)
+                if row_ab is None:
+                    ab = tuple(map(operator.add, a, b))
+                    row_ab = row(ab)
+                gab = row_ab[i]
+                if gab is None:
+                    gab = choose(ab, row_ab, i)
                 if gab and gab != joint:
-                    return AxiomReport(
-                        "generator-consistency", g.name, "violation", used,
-                        witness={
-                            "a": a, "b": shifted, "committee": W,
-                            "g_a": ga, "g_b": gb, "g_combined": gab,
-                            "intersection": joint,
-                        },
+                    pa = row_a[width]
+                    pb = _shifted(row_b[width], pa.n)
+                    return _consistency_witness(
+                        pa, pb, committees[i],
+                        members(ga), members(gb), members(gab), members(joint),
                     )
-    return AxiomReport("generator-consistency", g.name, "pass-exhaustive", used)
+    return None
+
+
+def _consistency_by_ids(
+    g: GeneratorFunction, universe: ProfileUniverse, committees
+) -> dict | None:
+    width = len(committees)
+    profiles = list(universe)
+    shifted_rows: dict[tuple[int, int], list] = {}  # (offset, b) -> choices
+
+    for a in profiles:
+        row_a = [None] * width
+        offset = a.n
+        for index, b in enumerate(profiles):
+            row_b = shifted_rows.get((offset, index))
+            if row_b is None:
+                row_b = shifted_rows[offset, index] = [None] * width
+            shifted = combined = None
+            for i, W in enumerate(committees):
+                ga = row_a[i]
+                if ga is None:
+                    ga = row_a[i] = g.fn(a, W)
+                if not ga:
+                    continue
+                gb = row_b[i]
+                if gb is None:
+                    if shifted is None:
+                        shifted = _shifted(b, offset)
+                    gb = row_b[i] = g.fn(shifted, W)
+                joint = ga & gb
+                if not joint:
+                    continue
+                if shifted is None:
+                    shifted = _shifted(b, offset)
+                if combined is None:
+                    combined = a + shifted
+                gab = g.fn(combined, W)
+                if gab and gab != joint:
+                    return _consistency_witness(a, shifted, W, ga, gb, gab, joint)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -495,48 +638,29 @@ def _ballot_shrinkings(ballot: frozenset, committee: frozenset) -> tuple[frozens
     return tuple(sorted(set(options), key=ballot_sort_key))
 
 
-def _shrunk_profiles(profile: Profile, committee: frozenset, id_sensitive: bool) -> Iterator[Profile]:
-    if id_sensitive:
-        per_voter = [_ballot_shrinkings(b, committee) for _, b in profile.votes]
-        for choice in itertools.product(*per_voter):
-            if tuple(choice) == profile.ballots():
-                continue
-            yield Profile(
-                profile.m,
-                tuple((v, ballot) for (v, _), ballot in zip(profile.votes, choice)),
-            )
-        return
-    original = profile.ballot_multiset
-    per_type = []
-    for ballot, count in profile.ballot_counts:
-        options = _ballot_shrinkings(ballot, committee)
-        per_type.append(
-            list(itertools.combinations_with_replacement(options, count))
-        )
-    for combo in itertools.product(*per_type):
-        ballots = tuple(sorted(itertools.chain.from_iterable(combo), key=ballot_sort_key))
-        if ballots == original:
-            continue
-        yield Profile.from_ballots(profile.m, ballots)
-
-
 def check_independence_of_losers(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
     """Disapproving candidates outside a winning committee keeps it winning."""
     used = {"m": rule.m, "n": bounds.n_single}
-    for profile in _profiles_for(rule, bounds.n_single):
-        trace = rule.trace(profile)
+    search = _Search(rule, bounds.n_single)
+    kept = set()  # (shrunk, k, W) already seen to keep W winning
+    for item in search:
+        trace = rule.trace(search.key(item))
         for k in range(1, rule.m + 1):
             for W in sorted(trace[k], key=lambda c: tuple(sorted(c))):
-                for shrunk in _shrunk_profiles(profile, W, rule.id_sensitive):
-                    if W not in rule.apply(shrunk, k):
+                for shrunk in search.shrunk(item, W):
+                    if (shrunk, k, W) in kept:
+                        continue
+                    family = rule.apply(search.key(shrunk), k)
+                    if W not in family:
                         return AxiomReport(
                             "independence-of-losers", rule.name, "violation", used,
                             witness={
-                                "profile": profile, "k": k, "committee": W,
-                                "shrunk_profile": shrunk,
-                                "families": (trace[k], rule.apply(shrunk, k)),
+                                "profile": search.profile(item), "k": k, "committee": W,
+                                "shrunk_profile": search.profile(shrunk),
+                                "families": (trace[k], family),
                             },
                         )
+                    kept.add((shrunk, k, W))
     return AxiomReport("independence-of-losers", rule.name, "pass-exhaustive", used)
 
 
@@ -544,7 +668,7 @@ def check_committee_separability(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) ->
     """Winners decompose across electorates with complementary support."""
     m = rule.m
     used = {"m": m, "n_total": bounds.n_pair_total}
-    profiles = _anonymous_profiles(m, bounds.n_pair_total - 1)
+    profiles = list(ProfileUniverse(m, bounds.n_pair_total - 1))
     by_support: dict[frozenset, list[Profile]] = {}
     for p in profiles:
         by_support.setdefault(p.support, []).append(p)
@@ -558,7 +682,7 @@ def check_committee_separability(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) ->
         for b in by_support.get(complement, ()):
             if a.n + b.n > bounds.n_pair_total:
                 continue
-            shifted = _shifted(b, max(a.voter_ids))
+            shifted = _shifted(b, a.n)
             combined = a + shifted
             for k in range(m + 1):
                 for W in rule.apply(combined, k):
@@ -581,15 +705,13 @@ def check_committee_separability(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) ->
 # Clone axioms
 
 
-def _clone_pairs(profile: Profile) -> list[tuple[int, int]]:
-    approvers = {
-        c: frozenset(v for v, b in profile.votes if c in b) for c in range(profile.m)
-    }
+def _clone_pairs(m: int, counts: BallotCounts) -> list[tuple[int, int]]:
+    """Candidate pairs approved by exactly the same voters."""
     return [
         (c, d)
-        for c in range(profile.m)
-        for d in range(c + 1, profile.m)
-        if approvers[c] == approvers[d]
+        for c in range(m)
+        for d in range(c + 1, m)
+        if all((c in ballot) == (d in ballot) for ballot, _ in counts)
     ]
 
 
@@ -641,11 +763,13 @@ def check_clone_axiom(
         return AxiomReport("clone-proportionality", rule.name, "pass-exhaustive", used)
 
     used = {"m": m, "n": bounds.n_single}
-    for profile in _profiles_for(rule, bounds.n_single):
-        pairs = _clone_pairs(profile)
+    search = _Search(rule, bounds.n_single)
+    for item in search:
+        counts = search.counts(item)
+        pairs = _clone_pairs(m, counts)
         if not pairs and which in ("rejection", "acceptance"):
             continue  # those two axioms only constrain profiles with clones
-        trace = rule.trace(profile)
+        trace = rule.trace(search.key(item))
 
         if which == "rejection":
             for k in range(1, m):
@@ -657,8 +781,8 @@ def check_clone_axiom(
                     if c in W and d in W:
                         return AxiomReport(
                             "clone-rejection", rule.name, "violation", used,
-                            witness={"profile": profile, "k": k, "committee": W,
-                                     "clones": (c, d)},
+                            witness={"profile": search.profile(item), "k": k,
+                                     "committee": W, "clones": (c, d)},
                         )
 
         elif which == "acceptance":
@@ -671,7 +795,7 @@ def check_clone_axiom(
                             return AxiomReport(
                                 "clone-acceptance", rule.name, "violation", used,
                                 witness={
-                                    "profile": profile, "committee": W,
+                                    "profile": search.profile(item), "committee": W,
                                     "clones": (c, d),
                                     "wins": W | {c}, "excluded": W | {c, d},
                                     "families": (trace[size + 1], trace[size + 2]),
@@ -681,7 +805,7 @@ def check_clone_axiom(
         elif which == "distrust":
             exact = {c: 0 for c in range(m)}
             approvals = {c: 0 for c in range(m)}
-            for ballot, count in profile.ballot_counts:
+            for ballot, count in counts:
                 if len(ballot) == 1:
                     exact[next(iter(ballot))] += count
                 for c in ballot:
@@ -697,8 +821,8 @@ def check_clone_axiom(
                             return AxiomReport(
                                 "distrust", rule.name, "violation", used,
                                 witness={
-                                    "profile": profile, "k": k, "committee": W,
-                                    "chosen": b, "ignored": c,
+                                    "profile": search.profile(item), "k": k,
+                                    "committee": W, "chosen": b, "ignored": c,
                                     "singleton_reports": exact[c],
                                     "approvals_of_chosen": approvals[b],
                                 },
@@ -720,9 +844,10 @@ def check_information_basis(
         m = valuation.table.m
     w_top = m - 2 if bounds.w_max_stats is None else min(bounds.w_max_stats, m - 2)
     used = {"m": m, "n": bounds.n_stats, "w_max": w_top}
+    profiles = list(ProfileUniverse(m, bounds.n_stats))
     for committee in all_committees(m, w_top):
         groups: dict[tuple, tuple[Profile, frozenset]] = {}
-        for profile in _anonymous_profiles(m, bounds.n_stats):
+        for profile in profiles:
             key = compute_n_stats(profile, committee).rows
             out = generator_step(valuation, profile, committee)
             seen = groups.get(key)

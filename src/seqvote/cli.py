@@ -342,14 +342,16 @@ def cmd_compute(args) -> int:
     steps = []
     for j in range(1, k + 1):
         parents = sorted(trace[j - 1], key=lambda c: tuple(sorted(c)))
+        children: dict[frozenset, list] = {}
+        for W in trace[j]:
+            for x in W:
+                children.setdefault(W - {x}, []).append(W)
         detail = []
         for parent in parents:
             entry = {"parent": parent}
             if rule.valuation is not None:
                 entry["scores"] = extension_scores(rule.valuation, profile, parent)
-            entry["extensions"] = frozenset(
-                W for W in trace[j] if parent < W
-            )
+            entry["extensions"] = frozenset(children.get(parent, ()))
             detail.append(entry)
         steps.append({"size": j, "chosen": trace[j], "per_parent": detail})
     report = {

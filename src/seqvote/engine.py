@@ -9,17 +9,21 @@ axiom checkers downstream.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from dataclasses import dataclass
-
 from .counting import Valuation, WeightTable, committee_score, scaled_score
-from .profiles import Profile
+from .profiles import BallotCounts, Profile
 
 Family = frozenset  # of frozenset[int]
 
 DEFAULT_BRANCH_CAP = 100_000
+
+#: Traces each rule keeps, least recently used evicted first.  An evicted
+#: trace is recomputed on demand, so the bound costs time, never correctness.
+TRACE_CACHE_SIZE = 1 << 14
 
 
 class BranchCapError(RuntimeError):
@@ -80,6 +84,25 @@ def extension_scores(
     return {c: Fraction(base + gain, level.denominator) for c, gain in gains.items()}
 
 
+def extension_gains(
+    valuation: Valuation, profile: Profile, committee: frozenset[int]
+) -> dict[int, int | Fraction]:
+    """The scores of ``W + {c}`` up to an offset and a positive factor.
+
+    For a table-backed valuation these are the level's integer gains: the
+    exact score is ``(base + gain) / D``, where the offset ``base`` depends
+    on the profile and the factor ``D`` only on ``|W|`` and m.  Differences
+    between gains therefore compare exactly across profiles, without a
+    rational per candidate.  Other valuations get their exact scores.
+    """
+    committee = frozenset(committee)
+    if valuation.counting is None:
+        return extension_scores(valuation, profile, committee)
+    outside = _outside(profile, committee)
+    level = valuation.level(len(committee) + 1, profile.m)
+    return _approval_gains(level.gains, profile, committee, outside)
+
+
 def generator_step(
     valuation: Valuation, profile: Profile, committee: frozenset[int]
 ) -> frozenset[int]:
@@ -92,12 +115,7 @@ def generator_step(
     counting function's forward differences, compared as integers scaled by
     the level's positive denominator, so the tied set is the exact one.
     """
-    committee = frozenset(committee)
-    if valuation.counting is None:
-        return _argmax(extension_scores(valuation, profile, committee))
-    outside = _outside(profile, committee)
-    level = valuation.level(len(committee) + 1, profile.m)
-    return _argmax(_approval_gains(level.gains, profile, committee, outside))
+    return _argmax(extension_gains(valuation, profile, committee))
 
 
 def weighted_approval_step(
@@ -169,8 +187,10 @@ class Rule:
 
     Exactly one of ``step`` (a generator function run sequentially) or
     ``apply_direct`` (an arbitrary per-size computation) drives the rule.
-    Traces are memoized per profile; anonymous rules share cache entries
-    across voter relabelings.
+    Traces are memoized per profile, at most :data:`TRACE_CACHE_SIZE` per
+    rule; anonymous rules key them on the ballot counts, so voter
+    relabelings share an entry and a profile given by its counts alone is
+    only built on a miss.
     """
 
     def __init__(
@@ -199,40 +219,54 @@ class Rule:
         self.id_sensitive = id_sensitive
         self.violates = violates
         self.branch_cap = branch_cap
-        self._traces: dict[Profile, tuple[Family, ...]] = {}
+        self._traces: OrderedDict[object, tuple[Family, ...]] = OrderedDict()
 
     def __repr__(self):
         return f"Rule({self.name!r}, m={self.m})"
 
-    def _check(self, profile: Profile, k: int):
-        if profile.m != self.m:
-            raise ValueError(f"profile has m={profile.m}, rule expects m={self.m}")
-        if not 0 <= k <= self.m:
-            raise ValueError(f"committee size {k} outside 0..{self.m}")
-
-    def trace(self, profile: Profile, k: Optional[int] = None) -> tuple[Family, ...]:
+    def trace(
+        self, profile: Profile | BallotCounts, k: Optional[int] = None
+    ) -> tuple[Family, ...]:
         """``(f(A,0), ..., f(A,k))``, cached per profile.
 
-        The cached trace is extended only as far as the largest ``k`` asked
-        for, so a tie cap can only fire at a level that is reported.
+        ``profile`` is a :class:`Profile` or, for the canonical profile with
+        ids 1..n, its ballot counts.  The cached trace is extended only as
+        far as the largest ``k`` asked for, so a tie cap can only fire at a
+        level that is reported.
         """
         if k is None:
             k = self.m
-        self._check(profile, k)
-        key = profile if self.id_sensitive else profile.canonical()
-        cached = self._traces.get(key)
-        if cached is None or len(cached) <= k:
-            if self.step is not None:
-                cached = step_trace(self.step, key, k, self.branch_cap, prefix=cached)
-            else:
-                done = cached or ()
-                cached = done + tuple(
-                    self.apply_direct(key, j) for j in range(len(done), k + 1)
-                )
-            self._traces[key] = cached
-        return cached[: k + 1]
+        if not 0 <= k <= self.m:
+            raise ValueError(f"committee size {k} outside 0..{self.m}")
+        if isinstance(profile, Profile):
+            if profile.m != self.m:
+                raise ValueError(f"profile has m={profile.m}, rule expects m={self.m}")
+            key = profile if self.id_sensitive else profile.ballot_counts
+        elif self.id_sensitive:
+            profile = key = Profile.from_counts(self.m, profile)
+        else:
+            key = profile
+        traces = self._traces
+        cached = traces.get(key)
+        if cached is not None and len(cached) > k:
+            traces.move_to_end(key)
+            return cached[: k + 1]
+        if not isinstance(profile, Profile):
+            profile = Profile.from_counts(self.m, key)  # built only on a miss
+        if self.step is not None:
+            cached = step_trace(self.step, profile, k, self.branch_cap, prefix=cached)
+        else:
+            done = cached or ()
+            cached = done + tuple(
+                self.apply_direct(profile, j) for j in range(len(done), k + 1)
+            )
+        traces[key] = cached
+        traces.move_to_end(key)
+        if len(traces) > TRACE_CACHE_SIZE:
+            traces.popitem(last=False)
+        return cached
 
-    def apply(self, profile: Profile, k: int) -> Family:
+    def apply(self, profile: Profile | BallotCounts, k: int) -> Family:
         """The winning committees ``f(A, k)``."""
         return self.trace(profile, k)[k]
 
@@ -259,19 +293,27 @@ def derive_generator(rule: Rule, profile: Profile, committee: frozenset[int]) ->
 
 @dataclass(frozen=True)
 class GeneratorFunction:
-    """A named generator step over m candidates, tagged complete or partial."""
+    """A named generator step over m candidates, tagged complete or partial.
+
+    ``id_sensitive`` steps may read voter ids; the others see only the
+    ballot counts, so the checkers may evaluate them on canonical profiles.
+    """
 
     name: str
     m: int
     fn: StepFn
     complete: bool
+    id_sensitive: bool = False
 
 
 def step_generator(rule: Rule) -> GeneratorFunction:
     """The rule's own generator step (the function that defines it)."""
     if rule.step is None:
         raise ValueError(f"{rule.name} is not defined by a generator step")
-    return GeneratorFunction(f"step({rule.name})", rule.m, rule.step, complete=True)
+    return GeneratorFunction(
+        f"step({rule.name})", rule.m, rule.step, complete=True,
+        id_sensitive=rule.id_sensitive,
+    )
 
 
 def derived_generator(rule: Rule) -> GeneratorFunction:
@@ -281,4 +323,5 @@ def derived_generator(rule: Rule) -> GeneratorFunction:
         rule.m,
         lambda a, w: derive_generator(rule, a, w),
         complete=False,
+        id_sensitive=rule.id_sensitive,
     )

@@ -10,11 +10,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .counting import Valuation, committee_score
 from .engine import Family, Rule
-from .profiles import Profile, ballot_sort_key
+from .profiles import BallotCounts, Profile, ballot_sort_key
 
 DEFAULT_COMMITTEE_CAP = 10**6
 DEFAULT_UNIVERSE_CAP = 10**6
@@ -50,36 +51,84 @@ def all_committees(m: int, max_size: int | None = None) -> tuple[frozenset[int],
 
 @dataclass(frozen=True)
 class ProfileUniverse:
-    """All anonymous profiles with up to ``max_voters`` voters over m candidates.
+    """All profiles with 1..``max_voters`` voters over m candidates, streamed.
 
-    Iteration yields canonical profiles (voter ids 1..n, ballots sorted) by
-    increasing voter count, multiset-lexicographically within each count.
+    The anonymous universe (the default) holds ballot multisets.  Its
+    :meth:`vectors` are multiplicity vectors over :func:`all_ballots`, by
+    increasing voter count and multiset-lexicographically within each count;
+    iteration yields the matching canonical profiles (ids 1..n, ballots in
+    canonical order).  The ``ordered`` universe, for id-sensitive rules,
+    holds ballot sequences: voter i casts the i-th ballot, in
+    ``itertools.product`` order per voter count.
+
+    The size is checked against the closed form, and
+    :class:`EnumerationCapError` raised, before anything is yielded; nothing
+    is kept between yields.
     """
 
     m: int
     max_voters: int
     cap: int = DEFAULT_UNIVERSE_CAP
+    ordered: bool = False
 
     def count(self, n: int) -> int:
-        """Closed form: multisets of size n over the 2^m - 1 ballots."""
-        return math.comb(2**self.m - 1 + n - 1, n)
+        """Closed form: size-n multisets (or sequences) of the 2^m - 1 ballots."""
+        kinds = 2**self.m - 1
+        return kinds**n if self.ordered else math.comb(kinds + n - 1, n)
 
     def total(self) -> int:
         return sum(self.count(n) for n in range(1, self.max_voters + 1))
 
-    def __iter__(self) -> Iterator[Profile]:
+    @cached_property
+    def ballots(self) -> tuple[frozenset[int], ...]:
+        """The ballot kinds, :func:`all_ballots`, validated once per universe."""
+        return all_ballots(self.m)
+
+    @cached_property
+    def index(self) -> dict[frozenset[int], int]:
+        """Each ballot's position in :attr:`ballots`."""
+        return {ballot: i for i, ballot in enumerate(self.ballots)}
+
+    def _check_cap(self) -> None:
         if self.total() > self.cap:
             raise EnumerationCapError(
                 f"universe holds {self.total()} profiles, cap is {self.cap}"
             )
-        ballots = all_ballots(self.m)
+
+    def vectors(self) -> Iterator[tuple[int, ...]]:
+        """Multiplicity vectors of the anonymous universe, in canonical order."""
+        if self.ordered:
+            raise ValueError("an ordered universe has no multiplicity vectors")
+        self._check_cap()
+        return self._vectors()
+
+    def _vectors(self) -> Iterator[tuple[int, ...]]:
+        kinds = 2**self.m - 1
         for n in range(1, self.max_voters + 1):
-            for combo in itertools.combinations_with_replacement(ballots, n):
-                yield Profile.from_ballots(self.m, combo)
+            for combo in itertools.combinations_with_replacement(range(kinds), n):
+                vector = [0] * kinds
+                for i in combo:
+                    vector[i] += 1
+                yield tuple(vector)
 
+    def counts(self, vector: Sequence[int]) -> BallotCounts:
+        """The ``ballot_counts`` of the profile with multiplicity ``vector``."""
+        return tuple(zip(itertools.compress(self.ballots, vector), filter(None, vector)))
 
-def enumerate_profiles(universe: ProfileUniverse) -> Iterator[Profile]:
-    return iter(universe)
+    def profile(self, vector: Sequence[int]) -> Profile:
+        """The canonical profile with multiplicity ``vector``."""
+        return Profile.from_counts(self.m, self.counts(vector), checked=True)
+
+    def __iter__(self) -> Iterator[Profile]:
+        self._check_cap()
+        if self.ordered:
+            return self._sequences()
+        return map(self.profile, self._vectors())
+
+    def _sequences(self) -> Iterator[Profile]:
+        for n in range(1, self.max_voters + 1):
+            for combo in itertools.product(self.ballots, repeat=n):
+                yield Profile(self.m, tuple(enumerate(combo, 1)), checked=True)
 
 
 def brute_force_optimal(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -25,6 +25,10 @@ class SymmetrizationCapError(ProfileError):
 
 #: Guard against the factorial blowup of symmetrization.
 DEFAULT_SYMMETRIZATION_CAP = 10_000
+
+#: An anonymous profile as :attr:`Profile.ballot_counts` gives it: distinct
+#: ballots in canonical order with their multiplicities.
+BallotCounts = tuple[tuple[frozenset[int], int], ...]
 
 
 def ballot_sort_key(ballot: frozenset[int]) -> tuple[int, tuple[int, ...]]:
@@ -48,14 +52,20 @@ class Profile:
     """A finite, non-empty map from voter ids to approval ballots.
 
     ``votes`` is stored as a tuple of ``(voter_id, ballot)`` pairs sorted by
-    voter id.  Use :meth:`from_dict` or :meth:`from_ballots` instead of the
-    raw constructor.
+    voter id.  Use :meth:`from_dict`, :meth:`from_ballots` or
+    :meth:`from_counts` instead of the raw constructor.  Every constructor
+    validates each ballot once; ``checked=True`` is the promise of a caller
+    whose ballots are already validated frozensets (the profile algebra, the
+    enumerators over :func:`seqvote.oracle.all_ballots`) and skips the checks.
     """
 
     m: int
     votes: tuple[tuple[int, frozenset[int]], ...]
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, checked: bool):
+        if checked:
+            return
         if self.m < 1:
             raise ProfileError("need at least one candidate")
         if not self.votes:
@@ -67,23 +77,32 @@ class Profile:
             raise ProfileError("duplicate voter ids")
         if ids != sorted(ids):
             raise ProfileError("votes must be sorted by voter id")
-        for _, ballot in self.votes:
-            validate_ballot(self.m, ballot)
+        object.__setattr__(
+            self, "votes", tuple((v, validate_ballot(self.m, b)) for v, b in self.votes)
+        )
 
     @classmethod
     def from_dict(cls, m: int, mapping: Mapping[int, Iterable[int]]) -> "Profile":
-        votes = tuple(
-            (voter, validate_ballot(m, ballot)) for voter, ballot in sorted(mapping.items())
-        )
-        return cls(m, votes)
+        return cls(m, tuple(sorted(mapping.items())))
 
     @classmethod
     def from_ballots(cls, m: int, ballots: Sequence[Iterable[int]]) -> "Profile":
         """Build a profile assigning voter ids 1..n to ``ballots`` in order."""
-        votes = tuple(
-            (i + 1, validate_ballot(m, ballot)) for i, ballot in enumerate(ballots)
-        )
-        return cls(m, votes)
+        return cls(m, tuple((i + 1, ballot) for i, ballot in enumerate(ballots)))
+
+    @classmethod
+    def from_counts(cls, m: int, counts: BallotCounts, checked: bool = False) -> "Profile":
+        """The canonical profile (ids 1..n) holding each ``(ballot, count)``.
+
+        ``counts`` is an anonymous profile in the form of
+        :attr:`ballot_counts`: distinct ballots in canonical order, each with
+        a positive multiplicity.  Each distinct ballot is validated once, or
+        not at all with ``checked=True``.
+        """
+        counts = tuple(counts) if checked else _validated_counts(m, counts)
+        profile = cls(m, _numbered(counts), checked=True)
+        profile.__dict__["ballot_counts"] = counts
+        return profile
 
     # -- basic accessors ---------------------------------------------------
 
@@ -110,7 +129,7 @@ class Profile:
         return tuple(sorted(self.ballots(), key=ballot_sort_key))
 
     @cached_property
-    def ballot_counts(self) -> tuple[tuple[frozenset[int], int], ...]:
+    def ballot_counts(self) -> BallotCounts:
         """Distinct ballots with multiplicities, in canonical ballot order."""
         return tuple(
             (ballot, len(list(group)))
@@ -128,7 +147,7 @@ class Profile:
 
     def canonical(self) -> "Profile":
         """The anonymous normal form: ids 1..n, ballots in canonical order."""
-        return Profile.from_ballots(self.m, self.ballot_multiset)
+        return Profile.from_counts(self.m, self.ballot_counts)
 
     def relabeled(self, first_id: int = 1) -> "Profile":
         """Same ballots in voter-id order, with fresh consecutive ids."""
@@ -157,7 +176,7 @@ def profile_sum(a: Profile, b: Profile) -> Profile:
         raise ProfileError(f"mixed candidate sets: m={a.m} vs m={b.m}")
     if set(a.voter_ids) & set(b.voter_ids):
         raise ProfileError("profiles share voter ids; relabel before summing")
-    return Profile(a.m, tuple(sorted(a.votes + b.votes)))
+    return Profile(a.m, tuple(sorted(a.votes + b.votes)), checked=True)
 
 
 def profile_scale(j: int, a: Profile) -> Profile:
@@ -173,7 +192,31 @@ def profile_scale(j: int, a: Profile) -> Profile:
     votes = []
     for t in range(j):
         votes.extend((v + t * top, b) for v, b in a.votes)
-    return Profile(a.m, tuple(sorted(votes)))
+    return Profile(a.m, tuple(sorted(votes)), checked=True)
+
+
+def _validated_counts(m: int, counts) -> BallotCounts:
+    if m < 1:
+        raise ProfileError("need at least one candidate")
+    pairs = []
+    for ballot, count in counts:
+        ballot = validate_ballot(m, ballot)
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            raise ProfileError(f"multiplicity {count!r} is not a positive integer")
+        if pairs and ballot_sort_key(pairs[-1][0]) >= ballot_sort_key(ballot):
+            raise ProfileError("ballot counts must list distinct ballots in canonical order")
+        pairs.append((ballot, count))
+    if not pairs:
+        raise ProfileError("profiles must contain at least one voter")
+    return tuple(pairs)
+
+
+def _numbered(counts: BallotCounts) -> tuple[tuple[int, frozenset[int]], ...]:
+    """Votes with ids 1..n: each ``(ballot, count)`` repeated ``count`` times."""
+    ballots = itertools.chain.from_iterable(
+        itertools.repeat(ballot, count) for ballot, count in counts
+    )
+    return tuple(enumerate(ballots, 1))
 
 
 def _permutation_map(m: int, tau) -> dict[int, int]:

@@ -92,22 +92,23 @@ def _verify(h: ThieleTable, witness: Witness) -> None:
                     f"{witness.construction}: expected {sorted(map(sorted, family))} "
                     f"at size {level}, engine found {sorted(map(sorted, trace[level]))}"
                 )
-        if not _predicate_holds(witness, rule):
+        if not predicate_holds(witness, rule):
             raise WitnessVerificationError(
                 f"{witness.construction}: violated predicate does not hold on replay"
             )
 
 
-def _predicate_holds(w: Witness, rule: Rule) -> bool:
-    profile, k = w.profile, w.k
+def predicate_holds(witness: Witness, rule: Rule) -> bool:
+    """Does the witness's violated predicate hold when ``rule`` replays it?"""
+    profile, k = witness.profile, witness.k
     fam = rule.apply(profile, k)
-    p = w.params
-    if w.construction == "T2":
+    p = witness.params
+    if witness.construction == "T2":
         if len(fam) != 1:
             return False
         winner = next(iter(fam))
         return {0, 1} <= winner and len(winner) < profile.m
-    if w.construction == "T3-distrust":
+    if witness.construction == "T3-distrust":
         if len(fam) != 1:
             return False
         winner = next(iter(fam))
@@ -117,26 +118,21 @@ def _predicate_holds(w: Witness, rule: Rule) -> bool:
         )
         approves_c = sum(count for ballot, count in profile.ballot_counts if c in ballot)
         return c in winner and d not in winner and reports_d > approves_c
-    if w.construction == "T3-acceptance":
+    if witness.construction == "T3-acceptance":
         c, d = p["c"], p["d"]
         base = frozenset(p["base"])
         return (
             base | {c} in rule.apply(profile, k - 1)
             and base | {c, d} not in fam
         )
-    if w.construction == "T4":
+    if witness.construction == "T4":
         share, n2, c = Fraction(p["n1"], k), p["n2"], p["c"]
         if share < n2:
             return any(c not in W for W in fam)
         if share > n2:
             return any(c in W for W in fam)
         return False
-    raise ValueError(w.construction)
-
-
-def predicate_holds(witness: Witness, rule: Rule) -> bool:
-    """Does the witness's violated predicate hold when ``rule`` replays it?"""
-    return _predicate_holds(witness, rule)
+    raise ValueError(witness.construction)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from seqvote.axioms import (
     check_information_basis,
     check_neutrality,
     check_non_imposition,
-    _anonymous_profiles,
 )
 from seqvote.catalog import continuity_gap_instance, make, step_counting_table, thiele_table
 from seqvote.cli import format_profile, parse_profile
@@ -87,7 +86,7 @@ def test_criterion_3_weighted_approval_bridge():
     pairs = 0
     for m in (2, 3, 4):
         committees = all_committees(m, m - 1)
-        profiles = _anonymous_profiles(m, 3)
+        profiles = list(ProfileUniverse(m, 3))
         for name in MAIN_RULES:
             table = step_counting_table(name, m)
             valuation = step_scoring_valuation(table, name)

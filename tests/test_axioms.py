@@ -23,6 +23,7 @@ from seqvote.axioms import (
 )
 from seqvote.catalog import continuity_gap_instance, make
 from seqvote.engine import derived_generator, step_generator
+from seqvote.oracle import ProfileUniverse
 from seqvote.profiles import Profile, apply_candidate_permutation, apply_voter_permutation
 
 from util import fam
@@ -231,7 +232,7 @@ def test_generator_consistency_violation_for_reverse_derived():
 def test_generator_consistency_on_disjoint_copy_of_itself():
     # g(2A, W) = g(A, W): the intersection with itself never shrinks.
     rule = make("seqpav", 3)
-    for profile in axioms._anonymous_profiles(3, 2):
+    for profile in ProfileUniverse(3, 2):
         doubled = profile + profile.relabeled(first_id=10)
         for committee in ({0}, {1}, set()):
             assert rule.step(doubled, frozenset(committee)) == rule.step(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -369,6 +370,54 @@ def test_axioms_command_exposes_derived_generator_gap(capsys):
     }
     assert rows[(3, "step(reverse-seqccav)")] == "pass-exhaustive"
     assert rows[(3, "derived(reverse-seqccav)")] == "violation"
+
+
+# sha256 of ``seqvote axioms <rule> all --max-voters 2`` (m 2..3), recorded
+# before the checkers moved to count vectors; every rule exits 1.
+AXIOMS_ALL_N2_SHA256 = {
+    "seqav": "0c877a60ed05f3749d1a253725cdcbcf60255223b29c98caef05bf5ea35d5135",
+    "seqpav": "468995366bbf0da6779a3b434bf2a3015964a518263d55198531bef4b4dc8427",
+    "seqccav": "f7076b3fb63cdab8974ae1992cc2eb79d0c7225fe596e29a69647be170febe23",
+    "seqsav": "aaf1dab6a8a113aef9d299926f9f95caa76ec514eadffb800409d7fc5828796e",
+    "av-cc-alternating": "b97567d0af815e6867c3c9f84c8505fa3fc8c5ab71b0cde23c863aa549637121",
+    "voter1-doubled-seqav": "1b36c2e6a8572bbbad99b7205aea86e083530c8318e9e558f8422a3aed480e0c",
+    "candidate-a-doubled-seqav": "5dd0482fbc42b08c72ce9d0113dd4f492199249c9d2698f137ff3593d1a4f1a8",
+    "trivial": "8706f6fefc7d974c523d797424889049456642a79c2338b73c6b5950ee2eb65e",
+    "cc-tiebreak-seqav": "912feab1ea6a097426e001944918c96d68c2badae92285b0f68eeff0b1dcac87",
+    "clone-trusting": "7ca6bbdb367bc99d842d01fbeea0355aef3806888b1acdc0fe09ab4cbc39c419",
+    "optimizing-av": "ed42e027805fc8394495a55877d98ef3fae0e45f755c3f2279a21154355e9cff",
+    "optimizing-pav": "65a57dbb02b8b14f29a8d53da4d9d1df0aa483084d5a5e73ccfa114f062382cb",
+    "optimizing-ccav": "1f195955414f94c2cb54cfcfb17978c96bd38cf10efb5079c3c5bdb2859a1746",
+    "reverse-seqav": "57153b003badc230b614354b68530e533e2b63cf4fe1458e0fcd1f87fbd12937",
+    "reverse-seqpav": "d6148054400a1b79535071d9c9eeca7289a2cb21808d633dd98df59463e13a72",
+    "reverse-seqccav": "e58a2d6039369a8253e3622e748fa13eeae23b702e2ba25ac8c9f584a89983d0",
+}
+
+
+def test_axioms_all_reports_are_pinned_for_every_catalog_rule(capsys):
+    assert sorted(AXIOMS_ALL_N2_SHA256) == sorted(catalog.RULE_NAMES)
+    for name, digest in AXIOMS_ALL_N2_SHA256.items():
+        code, out, _ = run_cli("axioms", name, "all", "--max-voters", "2", capsys=capsys)
+        assert code == EXIT_VIOLATION, name
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # m=2 passes; at m=3 the anonymous universe of non-imposition holds
+        # C(47, 7) - 1 profiles
+        ("axioms", "seqav", "proper", "--max-voters", "40"),
+        # the ordered universe of an id-sensitive rule: 3 + 9 + ... + 3^13
+        # ballot sequences already at m=2
+        ("axioms", "voter1-doubled-seqav", "all", "--max-voters", "13"),
+    ],
+)
+def test_axioms_over_the_universe_cap_exits_3(argv, capsys):
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == EXIT_CAP
+    assert out == ""
+    assert "cap exceeded" in err and "cap is 1000000" in err
 
 
 # ---------------------------------------------------------------------------

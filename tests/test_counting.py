@@ -196,14 +196,13 @@ def test_sign_identity_between_counting_and_weights():
     # The pairwise comparison of committee scores matches the weighted
     # approval comparison: the shared offset cancels.  Exhaustive for m=3,
     # two voters, all committees one below full size.
-    from seqvote.axioms import _anonymous_profiles
-    from seqvote.oracle import all_committees
+    from seqvote.oracle import ProfileUniverse, all_committees
 
     for name in ("seqav", "seqpav", "seqccav", "seqsav", "av-cc-alternating"):
         h = step_counting_table(name, 3)
         valuation = step_scoring_valuation(h)
         weights = weight_from_counting(h)
-        for profile in _anonymous_profiles(3, 2):
+        for profile in ProfileUniverse(3, 2):
             for committee in all_committees(3, 1):
                 step = weights[len(committee)]
                 outside = [c for c in range(3) if c not in committee]

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqvote.axioms import _anonymous_profiles
+from seqvote import engine
+from seqvote.axioms import Bounds, check_independence_of_losers
 from seqvote.catalog import make, make_zoo_rule, sav_table, thiele_table
 from seqvote.counting import (
     StepCountingTable,
@@ -28,8 +29,8 @@ from seqvote.engine import (
     sequential_trace,
     weighted_approval_step,
 )
-from seqvote.oracle import all_committees
-from seqvote.profiles import Profile
+from seqvote.oracle import ProfileUniverse, all_committees
+from seqvote.profiles import Profile, apply_voter_permutation
 
 from util import fam, naive_best_extensions, naive_score, naive_sequential, thiele_value
 
@@ -92,7 +93,7 @@ def test_sequential_trace_matches_naive_recursion_exhaustively():
     }
     for name, naive_value in tables.items():
         valuation = thiele_valuation(thiele_table(name, 3))
-        for profile in _anonymous_profiles(3, 2):
+        for profile in ProfileUniverse(3, 2):
             expected = naive_sequential(naive_value, 3, profile.ballots(), 3)
             assert list(sequential_trace(valuation, profile, 3)) == expected
 
@@ -134,6 +135,40 @@ def test_trace_stops_at_the_requested_size():
     assert rule.trace(p) == tuple(sequential_trace(rule.valuation, p, 4))
 
 
+def test_anonymous_traces_are_keyed_on_ballot_counts():
+    rule = make("seqpav", 3)
+    p = Profile.from_ballots(3, [{2}, {0, 1}, {0, 1}])
+    trace = rule.trace(p)
+    assert rule.trace(p.ballot_counts) is trace
+    assert rule.trace(apply_voter_permutation({1: 3, 3: 1}, p)) is trace
+    assert len(rule._traces) == 1
+    # a profile given by its counts alone is built on a miss
+    q = Profile.from_ballots(3, [{0}, {1, 2}])
+    assert rule.trace(q.ballot_counts) == tuple(sequential_trace(rule.valuation, q, 3))
+    # an id-sensitive rule traces the canonical profile with ids 1..n
+    doubled = make("voter1-doubled-seqav", 3)
+    assert doubled.trace(p.ballot_counts) == doubled.trace(p.canonical())
+
+
+def test_trace_cache_never_exceeds_its_bound(monkeypatch):
+    monkeypatch.setattr(engine, "TRACE_CACHE_SIZE", 8)
+    rule, fresh = make("seqpav", 3), make("seqpav", 3)
+    sizes = []
+    trace = rule.trace
+
+    def recording(profile, k=None):
+        out = trace(profile, k)
+        sizes.append(len(rule._traces))
+        return out
+
+    monkeypatch.setattr(rule, "trace", recording)
+    assert check_independence_of_losers(rule, Bounds(n_single=3)).verdict == "pass-exhaustive"
+    assert len(sizes) > 100 and max(sizes) == 8
+    for profile in ProfileUniverse(3, 2):  # evicted traces come back exact
+        assert rule.trace(profile) == fresh.trace(profile)
+    assert len(rule._traces) == 8
+
+
 def test_weighted_approval_step_plain():
     ones = WeightTable.from_function(3, lambda x, z: 1)
     assert weighted_approval_step(ones, P1, frozenset()) == {0, 1}
@@ -158,7 +193,7 @@ def test_counting_weight_bridge_on_small_universe():
     h = sav_table(3)
     valuation = step_scoring_valuation(h)
     weights = weight_from_counting(h)
-    for profile in _anonymous_profiles(3, 2):
+    for profile in ProfileUniverse(3, 2):
         for committee in all_committees(3, 2):
             assert generator_step(valuation, profile, committee) == weighted_approval_step(
                 weights[len(committee)], profile, committee
@@ -182,7 +217,7 @@ def test_derive_generator_agrees_with_step_on_small_instances():
     # from tied sibling committees; see the next test.)
     for name in ("seqav", "seqpav", "seqccav", "seqsav", "av-cc-alternating"):
         rule = make(name, 3)
-        for profile in _anonymous_profiles(3, 3):
+        for profile in ProfileUniverse(3, 3):
             for k in range(3):
                 for committee in rule.apply(profile, k):
                     assert derive_generator(rule, profile, committee) == rule.step(
@@ -204,7 +239,7 @@ def test_derive_generator_can_exceed_step_via_tied_siblings():
 
 def test_generator_step_completeness_and_purity():
     valuation = step_scoring_valuation(sav_table(3))
-    for profile in _anonymous_profiles(3, 2):
+    for profile in ProfileUniverse(3, 2):
         for committee in all_committees(3, 2):
             out = generator_step(valuation, profile, committee)
             assert out and out.isdisjoint(committee)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from seqvote.oracle import (
     brute_force_optimal,
     committees_of_size,
     compare_rules,
-    enumerate_profiles,
 )
 from seqvote.profiles import Profile
 
@@ -79,8 +79,8 @@ def test_profile_counts_closed_form():
 
 
 def test_enumeration_is_canonical_and_deterministic():
-    first = list(enumerate_profiles(ProfileUniverse(2, 2)))
-    second = list(enumerate_profiles(ProfileUniverse(2, 2)))
+    first = list(ProfileUniverse(2, 2))
+    second = list(ProfileUniverse(2, 2))
     assert first == second
     assert first[0].ballots() == (frozenset({0}),)
     assert [p.n for p in first] == sorted(p.n for p in first)
@@ -91,6 +91,44 @@ def test_universe_cap():
         list(ProfileUniverse(3, 4, cap=10))
     with pytest.raises(EnumerationCapError):
         committees_of_size(30, 15, cap=10)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_universe_streams_the_literal_listing_in_order(m, n):
+    # first witnesses are deterministic only if the enumeration order is
+    ballots = all_ballots(m)
+    anonymous = [
+        Profile.from_ballots(m, combo)
+        for voters in range(1, n + 1)
+        for combo in itertools.combinations_with_replacement(ballots, voters)
+    ]
+    ordered = [
+        Profile.from_ballots(m, combo)
+        for voters in range(1, n + 1)
+        for combo in itertools.product(ballots, repeat=voters)
+    ]
+    universe = ProfileUniverse(m, n)
+    assert list(universe) == anonymous
+    assert [p.votes for p in universe] == [p.votes for p in anonymous]
+    vectors = list(universe.vectors())
+    assert [universe.profile(v) for v in vectors] == anonymous
+    assert [universe.counts(v) for v in vectors] == [p.ballot_counts for p in anonymous]
+    assert len(vectors) == universe.total()
+    sequences = ProfileUniverse(m, n, ordered=True)
+    assert [p.votes for p in sequences] == [p.votes for p in ordered]
+    assert len(ordered) == sequences.total()
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_over_cap_universes_raise_before_yielding(ordered):
+    universe = ProfileUniverse(3, 3, cap=100, ordered=ordered)
+    assert universe.total() == (7 + 49 + 343 if ordered else 7 + 28 + 84)
+    with pytest.raises(EnumerationCapError):
+        iter(universe)
+    if not ordered:
+        with pytest.raises(EnumerationCapError):
+            universe.vectors()
 
 
 def test_compare_rules_av_equals_optimizing_av():

@@ -41,6 +41,47 @@ def test_invalid_profiles_rejected():
         validate_ballot(2, [True])
 
 
+def test_constructors_validate_each_ballot_once(monkeypatch):
+    from seqvote import profiles
+
+    calls = []
+    original = profiles.validate_ballot
+
+    def counting(m, approved):
+        calls.append(approved)
+        return original(m, approved)
+
+    monkeypatch.setattr(profiles, "validate_ballot", counting)
+    p = Profile.from_ballots(3, [{0, 1}, [2], {0, 1}])
+    assert len(calls) == 3 and p.ballot(2) == frozenset({2})
+    calls.clear()
+    Profile.from_dict(3, {4: {0}, 2: (1, 2)})
+    assert len(calls) == 2
+    calls.clear()
+    q = Profile.from_counts(3, p.ballot_counts)  # once per distinct ballot
+    assert len(calls) == 2 and q == p.canonical()
+
+
+def test_from_counts_builds_the_canonical_profile():
+    p = Profile.from_dict(3, {2: {0, 1}, 5: {2}, 9: {0, 1}})
+    q = Profile.from_counts(3, p.ballot_counts)
+    assert q.votes == (
+        (1, frozenset({2})), (2, frozenset({0, 1})), (3, frozenset({0, 1})),
+    )
+    assert q.ballot_counts == p.ballot_counts and q == p.canonical()
+    for bad in (
+        [],
+        [({0}, 0)],
+        [({0}, True)],
+        [({3}, 1)],
+        [(set(), 1)],
+        [({0, 1}, 1), ({2}, 1)],  # not in canonical order
+        [({2}, 1), ({2}, 1)],  # not distinct
+    ):
+        with pytest.raises(ProfileError):
+            Profile.from_counts(3, bad)
+
+
 def test_sum_of_disjoint_profiles_is_union():
     a = Profile.from_dict(3, {1: {0}})
     b = Profile.from_dict(3, {2: {1}})
