@@ -10,11 +10,16 @@ Profiles travel in a small text format::
 Counting tables load from files of ``h(x)=p/q`` lines (or ``h(x,y)=``,
 ``h(x,y,z)=``); every grid entry must be present, nothing is defaulted.
 
-Reports are JSON documents with sorted keys, rationals rendered as ``p/q``
-strings, candidates as indices, and no timestamps, so identical inputs give
-byte-identical output.  Exit codes: 0 all pass/computed, 1 a violation was
-found (or a witness reproduced one), 2 usage or parse error, 3 a cap was
-exceeded, 4 an internal error (a bug in seqvote, never the input's fault).
+Reports are JSON in one byte format (:func:`render_report`): two-space
+indent with ``","`` and ``": "`` separators; dict keys in the order of their
+string form, so ``"10"`` precedes ``"2"``; sets as arrays sorted by each
+member's compact JSON text, sets of ints numerically; rationals as ``"p/q"``
+strings; candidates as indices; strings ASCII-escaped (``\\uXXXX``); no
+timestamps.  Identical inputs give byte-identical output.
+
+Exit codes: 0 all pass/computed, 1 a violation was found (or a witness
+reproduced one), 2 usage or parse error, 3 a cap was exceeded, 4 an internal
+error (a bug in seqvote, never the input's fault).
 """
 
 from __future__ import annotations
@@ -213,66 +218,94 @@ def rule_from_table(table, name: str = "table") -> Rule:
 # Report rendering
 
 
-def to_jsonable(obj):
-    """Recursively turn report structures into deterministic JSON values."""
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, Profile):
-        return {
-            "m": obj.m,
-            "votes": [[voter, sorted(ballot)] for voter, ballot in obj.votes],
-            "text": format_profile(obj),
-        }
-    if isinstance(obj, AxiomReport):
-        return to_jsonable(
-            {
-                "axiom": obj.axiom,
-                "subject": obj.subject,
-                "verdict": obj.verdict,
-                "bounds": obj.bounds,
-                "witness": obj.witness,
-                "note": obj.note,
+_escape = json.encoder.encode_basestring_ascii
+_LINE_BREAKS = re.compile(r"\n *")
+
+
+def render_report(data) -> str:
+    """The report as JSON text in the byte format of the module docstring."""
+    out: list[str] = []
+    _write(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _compact(value) -> str:
+    """One-line JSON; escaped strings hold no raw newline, so each one is layout."""
+    out: list[str] = []
+    _write(value, "\n", out)
+    return _LINE_BREAKS.sub("", "".join(out).replace(",\n", ", \n"))
+
+
+def _write(obj, nl: str, out: list[str]) -> None:
+    """Append ``obj`` as JSON to ``out``; ``nl`` is a newline and the current indent."""
+    if isinstance(obj, str):
+        out.append(_escape(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, Fraction):
+        out.append(f'"{obj}"')
+    elif isinstance(obj, (dict, list, tuple)):
+        if not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = nl + "  "
+        if isinstance(obj, dict):
+            keyed = {
+                _compact(k) if isinstance(k, (tuple, frozenset)) else str(k): v
+                for k, v in obj.items()
             }
+            sep, close = "{" + inner, nl + "}"
+            for key, value in sorted(keyed.items()):
+                if type(value) is Fraction:  # scores, the bulk of a tie-heavy report
+                    out.append(f'{sep}{_escape(key)}: "{value}"')
+                else:
+                    out.append(sep + _escape(key) + ": ")
+                    _write(value, inner, out)
+                sep = "," + inner
+        else:
+            sep, close = "[" + inner, nl + "]"
+            for item in obj:
+                out.append(sep)
+                _write(item, inner, out)
+                sep = "," + inner
+        out.append(close)
+    elif isinstance(obj, (frozenset, set)):
+        _write_set(obj, nl, out)
+    elif isinstance(obj, Profile):
+        votes = [[voter, sorted(ballot)] for voter, ballot in obj.votes]
+        _write({"m": obj.m, "votes": votes, "text": format_profile(obj)}, nl, out)
+    elif isinstance(obj, AxiomReport):
+        _write(vars(obj), nl, out)
+    elif isinstance(obj, Witness):
+        _write({**vars(obj), "expected_trace": dict(obj.expected_trace)}, nl, out)
+    elif isinstance(obj, NStats):
+        _write({"committee": obj.committee, "pairs": obj.pairs, "rows": obj.rows}, nl, out)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write_set(obj, nl: str, out: list[str]) -> None:
+    """A set as an array sorted by compact text (all-int sets numerically)."""
+    inner = nl + "  "
+    types = {*map(type, obj)}
+    if types == {int}:  # a committee
+        out.append("[" + inner + ("," + inner).join(map(str, sorted(obj))) + nl + "]")
+    elif types == {frozenset} and {*map(type, frozenset().union(*obj))} <= {int}:
+        # a committee family; the compact text of a list of ints is str(list)
+        deeper = inner + "  "
+        sep = "," + deeper
+        committees = (
+            "[" + deeper + text[1:-1].replace(", ", sep) + inner + "]" if text != "[]" else text
+            for text in sorted([str(sorted(c)) for c in obj])
         )
-    if isinstance(obj, Witness):
-        return to_jsonable(
-            {
-                "construction": obj.construction,
-                "axiom": obj.axiom,
-                "profile": obj.profile,
-                "k": obj.k,
-                "expected": obj.expected,
-                "expected_trace": dict(obj.expected_trace),
-                "params": obj.params,
-                "note": obj.note,
-            }
-        )
-    if isinstance(obj, NStats):
-        return to_jsonable({"committee": obj.committee, "pairs": obj.pairs, "rows": obj.rows})
-    if isinstance(obj, (frozenset, set)):
+        out.append("[" + inner + ("," + inner).join(committees) + nl + "]")
+    else:
         items = list(obj)
-        if all(isinstance(i, int) for i in items):
-            return sorted(items)
-        return sorted((to_jsonable(i) for i in items), key=json.dumps)
-    if isinstance(obj, dict):
-        return {_key_str(k): to_jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: _key_str(kv[0]))}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(i) for i in obj]
-    return obj
-
-
-def _key_str(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, Fraction)):
-        return str(key)
-    if isinstance(key, (tuple, frozenset)):
-        return json.dumps(to_jsonable(key))
-    return str(key)
-
-
-def render_report(data: dict) -> str:
-    return json.dumps(to_jsonable(data), indent=2, sort_keys=True) + "\n"
+        items.sort(key=None if all(isinstance(i, int) for i in items) else _compact)
+        _write(items, nl, out)
 
 
 def _digest(text: str) -> str:

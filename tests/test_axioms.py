@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from seqvote import axioms
+from seqvote import axioms, catalog
 from seqvote.axioms import (
     Bounds,
     PreconditionError,
@@ -22,7 +22,7 @@ from seqvote.axioms import (
     z_pairs,
 )
 from seqvote.catalog import continuity_gap_instance, make
-from seqvote.engine import derived_generator, step_generator
+from seqvote.engine import Rule, derived_generator, step_generator, step_trace
 from seqvote.oracle import ProfileUniverse
 from seqvote.profiles import Profile, apply_candidate_permutation, apply_voter_permutation
 
@@ -76,6 +76,20 @@ def test_anonymity_violation_for_voter1_doubled_is_replayable():
     permuted = apply_voter_permutation(w["voter_permutation"], w["profile"])
     assert rule.apply(w["profile"], w["k"]) == w["families"][0]
     assert rule.apply(permuted, w["k"]) == w["families"][1]
+    assert w["families"][0] != w["families"][1]
+
+
+def test_anonymity_violation_for_unflagged_id_reading_rule():
+    # The voter-1-doubled step without the id_sensitive flag: its traces are
+    # cached per ballot multiset, which every voter relabeling shares, so
+    # the check must trace relabeled profiles by their vote sequence.
+    rule = Rule("unflagged", 3, "zoo", step=catalog._voter1_doubled_step)
+    report = check_anonymity(rule, SMALL)
+    assert report.verdict == "violation"
+    w = report.witness
+    permuted = apply_voter_permutation(w["voter_permutation"], w["profile"])
+    assert step_trace(rule.step, w["profile"], w["k"])[w["k"]] == w["families"][0]
+    assert step_trace(rule.step, permuted, w["k"])[w["k"]] == w["families"][1]
     assert w["families"][0] != w["families"][1]
 
 

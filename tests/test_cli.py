@@ -2,8 +2,10 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seqvote import catalog, witnesses
 from seqvote.cli import (
@@ -19,13 +21,12 @@ from seqvote.cli import (
     parse_counting_table,
     parse_profile,
     render_report,
-    to_jsonable,
 )
 from seqvote.counting import StepCountingTable, StepThieleTable, ThieleTable
 from seqvote.oracle import ProfileUniverse
 from seqvote.profiles import Profile
 
-from util import fam
+from util import fam, naive_render_report
 
 P1_TEXT = "m=3\n3: 0 1\n1: 2\n"
 
@@ -210,6 +211,46 @@ def test_compute_with_table_file(tmp_path, capsys):
     report = json.loads(out)
     assert report["trace"][-1]["committees"] == [[0, 1]]
     assert "table_digest" in report
+
+
+# Small tie-heavy inputs; the table has h(0) != 0, so every displayed score
+# carries the offset n*h(0).
+TIE_INPUTS = {
+    "singletons-8": "m=8\n" + "".join(f"1: {c}\n" for c in range(8)),
+    "cyclic-pairs-8": "m=8\n" + "".join(f"1: {c} {(c + 1) % 8}\n" for c in range(8)),
+    "cyclic-pairs-5": "m=5\n" + "".join(f"1: {c} {(c + 1) % 5}\n" for c in range(5)),
+}
+SHIFTED_TABLE = "h(0)=1/3\nh(1)=3/2\nh(2)=2\nh(3)=9/4\nh(4)=5/2\nh(5)=5/2\n"
+
+# sha256 of ``seqvote compute <rule> <input> <k>`` as JSON and with
+# ``--pretty``, recorded before reports had their own JSON writer.
+COMPUTE_SHA256 = {
+    ("seqav", "singletons-8", "4"): (
+        "23b2a26ca2942a3556a9a8be2a8cc395319740b665d6dbfbd71e6485249874d9",
+        "3e4c4d805b182268d039a2a5e3755e833765268138249f2fca2c7b18fccac72c",
+    ),
+    ("seqpav", "cyclic-pairs-8", "4"): (
+        "f6e0b9466daf048bfdf30442c183098a5b73baea4bfa8cbf05f9d97ad59a8547",
+        "fccaaf8fe0abe0e30b5726634f0838daac94f7cda74d7747e45d8001b7607bc2",
+    ),
+    ("table", "cyclic-pairs-5", "3"): (
+        "a5c2cae2da1480882b7ff20a742416df197c07b0bf45f2ff07c31564c1a230f5",
+        "ed36183dac0727890f01056af17823cac6185f4717012429c52cb66660eaad8c",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule, inputs, k", sorted(COMPUTE_SHA256))
+def test_compute_reports_are_pinned_on_tie_heavy_inputs(rule, inputs, k, tmp_path, capsys):
+    path = tmp_path / "profile.txt"
+    path.write_text(TIE_INPUTS[inputs])
+    table = tmp_path / "h.cfg"
+    table.write_text(SHIFTED_TABLE)
+    extra = ["--table", str(table)] if rule == "table" else []
+    for pretty, digest in zip(([], ["--pretty"]), COMPUTE_SHA256[rule, inputs, k]):
+        code, out, _ = run_cli("compute", rule, str(path), k, *extra, *pretty, capsys=capsys)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, pretty
 
 
 def test_compute_table_m_mismatch(tmp_path, capsys):
@@ -472,6 +513,28 @@ def test_witness_command_rejects_step_tables(tmp_path, capsys):
     assert code == EXIT_USAGE and "one-argument" in err
 
 
+# (exit code, sha256) of ``seqvote witness <construction> <table> --m 4``,
+# recorded before reports had their own JSON writer.
+WITNESS_M4_SHA256 = {
+    ("T2", "seqpav"): (1, "05f68a1154d1d7a771297d0366696f8e5c2504ef8c286f7695d518589000ff1b"),
+    ("T2", "seqav"): (1, "2a4351758c67853f35d1111adf2004d495891150b051f3033cf7677a86498edb"),
+    ("T3-distrust", "seqpav"): (0, "173d12f1ce22907f7d6f553aca62b66e5ea7f38cf25ecaf5d466d3f2f7aad2fb"),
+    ("T3-distrust", "seqav"): (0, "e03daa574fa68114c8e45fabd4d2e1c01eedc5a5d4fe6f96746705d6e48fa9a6"),
+    ("T3-acceptance", "seqpav"): (1, "d3b55b6d55005bb788c240ecafffd2f51eef4f068b9867187f6e741cbb2942c1"),
+    ("T3-acceptance", "seqav"): (0, "afe8301fb8c907084023c7a03cb7f91f01dd3a8eb2bb39e3fe5e2b403a5317b5"),
+    ("T4", "seqpav"): (0, "a1356d8061c98ba7b1293132bc55b52390a431ad039de55ba315c88bce5fa769"),
+    ("T4", "seqav"): (1, "8f8d8b3f7bb1efbdaa9014194168c4898b26492df8b10b91f8ba0eb164555e3b"),
+}
+
+
+def test_witness_reports_are_pinned_at_four_candidates(capsys):
+    assert {c for c, _ in WITNESS_M4_SHA256} == set(witnesses.CONSTRUCTIONS)
+    for (construction, table), (exit_code, digest) in WITNESS_M4_SHA256.items():
+        code, out, _ = run_cli("witness", construction, table, "--m", "4", capsys=capsys)
+        assert code == exit_code, (construction, table)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (construction, table)
+
+
 # ---------------------------------------------------------------------------
 # report determinism
 
@@ -488,10 +551,8 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
     assert first.stdout
 
 
-def test_to_jsonable_handles_report_structures():
-    from fractions import Fraction
-
-    data = to_jsonable(
+def test_render_report_handles_report_structures():
+    rendered = render_report(
         {
             "family": fam({0, 1}, {2}),
             "score": Fraction(3, 2),
@@ -499,12 +560,51 @@ def test_to_jsonable_handles_report_structures():
             "pair": (1, frozenset({0})),
         }
     )
+    assert rendered.endswith("\n")
+    data = json.loads(rendered)
     assert data["family"] == [[0, 1], [2]]
     assert data["score"] == "3/2"
     assert data["profile"]["votes"] == [[1, [0]]]
-    rendered = render_report({"x": data})
-    assert rendered.endswith("\n")
-    assert json.loads(rendered)
+
+
+_texts = st.text(max_size=6) | st.text(
+    alphabet=st.sampled_from('"\\/\n\t\x00\x1f\x7f aZ\u00e9\u2603\U0001d11e'), max_size=6
+)
+_fractions = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+_committees = st.frozensets(st.integers(0, 12), max_size=4)
+_families = st.frozensets(_committees, max_size=5)
+_hashables = st.none() | st.booleans() | st.integers(-20, 20) | _fractions | _texts
+_leaves = (
+    _hashables
+    | _committees
+    | _families
+    | _families.map(lambda family: family | {frozenset()})
+    | st.frozensets(_hashables, max_size=4)
+    | st.frozensets(st.tuples(st.integers(0, 12), _committees), max_size=3)
+    | st.lists(st.frozensets(st.integers(0, 2), min_size=1), min_size=1, max_size=3).map(
+        lambda ballots: Profile.from_ballots(3, ballots)
+    )
+)
+_keys = (
+    _texts
+    | st.integers(-20, 20)
+    | _fractions
+    | st.tuples(st.integers(0, 12), _committees)
+    | _committees
+)
+_reports = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=_reports)
+def test_render_report_matches_the_stdlib_encoder(data):
+    assert render_report(data) == naive_render_report(data)
 
 
 def test_usage_errors_exit_2(capsys):

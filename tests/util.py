@@ -7,6 +7,12 @@ rather than against itself.
 
 from fractions import Fraction
 import itertools
+import json
+
+from seqvote.axioms import AxiomReport, NStats
+from seqvote.cli import format_profile
+from seqvote.profiles import Profile
+from seqvote.witnesses import Witness
 
 
 def fam(*committees):
@@ -90,3 +96,72 @@ def all_ballots_naive(m):
     for size in range(1, m + 1):
         out.extend(frozenset(c) for c in itertools.combinations(range(m), size))
     return out
+
+
+def naive_jsonable(obj):
+    """Report structures as plain JSON values: the two-pass renderer's first pass.
+
+    Rationals become ``p/q`` strings, sets become arrays sorted by their
+    compact JSON text (all-int sets numerically), and dict keys become their
+    string form.
+    """
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, Profile):
+        return {
+            "m": obj.m,
+            "votes": [[voter, sorted(ballot)] for voter, ballot in obj.votes],
+            "text": format_profile(obj),
+        }
+    if isinstance(obj, AxiomReport):
+        return naive_jsonable(
+            {
+                "axiom": obj.axiom,
+                "subject": obj.subject,
+                "verdict": obj.verdict,
+                "bounds": obj.bounds,
+                "witness": obj.witness,
+                "note": obj.note,
+            }
+        )
+    if isinstance(obj, Witness):
+        return naive_jsonable(
+            {
+                "construction": obj.construction,
+                "axiom": obj.axiom,
+                "profile": obj.profile,
+                "k": obj.k,
+                "expected": obj.expected,
+                "expected_trace": dict(obj.expected_trace),
+                "params": obj.params,
+                "note": obj.note,
+            }
+        )
+    if isinstance(obj, NStats):
+        return naive_jsonable({"committee": obj.committee, "pairs": obj.pairs, "rows": obj.rows})
+    if isinstance(obj, (frozenset, set)):
+        items = list(obj)
+        if all(isinstance(i, int) for i in items):
+            return sorted(items)
+        return sorted((naive_jsonable(i) for i in items), key=json.dumps)
+    if isinstance(obj, dict):
+        return {
+            _naive_key(k): naive_jsonable(v)
+            for k, v in sorted(obj.items(), key=lambda kv: _naive_key(kv[0]))
+        }
+    if isinstance(obj, (list, tuple)):
+        return [naive_jsonable(i) for i in obj]
+    return obj
+
+
+def _naive_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (tuple, frozenset)):
+        return json.dumps(naive_jsonable(key))
+    return str(key)
+
+
+def naive_render_report(data) -> str:
+    """The report through the stdlib encoder, for comparison with ``render_report``."""
+    return json.dumps(naive_jsonable(data), indent=2, sort_keys=True) + "\n"
