@@ -244,32 +244,24 @@ def check_anonymity(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
     """Voter relabelings never change the outcome (universal, exhaustive).
 
     A rule not flagged id-sensitive caches one trace per ballot multiset,
-    which every relabeling shares; the relabeled profiles are therefore
-    traced by a copy keyed on the vote sequence, so a rule that reads voter
-    ids without saying so is still caught.
+    which every relabeling shares; both sides are therefore traced from
+    their vote sequences, so a rule that reads voter ids without saying so
+    is still caught and its witness replays.
     """
     used = {"m": rule.m, "n": bounds.n_perm, "permutations": "all of S_n plus an id shift"}
-    relabeled = rule if rule.id_sensitive else Rule(
-        rule.name,
-        rule.m,
-        rule.kind,
-        step=rule.step,
-        apply_direct=rule.apply_direct,
-        id_sensitive=True,
-        branch_cap=rule.branch_cap,
-    )
+    trace = rule.trace if rule.id_sensitive else rule.trace_uncached
     for profile in _universe(rule, bounds.n_perm):
         ids = profile.voter_ids
         perms = [dict(zip(ids, image)) for image in itertools.permutations(ids)]
         perms.append({v: v + 1 for v in ids})
+        base = trace(profile)
         seen = {profile.votes}
         for pi in perms:
             other = apply_voter_permutation(pi, profile)
             if other.votes in seen:
                 continue
             seen.add(other.votes)
-            for k in range(rule.m + 1):
-                fam, fam2 = rule.apply(profile, k), relabeled.apply(other, k)
+            for k, (fam, fam2) in enumerate(zip(base, trace(other))):
                 if fam != fam2:
                     return AxiomReport(
                         "anonymity",

@@ -253,18 +253,30 @@ class Rule:
             return cached[: k + 1]
         if not isinstance(profile, Profile):
             profile = Profile.from_counts(self.m, key)  # built only on a miss
-        if self.step is not None:
-            cached = step_trace(self.step, profile, k, self.branch_cap, prefix=cached)
-        else:
-            done = cached or ()
-            cached = done + tuple(
-                self.apply_direct(profile, j) for j in range(len(done), k + 1)
-            )
+        cached = self.trace_uncached(profile, k, prefix=cached)
         traces[key] = cached
         traces.move_to_end(key)
         if len(traces) > TRACE_CACHE_SIZE:
             traces.popitem(last=False)
         return cached
+
+    def trace_uncached(
+        self,
+        profile: Profile,
+        k: Optional[int] = None,
+        prefix: Optional[tuple[Family, ...]] = None,
+    ) -> tuple[Family, ...]:
+        """``(f(A,0), ..., f(A,k))`` run on ``profile`` itself, bypassing the cache.
+
+        Unlike :meth:`trace` this sees the vote sequence even for a rule not
+        flagged id-sensitive; ``prefix`` is extended as in :func:`step_trace`.
+        """
+        if k is None:
+            k = self.m
+        if self.step is not None:
+            return step_trace(self.step, profile, k, self.branch_cap, prefix=prefix)
+        done = prefix or ()
+        return done + tuple(self.apply_direct(profile, j) for j in range(len(done), k + 1))
 
     def apply(self, profile: Profile | BallotCounts, k: int) -> Family:
         """The winning committees ``f(A, k)``."""

@@ -93,6 +93,20 @@ def test_anonymity_violation_for_unflagged_id_reading_rule():
     assert w["families"][0] != w["families"][1]
 
 
+def test_anonymity_witness_replays_after_a_relabeled_profile_filled_the_cache():
+    # The unflagged rule caches its trace of voters 1:{1}, 2:{0} under the
+    # ballot counts it shares with 1:{0}, 2:{1}; the anonymity witness must
+    # still be the rule's output on its own profile, not that cached trace.
+    rule = Rule("unflagged", 3, "zoo", step=catalog._voter1_doubled_step)
+    rule.apply(Profile.from_ballots(3, [{1}, {0}]), 1)
+    report = check_anonymity(rule, SMALL)
+    assert report.verdict == "violation"
+    w = report.witness
+    permuted = apply_voter_permutation(w["voter_permutation"], w["profile"])
+    assert step_trace(rule.step, w["profile"], w["k"])[w["k"]] == w["families"][0]
+    assert step_trace(rule.step, permuted, w["k"])[w["k"]] == w["families"][1]
+
+
 def test_anonymity_passes_for_trivial():
     assert check_anonymity(make("trivial", 3), SMALL).verdict == "pass-exhaustive"
 

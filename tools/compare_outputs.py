@@ -18,8 +18,7 @@ stdout of
   construction, named table and m in {3, 4, 6};
 
 then diffs the two sets, prints how many outputs were compared and which
-differ, and exits 1 if any does.  ``--skip-axioms`` leaves out the axioms
-runs (most of the time); ``--seed`` picks other random profiles.
+differ, and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -37,15 +36,16 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 TABLE_TEXT = "h(0)=1/3\nh(1)=3/2\nh(2)=2\nh(3)=9/4\nh(4)=5/2\n"
 NAMED_TABLES = ("seqav", "seqpav", "seqccav", "clone-trusting")
+SEED = 2023  # of the random profiles
 
 
 def profile_text(m: int, ballots) -> str:
     return f"m={m}\n" + "".join(f"1: {' '.join(map(str, sorted(b)))}\n" for b in ballots)
 
 
-def profiles(seed: int) -> dict[str, str]:
+def profiles() -> dict[str, str]:
     """Named profile files: seeded random ones and tie-heavy ones."""
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     out = {}
     for i in range(12):
         m = 3 + i % 4
@@ -59,13 +59,13 @@ def profiles(seed: int) -> dict[str, str]:
     return out
 
 
-def cases(seed: int, workdir: Path, axioms: bool):
+def cases(workdir: Path):
     """``(name, argv)`` for every output to compare."""
     from seqvote import catalog, witnesses
 
     table = workdir / "table.cfg"
     table.write_text(TABLE_TEXT)
-    for name, text in profiles(seed).items():
+    for name, text in profiles().items():
         path = workdir / f"{name}.txt"
         path.write_text(text)
         m = int(text.split("\n", 1)[0][2:])
@@ -78,10 +78,9 @@ def cases(seed: int, workdir: Path, axioms: bool):
                 argv = ["compute", "table", str(path), str(k), "--table", str(table)]
                 yield f"compute-table-{name}-k{k}", argv
                 yield f"compute-table-{name}-k{k}-pretty", argv + ["--pretty"]
-    if axioms:
-        for rule in catalog.RULE_NAMES:
-            for n in ("2", "3"):
-                yield f"axioms-{rule}-n{n}", ["axioms", rule, "all", "--max-voters", n]
+    for rule in catalog.RULE_NAMES:
+        for n in ("2", "3"):
+            yield f"axioms-{rule}-n{n}", ["axioms", rule, "all", "--max-voters", n]
     for construction in witnesses.CONSTRUCTIONS:
         for table_name in NAMED_TABLES:
             for m in ("3", "4", "6"):
@@ -89,44 +88,39 @@ def cases(seed: int, workdir: Path, axioms: bool):
                 yield f"witness-{construction}-{table_name}-m{m}", argv
 
 
-def write_outputs(outdir: Path, seed: int, axioms: bool) -> None:
+def write_outputs(outdir: Path) -> None:
     """Run every case in this interpreter and write ``exit <code>`` plus stdout."""
     from seqvote.cli import main
 
     outdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in cases(seed, Path(tmp), axioms):
+        for name, argv in cases(Path(tmp)):
             buffer = io.StringIO()
             with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             (outdir / f"{name}.txt").write_text(f"exit {code}\n{buffer.getvalue()}")
 
 
-def run_tree(tree: Path, outdir: Path, seed: int, axioms: bool) -> None:
+def run_tree(tree: Path, outdir: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    argv = [sys.executable, __file__, "--write", str(outdir), "--seed", str(seed)]
-    if not axioms:
-        argv.append("--skip-axioms")
+    argv = [sys.executable, __file__, "--write", str(outdir)]
     subprocess.run(argv, env=env, cwd=tree, check=True)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("other", nargs="?", help="root of the checkout to compare against")
-    parser.add_argument("--seed", type=int, default=2023)
-    parser.add_argument("--skip-axioms", action="store_true")
     parser.add_argument("--write", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    axioms = not args.skip_axioms
     if args.write:
-        write_outputs(Path(args.write), args.seed, axioms)
+        write_outputs(Path(args.write))
         return 0
     if not args.other:
         parser.error("give the root of the checkout to compare against")
     with tempfile.TemporaryDirectory() as tmp:
         here, there = Path(tmp, "this"), Path(tmp, "other")
-        run_tree(REPO, here, args.seed, axioms)
-        run_tree(Path(args.other).resolve(), there, args.seed, axioms)
+        run_tree(REPO, here)
+        run_tree(Path(args.other).resolve(), there)
         names = sorted(p.name for p in here.iterdir())
         missing = sorted({p.name for p in there.iterdir()} ^ set(names))
         differ = [n for n in names if (there / n).exists()
