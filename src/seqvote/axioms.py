@@ -31,6 +31,7 @@ from typing import Iterator
 
 from .counting import Valuation
 from .engine import (
+    Family,
     GeneratorFunction,
     Rule,
     derived_generator,
@@ -729,10 +730,97 @@ def _clone_pairs(m: int, counts: BallotCounts) -> list[tuple[int, int]]:
 CLONE_AXIOMS = ("rejection", "acceptance", "distrust", "proportionality")
 
 
+def clone_violation(
+    which: str, m: int, counts: BallotCounts, trace: tuple[Family, ...]
+) -> dict | None:
+    """How one profile violates clone rejection, acceptance or distrust, if it does.
+
+    ``counts`` are the profile's ballot counts and ``trace`` is the rule's
+    ``(f(A,0), ..., f(A,K))`` on it; committee sizes above ``K`` are not
+    examined, and neither is size m, which every rule fills completely.
+    Returns the violation (without the profile), or None.
+    """
+    # (k, W) for every size k below m and above 0 that W wins alone
+    unique = ((k, next(iter(fam))) for k, fam in enumerate(trace[1:m], 1) if len(fam) == 1)
+    if which == "rejection":
+        pairs = _clone_pairs(m, counts)
+        for k, W in unique:
+            for c, d in pairs:
+                if c in W and d in W:
+                    return {"k": k, "committee": W, "clones": (c, d)}
+
+    elif which == "acceptance":
+        pairs = _clone_pairs(m, counts)
+        for c, d in pairs + [(d, c) for c, d in pairs]:
+            rest = [x for x in range(m) if x not in (c, d)]
+            for size in range(len(trace) - 2):
+                for W in itertools.combinations(rest, size):
+                    W = frozenset(W)
+                    if W | {c} in trace[size + 1] and W | {c, d} not in trace[size + 2]:
+                        return {
+                            "committee": W, "clones": (c, d),
+                            "wins": W | {c}, "excluded": W | {c, d},
+                            "families": (trace[size + 1], trace[size + 2]),
+                        }
+
+    elif which == "distrust":
+        exact, approvals = [0] * m, [0] * m
+        for ballot, count in counts:
+            if len(ballot) == 1:
+                exact[next(iter(ballot))] += count
+            for c in ballot:
+                approvals[c] += count
+        for k, W in unique:
+            for b in sorted(W):
+                for c in range(m):
+                    if c not in W and exact[c] > approvals[b]:
+                        return {
+                            "k": k, "committee": W, "chosen": b, "ignored": c,
+                            "singleton_reports": exact[c],
+                            "approvals_of_chosen": approvals[b],
+                        }
+
+    else:
+        raise ValueError(f"unknown clone axiom {which!r}")
+    return None
+
+
+def proportionality_violation(rule: Rule, profile: Profile, k: int, c: int) -> dict | None:
+    """How ``rule`` at size ``k`` violates clone proportionality on ``profile``, if it does.
+
+    The axiom speaks of profiles where ``n1`` voters approve one bloc not
+    containing ``c`` and ``n2`` voters approve ``{c}`` alone: a committee must
+    include ``c`` when ``n1 / k < n2`` and exclude it when ``n1 / k > n2``.
+    Returns the violation (without the profile), or None, also for a profile
+    of any other shape.
+    """
+    blocs = dict(profile.ballot_counts)
+    n2 = blocs.pop(frozenset({c}), 0)
+    if not n2 or len(blocs) != 1:
+        return None
+    [(bloc, n1)] = blocs.items()
+    if c in bloc:
+        return None
+    share = Fraction(n1, k)
+    for W in rule.apply(profile, k):
+        bad_in = share > n2 and c in W
+        bad_out = share < n2 and c not in W
+        if bad_in or bad_out:
+            return {
+                "k": k, "committee": W, "c": c, "n1": n1, "n2": n2, "share": share,
+                "requires": "exclude c" if bad_in else "include c",
+            }
+    return None
+
+
 def check_clone_axiom(
     rule: Rule, which: str, bounds: Bounds = DEFAULT_BOUNDS
 ) -> AxiomReport:
-    """The four clone-treatment axioms, checked exhaustively within bounds."""
+    """The four clone-treatment axioms, checked exhaustively within bounds.
+
+    Each profile is judged by :func:`clone_violation` or
+    :func:`proportionality_violation`, the predicates clone witnesses replay.
+    """
     if which not in CLONE_AXIOMS:
         raise ValueError(f"unknown clone axiom {which!r}")
     name = f"clone-{which}" if which != "distrust" else "distrust"
@@ -744,100 +832,32 @@ def check_clone_axiom(
             "k_max": bounds.k_max_proportional,
             "family": "one bloc of identical ballots plus one singleton bloc",
         }
-        for bloc in all_ballots(m):
-            for c in range(m):
-                if c in bloc:
-                    continue
-                for n1 in range(1, bounds.n1_max + 1):
-                    for n2 in range(1, bounds.n2_max + 1):
-                        profile = Profile.from_ballots(
-                            m, [bloc] * n1 + [frozenset({c})] * n2
-                        )
-                        top_k = min(len(bloc), bounds.k_max_proportional, m)
-                        for k in range(1, top_k + 1):
-                            share = Fraction(n1, k)
-                            for W in rule.apply(profile, k):
-                                bad_in = share > n2 and c in W
-                                bad_out = share < n2 and c not in W
-                                if bad_in or bad_out:
-                                    return AxiomReport(
-                                        "clone-proportionality", rule.name,
-                                        "violation", used,
-                                        witness={
-                                            "profile": profile, "k": k,
-                                            "committee": W, "c": c,
-                                            "n1": n1, "n2": n2,
-                                            "share": share,
-                                            "requires": "exclude c" if bad_in else "include c",
-                                        },
-                                    )
-        return AxiomReport("clone-proportionality", rule.name, "pass-exhaustive", used)
+        for bloc, c, n1, n2 in itertools.product(
+            all_ballots(m), range(m), range(1, bounds.n1_max + 1), range(1, bounds.n2_max + 1)
+        ):
+            if c in bloc:
+                continue
+            profile = Profile.from_ballots(m, [bloc] * n1 + [frozenset({c})] * n2)
+            for k in range(1, min(len(bloc), bounds.k_max_proportional) + 1):
+                found = proportionality_violation(rule, profile, k, c)
+                if found:
+                    return AxiomReport(
+                        name, rule.name, "violation", used, witness={"profile": profile, **found}
+                    )
+        return AxiomReport(name, rule.name, "pass-exhaustive", used)
 
     used = {"m": m, "n": bounds.n_single}
     search = _Search(rule, bounds.n_single)
     for item in search:
         counts = search.counts(item)
-        pairs = _clone_pairs(m, counts)
-        if not pairs and which in ("rejection", "acceptance"):
+        if which != "distrust" and not _clone_pairs(m, counts):
             continue  # those two axioms only constrain profiles with clones
-        trace = rule.trace(search.key(item))
-
-        if which == "rejection":
-            for k in range(1, m):
-                fam = trace[k]
-                if len(fam) != 1:
-                    continue
-                W = next(iter(fam))
-                for c, d in pairs:
-                    if c in W and d in W:
-                        return AxiomReport(
-                            "clone-rejection", rule.name, "violation", used,
-                            witness={"profile": search.profile(item), "k": k,
-                                     "committee": W, "clones": (c, d)},
-                        )
-
-        elif which == "acceptance":
-            for c, d in pairs + [(d, c) for c, d in pairs]:
-                rest = [x for x in range(m) if x not in (c, d)]
-                for size in range(0, m - 1):
-                    for W in itertools.combinations(rest, size):
-                        W = frozenset(W)
-                        if W | {c} in trace[size + 1] and W | {c, d} not in trace[size + 2]:
-                            return AxiomReport(
-                                "clone-acceptance", rule.name, "violation", used,
-                                witness={
-                                    "profile": search.profile(item), "committee": W,
-                                    "clones": (c, d),
-                                    "wins": W | {c}, "excluded": W | {c, d},
-                                    "families": (trace[size + 1], trace[size + 2]),
-                                },
-                            )
-
-        elif which == "distrust":
-            exact = {c: 0 for c in range(m)}
-            approvals = {c: 0 for c in range(m)}
-            for ballot, count in counts:
-                if len(ballot) == 1:
-                    exact[next(iter(ballot))] += count
-                for c in ballot:
-                    approvals[c] += count
-            for k in range(1, m):
-                fam = trace[k]
-                if len(fam) != 1:
-                    continue
-                W = next(iter(fam))
-                for b in sorted(W):
-                    for c in range(m):
-                        if c not in W and exact[c] > approvals[b]:
-                            return AxiomReport(
-                                "distrust", rule.name, "violation", used,
-                                witness={
-                                    "profile": search.profile(item), "k": k,
-                                    "committee": W, "chosen": b, "ignored": c,
-                                    "singleton_reports": exact[c],
-                                    "approvals_of_chosen": approvals[b],
-                                },
-                            )
+        found = clone_violation(which, m, counts, rule.trace(search.key(item)))
+        if found:
+            return AxiomReport(
+                name, rule.name, "violation", used,
+                witness={"profile": search.profile(item), **found},
+            )
     return AxiomReport(name, rule.name, "pass-exhaustive", used)
 
 
@@ -846,13 +866,9 @@ def check_clone_axiom(
 
 
 def check_information_basis(
-    valuation: Valuation, bounds: Bounds = DEFAULT_BOUNDS, m: int | None = None
+    valuation: Valuation, bounds: Bounds = DEFAULT_BOUNDS, *, m: int
 ) -> AxiomReport:
-    """Profiles with equal n-statistics get equal generator choices."""
-    if m is None:
-        if valuation.table is None:
-            raise ValueError("need m (valuation carries no table)")
-        m = valuation.table.m
+    """Profiles with equal n-statistics get equal generator choices on m candidates."""
     w_top = m - 2 if bounds.w_max_stats is None else min(bounds.w_max_stats, m - 2)
     used = {"m": m, "n": bounds.n_stats, "w_max": w_top}
     profiles = list(ProfileUniverse(m, bounds.n_stats))

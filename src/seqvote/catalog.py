@@ -23,7 +23,7 @@ from .counting import (
     validate_step_thiele,
     validate_thiele,
 )
-from .engine import Rule, generator_step
+from .engine import Rule, StepFn, extension_gains, generator_step
 from .profiles import Profile
 
 
@@ -35,7 +35,19 @@ def harmonic(x: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, x + 1)), Fraction(0))
 
 
+_THIELE_FUNCTIONS = {
+    "seqav": lambda x: x,
+    "seqpav": harmonic,
+    "seqccav": lambda x: min(x, 1),
+    # Rewards candidates backed by already-satisfied voters; accepts
+    # clones but trusts recommendations, so it fails distrust.
+    "clone-trusting": lambda x: x if x <= 1 else 2 * x + 1,
+}
+
 THIELE_NAMES = ("seqav", "seqpav", "seqccav")
+
+#: Every name :func:`thiele_table` knows.
+THIELE_TABLE_NAMES = tuple(_THIELE_FUNCTIONS)
 
 ZOO_IDS = (
     "voter1-doubled-seqav",
@@ -50,17 +62,9 @@ ZOO_IDS = (
 
 def thiele_table(name: str, m: int) -> ThieleTable:
     """The counting table behind a named sequential Thiele rule."""
-    if name == "seqav":
-        return ThieleTable.from_function(m, lambda x: x)
-    if name == "seqpav":
-        return ThieleTable.from_function(m, harmonic)
-    if name == "seqccav":
-        return ThieleTable.from_function(m, lambda x: min(x, 1))
-    if name == "clone-trusting":
-        # Rewards candidates backed by already-satisfied voters; accepts
-        # clones but trusts recommendations, so it fails distrust.
-        return ThieleTable.from_function(m, lambda x: x if x <= 1 else 2 * x + 1)
-    raise UnknownRuleError(f"unknown Thiele table {name!r}")
+    if name not in _THIELE_FUNCTIONS:
+        raise UnknownRuleError(f"unknown Thiele table {name!r}")
+    return ThieleTable.from_function(m, _THIELE_FUNCTIONS[name])
 
 
 def sav_table(m: int) -> StepCountingTable:
@@ -77,7 +81,7 @@ def alternating_table(m: int) -> StepThieleTable:
 
 def step_counting_table(name: str, m: int) -> StepCountingTable:
     """Any catalog rule's counting function in three-argument form."""
-    if name in THIELE_NAMES or name == "clone-trusting":
+    if name in THIELE_TABLE_NAMES:
         return thiele_as_step_counting(thiele_table(name, m))
     if name == "seqsav":
         return sav_table(m)
@@ -101,7 +105,6 @@ def make_seq_thiele(h: ThieleTable, name: str | None = None) -> Rule:
         "seq-thiele",
         step=lambda a, w: generator_step(valuation, a, w),
         valuation=valuation,
-        table=h,
     )
 
 
@@ -116,7 +119,6 @@ def make_step_thiele(h: StepThieleTable, name: str | None = None) -> Rule:
         "step-thiele",
         step=lambda a, w: generator_step(valuation, a, w),
         valuation=valuation,
-        table=h,
     )
 
 
@@ -131,7 +133,6 @@ def make_step_scoring(h: StepCountingTable, name: str | None = None) -> Rule:
         "step-scoring",
         step=lambda a, w: generator_step(valuation, a, w),
         valuation=valuation,
-        table=h,
     )
 
 
@@ -151,23 +152,20 @@ def _voter1_doubled_step(profile: Profile, committee: frozenset) -> frozenset:
     return frozenset(c for c, t in totals.items() if t == best)
 
 
-def _cc_tiebreak_step(profile: Profile, committee: frozenset) -> frozenset:
-    outside = [c for c in range(profile.m) if c not in committee]
-    approvals = {c: 0 for c in outside}
-    covers = {c: 0 for c in outside}
-    for ballot, count in profile.ballot_counts:
-        uncovered = not (ballot & committee)
-        for c in ballot:
-            if c in approvals:
-                approvals[c] += count
-                if uncovered:
-                    covers[c] += count
-    top = max(approvals.values())
-    tied = [c for c in outside if approvals[c] == top]
-    if len(tied) == 1:
-        return frozenset(tied)
-    best_cover = max(covers[c] for c in tied)
-    return frozenset(c for c in tied if covers[c] == best_cover)
+def _cc_tiebreak_step(m: int) -> StepFn:
+    """Approval voting's step on m candidates, its ties broken by coverage gains."""
+    approval = thiele_valuation(thiele_table("seqav", m), "seqav")
+    coverage = thiele_valuation(thiele_table("seqccav", m), "seqccav")
+
+    def step(profile: Profile, committee: frozenset) -> frozenset:
+        tied = generator_step(approval, profile, committee)
+        if len(tied) == 1:
+            return tied
+        covers = extension_gains(coverage, profile, committee)
+        best = max(covers[c] for c in tied)
+        return frozenset(c for c in tied if covers[c] == best)
+
+    return step
 
 
 def make_zoo_rule(
@@ -192,7 +190,6 @@ def make_zoo_rule(
     if zoo_id == "candidate-a-doubled-seqav":
         valuation = Valuation(
             "candidate-a-doubled",
-            "custom",
             lambda ballot, committee: Fraction(
                 len(ballot & committee) + (1 if 0 in (ballot & committee) else 0)
             ),
@@ -218,7 +215,7 @@ def make_zoo_rule(
             "cc-tiebreak-seqav",
             m,
             "zoo",
-            step=_cc_tiebreak_step,
+            step=_cc_tiebreak_step(m),
             violates="continuity",
         )
     if zoo_id == "optimizing-thiele":

@@ -44,7 +44,7 @@ from .counting import (
 )
 from .engine import BranchCapError, Rule, extension_scores
 from .oracle import EnumerationCapError
-from .profiles import Profile, ProfileError, SymmetrizationCapError
+from .profiles import Profile, SymmetrizationCapError
 from .witnesses import Witness, WitnessNotApplicable
 
 EXIT_OK = 0
@@ -161,43 +161,23 @@ def parse_counting_table(text: str):
         entries[key] = Fraction(value.replace(" ", ""))
     if not entries:
         raise TableParseError("no table entries")
+    # m is the largest x of h(x), or the largest committee size y otherwise
+    m = max(key[0] if arity == 1 else key[1] for key in entries)
+    if m < 1:
+        raise TableParseError("a table needs at least one candidate (m >= 1)")
+    used = set()
 
-    if arity == 1:
-        m = max(k[0] for k in entries)
-        grid = [(x,) for x in range(m + 1)]
-        maker = lambda: ThieleTable(tuple(entries[(x,)] for x in range(m + 1)))
-    elif arity == 2:
-        m = max(k[1] for k in entries)
-        grid = [(x, y) for x in range(m + 1) for y in range(1, m + 1)]
-        maker = lambda: StepThieleTable(
-            tuple(
-                tuple(entries[(x, y)] for x in range(m + 1)) for y in range(1, m + 1)
-            )
-        )
-    else:
-        m = max(k[1] for k in entries)
-        grid = [
-            (x, y, z)
-            for x in range(m + 1)
-            for y in range(1, m + 1)
-            for z in range(1, m + 1)
-        ]
-        maker = lambda: StepCountingTable(
-            tuple(
-                tuple(
-                    tuple(entries[(x, y, z)] for z in range(1, m + 1))
-                    for y in range(1, m + 1)
-                )
-                for x in range(m + 1)
-            )
-        )
-    missing = [k for k in grid if k not in entries]
-    if missing:
-        raise TableParseError(f"missing table entry h{missing[0]} (grid is never defaulted)")
-    extra = [k for k in entries if k not in set(grid)]
+    def entry(*key):
+        if key not in entries:
+            raise TableParseError(f"missing table entry h{key} (grid is never defaulted)")
+        used.add(key)
+        return entries[key]
+
+    table = (ThieleTable, StepThieleTable, StepCountingTable)[arity - 1].from_function(m, entry)
+    extra = [key for key in entries if key not in used]
     if extra:
         raise TableParseError(f"entry h{extra[0]} outside the grid for m={m}")
-    return maker()
+    return table
 
 
 def rule_from_table(table, name: str = "table") -> Rule:
@@ -362,11 +342,17 @@ def _load_rule(args, m: int) -> tuple[Rule, str | None]:
     return catalog.make(args.rule, m), None
 
 
+def _at_least(option: str, value: int | None, low: int) -> None:
+    if value is not None and value < low:
+        raise UsageError(f"{option} must be at least {low}, got {value}")
+
+
 def cmd_compute(args) -> int:
+    _at_least("--branch-cap", args.branch_cap, 1)
     profile_text = _read_input(args.profile)
     profile = parse_profile(profile_text)
     rule, table_digest = _load_rule(args, profile.m)
-    if args.branch_cap:
+    if args.branch_cap is not None:
         rule.branch_cap = args.branch_cap
     k = args.k
     if not 0 <= k <= profile.m:
@@ -406,11 +392,15 @@ def cmd_compute(args) -> int:
 
 
 def cmd_axioms(args) -> int:
+    _at_least("--max-voters", args.max_voters, 1)
+    _at_least("--max-m", args.max_m, 2)
+    _at_least("--j-max", args.j_max, 1)
+    _at_least("--branch-cap", args.branch_cap, 1)
     runs = []
     worst = EXIT_OK
     for m in range(2, args.max_m + 1):
         rule = catalog.make(args.rule, m)
-        if args.branch_cap:
+        if args.branch_cap is not None:
             rule.branch_cap = args.branch_cap
         n = args.max_voters
         bounds = Bounds(
@@ -437,14 +427,10 @@ def cmd_axioms(args) -> int:
     return worst
 
 
-_NAMED_TABLES = ("seqav", "seqpav", "seqccav", "clone-trusting")
-
-
 def cmd_witness(args) -> int:
     source = args.table_or_rule
-    if source in _NAMED_TABLES:
-        if args.m < 1:
-            raise UsageError(f"--m must be at least 1, got {args.m}")
+    if source in catalog.THIELE_TABLE_NAMES:
+        _at_least("--m", args.m, 1)
         table = catalog.thiele_table(source, args.m)
         digest = _digest(
             "\n".join(f"h({x})={v}" for x, v in enumerate(table.values))
@@ -519,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_witness.add_argument("construction", choices=witnesses.CONSTRUCTIONS)
     p_witness.add_argument(
         "table_or_rule",
-        help=f"path to a table file, or one of {', '.join(_NAMED_TABLES)}",
+        help=f"path to a table file, or one of {', '.join(catalog.THIELE_TABLE_NAMES)}",
     )
     p_witness.add_argument("--m", type=int, default=3, help="candidates for named tables")
     return parser
@@ -539,9 +525,7 @@ def main(argv=None) -> int:
         if args.command == "witness":
             return cmd_witness(args)
         parser.error(f"unknown command {args.command!r}")
-    except (
-        UsageError, ProfileParseError, TableParseError, ProfileError, UnknownRuleError
-    ) as exc:
+    except (UsageError, ProfileParseError, TableParseError, UnknownRuleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BranchCapError, EnumerationCapError, SymmetrizationCapError) as exc:

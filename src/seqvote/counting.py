@@ -250,19 +250,16 @@ class ScaledLevel(NamedTuple):
 class Valuation:
     """A pure score function on (ballot, committee) pairs.
 
-    ``kind`` records the provenance: ``thiele``, ``step-thiele``,
-    ``step-scoring``, or ``custom``.  A table-backed valuation carries its
-    counting function as a lookup ``counting(x, y, z)`` (``x`` approved
-    committee members, committee size ``y``, ballot size ``z``; ``y = 0`` is
-    the empty committee) and scores through integer levels built once per
-    committee size; a custom valuation carries an arbitrary ``fn(ballot,
-    committee)``, which must depend only on the pair itself.
+    A table-backed valuation carries its counting function as a lookup
+    ``counting(x, y, z)`` (``x`` approved committee members, committee size
+    ``y``, ballot size ``z``; ``y = 0`` is the empty committee) and scores
+    through integer levels built once per committee size; a custom valuation
+    carries an arbitrary ``fn(ballot, committee)``, which must depend only on
+    the pair itself.
     """
 
     name: str
-    kind: str
     fn: Callable[[frozenset[int], frozenset[int]], Fraction] | None = None
-    table: object = None
     counting: Callable[[int, int, int], Fraction] | None = None
     _levels: dict = field(default_factory=dict, repr=False)
 
@@ -300,28 +297,18 @@ class Valuation:
 
 
 def thiele_valuation(table: ThieleTable, name: str | None = None) -> Valuation:
-    return Valuation(
-        name or "thiele",
-        "thiele",
-        table=table,
-        counting=lambda x, y, z: table(x),
-    )
+    return Valuation(name or "thiele", counting=lambda x, y, z: table(x))
 
 
 def step_thiele_valuation(table: StepThieleTable, name: str | None = None) -> Valuation:
     return Valuation(
-        name or "step-thiele",
-        "step-thiele",
-        table=table,
-        counting=lambda x, y, z: table(x, y) if y else Fraction(0),
+        name or "step-thiele", counting=lambda x, y, z: table(x, y) if y else Fraction(0)
     )
 
 
 def step_scoring_valuation(table: StepCountingTable, name: str | None = None) -> Valuation:
     return Valuation(
         name or "step-scoring",
-        "step-scoring",
-        table=table,
         counting=lambda x, y, z: table(x, y, z) if y else Fraction(0),
     )
 

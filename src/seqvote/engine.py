@@ -202,7 +202,6 @@ class Rule:
         step: Optional[StepFn] = None,
         apply_direct=None,
         valuation: Optional[Valuation] = None,
-        table=None,
         id_sensitive: bool = False,
         violates: Optional[str] = None,
         branch_cap: int = DEFAULT_BRANCH_CAP,
@@ -215,7 +214,6 @@ class Rule:
         self.step = step
         self.apply_direct = apply_direct
         self.valuation = valuation
-        self.table = table
         self.id_sensitive = id_sensitive
         self.violates = violates
         self.branch_cap = branch_cap
@@ -305,7 +303,7 @@ def derive_generator(rule: Rule, profile: Profile, committee: frozenset[int]) ->
 
 @dataclass(frozen=True)
 class GeneratorFunction:
-    """A named generator step over m candidates, tagged complete or partial.
+    """A named generator step over m candidates.
 
     ``id_sensitive`` steps may read voter ids; the others see only the
     ballot counts, so the checkers may evaluate them on canonical profiles.
@@ -314,7 +312,6 @@ class GeneratorFunction:
     name: str
     m: int
     fn: StepFn
-    complete: bool
     id_sensitive: bool = False
 
 
@@ -323,8 +320,7 @@ def step_generator(rule: Rule) -> GeneratorFunction:
     if rule.step is None:
         raise ValueError(f"{rule.name} is not defined by a generator step")
     return GeneratorFunction(
-        f"step({rule.name})", rule.m, rule.step, complete=True,
-        id_sensitive=rule.id_sensitive,
+        f"step({rule.name})", rule.m, rule.step, id_sensitive=rule.id_sensitive
     )
 
 
@@ -334,6 +330,5 @@ def derived_generator(rule: Rule) -> GeneratorFunction:
         f"derived({rule.name})",
         rule.m,
         lambda a, w: derive_generator(rule, a, w),
-        complete=False,
         id_sensitive=rule.id_sensitive,
     )

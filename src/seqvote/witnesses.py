@@ -9,9 +9,11 @@ election.  Construction families carry the opaque ids ``T2``,
 names).
 
 Every witness self-verifies: the constructor replays the profile through the
-engine under both the normalized and the original table and checks the
-violated predicate exactly; a witness object you can hold therefore already
-carries a machine-checked violation.
+engine under both the normalized and the original table, checks the expected
+families, and judges the violation with the bounded checker's own predicates
+(:func:`seqvote.axioms.clone_violation`,
+:func:`seqvote.axioms.proportionality_violation`), so a witness object you
+can hold already carries a violation the checker would report.
 
 Candidate labeling is fixed so witnesses are byte-stable: the clone bloc
 takes indices ``0..x-1`` and auxiliary candidates take the next indices;
@@ -24,6 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .axioms import clone_violation, proportionality_violation
 from .catalog import harmonic, make_seq_thiele
 from .counting import ThieleTable, validate_thiele
 from .engine import Family, Rule
@@ -66,14 +69,6 @@ def _family(committees) -> Family:
     return frozenset(frozenset(c) for c in committees)
 
 
-def _min_ell(*lower_bounds: Fraction) -> int:
-    """Smallest integer strictly above every bound."""
-    ell = 1
-    for bound in lower_bounds:
-        ell = max(ell, int(bound) + 1)
-    return ell
-
-
 def _normalized(h: ThieleTable) -> ThieleTable:
     ok, why = validate_thiele(h)
     if not ok:
@@ -81,7 +76,39 @@ def _normalized(h: ThieleTable) -> ThieleTable:
     return h.normalized()
 
 
-def _verify(h: ThieleTable, witness: Witness) -> None:
+def _first_deviation(
+    h: ThieleTable, target, applies, why_not: str
+) -> tuple[int, int, Fraction]:
+    """``(m, x, hn(x) - target(x))`` for the normalized table ``hn`` and the
+    first ``x >= 2`` where it leaves ``target``.
+
+    Refuses with ``why_not`` when there is no such ``x`` or ``applies``
+    rejects its deviation, and when the construction's extra candidate
+    ``x`` does not fit.
+    """
+    hn = _normalized(h)
+    m = hn.m
+    x = next((i for i in range(2, m + 1) if hn(i) != target(i)), None)
+    if x is None or not applies(hn(x) - target(x)):
+        raise WitnessNotApplicable(why_not)
+    if x > m - 1:
+        raise WitnessNotApplicable(
+            f"first deviation at {x} needs at least {x + 1} candidates, table has {m}"
+        )
+    return m, x, hn(x) - target(x)
+
+
+def _replication(ell: int | None, *lower_bounds: Fraction) -> int:
+    """``ell``, or when None the smallest integer strictly above every bound."""
+    need = max(1, *(int(bound) + 1 for bound in lower_bounds))
+    if ell is None:
+        return need
+    if ell < need:
+        raise ValueError(f"replication {ell} too small; need at least {need}")
+    return ell
+
+
+def _verified(h: ThieleTable, witness: Witness) -> Witness:
     """Replay under the original and the normalized table; both must agree."""
     for table in (h, _normalized(h)):
         rule = make_seq_thiele(table, "witness-replay")
@@ -96,43 +123,24 @@ def _verify(h: ThieleTable, witness: Witness) -> None:
             raise WitnessVerificationError(
                 f"{witness.construction}: violated predicate does not hold on replay"
             )
+    return witness
 
 
 def predicate_holds(witness: Witness, rule: Rule) -> bool:
-    """Does the witness's violated predicate hold when ``rule`` replays it?"""
+    """Does ``rule``, replaying the witness, violate the witness's axiom?
+
+    The judgement is the bounded checker's own:
+    :func:`seqvote.axioms.clone_violation` on the committee sizes up to the
+    witness's ``k``, or :func:`seqvote.axioms.proportionality_violation` at
+    ``k``, so a pair that is not a clone pair proves nothing.
+    """
+    which = _AXIOM_OF[witness.construction].removeprefix("clone-")
     profile, k = witness.profile, witness.k
-    fam = rule.apply(profile, k)
-    p = witness.params
-    if witness.construction == "T2":
-        if len(fam) != 1:
-            return False
-        winner = next(iter(fam))
-        return {0, 1} <= winner and len(winner) < profile.m
-    if witness.construction == "T3-distrust":
-        if len(fam) != 1:
-            return False
-        winner = next(iter(fam))
-        c, d = p["c"], p["d"]
-        reports_d = sum(
-            count for ballot, count in profile.ballot_counts if ballot == frozenset({d})
-        )
-        approves_c = sum(count for ballot, count in profile.ballot_counts if c in ballot)
-        return c in winner and d not in winner and reports_d > approves_c
-    if witness.construction == "T3-acceptance":
-        c, d = p["c"], p["d"]
-        base = frozenset(p["base"])
-        return (
-            base | {c} in rule.apply(profile, k - 1)
-            and base | {c, d} not in fam
-        )
-    if witness.construction == "T4":
-        share, n2, c = Fraction(p["n1"], k), p["n2"], p["c"]
-        if share < n2:
-            return any(c not in W for W in fam)
-        if share > n2:
-            return any(c in W for W in fam)
-        return False
-    raise ValueError(witness.construction)
+    if which == "proportionality":
+        found = proportionality_violation(rule, profile, k, witness.params["c"])
+    else:
+        found = clone_violation(which, rule.m, profile.ballot_counts, rule.trace(profile, k))
+    return found is not None
 
 
 # ---------------------------------------------------------------------------
@@ -147,42 +155,23 @@ def witness_clone_rejection(h: ThieleTable, ell: int | None = None) -> Witness:
     bloc ``0..x-1`` plus decreasing singleton support pushes the second clone
     into the unique size-``x`` winner.
     """
-    hn = _normalized(h)
-    m = hn.m
-    x = next((i for i in range(2, m + 1) if hn(i) > 1), None)
-    if x is None:
-        raise WitnessNotApplicable(
-            "table is the coverage rule's on this domain; it rejects clones"
-        )
-    if x > m - 1:
-        raise WitnessNotApplicable(
-            f"first deviation at {x} needs at least {x + 1} candidates, table has {m}"
-        )
-    delta = hn(x) - 1
-    min_ell = _min_ell(1 / delta)
-    if ell is None:
-        ell = min_ell
-    elif ell < min_ell:
-        raise ValueError(f"replication {ell} too small; need at least {min_ell}")
+    m, x, delta = _first_deviation(
+        h, lambda i: 1, lambda dev: dev > 0,
+        "table is the coverage rule's on this domain; it rejects clones",
+    )
+    ell = _replication(ell, 1 / delta)
     clones = list(range(x))
     ballots = [frozenset(clones)] * ell + [frozenset({0, 1})] * x
     for i in range(3, x + 2):  # bloc sizes x-1, x-2, ..., 1 on candidates 2..x
         ballots += [frozenset({i - 1})] * (x + 2 - i)
     profile = Profile.from_ballots(m, ballots)
-    runner_up = [_family([{0} | set(range(2, x)), {1} | set(range(2, x))])]
+    runner_up = _family([{0} | set(range(2, x)), {1} | set(range(2, x))])
     expected = _family([set(range(x))])
-    witness = Witness(
-        "T2",
-        _AXIOM_OF["T2"],
-        profile,
-        x,
-        expected,
-        ((x - 1, runner_up[0]), (x, expected)),
+    return _verified(h, Witness(
+        "T2", _AXIOM_OF["T2"], profile, x, expected, ((x - 1, runner_up), (x, expected)),
         {"x": x, "delta": delta, "ell": ell, "clones": (0, 1)},
         note="clones 0 and 1 both enter the unique winning committee",
-    )
-    _verify(h, witness)
-    return witness
+    ))
 
 
 def witness_distrust(h: ThieleTable, ell: int | None = None) -> Witness:
@@ -193,23 +182,11 @@ def witness_distrust(h: ThieleTable, ell: int | None = None) -> Witness:
     the table's surplus at ``x`` drags in candidate ``c`` even though more
     voters uniquely report ``d``.
     """
-    hn = _normalized(h)
-    m = hn.m
-    x = next((i for i in range(2, m + 1) if hn(i) != i), None)
-    if x is None or hn(x) < x:
-        raise WitnessNotApplicable(
-            "first deviation is not above the linear table; distrust holds there"
-        )
-    if x > m - 1:
-        raise WitnessNotApplicable(
-            f"first deviation at {x} needs at least {x + 1} candidates, table has {m}"
-        )
-    delta = hn(x) - x
-    min_ell = _min_ell(1 / delta)
-    if ell is None:
-        ell = min_ell
-    elif ell < min_ell:
-        raise ValueError(f"replication {ell} too small; need at least {min_ell}")
+    m, x, delta = _first_deviation(
+        h, lambda i: i, lambda dev: dev > 0,
+        "first deviation is not above the linear table; distrust holds there",
+    )
+    ell = _replication(ell, 1 / delta)
     base = set(range(x - 1))
     c, d = x - 1, x
     ballots = (
@@ -219,18 +196,12 @@ def witness_distrust(h: ThieleTable, ell: int | None = None) -> Witness:
     )
     profile = Profile.from_ballots(m, ballots)
     expected = _family([base | {c}])
-    witness = Witness(
-        "T3-distrust",
-        _AXIOM_OF["T3-distrust"],
-        profile,
-        x,
-        expected,
+    return _verified(h, Witness(
+        "T3-distrust", _AXIOM_OF["T3-distrust"], profile, x, expected,
         ((x - 1, _family([base])), (x, expected)),
         {"x": x, "delta": delta, "ell": ell, "c": c, "d": d, "base": tuple(sorted(base))},
         note=f"candidate {c} is chosen although {ell + 1} voters report only {{{d}}}",
-    )
-    _verify(h, witness)
-    return witness
+    ))
 
 
 def witness_clone_acceptance(h: ThieleTable, ell: int | None = None) -> Witness:
@@ -240,45 +211,25 @@ def witness_clone_acceptance(h: ThieleTable, ell: int | None = None) -> Witness:
     below it: the deficit at ``x`` makes the second clone worth less than an
     unrelated singleton candidate.
     """
-    hn = _normalized(h)
-    m = hn.m
-    x = next((i for i in range(2, m + 1) if hn(i) != i), None)
-    if x is None or hn(x) > x:
-        raise WitnessNotApplicable(
-            "first deviation is not below the linear table; clone-acceptance holds there"
-        )
-    if x > m - 1:
-        raise WitnessNotApplicable(
-            f"first deviation at {x} needs at least {x + 1} candidates, table has {m}"
-        )
-    delta = x - hn(x)
-    min_ell = _min_ell(1 / delta)
-    if ell is None:
-        ell = min_ell
-    elif ell < min_ell:
-        raise ValueError(f"replication {ell} too small; need at least {min_ell}")
+    m, x, deviation = _first_deviation(
+        h, lambda i: i, lambda dev: dev < 0,
+        "first deviation is not below the linear table; clone-acceptance holds there",
+    )
+    delta = -deviation
+    ell = _replication(ell, 1 / delta)
     base = set(range(x - 2))
     c, d, b = x - 2, x - 1, x
     ballots = [frozenset(base | {c, d})] * ell + [frozenset({b})] * (ell - 1)
     profile = Profile.from_ballots(m, ballots)
-    cloneside = sorted(base | {c, d})
-    level_prev = _family(set(sub) for sub in itertools.combinations(cloneside, x - 1))
-    expected = _family(
-        {b} | set(sub) for sub in itertools.combinations(cloneside, x - 1)
-    )
-    witness = Witness(
-        "T3-acceptance",
-        _AXIOM_OF["T3-acceptance"],
-        profile,
-        x,
-        expected,
-        ((x - 1, level_prev), (x, expected)),
+    subsets = [set(sub) for sub in itertools.combinations(sorted(base | {c, d}), x - 1)]
+    expected = _family({b} | sub for sub in subsets)
+    return _verified(h, Witness(
+        "T3-acceptance", _AXIOM_OF["T3-acceptance"], profile, x, expected,
+        ((x - 1, _family(subsets)), (x, expected)),
         {"x": x, "delta": delta, "ell": ell, "c": c, "d": d, "b": b,
          "base": tuple(sorted(base))},
         note=f"{{{c}}} extends a winner at size {x - 1} but the clone pair is shut out at {x}",
-    )
-    _verify(h, witness)
-    return witness
+    ))
 
 
 def witness_clone_proportionality(h: ThieleTable, ell: int | None = None) -> Witness:
@@ -290,26 +241,15 @@ def witness_clone_proportionality(h: ThieleTable, ell: int | None = None) -> Wit
     candidate it should yield to; below them the singleton candidate displaces
     a clone it should lose against.
     """
-    hn = _normalized(h)
-    m = hn.m
-    x = next((i for i in range(2, m + 1) if hn(i) != harmonic(i)), None)
-    if x is None:
-        raise WitnessNotApplicable(
-            "table is the proportional rule's on this domain; it treats clones proportionally"
-        )
-    if x > m - 1:
-        raise WitnessNotApplicable(
-            f"first deviation at {x} needs at least {x + 1} candidates, table has {m}"
-        )
-    delta = abs(hn(x) - harmonic(x))
-    min_ell = max(_min_ell(1 / (x * delta)), x)  # also strictly above x-1
-    if ell is None:
-        ell = min_ell
-    elif ell < min_ell:
-        raise ValueError(f"replication {ell} too small; need at least {min_ell}")
+    m, x, deviation = _first_deviation(
+        h, harmonic, lambda dev: dev != 0,
+        "table is the proportional rule's on this domain; it treats clones proportionally",
+    )
+    delta = abs(deviation)
+    ell = _replication(ell, 1 / (x * delta), x - 1)
     clones = frozenset(range(x))
     c = x
-    if hn(x) > harmonic(x):
+    if deviation > 0:
         n1, n2 = ell * x, ell + 1
         expected = _family([clones])
         requires = "include"
@@ -320,19 +260,12 @@ def witness_clone_proportionality(h: ThieleTable, ell: int | None = None) -> Wit
         )
         requires = "exclude"
     profile = Profile.from_ballots(m, [clones] * n1 + [frozenset({c})] * n2)
-    witness = Witness(
-        "T4",
-        _AXIOM_OF["T4"],
-        profile,
-        x,
-        expected,
-        ((x, expected),),
+    return _verified(h, Witness(
+        "T4", _AXIOM_OF["T4"], profile, x, expected, ((x, expected),),
         {"x": x, "delta": delta, "ell": ell, "c": c, "n1": n1, "n2": n2,
          "requires": requires},
         note=f"average representation demands to {requires} candidate {c}, the rule does the opposite",
-    )
-    _verify(h, witness)
-    return witness
+    ))
 
 
 BUILDERS = {

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqvote import catalog, witnesses
+from seqvote import catalog, cli, witnesses
 from seqvote.cli import (
     EXIT_CAP,
     EXIT_INTERNAL,
@@ -24,7 +24,7 @@ from seqvote.cli import (
 )
 from seqvote.counting import StepCountingTable, StepThieleTable, ThieleTable
 from seqvote.oracle import ProfileUniverse
-from seqvote.profiles import Profile
+from seqvote.profiles import Profile, ProfileError, SymmetrizationCapError
 
 from util import fam, naive_render_report
 
@@ -139,6 +139,25 @@ def test_parse_table_missing_entry_never_defaulted():
     with pytest.raises(TableParseError) as err:
         parse_counting_table("h(0)=0\nh(2)=2\n")
     assert "missing" in str(err.value)
+
+
+def test_parse_tables_put_every_entry_in_its_cell():
+    two = parse_counting_table("\n".join(
+        f"h({x},{y})={10 * x + y}" for y in (1, 2) for x in range(3)
+    ))
+    assert all(two(x, y) == 10 * x + y for x in range(3) for y in (1, 2))
+    three = parse_counting_table("\n".join(
+        f"h({x},{y},{z})={x}/{y + z}" for z in (1, 2) for y in (1, 2) for x in range(3)
+    ))
+    assert all(
+        three(x, y, z) == Fraction(x, y + z) for x in range(3) for y in (1, 2) for z in (1, 2)
+    )
+    # h(x,y) grids are read y-major: with h(1,1) and h(0,2) absent, h(1,1) is named
+    with pytest.raises(TableParseError, match=r"missing table entry h\(1, 1\)"):
+        parse_counting_table("h(0,1)=0\nh(2,1)=1\nh(1,2)=1\nh(2,2)=1\n")
+    grid = [f"h({x},{y},{z})=0" for x in range(3) for y in (1, 2) for z in (1, 2)]
+    with pytest.raises(TableParseError, match=r"entry h\(3, 1, 1\) outside the grid for m=2"):
+        parse_counting_table("\n".join(grid + ["h(3,1,1)=0"]))
 
 
 def test_parse_table_rejects_junk_and_duplicates():
@@ -297,7 +316,10 @@ def test_input_errors_exit_2(tmp_path, capsys):
     path.write_text(P1_TEXT)
     decreasing = tmp_path / "dec.cfg"
     decreasing.write_text("h(0)=0\nh(1)=1\nh(2)=1/2\nh(3)=1/3\n")
+    no_candidates = tmp_path / "zero.cfg"
+    no_candidates.write_text("h(0)=0\n")
     missing = str(tmp_path / "missing.txt")
+    axioms = ["axioms", "seqav", "proper"]
     for argv, message in (
         (["compute", "seqav", str(path), "4"], "committee size 4 outside 0..3"),
         (["compute", "seqav", missing, "1"], "cannot read"),
@@ -306,6 +328,16 @@ def test_input_errors_exit_2(tmp_path, capsys):
         (["witness", "T2", str(decreasing)], "h decreases"),
         (["witness", "T2", missing], "cannot read"),
         (["witness", "T2", "seqav", "--m", "0"], "--m must be at least 1"),
+        (["compute", "table", str(path), "1", "--table", str(no_candidates)], "m >= 1"),
+        (["compute", "seqav", str(path), "1", "--branch-cap", "0"],
+         "--branch-cap must be at least 1, got 0"),
+        (["compute", "seqav", str(path), "1", "--branch-cap", "-1"],
+         "--branch-cap must be at least 1, got -1"),
+        (axioms + ["--max-voters", "0"], "--max-voters must be at least 1, got 0"),
+        (axioms + ["--max-voters", "-2"], "--max-voters must be at least 1, got -2"),
+        (axioms + ["--max-m", "1"], "--max-m must be at least 2, got 1"),
+        (axioms + ["--j-max", "0"], "--j-max must be at least 1, got 0"),
+        (axioms + ["--branch-cap", "0"], "--branch-cap must be at least 1, got 0"),
     ):
         code, out, err = run_cli(*argv, capsys=capsys)
         assert code == EXIT_USAGE and out == "", argv
@@ -329,6 +361,23 @@ def test_internal_errors_are_not_usage_errors(tmp_path, capsys, monkeypatch):
     path.write_text(P1_TEXT)
     code, _, err = run_cli("compute", "seqav", str(path), "1", capsys=capsys)
     assert code == EXIT_INTERNAL and "internal error: KeyError" in err
+
+
+def test_profile_errors_past_the_parser_are_not_usage_errors(tmp_path, capsys, monkeypatch):
+    # parse_profile reports bad input as ProfileParseError; a ProfileError
+    # raised after it is seqvote's own fault, and a symmetrization cap is a cap.
+    path = tmp_path / "p1.txt"
+    path.write_text(P1_TEXT)
+    for error, code, message in (
+        (ProfileError("misused algebra"), EXIT_INTERNAL, "internal error: ProfileError"),
+        (SymmetrizationCapError("too many voters"), EXIT_CAP, "cap exceeded: too many"),
+    ):
+        def broken_parse(text, error=error):
+            raise error
+
+        monkeypatch.setattr(cli, "parse_profile", broken_parse)
+        got, out, err = run_cli("compute", "seqav", str(path), "1", capsys=capsys)
+        assert got == code and out == "" and message in err
 
 
 # ---------------------------------------------------------------------------

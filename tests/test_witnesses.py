@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from seqvote.catalog import make_seq_thiele, thiele_table
 from seqvote.counting import ThieleTable, validate_thiele
+from seqvote.profiles import Profile
 from seqvote.witnesses import (
+    Witness,
     WitnessNotApplicable,
     build_witness,
     predicate_holds,
@@ -205,6 +207,34 @@ def test_predicate_fails_on_a_rule_that_respects_the_axiom():
     w = witness_clone_rejection(AV3)
     coverage = make_seq_thiele(CCAV3, "coverage")
     assert not predicate_holds(w, coverage)
+
+
+def test_predicate_rejects_a_pair_that_is_not_a_clone_pair():
+    # Approval elects {0, 1} as the unique pair, but voter 3 approves 0 alone,
+    # so 0 and 1 are not clones and clone rejection is not violated.
+    profile = Profile.from_ballots(3, [{0, 1}, {0, 1}, {0}, {2}])
+    seqav = make_seq_thiele(AV3, "seqav")
+    assert seqav.apply(profile, 2) == fam({0, 1})
+    w = Witness(
+        "T2", "clone-rejection", profile, 2, fam({0, 1}), ((2, fam({0, 1})),),
+        {"x": 2, "delta": 1, "ell": 2, "clones": (0, 1)},
+    )
+    assert not predicate_holds(w, seqav)
+
+
+def test_predicate_rejects_acceptance_for_candidates_that_are_not_clones():
+    # {0} wins at size 1 and {0, 1} loses at size 2, but 1 is approved by
+    # nobody and 0 by two voters: c and d are not clones.
+    profile = Profile.from_ballots(3, [{0}, {0}, {2}])
+    seqav = make_seq_thiele(AV3, "seqav")
+    assert seqav.apply(profile, 1) == fam({0})
+    assert seqav.apply(profile, 2) == fam({0, 2})
+    w = Witness(
+        "T3-acceptance", "clone-acceptance", profile, 2, fam({0, 2}),
+        ((1, fam({0})), (2, fam({0, 2}))),
+        {"x": 2, "delta": 1, "ell": 2, "c": 0, "d": 1, "b": 2, "base": ()},
+    )
+    assert not predicate_holds(w, seqav)
 
 
 def test_build_witness_dispatch():
