@@ -1,18 +1,22 @@
 """Bounded axiom checkers.
 
-Every check returns an :class:`AxiomReport`.  Universal axioms come back as
-``pass-exhaustive`` or ``violation`` (with a replayable witness); existential
-axioms (non-imposition, continuity) can never be refuted by bounded search,
-so they come back as ``pass`` or ``inconclusive``.  That asymmetry is stated
-in each report's note.
+Every check returns an :class:`AxiomReport`.  A universal check is a search
+that yields its violation witnesses in canonical order; the first one
+decides (:func:`_verdict`): ``violation`` with that replayable witness, or
+``pass-exhaustive`` when the search yields none.  Existential axioms
+(non-imposition, continuity) can never be refuted by bounded search, so they
+come back as ``pass`` or ``inconclusive``.  That asymmetry is stated in each
+report's note.
 
 Profile universes (:class:`seqvote.oracle.ProfileUniverse`) stream
 anonymous profiles (ballot multisets); the checkers handle them as count
 vectors over the ballots and build a :class:`Profile` only on a trace-cache
 miss or for a witness.  For id-sensitive rules the single-profile checks
-enumerate raw ballot-to-id assignments instead.  Enumeration order is
-canonical throughout, so the first witness found is deterministic, and every
-universe is capped: one over its cap raises
+enumerate raw ballot-to-id assignments instead.  Generator consistency
+memoizes each choice per what the generator sees: the count vector for an
+anonymous generator, the vector and its voter-id offset for an id-sensitive
+one.  Enumeration order is canonical throughout, so the first witness found
+is deterministic, and every universe is capped: one over its cap raises
 :class:`seqvote.oracle.EnumerationCapError` before it yields anything.
 
 Default bounds: single-profile checks search up to five voters and pairwise
@@ -74,9 +78,14 @@ class AxiomReport:
     witness: dict | None = None
     note: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict in ("pass-exhaustive", "pass")
+
+def _verdict(axiom: str, subject: str, used: dict, violations: Iterator[dict]) -> AxiomReport:
+    """The report of a bounded universal check: ``violation`` with the first
+    witness ``violations`` yields, or ``pass-exhaustive`` if it yields none."""
+    witness = next(violations, None)
+    if witness is None:
+        return AxiomReport(axiom, subject, "pass-exhaustive", used)
+    return AxiomReport(axiom, subject, "violation", used, witness=witness)
 
 
 @dataclass(frozen=True)
@@ -250,8 +259,12 @@ def check_anonymity(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
     is still caught and its witness replays.
     """
     used = {"m": rule.m, "n": bounds.n_perm, "permutations": "all of S_n plus an id shift"}
+    return _verdict("anonymity", rule.name, used, _anonymity_witnesses(rule, bounds.n_perm))
+
+
+def _anonymity_witnesses(rule: Rule, n: int) -> Iterator[dict]:
     trace = rule.trace if rule.id_sensitive else rule.trace_uncached
-    for profile in _universe(rule, bounds.n_perm):
+    for profile in _universe(rule, n):
         ids = profile.voter_ids
         perms = [dict(zip(ids, image)) for image in itertools.permutations(ids)]
         perms.append({v: v + 1 for v in ids})
@@ -264,25 +277,22 @@ def check_anonymity(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
             seen.add(other.votes)
             for k, (fam, fam2) in enumerate(zip(base, trace(other))):
                 if fam != fam2:
-                    return AxiomReport(
-                        "anonymity",
-                        rule.name,
-                        "violation",
-                        used,
-                        witness={
-                            "profile": profile,
-                            "voter_permutation": pi,
-                            "k": k,
-                            "families": (fam, fam2),
-                        },
-                    )
-    return AxiomReport("anonymity", rule.name, "pass-exhaustive", used)
+                    yield {
+                        "profile": profile,
+                        "voter_permutation": pi,
+                        "k": k,
+                        "families": (fam, fam2),
+                    }
 
 
 def check_neutrality(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
     """Candidate relabelings permute the outcome (universal, exhaustive)."""
     used = {"m": rule.m, "n": bounds.n_perm, "permutations": "all of S_m"}
-    for profile in _universe(rule, bounds.n_perm):
+    return _verdict("neutrality", rule.name, used, _neutrality_witnesses(rule, bounds.n_perm))
+
+
+def _neutrality_witnesses(rule: Rule, n: int) -> Iterator[dict]:
+    for profile in _universe(rule, n):
         for tau in itertools.permutations(range(rule.m)):
             other = apply_candidate_permutation(tau, profile)
             for k in range(rule.m + 1):
@@ -290,20 +300,13 @@ def check_neutrality(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport
                 expected = frozenset(frozenset(tau[c] for c in W) for W in fam)
                 actual = rule.apply(other, k)
                 if actual != expected:
-                    return AxiomReport(
-                        "neutrality",
-                        rule.name,
-                        "violation",
-                        used,
-                        witness={
-                            "profile": profile,
-                            "candidate_permutation": tuple(tau),
-                            "k": k,
-                            "families": (fam, actual),
-                            "expected": expected,
-                        },
-                    )
-    return AxiomReport("neutrality", rule.name, "pass-exhaustive", used)
+                    yield {
+                        "profile": profile,
+                        "candidate_permutation": tuple(tau),
+                        "k": k,
+                        "families": (fam, actual),
+                        "expected": expected,
+                    }
 
 
 # ---------------------------------------------------------------------------
@@ -482,27 +485,25 @@ def continuity_search(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRepor
 def check_committee_monotonicity(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
     """Winners extend smaller winners and extend to larger ones (universal)."""
     used = {"m": rule.m, "n": bounds.n_single}
-    search = _Search(rule, bounds.n_single)
+    witnesses = _monotonicity_witnesses(rule, bounds.n_single)
+    return _verdict("committee-monotonicity", rule.name, used, witnesses)
+
+
+def _monotonicity_witnesses(rule: Rule, n: int) -> Iterator[dict]:
+    search = _Search(rule, n)
     for item in search:
         trace = rule.trace(search.key(item))
         for k in range(1, rule.m + 1):
             for W in trace[k]:
                 if not any(W - {x} in trace[k - 1] for x in W):
-                    return AxiomReport(
-                        "committee-monotonicity", rule.name, "violation", used,
-                        witness={"profile": search.profile(item), "k": k, "committee": W,
-                                 "missing": "no winning parent one size down"},
-                    )
+                    yield {"profile": search.profile(item), "k": k, "committee": W,
+                           "missing": "no winning parent one size down"}
             for W in trace[k - 1]:
                 if not any(
                     W | {x} in trace[k] for x in range(rule.m) if x not in W
                 ):
-                    return AxiomReport(
-                        "committee-monotonicity", rule.name, "violation", used,
-                        witness={"profile": search.profile(item), "k": k - 1, "committee": W,
-                                 "missing": "no winning extension one size up"},
-                    )
-    return AxiomReport("committee-monotonicity", rule.name, "pass-exhaustive", used)
+                    yield {"profile": search.profile(item), "k": k - 1, "committee": W,
+                           "missing": "no winning extension one size up"}
 
 
 def check_generator_consistency(
@@ -512,125 +513,83 @@ def check_generator_consistency(
     is exactly the intersection (universal over the searched pairs).
 
     ``A`` and ``B`` range over the anonymous universe in canonical order and
-    ``B``'s voters are renumbered above ``A``'s.  An anonymous generator sees
-    only count vectors, the union of two electorates is their sum, and each
-    distinct ``(vector, W)`` is evaluated once.  An id-sensitive generator is
-    evaluated on real profiles; ``g`` of the renumbered ``B`` is memoized on
-    the offset, and the union is built only when the choices intersect.
+    ``B``'s voters are renumbered above ``A``'s.
     """
-    m = g.m
-    used = {"m": m, "n_each": bounds.n_pair_each}
-    committees = all_committees(m, m - 1)
-    universe = ProfileUniverse(m, bounds.n_pair_each)
-    search = _consistency_by_ids if g.id_sensitive else _consistency_by_counts
-    witness = search(g, universe, committees)
-    if witness is not None:
-        return AxiomReport("generator-consistency", g.name, "violation", used, witness=witness)
-    return AxiomReport("generator-consistency", g.name, "pass-exhaustive", used)
+    used = {"m": g.m, "n_each": bounds.n_pair_each}
+    witnesses = _consistency_witnesses(g, bounds.n_pair_each)
+    return _verdict("generator-consistency", g.name, used, witnesses)
 
 
-def _consistency_witness(a, b, W, ga, gb, gab, joint) -> dict:
-    return {
-        "a": a, "b": b, "committee": W,
-        "g_a": ga, "g_b": gb, "g_combined": gab, "intersection": joint,
-    }
-
-
-def _consistency_by_counts(
-    g: GeneratorFunction, universe: ProfileUniverse, committees
-) -> dict | None:
-    # A row holds, per committee, the choice as a candidate bit mask (None
-    # until evaluated), then the profile once built.
+def _consistency_witnesses(g: GeneratorFunction, n: int) -> Iterator[dict]:
+    """Each choice is a candidate bit mask, memoized per what ``g`` sees: the
+    key ``(offset, vector)`` stands for the profile of ``vector`` with voter
+    ids from ``offset + 1``.  An anonymous generator sees the vector alone
+    (offset 0), and the union of a pair is the vector sum, which shares the
+    memo.  For an id-sensitive generator B is renumbered above A, and the
+    union ``A + shifted B`` is built at most once per pair and not kept,
+    since no other pair has its voter ids.
+    """
+    committees = all_committees(g.m, g.m - 1)
     width = len(committees)
-    rows: dict[tuple[int, ...], list] = {}
+    universe = ProfileUniverse(g.m, n)
+    # key -> a row: the choice mask per committee (None until evaluated),
+    # then the key until the profile is built, then the profile
+    rows: dict[tuple, list] = {}
 
-    def row(vector):
-        out = rows.get(vector)
+    def row(key) -> list:
+        out = rows.get(key)
         if out is None:
-            out = rows[vector] = [None] * (width + 1)
+            out = rows[key] = [None] * width + [key]
         return out
 
-    def choose(vector, choice_row, i):
+    def choose(choice_row: list, i: int) -> int:
         profile = choice_row[width]
-        if profile is None:
-            profile = choice_row[width] = universe.profile(vector)
+        if isinstance(profile, tuple):
+            offset, vector = profile
+            profile = universe.profile(vector)
+            if offset:
+                profile = _shifted(profile, offset)
+            choice_row[width] = profile
         mask = choice_row[i] = sum(1 << c for c in g.fn(profile, committees[i]))
         return mask
 
-    def members(mask):
+    def members(mask: int) -> frozenset:
         return frozenset(c for c in range(g.m) if mask >> c & 1)
 
     vectors = list(universe.vectors())
     for a in vectors:
-        row_a = row(a)
+        row_a = row((0, a))
+        offset = sum(a) if g.id_sensitive else 0
         for b in vectors:
-            row_b = row(b)
+            row_b = row((offset, b))
             row_ab = None
             for i in range(width):
                 ga = row_a[i]
                 if ga is None:
-                    ga = choose(a, row_a, i)
+                    ga = choose(row_a, i)
                 if not ga:
                     continue
                 gb = row_b[i]
                 if gb is None:
-                    gb = choose(b, row_b, i)
+                    gb = choose(row_b, i)
                 joint = ga & gb
                 if not joint:
                     continue
                 if row_ab is None:
-                    ab = tuple(map(operator.add, a, b))
-                    row_ab = row(ab)
+                    if offset:
+                        row_ab = [None] * width + [row_a[width] + row_b[width]]
+                    else:
+                        row_ab = row((0, tuple(map(operator.add, a, b))))
                 gab = row_ab[i]
                 if gab is None:
-                    gab = choose(ab, row_ab, i)
+                    gab = choose(row_ab, i)
                 if gab and gab != joint:
                     pa = row_a[width]
-                    pb = _shifted(row_b[width], pa.n)
-                    return _consistency_witness(
-                        pa, pb, committees[i],
-                        members(ga), members(gb), members(gab), members(joint),
-                    )
-    return None
-
-
-def _consistency_by_ids(
-    g: GeneratorFunction, universe: ProfileUniverse, committees
-) -> dict | None:
-    width = len(committees)
-    profiles = list(universe)
-    shifted_rows: dict[tuple[int, int], list] = {}  # (offset, b) -> choices
-
-    for a in profiles:
-        row_a = [None] * width
-        offset = a.n
-        for index, b in enumerate(profiles):
-            row_b = shifted_rows.get((offset, index))
-            if row_b is None:
-                row_b = shifted_rows[offset, index] = [None] * width
-            shifted = combined = None
-            for i, W in enumerate(committees):
-                ga = row_a[i]
-                if ga is None:
-                    ga = row_a[i] = g.fn(a, W)
-                if not ga:
-                    continue
-                gb = row_b[i]
-                if gb is None:
-                    if shifted is None:
-                        shifted = _shifted(b, offset)
-                    gb = row_b[i] = g.fn(shifted, W)
-                joint = ga & gb
-                if not joint:
-                    continue
-                if shifted is None:
-                    shifted = _shifted(b, offset)
-                if combined is None:
-                    combined = a + shifted
-                gab = g.fn(combined, W)
-                if gab and gab != joint:
-                    return _consistency_witness(a, shifted, W, ga, gb, gab, joint)
-    return None
+                    yield {
+                        "a": pa, "b": _shifted(row_b[width], pa.n), "committee": committees[i],
+                        "g_a": members(ga), "g_b": members(gb),
+                        "g_combined": members(gab), "intersection": members(joint),
+                    }
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +612,12 @@ def _ballot_shrinkings(ballot: frozenset, committee: frozenset) -> tuple[frozens
 def check_independence_of_losers(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
     """Disapproving candidates outside a winning committee keeps it winning."""
     used = {"m": rule.m, "n": bounds.n_single}
-    search = _Search(rule, bounds.n_single)
+    witnesses = _independence_witnesses(rule, bounds.n_single)
+    return _verdict("independence-of-losers", rule.name, used, witnesses)
+
+
+def _independence_witnesses(rule: Rule, n: int) -> Iterator[dict]:
+    search = _Search(rule, n)
     kept = set()  # (shrunk, k, W) already seen to keep W winning
     for item in search:
         trace = rule.trace(search.key(item))
@@ -664,23 +628,24 @@ def check_independence_of_losers(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) ->
                         continue
                     family = rule.apply(search.key(shrunk), k)
                     if W not in family:
-                        return AxiomReport(
-                            "independence-of-losers", rule.name, "violation", used,
-                            witness={
-                                "profile": search.profile(item), "k": k, "committee": W,
-                                "shrunk_profile": search.profile(shrunk),
-                                "families": (trace[k], family),
-                            },
-                        )
+                        yield {
+                            "profile": search.profile(item), "k": k, "committee": W,
+                            "shrunk_profile": search.profile(shrunk),
+                            "families": (trace[k], family),
+                        }
                     kept.add((shrunk, k, W))
-    return AxiomReport("independence-of-losers", rule.name, "pass-exhaustive", used)
 
 
 def check_committee_separability(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
     """Winners decompose across electorates with complementary support."""
+    used = {"m": rule.m, "n_total": bounds.n_pair_total}
+    witnesses = _separability_witnesses(rule, bounds.n_pair_total)
+    return _verdict("committee-separability", rule.name, used, witnesses)
+
+
+def _separability_witnesses(rule: Rule, n_total: int) -> Iterator[dict]:
     m = rule.m
-    used = {"m": m, "n_total": bounds.n_pair_total}
-    profiles = list(ProfileUniverse(m, bounds.n_pair_total - 1))
+    profiles = list(ProfileUniverse(m, n_total - 1))
     by_support: dict[frozenset, list[Profile]] = {}
     for p in profiles:
         by_support.setdefault(p.support, []).append(p)
@@ -692,7 +657,7 @@ def check_committee_separability(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) ->
         if not complement:
             continue
         for b in by_support.get(complement, ()):
-            if a.n + b.n > bounds.n_pair_total:
+            if a.n + b.n > n_total:
                 continue
             shifted = _shifted(b, a.n)
             combined = a + shifted
@@ -702,15 +667,11 @@ def check_committee_separability(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) ->
                     ok_a = wa in rule.apply(a, len(wa))
                     ok_b = wb in rule.apply(shifted, len(wb))
                     if not (ok_a and ok_b):
-                        return AxiomReport(
-                            "committee-separability", rule.name, "violation", used,
-                            witness={
-                                "a": a, "b": shifted, "k": k, "committee": W,
-                                "part_a": wa, "part_b": wb,
-                                "holds": {"a": ok_a, "b": ok_b},
-                            },
-                        )
-    return AxiomReport("committee-separability", rule.name, "pass-exhaustive", used)
+                        yield {
+                            "a": a, "b": shifted, "k": k, "committee": W,
+                            "part_a": wa, "part_b": wb,
+                            "holds": {"a": ok_a, "b": ok_b},
+                        }
 
 
 # ---------------------------------------------------------------------------
@@ -824,41 +785,43 @@ def check_clone_axiom(
     if which not in CLONE_AXIOMS:
         raise ValueError(f"unknown clone axiom {which!r}")
     name = f"clone-{which}" if which != "distrust" else "distrust"
-    m = rule.m
-
     if which == "proportionality":
         used = {
-            "m": m, "n1": bounds.n1_max, "n2": bounds.n2_max,
+            "m": rule.m, "n1": bounds.n1_max, "n2": bounds.n2_max,
             "k_max": bounds.k_max_proportional,
             "family": "one bloc of identical ballots plus one singleton bloc",
         }
-        for bloc, c, n1, n2 in itertools.product(
-            all_ballots(m), range(m), range(1, bounds.n1_max + 1), range(1, bounds.n2_max + 1)
-        ):
-            if c in bloc:
-                continue
-            profile = Profile.from_ballots(m, [bloc] * n1 + [frozenset({c})] * n2)
-            for k in range(1, min(len(bloc), bounds.k_max_proportional) + 1):
-                found = proportionality_violation(rule, profile, k, c)
-                if found:
-                    return AxiomReport(
-                        name, rule.name, "violation", used, witness={"profile": profile, **found}
-                    )
-        return AxiomReport(name, rule.name, "pass-exhaustive", used)
+        witnesses = _proportionality_witnesses(rule, bounds)
+    else:
+        used = {"m": rule.m, "n": bounds.n_single}
+        witnesses = _clone_witnesses(rule, which, bounds.n_single)
+    return _verdict(name, rule.name, used, witnesses)
 
-    used = {"m": m, "n": bounds.n_single}
-    search = _Search(rule, bounds.n_single)
+
+def _proportionality_witnesses(rule: Rule, bounds: Bounds) -> Iterator[dict]:
+    m = rule.m
+    for bloc, c, n1, n2 in itertools.product(
+        all_ballots(m), range(m), range(1, bounds.n1_max + 1), range(1, bounds.n2_max + 1)
+    ):
+        if c in bloc:
+            continue
+        profile = Profile.from_ballots(m, [bloc] * n1 + [frozenset({c})] * n2)
+        for k in range(1, min(len(bloc), bounds.k_max_proportional) + 1):
+            found = proportionality_violation(rule, profile, k, c)
+            if found:
+                yield {"profile": profile, **found}
+
+
+def _clone_witnesses(rule: Rule, which: str, n: int) -> Iterator[dict]:
+    m = rule.m
+    search = _Search(rule, n)
     for item in search:
         counts = search.counts(item)
         if which != "distrust" and not _clone_pairs(m, counts):
             continue  # those two axioms only constrain profiles with clones
         found = clone_violation(which, m, counts, rule.trace(search.key(item)))
         if found:
-            return AxiomReport(
-                name, rule.name, "violation", used,
-                witness={"profile": search.profile(item), **found},
-            )
-    return AxiomReport(name, rule.name, "pass-exhaustive", used)
+            yield {"profile": search.profile(item), **found}
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +834,14 @@ def check_information_basis(
     """Profiles with equal n-statistics get equal generator choices on m candidates."""
     w_top = m - 2 if bounds.w_max_stats is None else min(bounds.w_max_stats, m - 2)
     used = {"m": m, "n": bounds.n_stats, "w_max": w_top}
-    profiles = list(ProfileUniverse(m, bounds.n_stats))
+    witnesses = _information_basis_witnesses(valuation, m, bounds.n_stats, w_top)
+    return _verdict("information-basis", valuation.name, used, witnesses)
+
+
+def _information_basis_witnesses(
+    valuation: Valuation, m: int, n: int, w_top: int
+) -> Iterator[dict]:
+    profiles = list(ProfileUniverse(m, n))
     for committee in all_committees(m, w_top):
         groups: dict[tuple, tuple[Profile, frozenset]] = {}
         for profile in profiles:
@@ -881,15 +851,11 @@ def check_information_basis(
             if seen is None:
                 groups[key] = (profile, out)
             elif seen[1] != out:
-                return AxiomReport(
-                    "information-basis", valuation.name, "violation", used,
-                    witness={
-                        "committee": committee,
-                        "profile_1": seen[0], "profile_2": profile,
-                        "choice_1": seen[1], "choice_2": out,
-                    },
-                )
-    return AxiomReport("information-basis", valuation.name, "pass-exhaustive", used)
+                yield {
+                    "committee": committee,
+                    "profile_1": seen[0], "profile_2": profile,
+                    "choice_1": seen[1], "choice_2": out,
+                }
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import catalog, witnesses
-from .axioms import AxiomReport, Bounds, NStats, run_suite
+from .axioms import AxiomReport, Bounds, run_suite
 from .catalog import UnknownRuleError
 from .counting import (
     StepCountingTable,
@@ -261,8 +261,6 @@ def _write(obj, nl: str, out: list[str]) -> None:
         _write(vars(obj), nl, out)
     elif isinstance(obj, Witness):
         _write({**vars(obj), "expected_trace": dict(obj.expected_trace)}, nl, out)
-    elif isinstance(obj, NStats):
-        _write({"committee": obj.committee, "pairs": obj.pairs, "rows": obj.rows}, nl, out)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -333,13 +331,17 @@ def _read_input(path: str) -> str:
 
 
 def _load_rule(args, m: int) -> tuple[Rule, str | None]:
-    if args.table:
-        table_text = _read_input(args.table)
-        table = parse_counting_table(table_text)
-        if table.m != m:
-            raise TableParseError(f"table is for m={table.m}, input needs m={m}")
-        return rule_from_table(table), _digest(table_text)
-    return catalog.make(args.rule, m), None
+    if args.table is None:
+        if args.rule == "table":
+            raise UsageError("rule 'table' needs --table <file>")
+        return catalog.make(args.rule, m), None
+    if args.rule != "table":
+        raise UsageError(f"--table needs the rule name 'table', got {args.rule!r}")
+    table_text = _read_input(args.table)
+    table = parse_counting_table(table_text)
+    if table.m != m:
+        raise TableParseError(f"table is for m={table.m}, input needs m={m}")
+    return rule_from_table(table), _digest(table_text)
 
 
 def _at_least(option: str, value: int | None, low: int) -> None:
@@ -428,10 +430,10 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    _at_least("--m", args.m, 1)
     source = args.table_or_rule
     if source in catalog.THIELE_TABLE_NAMES:
-        _at_least("--m", args.m, 1)
-        table = catalog.thiele_table(source, args.m)
+        table = catalog.thiele_table(source, 3 if args.m is None else args.m)
         digest = _digest(
             "\n".join(f"h({x})={v}" for x, v in enumerate(table.values))
         )
@@ -439,6 +441,8 @@ def cmd_witness(args) -> int:
         text = _read_input(source)
         table = parse_counting_table(text)
         digest = _digest(text)
+        if args.m is not None and args.m != table.m:
+            raise UsageError(f"--m {args.m} differs from the table's m={table.m}")
         if not isinstance(table, ThieleTable):
             raise TableParseError("witness constructions need a one-argument table h(x)")
         ok, why = validate_thiele(table)
@@ -484,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("rule", help=f"rule name ({', '.join(catalog.RULE_NAMES)}) or 'table'")
     p_compute.add_argument("profile", help="path to a profile file")
     p_compute.add_argument("k", type=int, help="target committee size")
-    p_compute.add_argument("--table", help="path to a counting-table file")
+    p_compute.add_argument("--table", help="path to a counting-table file, for the rule 'table'")
     p_compute.add_argument("--branch-cap", type=int, default=None)
     p_compute.add_argument(
         "--pretty", action="store_true",
@@ -507,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         "table_or_rule",
         help=f"path to a table file, or one of {', '.join(catalog.THIELE_TABLE_NAMES)}",
     )
-    p_witness.add_argument("--m", type=int, default=3, help="candidates for named tables")
+    p_witness.add_argument("--m", type=int, help="candidates: 3 by default, a table file's own m")
     return parser
 
 

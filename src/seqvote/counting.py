@@ -267,11 +267,6 @@ class Valuation:
         if (self.fn is None) == (self.counting is None):
             raise ValueError("provide exactly one of fn/counting")
 
-    def value(self, ballot: frozenset[int], committee: frozenset[int]) -> Fraction:
-        if self.counting is not None:
-            return self.counting(len(ballot & committee), len(committee), len(ballot))
-        return frac(self.fn(ballot, committee))
-
     def level(self, y: int, m: int) -> ScaledLevel:
         """The integer rows for committee size ``y`` over ballots of size ``<= m``.
 
@@ -330,7 +325,7 @@ def committee_score(valuation: Valuation, profile: Profile, committee) -> Fracti
         return Fraction(scaled_score(level, profile, committee), level.denominator)
     total = Fraction(0)
     for ballot, count in profile.ballot_counts:
-        total += count * valuation.value(ballot, committee)
+        total += count * frac(valuation.fn(ballot, committee))
     return total
 
 

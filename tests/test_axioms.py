@@ -22,7 +22,7 @@ from seqvote.axioms import (
     z_pairs,
 )
 from seqvote.catalog import continuity_gap_instance, make
-from seqvote.engine import Rule, derived_generator, step_generator, step_trace
+from seqvote.engine import GeneratorFunction, Rule, derived_generator, step_generator, step_trace
 from seqvote.oracle import ProfileUniverse
 from seqvote.profiles import Profile, apply_candidate_permutation, apply_voter_permutation
 
@@ -266,6 +266,50 @@ def test_generator_consistency_on_disjoint_copy_of_itself():
             assert rule.step(doubled, frozenset(committee)) == rule.step(
                 profile, frozenset(committee)
             )
+
+
+def _voter1_outside(profile, W):
+    """Voter 1's approvals outside W if voter 1 votes and has any, else every outsider."""
+    ballot = dict(profile.votes).get(1, frozenset())
+    return (ballot - W) or frozenset(range(profile.m)) - W
+
+
+def test_generator_consistency_evaluates_what_the_generator_sees():
+    # B's voters are renumbered above A's, so an id-sensitive generator never
+    # sees a voter 1 in B; one flagged anonymous is evaluated on canonical
+    # profiles, where B's first voter is voter 1.
+    bounds = Bounds(n_pair_each=2)
+    by_ids = GeneratorFunction("voter1-outside", 3, _voter1_outside, id_sensitive=True)
+    assert check_generator_consistency(by_ids, bounds).verdict == "pass-exhaustive"
+    flagged = GeneratorFunction("voter1-outside", 3, _voter1_outside)
+    report = check_generator_consistency(flagged, bounds)
+    assert report.verdict == "violation"
+    w = report.witness
+    assert w["a"].votes == ((1, frozenset({0})),)
+    assert w["b"].votes == ((2, frozenset({1})),)
+    assert (w["committee"], w["g_a"], w["g_b"], w["g_combined"], w["intersection"]) == (
+        frozenset({0}), frozenset({1, 2}), frozenset({1}), frozenset({1, 2}), frozenset({1})
+    )
+
+
+def test_id_sensitive_generator_consistency_violation_replays():
+    def voter1_in_company(profile, W):
+        """Voter 1's approvals outside W among two or more voters, else every outsider."""
+        if profile.n >= 2:
+            return dict(profile.votes).get(1, frozenset()) - W
+        return frozenset(range(profile.m)) - W
+
+    g = GeneratorFunction("voter1-in-company", 3, voter1_in_company, id_sensitive=True)
+    report = check_generator_consistency(g, Bounds(n_pair_each=2))
+    assert report.verdict == "violation"
+    w = report.witness
+    a, b, W = w["a"], w["b"], w["committee"]
+    assert a.votes == ((1, frozenset({0})),) and b.votes == ((2, frozenset({0})),)
+    assert W == frozenset()
+    assert g.fn(a, W) == w["g_a"] == frozenset({0, 1, 2})
+    assert g.fn(b, W) == w["g_b"] == frozenset({0, 1, 2})
+    assert g.fn(a + b, W) == w["g_combined"] == frozenset({0})
+    assert w["intersection"] == w["g_a"] & w["g_b"] != w["g_combined"]
 
 
 def test_native_step_of_cc_tiebreak_is_consistent_but_derived_is_not():

@@ -319,6 +319,8 @@ def test_input_errors_exit_2(tmp_path, capsys):
     no_candidates = tmp_path / "zero.cfg"
     no_candidates.write_text("h(0)=0\n")
     missing = str(tmp_path / "missing.txt")
+    linear = tmp_path / "lin.cfg"
+    linear.write_text("h(0)=0\nh(1)=1\nh(2)=2\nh(3)=3\n")
     axioms = ["axioms", "seqav", "proper"]
     for argv, message in (
         (["compute", "seqav", str(path), "4"], "committee size 4 outside 0..3"),
@@ -338,6 +340,11 @@ def test_input_errors_exit_2(tmp_path, capsys):
         (axioms + ["--max-m", "1"], "--max-m must be at least 2, got 1"),
         (axioms + ["--j-max", "0"], "--j-max must be at least 1, got 0"),
         (axioms + ["--branch-cap", "0"], "--branch-cap must be at least 1, got 0"),
+        (["witness", "T2", str(linear), "--m", "0"], "--m must be at least 1, got 0"),
+        (["witness", "T2", str(linear), "--m", "7"], "--m 7 differs from the table's m=3"),
+        (["compute", "seqav", str(path), "1", "--table", str(linear)],
+         "--table needs the rule name 'table', got 'seqav'"),
+        (["compute", "table", str(path), "1"], "rule 'table' needs --table"),
     ):
         code, out, err = run_cli(*argv, capsys=capsys)
         assert code == EXIT_USAGE and out == "", argv

@@ -148,11 +148,16 @@ def test_weight_from_counting_linear_and_harmonic():
 
 
 @given(
-    st.integers(2, 3),
-    st.lists(st.fractions(max_denominator=6), min_size=32, max_size=48),
+    st.integers(2, 3).flatmap(
+        lambda m: st.tuples(
+            st.just(m), st.lists(st.fractions(max_denominator=6), min_size=m**3, max_size=m**3)
+        )
+    )
 )
-def test_weight_counting_round_trip(m, pool):
-    values = itertools.cycle(pool)
+def test_weight_counting_round_trip(drawn):
+    # m tables of m x m weights read exactly m**3 values
+    m, pool = drawn
+    values = iter(pool)
     weights = tuple(
         WeightTable.from_function(m, lambda x, z: next(values)) for _ in range(m)
     )

@@ -9,7 +9,7 @@ from fractions import Fraction
 import itertools
 import json
 
-from seqvote.axioms import AxiomReport, NStats
+from seqvote.axioms import AxiomReport
 from seqvote.cli import format_profile
 from seqvote.profiles import Profile
 from seqvote.witnesses import Witness
@@ -137,8 +137,6 @@ def naive_jsonable(obj):
                 "note": obj.note,
             }
         )
-    if isinstance(obj, NStats):
-        return naive_jsonable({"committee": obj.committee, "pairs": obj.pairs, "rows": obj.rows})
     if isinstance(obj, (frozenset, set)):
         items = list(obj)
         if all(isinstance(i, int) for i in items):

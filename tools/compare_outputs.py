@@ -13,7 +13,8 @@ stdout of
   seeded random profiles (m 3..6) and tie-heavy ones (one voter per
   singleton, cyclic pairs, everyone approving everything), at k in
   {0, 1, m/2, m}, plus a counting-table file with h(0) != 0;
-- ``seqvote axioms <rule> all --max-voters 2`` and ``3`` for every rule;
+- ``seqvote axioms <rule> all --max-voters 2`` and ``3``, and ``all --max-m 4
+  --max-voters 2``, for every rule;
 - ``seqvote witness <construction> <table> --m <m>`` for every
   construction, named table and m in {3, 4, 6};
 
@@ -81,6 +82,8 @@ def cases(workdir: Path):
     for rule in catalog.RULE_NAMES:
         for n in ("2", "3"):
             yield f"axioms-{rule}-n{n}", ["axioms", rule, "all", "--max-voters", n]
+        argv = ["axioms", rule, "all", "--max-m", "4", "--max-voters", "2"]
+        yield f"axioms-{rule}-m4-n2", argv
     for construction in witnesses.CONSTRUCTIONS:
         for table_name in NAMED_TABLES:
             for m in ("3", "4", "6"):
