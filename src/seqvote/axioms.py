@@ -8,13 +8,16 @@ decides (:func:`_verdict`): ``violation`` with that replayable witness, or
 come back as ``pass`` or ``inconclusive``.  That asymmetry is stated in each
 report's note.
 
-Profile universes (:class:`seqvote.oracle.ProfileUniverse`) stream
-anonymous profiles (ballot multisets); the checkers handle them as count
-vectors over the ballots and build a :class:`Profile` only on a trace-cache
-miss or for a witness.  For id-sensitive rules the single-profile checks
-enumerate raw ballot-to-id assignments instead.  Generator consistency
-memoizes each choice per what the generator sees: the count vector for an
-anonymous generator, the vector and its voter-id offset for an id-sensitive
+Profile universes (:class:`seqvote.oracle.ProfileUniverse`) stream items,
+tuples of ballot indices: ballot multisets (non-decreasing items) for
+anonymous rules, ballot sequences for id-sensitive ones.  The single-profile
+checks trace an anonymous item by its ballot counts and build a
+:class:`Profile` only on a trace-cache miss or for a witness.  Voters
+dropping approvals (independence of losers) move in groups: each run of
+equal indices of an anonymous item, each voter of an ordered one.
+Generator consistency memoizes each choice per what the generator sees: the
+item for an anonymous generator, whose union of a pair is the item
+``sorted(a + b)``, and the item with its voter-id offset for an id-sensitive
 one.  Enumeration order is canonical throughout, so the first witness found
 is deterministic, and every universe is capped: one over its cap raises
 :class:`seqvote.oracle.EnumerationCapError` before it yields anything.
@@ -28,7 +31,6 @@ permutation product tractable.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -120,82 +122,6 @@ def _universe(rule: Rule, n_max: int) -> ProfileUniverse:
     return ProfileUniverse(rule.m, n_max, ordered=rule.id_sensitive)
 
 
-class _Search:
-    """The profiles a single-profile check searches, in canonical order.
-
-    For an anonymous rule an item is a count vector over the ballots: it is
-    traced by its ballot counts, and a :class:`Profile` is built only on a
-    trace-cache miss or for a witness.  For an id-sensitive rule an item is a
-    real profile, one per assignment of ballots to voter ids.
-    """
-
-    def __init__(self, rule: Rule, n_max: int):
-        self.universe = _universe(rule, n_max)
-        # (ballot index, committee, count) -> that kind's shrinking moves
-        self._moves: dict[tuple[int, frozenset, int], list] = {}
-
-    def __iter__(self) -> Iterator:
-        universe = self.universe
-        return iter(universe) if universe.ordered else universe.vectors()
-
-    def key(self, item) -> Profile | BallotCounts:
-        """What :meth:`Rule.trace` takes for ``item``."""
-        return item if self.universe.ordered else self.universe.counts(item)
-
-    def counts(self, item) -> BallotCounts:
-        return item.ballot_counts if self.universe.ordered else self.universe.counts(item)
-
-    def profile(self, item) -> Profile:
-        return item if self.universe.ordered else self.universe.profile(item)
-
-    def shrunk(self, item, committee: frozenset) -> Iterator:
-        """Every other item where voters drop approvals outside ``committee``.
-
-        Each voter (id-sensitive) or each ballot kind's voters (anonymous)
-        choose among the non-empty sub-ballots keeping the committee part;
-        for count vectors the choices of one kind are its multisets of
-        sub-ballots, added to the vector as moves.
-        """
-        if self.universe.ordered:
-            per_voter = [_ballot_shrinkings(b, committee) for _, b in item.votes]
-            for choice in itertools.product(*per_voter):
-                if choice == item.ballots():
-                    continue
-                votes = tuple((v, b) for (v, _), b in zip(item.votes, choice))
-                yield Profile(item.m, votes, checked=True)
-            return
-        per_kind = [
-            self._kind_moves(i, committee, count) for i, count in enumerate(item) if count
-        ]
-        for moves in itertools.product(*per_kind):
-            shrunk = [0] * len(item)
-            for i in itertools.chain.from_iterable(moves):
-                shrunk[i] += 1
-            shrunk = tuple(shrunk)
-            if shrunk != item:
-                yield shrunk
-
-    def _kind_moves(self, i: int, committee: frozenset, count: int) -> list:
-        """The multisets of sub-ballots ``count`` voters of ballot ``i`` pick."""
-        key = (i, committee, count)
-        moves = self._moves.get(key)
-        if moves is None:
-            universe = self.universe
-            options = _ballot_shrinkings(universe.ballots[i], committee)
-            moves = self._moves[key] = list(itertools.combinations_with_replacement(
-                [universe.index[b] for b in options], count
-            ))
-        return moves
-
-
-def _shifted(profile: Profile, above: int) -> Profile:
-    return Profile(
-        profile.m,
-        tuple((above + i + 1, b) for i, (_, b) in enumerate(profile.votes)),
-        checked=True,
-    )
-
-
 # ---------------------------------------------------------------------------
 # n-statistics
 
@@ -209,24 +135,11 @@ def z_pairs(m: int, w_size: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-@dataclass(frozen=True)
-class NStats:
-    """Counts n(c, k, l): approvers of c whose ballot hits the committee k
-    times and has size l."""
-
-    m: int
-    committee: frozenset[int]
-    pairs: tuple[tuple[int, int], ...]
-    rows: tuple[tuple[int, tuple[int, ...]], ...]  # (candidate, counts per pair)
-
-    def value(self, c: int, k: int, l: int) -> int:
-        for cand, counts in self.rows:
-            if cand == c:
-                return counts[self.pairs.index((k, l))]
-        raise KeyError(c)
-
-
-def compute_n_stats(profile: Profile, committee) -> NStats:
+def compute_n_stats(profile: Profile, committee) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The counts n(c, k, l) of approvers of c whose ballot hits ``committee``
+    k times and has size l: a row ``(c, counts)`` per candidate c outside the
+    committee, in increasing order, with ``counts`` ordered as
+    :func:`z_pairs` ``(m, |committee|)``."""
     committee = frozenset(committee)
     m = profile.m
     pairs = z_pairs(m, len(committee))
@@ -243,7 +156,7 @@ def compute_n_stats(profile: Profile, committee) -> NStats:
             if pos is not None:
                 counts[pos] += count
         rows.append((c, tuple(counts)))
-    return NStats(m, committee, pairs, tuple(rows))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +233,16 @@ def check_non_imposition(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRe
     targets = {(k, W) for k in range(1, m + 1) for W in committees_of_size(m, k)}
     found: dict[tuple[int, frozenset], Profile] = {}
     singleton_seen = {k: False for k in range(1, m + 1)}
-    search = _Search(rule, bounds.n_single)
-    for item in search:
-        trace = rule.trace(search.key(item))
+    universe = _universe(rule, bounds.n_single)
+    for item in universe.items():
+        trace = rule.trace(universe.key(item))
         for k in range(1, m + 1):
             fam = trace[k]
             if len(fam) == 1:
                 singleton_seen[k] = True
                 key = (k, next(iter(fam)))
                 if key not in found:
-                    found[key] = search.profile(item)
+                    found[key] = universe.profile(item)
         if len(found) == len(targets):
             electing = {
                 (k, tuple(sorted(W))): found[(k, W)]
@@ -366,7 +279,7 @@ def check_non_imposition(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRe
 def _combined(a: Profile, j: int, b: Profile) -> Profile:
     """``jA + B`` with the replicated block keeping the low voter ids."""
     scaled = profile_scale(j, a)
-    return scaled + _shifted(b, max(scaled.voter_ids))
+    return scaled + b.relabeled(max(scaled.voter_ids) + 1)
 
 
 def _continuity_certificate(rule: Rule, a: Profile, b: Profile, k: int) -> int | None:
@@ -490,19 +403,19 @@ def check_committee_monotonicity(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) ->
 
 
 def _monotonicity_witnesses(rule: Rule, n: int) -> Iterator[dict]:
-    search = _Search(rule, n)
-    for item in search:
-        trace = rule.trace(search.key(item))
+    universe = _universe(rule, n)
+    for item in universe.items():
+        trace = rule.trace(universe.key(item))
         for k in range(1, rule.m + 1):
             for W in trace[k]:
                 if not any(W - {x} in trace[k - 1] for x in W):
-                    yield {"profile": search.profile(item), "k": k, "committee": W,
+                    yield {"profile": universe.profile(item), "k": k, "committee": W,
                            "missing": "no winning parent one size down"}
             for W in trace[k - 1]:
                 if not any(
                     W | {x} in trace[k] for x in range(rule.m) if x not in W
                 ):
-                    yield {"profile": search.profile(item), "k": k - 1, "committee": W,
+                    yield {"profile": universe.profile(item), "k": k - 1, "committee": W,
                            "missing": "no winning extension one size up"}
 
 
@@ -522,11 +435,11 @@ def check_generator_consistency(
 
 def _consistency_witnesses(g: GeneratorFunction, n: int) -> Iterator[dict]:
     """Each choice is a candidate bit mask, memoized per what ``g`` sees: the
-    key ``(offset, vector)`` stands for the profile of ``vector`` with voter
-    ids from ``offset + 1``.  An anonymous generator sees the vector alone
-    (offset 0), and the union of a pair is the vector sum, which shares the
-    memo.  For an id-sensitive generator B is renumbered above A, and the
-    union ``A + shifted B`` is built at most once per pair and not kept,
+    key ``(offset, item)`` stands for the profile of ``item`` with voter ids
+    from ``offset + 1``.  An anonymous generator sees the item alone (offset
+    0), and the union of a pair is the item ``sorted(a + b)``, which shares
+    the memo.  For an id-sensitive generator B is renumbered above A, and
+    the union ``A + shifted B`` is built at most once per pair and not kept,
     since no other pair has its voter ids.
     """
     committees = all_committees(g.m, g.m - 1)
@@ -545,10 +458,10 @@ def _consistency_witnesses(g: GeneratorFunction, n: int) -> Iterator[dict]:
     def choose(choice_row: list, i: int) -> int:
         profile = choice_row[width]
         if isinstance(profile, tuple):
-            offset, vector = profile
-            profile = universe.profile(vector)
+            offset, item = profile
+            profile = universe.profile(item)
             if offset:
-                profile = _shifted(profile, offset)
+                profile = profile.relabeled(offset + 1)
             choice_row[width] = profile
         mask = choice_row[i] = sum(1 << c for c in g.fn(profile, committees[i]))
         return mask
@@ -556,11 +469,11 @@ def _consistency_witnesses(g: GeneratorFunction, n: int) -> Iterator[dict]:
     def members(mask: int) -> frozenset:
         return frozenset(c for c in range(g.m) if mask >> c & 1)
 
-    vectors = list(universe.vectors())
-    for a in vectors:
+    items = list(universe.items())
+    for a in items:
         row_a = row((0, a))
-        offset = sum(a) if g.id_sensitive else 0
-        for b in vectors:
+        offset = len(a) if g.id_sensitive else 0
+        for b in items:
             row_b = row((offset, b))
             row_ab = None
             for i in range(width):
@@ -579,14 +492,14 @@ def _consistency_witnesses(g: GeneratorFunction, n: int) -> Iterator[dict]:
                     if offset:
                         row_ab = [None] * width + [row_a[width] + row_b[width]]
                     else:
-                        row_ab = row((0, tuple(map(operator.add, a, b))))
+                        row_ab = row((0, tuple(sorted(a + b))))
                 gab = row_ab[i]
                 if gab is None:
                     gab = choose(row_ab, i)
                 if gab and gab != joint:
                     pa = row_a[width]
                     yield {
-                        "a": pa, "b": _shifted(row_b[width], pa.n), "committee": committees[i],
+                        "a": pa, "b": row_b[width].relabeled(pa.n + 1), "committee": committees[i],
                         "g_a": members(ga), "g_b": members(gb),
                         "g_combined": members(gab), "intersection": members(joint),
                     }
@@ -609,6 +522,38 @@ def _ballot_shrinkings(ballot: frozenset, committee: frozenset) -> tuple[frozens
     return tuple(sorted(set(options), key=ballot_sort_key))
 
 
+def _shrunk(
+    universe: ProfileUniverse, item: tuple[int, ...], committee: frozenset, moves: dict
+) -> Iterator[tuple[int, ...]]:
+    """Every other item of ``universe`` where voters drop approvals outside ``committee``.
+
+    The voters form groups: each run of equal indices in an anonymous item,
+    each voter in an ordered one.  A group of c voters casting ballot i picks
+    a multiset of c of its :func:`_ballot_shrinkings`, in
+    ``combinations_with_replacement`` order (``moves`` caches the picks under
+    ``(i, c, committee)``); the groups pick in ``product`` order, and the
+    result is sorted for an anonymous item.
+    """
+    if universe.ordered:
+        groups = [(i, 1) for i in item]
+    else:
+        groups = [(i, len(list(run))) for i, run in itertools.groupby(item)]
+    per_group = []
+    for i, size in groups:
+        key = (i, size, committee)
+        picks = moves.get(key)
+        if picks is None:
+            options = [universe.index[b] for b in _ballot_shrinkings(universe.ballots[i], committee)]
+            picks = moves[key] = list(itertools.combinations_with_replacement(options, size))
+        per_group.append(picks)
+    for choice in itertools.product(*per_group):
+        shrunk = tuple(itertools.chain.from_iterable(choice))
+        if not universe.ordered:
+            shrunk = tuple(sorted(shrunk))
+        if shrunk != item:
+            yield shrunk
+
+
 def check_independence_of_losers(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
     """Disapproving candidates outside a winning committee keeps it winning."""
     used = {"m": rule.m, "n": bounds.n_single}
@@ -617,20 +562,21 @@ def check_independence_of_losers(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) ->
 
 
 def _independence_witnesses(rule: Rule, n: int) -> Iterator[dict]:
-    search = _Search(rule, n)
+    universe = _universe(rule, n)
+    moves: dict = {}
     kept = set()  # (shrunk, k, W) already seen to keep W winning
-    for item in search:
-        trace = rule.trace(search.key(item))
+    for item in universe.items():
+        trace = rule.trace(universe.key(item))
         for k in range(1, rule.m + 1):
             for W in sorted(trace[k], key=lambda c: tuple(sorted(c))):
-                for shrunk in search.shrunk(item, W):
+                for shrunk in _shrunk(universe, item, W, moves):
                     if (shrunk, k, W) in kept:
                         continue
-                    family = rule.apply(search.key(shrunk), k)
+                    family = rule.apply(universe.key(shrunk), k)
                     if W not in family:
                         yield {
-                            "profile": search.profile(item), "k": k, "committee": W,
-                            "shrunk_profile": search.profile(shrunk),
+                            "profile": universe.profile(item), "k": k, "committee": W,
+                            "shrunk_profile": universe.profile(shrunk),
                             "families": (trace[k], family),
                         }
                     kept.add((shrunk, k, W))
@@ -659,7 +605,7 @@ def _separability_witnesses(rule: Rule, n_total: int) -> Iterator[dict]:
         for b in by_support.get(complement, ()):
             if a.n + b.n > n_total:
                 continue
-            shifted = _shifted(b, a.n)
+            shifted = b.relabeled(a.n + 1)
             combined = a + shifted
             for k in range(m + 1):
                 for W in rule.apply(combined, k):
@@ -814,14 +760,14 @@ def _proportionality_witnesses(rule: Rule, bounds: Bounds) -> Iterator[dict]:
 
 def _clone_witnesses(rule: Rule, which: str, n: int) -> Iterator[dict]:
     m = rule.m
-    search = _Search(rule, n)
-    for item in search:
-        counts = search.counts(item)
+    universe = _universe(rule, n)
+    for item in universe.items():
+        counts = universe.counts(item)
         if which != "distrust" and not _clone_pairs(m, counts):
             continue  # those two axioms only constrain profiles with clones
-        found = clone_violation(which, m, counts, rule.trace(search.key(item)))
+        found = clone_violation(which, m, counts, rule.trace(universe.key(item)))
         if found:
-            yield {"profile": search.profile(item), **found}
+            yield {"profile": universe.profile(item), **found}
 
 
 # ---------------------------------------------------------------------------
@@ -845,7 +791,7 @@ def _information_basis_witnesses(
     for committee in all_committees(m, w_top):
         groups: dict[tuple, tuple[Profile, frozenset]] = {}
         for profile in profiles:
-            key = compute_n_stats(profile, committee).rows
+            key = compute_n_stats(profile, committee)
             out = generator_step(valuation, profile, committee)
             seen = groups.get(key)
             if seen is None:

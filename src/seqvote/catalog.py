@@ -49,17 +49,6 @@ THIELE_NAMES = ("seqav", "seqpav", "seqccav")
 #: Every name :func:`thiele_table` knows.
 THIELE_TABLE_NAMES = tuple(_THIELE_FUNCTIONS)
 
-ZOO_IDS = (
-    "voter1-doubled-seqav",
-    "candidate-a-doubled-seqav",
-    "trivial",
-    "cc-tiebreak-seqav",
-    "optimizing-thiele",
-    "reverse-seq-thiele",
-    "clone-trusting",
-)
-
-
 def thiele_table(name: str, m: int) -> ThieleTable:
     """The counting table behind a named sequential Thiele rule."""
     if name not in _THIELE_FUNCTIONS:

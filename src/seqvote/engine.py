@@ -240,8 +240,6 @@ class Rule:
             if profile.m != self.m:
                 raise ValueError(f"profile has m={profile.m}, rule expects m={self.m}")
             key = profile if self.id_sensitive else profile.ballot_counts
-        elif self.id_sensitive:
-            profile = key = Profile.from_counts(self.m, profile)
         else:
             key = profile
         traces = self._traces

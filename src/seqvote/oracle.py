@@ -1,8 +1,9 @@
 """Brute-force ground truth: profile enumeration and optimizing rules.
 
 Everything here enumerates in a fixed canonical order (ballots by size then
-members, profiles by multiset-lexicographic order), so "first witness" style
-answers are stable across runs and platforms.
+members; a profile as the tuple of its voters' ballot indices, multisets in
+``combinations_with_replacement`` order and sequences in ``product`` order),
+so "first witness" style answers are stable across runs and platforms.
 """
 
 from __future__ import annotations
@@ -53,13 +54,14 @@ def all_committees(m: int, max_size: int | None = None) -> tuple[frozenset[int],
 class ProfileUniverse:
     """All profiles with 1..``max_voters`` voters over m candidates, streamed.
 
-    The anonymous universe (the default) holds ballot multisets.  Its
-    :meth:`vectors` are multiplicity vectors over :func:`all_ballots`, by
-    increasing voter count and multiset-lexicographically within each count;
-    iteration yields the matching canonical profiles (ids 1..n, ballots in
-    canonical order).  The ``ordered`` universe, for id-sensitive rules,
-    holds ballot sequences: voter i casts the i-th ballot, in
-    ``itertools.product`` order per voter count.
+    An item of the universe is a tuple of indices into :attr:`ballots`:
+    voter i casts ``ballots[item[i - 1]]``.  The anonymous universe (the
+    default) holds ballot multisets, one non-decreasing item each, in
+    ``itertools.combinations_with_replacement`` order per voter count.  The
+    ``ordered`` universe, for id-sensitive rules, holds ballot sequences,
+    every item in ``itertools.product`` order per voter count.  Iteration
+    yields the items' profiles; an anonymous item's profile is canonical
+    (ids 1..n, ballots in canonical order).
 
     The size is checked against the closed form, and
     :class:`EnumerationCapError` raised, before anything is yielded; nothing
@@ -89,46 +91,37 @@ class ProfileUniverse:
         """Each ballot's position in :attr:`ballots`."""
         return {ballot: i for i, ballot in enumerate(self.ballots)}
 
-    def _check_cap(self) -> None:
+    def items(self) -> Iterator[tuple[int, ...]]:
+        """Every item of the universe, in canonical order."""
         if self.total() > self.cap:
             raise EnumerationCapError(
                 f"universe holds {self.total()} profiles, cap is {self.cap}"
             )
-
-    def vectors(self) -> Iterator[tuple[int, ...]]:
-        """Multiplicity vectors of the anonymous universe, in canonical order."""
+        kinds = range(len(self.ballots))
+        voters = range(1, self.max_voters + 1)
         if self.ordered:
-            raise ValueError("an ordered universe has no multiplicity vectors")
-        self._check_cap()
-        return self._vectors()
+            per_count = (itertools.product(kinds, repeat=n) for n in voters)
+        else:
+            per_count = (itertools.combinations_with_replacement(kinds, n) for n in voters)
+        return itertools.chain.from_iterable(per_count)
 
-    def _vectors(self) -> Iterator[tuple[int, ...]]:
-        kinds = 2**self.m - 1
-        for n in range(1, self.max_voters + 1):
-            for combo in itertools.combinations_with_replacement(range(kinds), n):
-                vector = [0] * kinds
-                for i in combo:
-                    vector[i] += 1
-                yield tuple(vector)
+    def counts(self, item: Sequence[int]) -> BallotCounts:
+        """The ``ballot_counts`` of ``item``'s profile."""
+        ballots = self.ballots
+        return tuple((ballots[i], len(list(run))) for i, run in itertools.groupby(sorted(item)))
 
-    def counts(self, vector: Sequence[int]) -> BallotCounts:
-        """The ``ballot_counts`` of the profile with multiplicity ``vector``."""
-        return tuple(zip(itertools.compress(self.ballots, vector), filter(None, vector)))
+    def profile(self, item: Sequence[int]) -> Profile:
+        """The profile where voter i casts ``ballots[item[i - 1]]``."""
+        votes = tuple(enumerate(map(self.ballots.__getitem__, item), 1))
+        return Profile(self.m, votes, checked=True)
 
-    def profile(self, vector: Sequence[int]) -> Profile:
-        """The canonical profile with multiplicity ``vector``."""
-        return Profile.from_counts(self.m, self.counts(vector), checked=True)
+    def key(self, item: Sequence[int]) -> Profile | BallotCounts:
+        """What :meth:`Rule.trace` takes for ``item``: its profile in an ordered
+        universe, its ballot counts in an anonymous one."""
+        return self.profile(item) if self.ordered else self.counts(item)
 
     def __iter__(self) -> Iterator[Profile]:
-        self._check_cap()
-        if self.ordered:
-            return self._sequences()
-        return map(self.profile, self._vectors())
-
-    def _sequences(self) -> Iterator[Profile]:
-        for n in range(1, self.max_voters + 1):
-            for combo in itertools.product(self.ballots, repeat=n):
-                yield Profile(self.m, tuple(enumerate(combo, 1)), checked=True)
+        return map(self.profile, self.items())
 
 
 def brute_force_optimal(

@@ -151,9 +151,12 @@ class Profile:
 
     def relabeled(self, first_id: int = 1) -> "Profile":
         """Same ballots in voter-id order, with fresh consecutive ids."""
+        if not isinstance(first_id, int) or first_id < 1:
+            raise ProfileError("voter ids must be positive integers")
         return Profile(
             self.m,
             tuple((first_id + i, b) for i, (_, b) in enumerate(self.votes)),
+            checked=True,
         )
 
     def __add__(self, other: "Profile") -> "Profile":

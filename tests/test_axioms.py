@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -22,8 +24,9 @@ from seqvote.axioms import (
     z_pairs,
 )
 from seqvote.catalog import continuity_gap_instance, make
+from seqvote.cli import render_report
 from seqvote.engine import GeneratorFunction, Rule, derived_generator, step_generator, step_trace
-from seqvote.oracle import ProfileUniverse
+from seqvote.oracle import ProfileUniverse, all_committees
 from seqvote.profiles import Profile, apply_candidate_permutation, apply_voter_permutation
 
 from util import fam
@@ -43,19 +46,18 @@ def test_z_pairs_bounds():
 
 
 def test_compute_n_stats_example():
-    stats = compute_n_stats(P1, {0})
-    rows = dict(stats.rows)
-    assert stats.pairs == ((0, 1), (1, 2))
+    rows = dict(compute_n_stats(P1, {0}))
+    pairs = z_pairs(3, 1)
+    assert pairs == ((0, 1), (1, 2))
     assert rows[1] == (0, 3)  # candidate 1: three ballots of size 2 hitting W once
     assert rows[2] == (1, 0)  # candidate 2: one singleton ballot missing W
-    assert stats.value(1, 1, 2) == 3
-    assert stats.value(2, 0, 1) == 1
+    assert rows[1][pairs.index((1, 2))] == 3
+    assert rows[2][pairs.index((0, 1))] == 1
 
 
 def test_n_stats_row_sums_bounded_by_electorate():
     for committee in ({0}, {1}, set()):
-        stats = compute_n_stats(P1, committee)
-        for _, counts in stats.rows:
+        for _, counts in compute_n_stats(P1, committee):
             assert sum(counts) <= P1.n
 
 
@@ -356,6 +358,40 @@ def test_shrinkings_preserve_committee_part():
     assert frozenset() not in options and len(options) == 3
 
 
+@pytest.mark.parametrize("ordered", [False, True])
+def test_shrinkings_follow_the_per_voter_product(ordered):
+    # the first independence-of-losers witness depends on this order
+    from seqvote.axioms import _ballot_shrinkings, _shrunk
+
+    universe = ProfileUniverse(3, 3, ordered=ordered)
+    moves = {}
+    for item in universe.items():
+        for committee in all_committees(3):
+            per_voter = [_ballot_shrinkings(universe.ballots[i], committee) for i in item]
+            literal = []
+            for choice in itertools.product(*per_voter):
+                shrunk = tuple(universe.index[b] for b in choice)
+                literal.append(shrunk if ordered else tuple(sorted(shrunk)))
+            expected = [shrunk for shrunk in dict.fromkeys(literal) if shrunk != item]
+            assert list(dict.fromkeys(_shrunk(universe, item, committee, moves))) == expected
+
+
+# sha256 of ``render_report`` of the check, recorded before both profile
+# universes moved to ballot-index items: the first witness (seqsav) and the
+# pass over every shrinking of the ordered universe (voter1-doubled-seqav).
+INDEPENDENCE_OF_LOSERS_SHA256 = {
+    ("seqsav", 4, 4): "906af03b77d2ec6fdd64a557a649002375a6162f92e839fb66d867145ad32204",
+    ("voter1-doubled-seqav", 3, 3): "128f2d2ead9c09da4e7bd21d0eb8a14f1f0db38024676583cccefbe6a5250ca1",
+}
+
+
+@pytest.mark.parametrize("name, m, n", sorted(INDEPENDENCE_OF_LOSERS_SHA256))
+def test_independence_of_losers_reports_are_pinned(name, m, n):
+    report = check_independence_of_losers(make(name, m), Bounds(n_single=n))
+    text = render_report(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == INDEPENDENCE_OF_LOSERS_SHA256[name, m, n]
+
+
 def test_separability_coverage_rule():
     assert check_committee_separability(make("seqccav", 3), Bounds(n_pair_total=3)).verdict == "pass-exhaustive"
 
@@ -459,10 +495,10 @@ def test_information_basis_special_cases():
     profile = Profile.from_ballots(4, [{0, 1}, {2, 3}])
     tau = (0, 1, 3, 2)  # fixes the committee pointwise
     permuted = apply_candidate_permutation(tau, profile)
-    assert compute_n_stats(profile, committee).rows == compute_n_stats(permuted, committee).rows
+    assert compute_n_stats(profile, committee) == compute_n_stats(permuted, committee)
     assert rule.step(profile, committee) == rule.step(permuted, committee)
     relabeled = apply_voter_permutation({1: 5, 2: 6}, profile)
-    assert compute_n_stats(profile, committee).rows == compute_n_stats(relabeled, committee).rows
+    assert compute_n_stats(profile, committee) == compute_n_stats(relabeled, committee)
     assert rule.step(profile, committee) == rule.step(relabeled, committee)
 
 
@@ -472,9 +508,9 @@ def test_information_basis_fails_for_non_neutral_valuation():
     report = check_information_basis(rule.valuation, Bounds(n_stats=2), m=3)
     assert report.verdict == "violation"
     w = report.witness
-    assert compute_n_stats(w["profile_1"], w["committee"]).rows == compute_n_stats(
+    assert compute_n_stats(w["profile_1"], w["committee"]) == compute_n_stats(
         w["profile_2"], w["committee"]
-    ).rows
+    )
     assert w["choice_1"] != w["choice_2"]
 
 

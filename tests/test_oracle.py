@@ -111,12 +111,17 @@ def test_universe_streams_the_literal_listing_in_order(m, n):
     universe = ProfileUniverse(m, n)
     assert list(universe) == anonymous
     assert [p.votes for p in universe] == [p.votes for p in anonymous]
-    vectors = list(universe.vectors())
-    assert [universe.profile(v) for v in vectors] == anonymous
-    assert [universe.counts(v) for v in vectors] == [p.ballot_counts for p in anonymous]
-    assert len(vectors) == universe.total()
+    items = list(universe.items())
+    assert [universe.profile(item) for item in items] == anonymous
+    assert [universe.counts(item) for item in items] == [p.ballot_counts for p in anonymous]
+    assert [universe.key(item) for item in items] == [p.ballot_counts for p in anonymous]
+    assert len(items) == universe.total()
     sequences = ProfileUniverse(m, n, ordered=True)
     assert [p.votes for p in sequences] == [p.votes for p in ordered]
+    items = list(sequences.items())
+    assert [sequences.profile(item) for item in items] == ordered
+    assert [sequences.counts(item) for item in items] == [p.ballot_counts for p in ordered]
+    assert [sequences.key(item) for item in items] == ordered
     assert len(ordered) == sequences.total()
 
 
@@ -126,9 +131,8 @@ def test_over_cap_universes_raise_before_yielding(ordered):
     assert universe.total() == (7 + 49 + 343 if ordered else 7 + 28 + 84)
     with pytest.raises(EnumerationCapError):
         iter(universe)
-    if not ordered:
-        with pytest.raises(EnumerationCapError):
-            universe.vectors()
+    with pytest.raises(EnumerationCapError):
+        universe.items()
 
 
 def test_compare_rules_av_equals_optimizing_av():

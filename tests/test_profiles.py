@@ -210,8 +210,7 @@ def test_symmetrize_equalizes_n_statistics():
     p = Profile.from_dict(4, {1: {0, 1}, 2: {1, 2, 3}, 3: {2}})
     fixed = frozenset({0})
     out = symmetrize_profile(p, fixed)
-    stats = compute_n_stats(out, fixed)
-    rows = {c: counts for c, counts in stats.rows}
+    rows = dict(compute_n_stats(out, fixed))
     reference = rows[1]
     assert all(rows[c] == reference for c in (2, 3))
 
@@ -228,6 +227,14 @@ def test_canonical_and_anonymous_equality():
     assert q.voter_ids == (1, 2)
     assert q.same_ballots(p)
     assert q.ballots() == (frozenset({2}), frozenset({0, 1}))
+
+
+def test_relabeled_numbers_voters_from_a_positive_id():
+    p = Profile.from_dict(3, {5: {0, 1}, 9: {2}})
+    assert p.relabeled(4).votes == ((4, frozenset({0, 1})), (5, frozenset({2})))
+    for first_id in (0, 1.5):
+        with pytest.raises(ProfileError):
+            p.relabeled(first_id)
 
 
 # Exactness of the rational arithmetic backing all scores: addition agrees

@@ -13,8 +13,9 @@ stdout of
   seeded random profiles (m 3..6) and tie-heavy ones (one voter per
   singleton, cyclic pairs, everyone approving everything), at k in
   {0, 1, m/2, m}, plus a counting-table file with h(0) != 0;
-- ``seqvote axioms <rule> all --max-voters 2`` and ``3``, and ``all --max-m 4
-  --max-voters 2``, for every rule;
+- ``seqvote axioms <rule> all --max-voters 2`` and ``3``, ``all --max-m 4
+  --max-voters 2``, and ``clones --max-m 4 --max-voters 3`` (profiles at m=4
+  with repeated ballots), for every rule;
 - ``seqvote witness <construction> <table> --m <m>`` for every
   construction, named table and m in {3, 4, 6};
 
@@ -84,6 +85,8 @@ def cases(workdir: Path):
             yield f"axioms-{rule}-n{n}", ["axioms", rule, "all", "--max-voters", n]
         argv = ["axioms", rule, "all", "--max-m", "4", "--max-voters", "2"]
         yield f"axioms-{rule}-m4-n2", argv
+        argv = ["axioms", rule, "clones", "--max-m", "4", "--max-voters", "3"]
+        yield f"axioms-{rule}-clones-m4-n3", argv
     for construction in witnesses.CONSTRUCTIONS:
         for table_name in NAMED_TABLES:
             for m in ("3", "4", "6"):
