@@ -15,11 +15,18 @@ checks trace an anonymous item by its ballot counts and build a
 :class:`Profile` only on a trace-cache miss or for a witness.  Voters
 dropping approvals (independence of losers) move in groups: each run of
 equal indices of an anonymous item, each voter of an ordered one.
-Generator consistency memoizes each choice per what the generator sees: the
-item for an anonymous generator, whose union of a pair is the item
-``sorted(a + b)``, and the item with its voter-id offset for an id-sensitive
-one.  Enumeration order is canonical throughout, so the first witness found
-is deterministic, and every universe is capped: one over its cap raises
+Generator consistency keeps one choice row per profile, an int holding the
+generator's choice at every committee, memoized per what the generator
+sees: the item for an anonymous generator, whose union of a pair is the
+item ``sorted(a + b)``, and the item with its voter-id offset for an
+id-sensitive one.
+
+The rule's trace cache holds what several checks share, the items of a
+universe.  A profile built for one comparison (the union of a pair, B
+renumbered above A, a replicated ``jA + B``) is traced with
+:meth:`Rule.trace_uncached` and dropped.  Enumeration order is canonical
+throughout, so the first witness found is deterministic, and every universe
+is capped: one over its cap raises
 :class:`seqvote.oracle.EnumerationCapError` before it yields anything.
 
 Default bounds: single-profile checks search up to five voters and pairwise
@@ -206,12 +213,11 @@ def check_neutrality(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport
 
 def _neutrality_witnesses(rule: Rule, n: int) -> Iterator[dict]:
     for profile in _universe(rule, n):
+        base = rule.trace(profile)
         for tau in itertools.permutations(range(rule.m)):
-            other = apply_candidate_permutation(tau, profile)
-            for k in range(rule.m + 1):
-                fam = rule.apply(profile, k)
+            other = rule.trace(apply_candidate_permutation(tau, profile))
+            for k, (fam, actual) in enumerate(zip(base, other)):
                 expected = frozenset(frozenset(tau[c] for c in W) for W in fam)
-                actual = rule.apply(other, k)
                 if actual != expected:
                     yield {
                         "profile": profile,
@@ -291,26 +297,43 @@ def _continuity_certificate(rule: Rule, a: Profile, b: Profile, k: int) -> int |
     exact gap; enough copies of ``a`` make that gap dominate whatever ``b``
     contributes, which pins ``f(jA+B, l)`` inside ``f(A, l)`` level by level.
     """
-    if rule.valuation is None or rule.id_sensitive or rule.step is None:
+    if not _certifiable(rule):
         return None
     v = rule.valuation
     trace = rule.trace(a, k)
+    winners = [X for level in range(k) for X in trace[level]]
+    gains_a = {X: extension_gains(v, a, X) for X in winners}
+    gains_b = {X: extension_gains(v, b, X) for X in winners}
+    levels = (_level_certificate(trace, level, gains_a, gains_b) for level in range(k))
+    return max(levels, default=1)
+
+
+def _certifiable(rule: Rule) -> bool:
+    return rule.valuation is not None and not rule.id_sensitive and rule.step is not None
+
+
+def _level_certificate(
+    trace: tuple[Family, ...], level: int, gains_a: dict, gains_b: dict
+) -> int:
+    """The replication count that pins level ``level + 1`` of ``jA + B``
+    inside ``trace[level + 1]`` (at least 1); ``gains_a`` and ``gains_b``
+    map each committee X of ``trace[level]`` to the extension gains of A and
+    B at X."""
     needed = 1
-    for level in range(k):
-        for X in trace[level]:
-            # gains share one positive factor per level, so push // gap is
-            # the ratio of the exact score differences, rounded down
-            score_a = extension_gains(v, a, X)
-            score_b = extension_gains(v, b, X)
-            best = max(score_a.values())
-            argmax = [c for c in score_a if score_a[c] == best]
-            for d in score_a:
-                if X | {d} in trace[level + 1]:
-                    continue
-                gap = best - score_a[d]  # positive: d is not an argmax at X
-                push = min(score_b[d] - score_b[c] for c in argmax)
-                if push > 0:
-                    needed = max(needed, push // gap + 1)
+    for X in trace[level]:
+        # gains share one positive factor per level, so push // gap is
+        # the ratio of the exact score differences, rounded down
+        score_a = gains_a[X]
+        score_b = gains_b[X]
+        best = max(score_a.values())
+        argmax = [c for c in score_a if score_a[c] == best]
+        for d in score_a:
+            if X | {d} in trace[level + 1]:
+                continue
+            gap = best - score_a[d]  # positive: d is not an argmax at X
+            push = min(score_b[d] - score_b[c] for c in argmax)
+            if push > 0:
+                needed = max(needed, push // gap + 1)
     return needed
 
 
@@ -358,30 +381,76 @@ def check_continuity(
 
 
 def continuity_search(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
-    """Run the continuity check over a bounded family of instances."""
+    """Run the continuity check over a bounded family of instances.
+
+    The same instances and answers as :func:`check_continuity` on every
+    ``(A, B, k)`` with ``|f(A, k)| = 1``, in canonical order, but each piece
+    of work is done once: A is traced once and its extension gains are
+    computed once per committee, B's gains once per committee for the whole
+    search, the certificate of every k comes from one pass over the levels,
+    and each ``jA + B`` is built from its ballot indices (the item
+    ``a * j + b``) and traced once, uncached, for every k still pending.
+    On an ``inconclusive`` instance the report carries the witness and note
+    :func:`check_continuity` gives for it.
+    """
     used = {
         "m": rule.m,
         "n_a": bounds.n_continuity,
         "n_b": bounds.n_continuity_other,
         "j_max": bounds.j_max,
     }
-    worst = 0
-    others = list(_universe(rule, bounds.n_continuity_other))
-    for a in _universe(rule, bounds.n_continuity):
-        singleton_ks = [
-            k for k in range(1, rule.m + 1) if len(rule.apply(a, k)) == 1
+    m = rule.m
+    universe = _universe(rule, bounds.n_continuity)
+    others = list(_universe(rule, bounds.n_continuity_other).items())
+    certified = _certifiable(rule)
+    if certified:
+        v = rule.valuation
+        committees = all_committees(m, m - 1)
+        gains_b = [
+            {X: extension_gains(v, universe.profile(b), X) for X in committees} for b in others
         ]
+    worst = 0
+    for a in universe.items():
+        trace = rule.trace(universe.key(a))
+        singleton_ks = [k for k in range(1, m + 1) if len(trace[k]) == 1]
         if not singleton_ks:
             continue
-        for b in others:
-            for k in singleton_ks:
-                report = check_continuity(rule, a, b, k, bounds.j_max)
-                if report.verdict != "pass":
-                    return AxiomReport(
-                        "continuity", rule.name, "inconclusive", used,
-                        witness=report.witness, note=report.note,
-                    )
-                worst = max(worst, report.witness["j"])
+        if certified:
+            profile_a = universe.profile(a)
+            gains_a = {
+                X: extension_gains(v, profile_a, X)
+                for level in range(singleton_ks[-1])
+                for X in trace[level]
+            }
+        for ib, b in enumerate(others):
+            limits = dict.fromkeys(singleton_ks, bounds.j_max)
+            if certified:
+                needed = 1
+                for level in range(singleton_ks[-1]):
+                    needed = max(needed, _level_certificate(trace, level, gains_a, gains_b[ib]))
+                    if level + 1 in limits:
+                        limits[level + 1] = needed
+            pending, restored = dict(limits), {}
+            j = 0
+            while pending:
+                j += 1
+                # the item of jA + B: j copies of A's voters, then B's
+                combined = rule.trace_uncached(universe.profile(a * j + b), max(pending))
+                for k, limit in list(pending.items()):
+                    if combined[k] == trace[k]:
+                        restored[k] = j
+                    if k in restored or limit == j:
+                        del pending[k]
+            failed = [k for k in singleton_ks if k not in restored]
+            if failed:
+                report = check_continuity(
+                    rule, universe.profile(a), universe.profile(b), failed[0], bounds.j_max
+                )
+                return AxiomReport(
+                    "continuity", rule.name, "inconclusive", used,
+                    witness=report.witness, note=report.note,
+                )
+            worst = max(worst, *restored.values())
     return AxiomReport(
         "continuity",
         rule.name,
@@ -434,74 +503,123 @@ def check_generator_consistency(
 
 
 def _consistency_witnesses(g: GeneratorFunction, n: int) -> Iterator[dict]:
-    """Each choice is a candidate bit mask, memoized per what ``g`` sees: the
-    key ``(offset, item)`` stands for the profile of ``item`` with voter ids
-    from ``offset + 1``.  An anonymous generator sees the item alone (offset
-    0), and the union of a pair is the item ``sorted(a + b)``, which shares
-    the memo.  For an id-sensitive generator B is renumbered above A, and
-    the union ``A + shifted B`` is built at most once per pair and not kept,
-    since no other pair has its voter ids.
-    """
-    committees = all_committees(g.m, g.m - 1)
-    width = len(committees)
-    universe = ProfileUniverse(g.m, n)
-    # key -> a row: the choice mask per committee (None until evaluated),
-    # then the key until the profile is built, then the profile
-    rows: dict[tuple, list] = {}
+    """The search keeps one choice row per profile it evaluates: an int
+    holding the mask of ``g(A, W)`` for the i-th committee W of
+    :func:`all_committees` ``(m, m - 1)`` at bits ``[i*m, (i+1)*m)``, so
+    ``row(A) & row(B)`` is every intersection at once.  Rows are memoized
+    per what ``g`` sees: the key ``(offset, item)`` stands for the profile
+    of ``item`` with voter ids from ``offset + 1``.  No profile is kept; a
+    witness rebuilds its profiles from their items.
 
-    def row(key) -> list:
-        out = rows.get(key)
-        if out is None:
-            out = rows[key] = [None] * width + [key]
+    An anonymous generator sees the item alone (offset 0), and the union of
+    a pair is the item ``sorted(a + b)``, which shares the memo.  The test
+    is symmetric in A and B and so is the union, so the first violating
+    pair in canonical order has A no later than B, and only those pairs are
+    visited.  For an id-sensitive generator B is renumbered above A, so the
+    union ``A + shifted B`` is the profile of the item ``a + b``; it is
+    built once per pair, evaluated only at the committees where the choices
+    of A and B intersect, and not kept, since no other pair has its voter
+    ids.
+
+    A derived generator reads a whole row off one trace of its rule.  The
+    items of the universe at offset 0 are traced through the rule's cache,
+    which the single-profile checks share; B at an offset and every union
+    larger than the universe's items are built for one comparison and
+    traced uncached.
+    """
+    m = g.m
+    committees = all_committees(m, m - 1)
+    index = {W: i for i, W in enumerate(committees)}
+    field = (1 << m) - 1
+    # the top bit of every field, and the bits below it
+    high = sum(1 << (i * m + m - 1) for i in range(len(committees)))
+    low = sum(field >> 1 << (i * m) for i in range(len(committees)))
+
+    def nonzero(x: int) -> int:
+        """The top bit of every non-zero field of ``x``: the low bits of a
+        field are non-zero exactly when adding ``low`` carries into the top."""
+        return (((x & low) + low) | x) & high
+
+    universe = ProfileUniverse(m, n)
+    rule = g.derived_from
+
+    def traced_row(trace: tuple[Family, ...]) -> int:
+        # W in f(A, k) chooses each x whose W + {x} is in f(A, k + 1)
+        out = 0
+        for k in range(1, len(trace)):
+            below = trace[k - 1]
+            for U in trace[k]:
+                for x in U:
+                    W = U - {x}
+                    if W in below:
+                        out |= 1 << (index[W] * m + x)
         return out
 
-    def choose(choice_row: list, i: int) -> int:
-        profile = choice_row[width]
-        if isinstance(profile, tuple):
-            offset, item = profile
-            profile = universe.profile(item)
+    masks: dict[frozenset, int] = {}  # each choice set's bit mask
+
+    def choice_row(p: Profile, wanted: int = -1) -> int:
+        """The row of ``p`` at the committees whose field in ``wanted`` is
+        non-zero (all by default); the other fields may read 0."""
+        if rule is not None:
+            top = len(committees) - 1 if wanted < 0 else (wanted.bit_length() - 1) // m
+            return traced_row(rule.trace_uncached(p, len(committees[top]) + 1))
+        out = 0
+        for i, W in enumerate(committees):
+            if wanted >> (i * m) & field:
+                chosen = frozenset(g.fn(p, W))
+                mask = masks.get(chosen)
+                if mask is None:
+                    mask = masks[chosen] = sum(1 << c for c in chosen)
+                out |= mask << (i * m)
+        return out
+
+    rows: dict[tuple, int] = {}
+
+    def row(offset: int, item: tuple[int, ...]) -> int:
+        key = (offset, item)
+        out = rows.get(key)
+        if out is None:
             if offset:
-                profile = profile.relabeled(offset + 1)
-            choice_row[width] = profile
-        mask = choice_row[i] = sum(1 << c for c in g.fn(profile, committees[i]))
-        return mask
+                p = universe.profile(item).relabeled(offset + 1)
+            else:  # a non-decreasing item: the canonical profile, counts filled in
+                p = Profile.from_counts(m, universe.counts(item), checked=True)
+            if rule is not None and not offset and len(item) <= n:  # a universe item
+                out = traced_row(rule.trace(p))
+            else:
+                out = choice_row(p)
+            rows[key] = out
+        return out
 
     def members(mask: int) -> frozenset:
-        return frozenset(c for c in range(g.m) if mask >> c & 1)
+        return frozenset(c for c in range(m) if mask >> c & 1)
 
     items = list(universe.items())
-    for a in items:
-        row_a = row((0, a))
+    for pos, a in enumerate(items):
+        row_a = row(0, a)
         offset = len(a) if g.id_sensitive else 0
-        for b in items:
-            row_b = row((offset, b))
-            row_ab = None
-            for i in range(width):
-                ga = row_a[i]
-                if ga is None:
-                    ga = choose(row_a, i)
-                if not ga:
-                    continue
-                gb = row_b[i]
-                if gb is None:
-                    gb = choose(row_b, i)
-                joint = ga & gb
-                if not joint:
-                    continue
-                if row_ab is None:
-                    if offset:
-                        row_ab = [None] * width + [row_a[width] + row_b[width]]
-                    else:
-                        row_ab = row((0, tuple(sorted(a + b))))
-                gab = row_ab[i]
-                if gab is None:
-                    gab = choose(row_ab, i)
-                if gab and gab != joint:
-                    pa = row_a[width]
+        for b in items if offset else items[pos:]:
+            row_b = row(offset, b)
+            joint = row_a & row_b
+            if not joint:
+                continue
+            if offset:
+                row_ab = choice_row(universe.profile(a + b), joint)
+            else:
+                row_ab = row(0, tuple(sorted(a + b)))
+            # committees where the intersection and the combined choice are
+            # both non-empty and differ
+            clash = nonzero(joint) & nonzero(row_ab) & nonzero(row_ab ^ joint)
+            if not clash:
+                continue
+            for i in range(len(committees)):
+                shift = i * m
+                if clash >> shift & field:
+                    both, combined = joint >> shift & field, row_ab >> shift & field
                     yield {
-                        "a": pa, "b": row_b[width].relabeled(pa.n + 1), "committee": committees[i],
-                        "g_a": members(ga), "g_b": members(gb),
-                        "g_combined": members(gab), "intersection": members(joint),
+                        "a": universe.profile(a), "b": universe.profile(b).relabeled(len(a) + 1),
+                        "committee": committees[i],
+                        "g_a": members(row_a >> shift), "g_b": members(row_b >> shift),
+                        "g_combined": members(combined), "intersection": members(both),
                     }
 
 

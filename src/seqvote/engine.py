@@ -187,10 +187,14 @@ class Rule:
 
     Exactly one of ``step`` (a generator function run sequentially) or
     ``apply_direct`` (an arbitrary per-size computation) drives the rule.
-    Traces are memoized per profile, at most :data:`TRACE_CACHE_SIZE` per
-    rule; anonymous rules key them on the ballot counts, so voter
-    relabelings share an entry and a profile given by its counts alone is
-    only built on a miss.
+    :meth:`trace` memoizes traces per profile, at most
+    :data:`TRACE_CACHE_SIZE` per rule; anonymous rules key them on the
+    ballot counts, so voter relabelings share an entry and a profile given
+    by its counts alone is only built on a miss.  The cache is for profiles
+    that several callers ask about, such as the items of a checker's
+    universe; a profile built for one comparison (a union of two
+    electorates, a replicated ``jA + B``) goes through
+    :meth:`trace_uncached` and leaves nothing behind.
     """
 
     def __init__(
@@ -305,12 +309,16 @@ class GeneratorFunction:
 
     ``id_sensitive`` steps may read voter ids; the others see only the
     ballot counts, so the checkers may evaluate them on canonical profiles.
+    ``derived_from`` is the rule a :func:`derived_generator` extracts from:
+    its choices at every committee can be read off one trace of the rule,
+    which is what the checkers do instead of calling ``fn`` per committee.
     """
 
     name: str
     m: int
     fn: StepFn
     id_sensitive: bool = False
+    derived_from: Optional[Rule] = None
 
 
 def step_generator(rule: Rule) -> GeneratorFunction:
@@ -329,4 +337,5 @@ def derived_generator(rule: Rule) -> GeneratorFunction:
         rule.m,
         lambda a, w: derive_generator(rule, a, w),
         id_sensitive=rule.id_sensitive,
+        derived_from=rule,
     )

@@ -29,7 +29,7 @@ from seqvote.engine import GeneratorFunction, Rule, derived_generator, step_gene
 from seqvote.oracle import ProfileUniverse, all_committees
 from seqvote.profiles import Profile, apply_candidate_permutation, apply_voter_permutation
 
-from util import fam
+from util import fam, naive_consistency_witness, naive_continuity_search
 
 P1 = Profile.from_ballots(3, [{0, 1}, {0, 1}, {0, 1}, {2}])
 SMALL = Bounds(n_single=4, n_perm=2, n_pair_each=2, n_pair_total=3)
@@ -213,6 +213,26 @@ def test_continuity_certificate_survives_tied_sibling_extensions():
     assert report.verdict == "pass"
 
 
+@pytest.mark.parametrize("name", [
+    "seqpav", "seqsav", "av-cc-alternating",
+    "candidate-a-doubled-seqav",  # a custom valuation: its gains are Fractions
+    "cc-tiebreak-seqav",  # no certificate: every k searched up to j_max
+    "voter1-doubled-seqav",  # id-sensitive: jA + B keeps its vote order
+])
+def test_continuity_search_matches_the_per_instance_loop(name):
+    report = continuity_search(make(name, 3))
+    assert render_report(report) == render_report(naive_continuity_search(make(name, 3), Bounds()))
+
+
+def test_continuity_search_caches_only_the_searched_profiles():
+    # jA + B is built for one comparison; only the A side, at most
+    # n_continuity voters, belongs in the rule's cache.
+    rule = make("seqpav", 3)
+    bounds = Bounds(n_continuity=3)
+    assert continuity_search(rule, bounds).verdict == "pass"
+    assert max(sum(count for _, count in key) for key in rule._traces) <= bounds.n_continuity
+
+
 # ---------------------------------------------------------------------------
 # Committee monotonicity / generator consistency
 
@@ -294,14 +314,15 @@ def test_generator_consistency_evaluates_what_the_generator_sees():
     )
 
 
-def test_id_sensitive_generator_consistency_violation_replays():
-    def voter1_in_company(profile, W):
-        """Voter 1's approvals outside W among two or more voters, else every outsider."""
-        if profile.n >= 2:
-            return dict(profile.votes).get(1, frozenset()) - W
-        return frozenset(range(profile.m)) - W
+def _voter1_in_company(profile, W):
+    """Voter 1's approvals outside W among two or more voters, else every outsider."""
+    if profile.n >= 2:
+        return dict(profile.votes).get(1, frozenset()) - W
+    return frozenset(range(profile.m)) - W
 
-    g = GeneratorFunction("voter1-in-company", 3, voter1_in_company, id_sensitive=True)
+
+def test_id_sensitive_generator_consistency_violation_replays():
+    g = GeneratorFunction("voter1-in-company", 3, _voter1_in_company, id_sensitive=True)
     report = check_generator_consistency(g, Bounds(n_pair_each=2))
     assert report.verdict == "violation"
     w = report.witness
@@ -312,6 +333,61 @@ def test_id_sensitive_generator_consistency_violation_replays():
     assert g.fn(b, W) == w["g_b"] == frozenset({0, 1, 2})
     assert g.fn(a + b, W) == w["g_combined"] == frozenset({0})
     assert w["intersection"] == w["g_a"] & w["g_b"] != w["g_combined"]
+
+
+def _crowd_shy(profile, W):
+    """Every outsider for a lone voter, none for a larger electorate."""
+    return frozenset(range(profile.m)) - W if profile.n == 1 else frozenset()
+
+
+def _crowd_picky(profile, W):
+    """Every outsider for a lone voter, only the smallest for a larger electorate."""
+    outside = frozenset(range(profile.m)) - W
+    return outside if profile.n == 1 else frozenset({min(outside)})
+
+
+def _generators(m):
+    """Step and derived generators of catalog rules, and test generators, by name."""
+    out = {}
+    for name in ("seqpav", "reverse-seqccav", "cc-tiebreak-seqav", "voter1-doubled-seqav"):
+        rule = make(name, m)
+        out[f"step({name})"] = step_generator(rule)
+        out[f"derived({name})"] = derived_generator(rule)
+    out["voter1-outside"] = GeneratorFunction(
+        "voter1-outside", m, _voter1_outside, id_sensitive=True
+    )
+    out["voter1-in-company"] = GeneratorFunction(
+        "voter1-in-company", m, _voter1_in_company, id_sensitive=True
+    )
+    # anonymous ones: an empty combined choice is no violation, and the
+    # first violation pairs a profile with itself
+    out["crowd-shy"] = GeneratorFunction("crowd-shy", m, _crowd_shy)
+    out["crowd-picky"] = GeneratorFunction("crowd-picky", m, _crowd_picky)
+    return out
+
+
+CONSISTENCY_CASES = [
+    (name, m, 2) for m in (2, 3) for name in sorted(_generators(m))
+] + [("derived(voter1-doubled-seqav)", 3, 3)]
+
+
+@pytest.mark.parametrize("name, m, n", CONSISTENCY_CASES)
+def test_generator_consistency_matches_the_per_committee_search(name, m, n):
+    g = _generators(m)[name]
+    report = check_generator_consistency(g, Bounds(n_pair_each=n))
+    expected = naive_consistency_witness(g, n)
+    assert report.verdict == ("pass-exhaustive" if expected is None else "violation")
+    assert render_report(report.witness) == render_report(expected)
+
+
+def test_consistency_search_caches_only_shared_traces():
+    # One trace per profile of the ordered universe up to three voters
+    # (7 + 49 + 343) at most; the unions and B's renumbered profiles are
+    # built for one comparison each and must not fill the cache.
+    rule = make("voter1-doubled-seqav", 3)
+    before = len(rule._traces)
+    check_generator_consistency(derived_generator(rule), Bounds(n_pair_each=3))
+    assert len(rule._traces) - before <= 399
 
 
 def test_native_step_of_cc_tiebreak_is_consistent_but_derived_is_not():

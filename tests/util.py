@@ -9,8 +9,9 @@ from fractions import Fraction
 import itertools
 import json
 
-from seqvote.axioms import AxiomReport
+from seqvote.axioms import EXISTENTIAL_NOTE, AxiomReport, check_continuity
 from seqvote.cli import format_profile
+from seqvote.oracle import ProfileUniverse, all_committees
 from seqvote.profiles import Profile
 from seqvote.witnesses import Witness
 
@@ -163,3 +164,102 @@ def _naive_key(key) -> str:
 def naive_render_report(data) -> str:
     """The report through the stdlib encoder, for comparison with ``render_report``."""
     return json.dumps(naive_jsonable(data), indent=2, sort_keys=True) + "\n"
+
+
+def naive_consistency_witness(g, n):
+    """The first generator-consistency witness of ``g`` over pairs of up to
+    ``n`` voters each, or None: every pair (A, B) of the anonymous universe
+    in canonical order, every committee one by one, ``g.fn`` called on real
+    profiles (B's voters renumbered above A's for an id-sensitive ``g``).
+    Each choice is evaluated one committee at a time, when a pair first
+    needs it, and memoized per what ``g`` sees.
+    """
+    committees = all_committees(g.m, g.m - 1)
+    width = len(committees)
+    universe = ProfileUniverse(g.m, n)
+    # key -> a row: the choice mask per committee (None until evaluated),
+    # then the key until the profile is built, then the profile
+    rows = {}
+
+    def row(key):
+        out = rows.get(key)
+        if out is None:
+            out = rows[key] = [None] * width + [key]
+        return out
+
+    def choose(choice_row, i):
+        profile = choice_row[width]
+        if isinstance(profile, tuple):
+            offset, item = profile
+            profile = universe.profile(item)
+            if offset:
+                profile = profile.relabeled(offset + 1)
+            choice_row[width] = profile
+        mask = choice_row[i] = sum(1 << c for c in g.fn(profile, committees[i]))
+        return mask
+
+    def members(mask):
+        return frozenset(c for c in range(g.m) if mask >> c & 1)
+
+    items = list(universe.items())
+    for a in items:
+        row_a = row((0, a))
+        offset = len(a) if g.id_sensitive else 0
+        for b in items:
+            row_b = row((offset, b))
+            row_ab = None
+            for i in range(width):
+                ga = row_a[i]
+                if ga is None:
+                    ga = choose(row_a, i)
+                if not ga:
+                    continue
+                gb = row_b[i]
+                if gb is None:
+                    gb = choose(row_b, i)
+                joint = ga & gb
+                if not joint:
+                    continue
+                if row_ab is None:
+                    if offset:
+                        row_ab = [None] * width + [row_a[width] + row_b[width]]
+                    else:
+                        row_ab = row((0, tuple(sorted(a + b))))
+                gab = row_ab[i]
+                if gab is None:
+                    gab = choose(row_ab, i)
+                if gab and gab != joint:
+                    pa = row_a[width]
+                    return {
+                        "a": pa, "b": row_b[width].relabeled(pa.n + 1), "committee": committees[i],
+                        "g_a": members(ga), "g_b": members(gb),
+                        "g_combined": members(gab), "intersection": members(joint),
+                    }
+    return None
+
+
+def naive_continuity_search(rule, bounds):
+    """The continuity report as a literal loop: :func:`check_continuity` on
+    every ``(A, B, k)`` with ``|f(A, k)| = 1``, in canonical order; the
+    first instance it does not pass decides ``inconclusive``."""
+    used = {
+        "m": rule.m,
+        "n_a": bounds.n_continuity,
+        "n_b": bounds.n_continuity_other,
+        "j_max": bounds.j_max,
+    }
+    worst = 0
+    others = list(ProfileUniverse(rule.m, bounds.n_continuity_other, ordered=rule.id_sensitive))
+    for a in ProfileUniverse(rule.m, bounds.n_continuity, ordered=rule.id_sensitive):
+        singleton_ks = [k for k in range(1, rule.m + 1) if len(rule.apply(a, k)) == 1]
+        for b in others:
+            for k in singleton_ks:
+                report = check_continuity(rule, a, b, k, bounds.j_max)
+                if report.verdict != "pass":
+                    return AxiomReport(
+                        "continuity", rule.name, "inconclusive", used,
+                        witness=report.witness, note=report.note,
+                    )
+                worst = max(worst, report.witness["j"])
+    note = EXISTENTIAL_NOTE + f"; largest minimal replication count seen: {worst}"
+    return AxiomReport("continuity", rule.name, "pass", used, note=note)
