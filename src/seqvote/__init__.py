@@ -12,78 +12,63 @@ The package splits into:
 - :mod:`seqvote.cli` -- the ``seqvote`` command-line tool.
 """
 
-from .axioms import AxiomReport, Bounds, compute_n_stats
-from .catalog import make, make_seq_thiele, make_step_scoring, make_step_thiele, make_zoo_rule
-from .counting import (
-    StepCountingTable,
-    StepThieleTable,
-    ThieleTable,
-    Valuation,
-    WeightTable,
-    committee_score,
-    counting_from_weight,
-    weight_from_counting,
-)
-from .engine import (
-    Rule,
-    derive_generator,
-    generator_step,
-    run_sequential,
-    sequential_trace,
-    weighted_approval_step,
-)
-from .oracle import ProfileUniverse, brute_force_optimal, compare_rules
-from .profiles import (
-    Profile,
-    apply_candidate_permutation,
-    profile_scale,
-    profile_sum,
-    symmetrize_profile,
-)
-from .witnesses import (
-    Witness,
-    witness_clone_acceptance,
-    witness_clone_proportionality,
-    witness_clone_rejection,
-    witness_distrust,
-)
+from importlib import import_module
 
-__all__ = [
-    "AxiomReport",
-    "Bounds",
-    "Profile",
-    "ProfileUniverse",
-    "Rule",
-    "StepCountingTable",
-    "StepThieleTable",
-    "ThieleTable",
-    "Valuation",
-    "WeightTable",
-    "Witness",
-    "apply_candidate_permutation",
-    "brute_force_optimal",
-    "committee_score",
-    "compare_rules",
-    "compute_n_stats",
-    "counting_from_weight",
-    "derive_generator",
-    "generator_step",
-    "make",
-    "make_seq_thiele",
-    "make_step_scoring",
-    "make_step_thiele",
-    "make_zoo_rule",
-    "profile_scale",
-    "profile_sum",
-    "run_sequential",
-    "sequential_trace",
-    "symmetrize_profile",
-    "weight_from_counting",
-    "weighted_approval_step",
-    "witness_clone_acceptance",
-    "witness_clone_proportionality",
-    "witness_clone_rejection",
-    "witness_distrust",
-]
+#: Each re-exported name and the submodule it lives in.  ``import seqvote``
+#: loads no submodule: a name is imported from its home on first access
+#: (PEP 562), so a ``seqvote compute`` process never compiles the checkers.
+_HOMES = {
+    "AxiomReport": "axioms",
+    "Bounds": "axioms",
+    "compute_n_stats": "axioms",
+    "make": "catalog",
+    "make_seq_thiele": "catalog",
+    "make_step_scoring": "catalog",
+    "make_step_thiele": "catalog",
+    "make_zoo_rule": "catalog",
+    "StepCountingTable": "counting",
+    "StepThieleTable": "counting",
+    "ThieleTable": "counting",
+    "Valuation": "counting",
+    "WeightTable": "counting",
+    "committee_score": "counting",
+    "counting_from_weight": "counting",
+    "weight_from_counting": "counting",
+    "Rule": "engine",
+    "derive_generator": "engine",
+    "generator_step": "engine",
+    "run_sequential": "engine",
+    "sequential_trace": "engine",
+    "weighted_approval_step": "engine",
+    "ProfileUniverse": "oracle",
+    "brute_force_optimal": "oracle",
+    "compare_rules": "oracle",
+    "Profile": "profiles",
+    "apply_candidate_permutation": "profiles",
+    "profile_scale": "profiles",
+    "profile_sum": "profiles",
+    "symmetrize_profile": "profiles",
+    "Witness": "witnesses",
+    "witness_clone_acceptance": "witnesses",
+    "witness_clone_proportionality": "witnesses",
+    "witness_clone_rejection": "witnesses",
+    "witness_distrust": "witnesses",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"

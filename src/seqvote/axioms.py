@@ -87,6 +87,10 @@ class AxiomReport:
     witness: dict | None = None
     note: str = ""
 
+    def report_fields(self) -> dict:
+        """The fields as :func:`seqvote.cli.render_report` writes them."""
+        return vars(self)
+
 
 def _verdict(axiom: str, subject: str, used: dict, violations: Iterator[dict]) -> AxiomReport:
     """The report of a bounded universal check: ``violation`` with the first

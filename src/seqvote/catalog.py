@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import oracle
 from .counting import (
     StepCountingTable,
     StepThieleTable,
@@ -25,6 +24,10 @@ from .counting import (
 )
 from .engine import Rule, StepFn, extension_gains, generator_step
 from .profiles import Profile
+
+#: The clone-axiom witness constructions of :mod:`seqvote.witnesses`, by
+#: their CLI names; listed here so the CLI parser needs no witness code.
+WITNESS_CONSTRUCTIONS = ("T2", "T3-distrust", "T3-acceptance", "T4")
 
 
 class UnknownRuleError(KeyError):
@@ -57,8 +60,13 @@ def thiele_table(name: str, m: int) -> ThieleTable:
 
 
 def sav_table(m: int) -> StepCountingTable:
-    """Satisfaction approval: each voter splits one point over her ballot."""
-    return StepCountingTable.from_function(m, lambda x, y, z: Fraction(x, z))
+    """Satisfaction approval: each voter splits one point over her ballot.
+
+    ``h(x, y, z) = x/z`` does not depend on ``y``, so each of the
+    ``(m+1)·m`` distinct entries is built once and its row shared by every y.
+    """
+    rows = [[Fraction(x, z) for z in range(1, m + 1)] for x in range(m + 1)]
+    return StepCountingTable([[row] * m for row in rows])
 
 
 def alternating_table(m: int) -> StepThieleTable:
@@ -92,7 +100,6 @@ def make_seq_thiele(h: ThieleTable, name: str | None = None) -> Rule:
         name or "seq-thiele",
         h.m,
         "seq-thiele",
-        step=lambda a, w: generator_step(valuation, a, w),
         valuation=valuation,
     )
 
@@ -106,7 +113,6 @@ def make_step_thiele(h: StepThieleTable, name: str | None = None) -> Rule:
         name or "step-thiele",
         h.m,
         "step-thiele",
-        step=lambda a, w: generator_step(valuation, a, w),
         valuation=valuation,
     )
 
@@ -120,7 +126,6 @@ def make_step_scoring(h: StepCountingTable, name: str | None = None) -> Rule:
         name or "step-scoring",
         h.m,
         "step-scoring",
-        step=lambda a, w: generator_step(valuation, a, w),
         valuation=valuation,
     )
 
@@ -187,16 +192,17 @@ def make_zoo_rule(
             "candidate-a-doubled-seqav",
             m,
             "zoo",
-            step=lambda a, w: generator_step(valuation, a, w),
             valuation=valuation,
             violates="neutrality",
         )
     if zoo_id == "trivial":
+        from .oracle import committees_of_size
+
         return Rule(
             "trivial",
             m,
             "zoo",
-            apply_direct=lambda a, k: frozenset(oracle.committees_of_size(m, k)),
+            apply_direct=lambda a, k: frozenset(committees_of_size(m, k)),
             violates="non-imposition",
         )
     if zoo_id == "cc-tiebreak-seqav":
@@ -208,11 +214,13 @@ def make_zoo_rule(
             violates="continuity",
         )
     if zoo_id == "optimizing-thiele":
+        from .oracle import optimizing_rule
+
         h = table if table is not None else thiele_table("seqpav", m)
         ok, why = validate_thiele(h)
         if not ok:
             raise ValueError(f"invalid Thiele counting function: {why}")
-        return oracle.optimizing_rule(
+        return optimizing_rule(
             thiele_valuation(h, "optimizing"), m, name or "optimizing-thiele"
         )
     if zoo_id == "reverse-seq-thiele":
@@ -227,7 +235,6 @@ def make_zoo_rule(
             name or "reverse-seq-thiele",
             m,
             "zoo",
-            step=lambda a, w: generator_step(negated, a, w),
             valuation=negated,
             violates="consistent committee monotonicity",
         )

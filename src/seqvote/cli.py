@@ -29,12 +29,10 @@ import hashlib
 import json
 import re
 import sys
-import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from . import catalog, witnesses
-from .axioms import AxiomReport, Bounds, run_suite
+from . import catalog
 from .catalog import UnknownRuleError
 from .counting import (
     StepCountingTable,
@@ -42,10 +40,12 @@ from .counting import (
     ThieleTable,
     validate_thiele,
 )
-from .engine import BranchCapError, Rule, extension_scores
-from .oracle import EnumerationCapError
-from .profiles import Profile, SymmetrizationCapError
-from .witnesses import Witness, WitnessNotApplicable
+from .engine import Rule
+from .profiles import CapError, Profile
+
+# A ``compute`` run loads only profiles, counting, engine, catalog and this
+# module: the axiom checkers and the witness constructions are imported by
+# their commands, and ``traceback`` on the internal-error path.
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -119,7 +119,8 @@ def parse_profile(text: str) -> Profile:
         raise ProfileParseError("missing 'm=<int>' header")
     if not ballots:
         raise ProfileParseError("no ballot lines")
-    return Profile.from_ballots(m, ballots)
+    # every ballot is a non-empty frozenset of distinct candidates in 0..m-1
+    return Profile(m, tuple(enumerate(ballots, 1)), checked=True)
 
 
 def format_profile(profile: Profile) -> str:
@@ -257,10 +258,8 @@ def _write(obj, nl: str, out: list[str]) -> None:
     elif isinstance(obj, Profile):
         votes = [[voter, sorted(ballot)] for voter, ballot in obj.votes]
         _write({"m": obj.m, "votes": votes, "text": format_profile(obj)}, nl, out)
-    elif isinstance(obj, AxiomReport):
-        _write(vars(obj), nl, out)
-    elif isinstance(obj, Witness):
-        _write({**vars(obj), "expected_trace": dict(obj.expected_trace)}, nl, out)
+    elif hasattr(obj, "report_fields"):  # an AxiomReport or a Witness
+        _write(obj.report_fields(), nl, out)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -359,7 +358,7 @@ def cmd_compute(args) -> int:
     k = args.k
     if not 0 <= k <= profile.m:
         raise UsageError(f"committee size {k} outside 0..{profile.m}")
-    trace = rule.trace(profile, k)
+    trace, scores = rule.scored_trace(profile, k)
     steps = []
     for j in range(1, k + 1):
         parents = sorted(trace[j - 1], key=lambda c: tuple(sorted(c)))
@@ -370,8 +369,8 @@ def cmd_compute(args) -> int:
         detail = []
         for parent in parents:
             entry = {"parent": parent}
-            if rule.valuation is not None:
-                entry["scores"] = extension_scores(rule.valuation, profile, parent)
+            if scores is not None:
+                entry["scores"] = scores[parent]
             entry["extensions"] = frozenset(children.get(parent, ()))
             detail.append(entry)
         steps.append({"size": j, "chosen": trace[j], "per_parent": detail})
@@ -394,6 +393,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_axioms(args) -> int:
+    from .axioms import Bounds, run_suite
+
     _at_least("--max-voters", args.max_voters, 1)
     _at_least("--max-m", args.max_m, 2)
     _at_least("--j-max", args.j_max, 1)
@@ -430,6 +431,8 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from . import witnesses
+
     _at_least("--m", args.m, 1)
     source = args.table_or_rule
     if source in catalog.THIELE_TABLE_NAMES:
@@ -450,7 +453,7 @@ def cmd_witness(args) -> int:
             raise TableParseError(f"invalid Thiele counting function: {why}")
     try:
         witness = witnesses.build_witness(args.construction, table)
-    except WitnessNotApplicable as exc:
+    except witnesses.WitnessNotApplicable as exc:
         report = {
             "command": "witness",
             "construction": args.construction,
@@ -506,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_witness = sub.add_parser(
         "witness", help="construct a clone-axiom counterexample for a counting table"
     )
-    p_witness.add_argument("construction", choices=witnesses.CONSTRUCTIONS)
+    p_witness.add_argument("construction", choices=catalog.WITNESS_CONSTRUCTIONS)
     p_witness.add_argument(
         "table_or_rule",
         help=f"path to a table file, or one of {', '.join(catalog.THIELE_TABLE_NAMES)}",
@@ -532,10 +535,12 @@ def main(argv=None) -> int:
     except (UsageError, ProfileParseError, TableParseError, UnknownRuleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BranchCapError, EnumerationCapError, SymmetrizationCapError) as exc:
+    except CapError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except Exception as exc:  # the boundary: report a bug as one, not as bad input
+        import traceback
+
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -9,12 +9,11 @@ decided exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
-from .profiles import Profile
+from .profiles import Profile, Record
 
 
 def frac(value) -> Fraction:
@@ -31,16 +30,17 @@ class ValidationResult(NamedTuple):
 # Tables
 
 
-@dataclass(frozen=True)
-class ThieleTable:
+class ThieleTable(Record):
     """A table ``h(x)`` for ``x in 0..m``."""
 
+    _fields = ("values",)
     values: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(frac(v) for v in self.values))
-        if len(self.values) < 2:
+    def __init__(self, values):
+        values = tuple(map(frac, values))
+        if len(values) < 2:
             raise ValueError("need entries for at least x=0 and x=1")
+        self.__dict__["values"] = values
 
     @property
     def m(self) -> int:
@@ -51,7 +51,7 @@ class ThieleTable:
 
     @classmethod
     def from_function(cls, m: int, fn: Callable[[int], object]) -> "ThieleTable":
-        return cls(tuple(frac(fn(x)) for x in range(m + 1)))
+        return cls([fn(x) for x in range(m + 1)])
 
     def normalized(self) -> "ThieleTable":
         """Rescale to ``h(0)=0`` and ``h(1)=1``; the induced rule is unchanged."""
@@ -61,18 +61,18 @@ class ThieleTable:
         return ThieleTable(tuple((v - base) / (unit - base) for v in self.values))
 
 
-@dataclass(frozen=True)
-class StepThieleTable:
+class StepThieleTable(Record):
     """A table ``h(x, y)`` for ``x in 0..m``, ``y in 1..m`` (y = committee size)."""
 
+    _fields = ("values",)
     values: tuple[tuple[Fraction, ...], ...]  # indexed [y-1][x]
 
-    def __post_init__(self):
-        rows = tuple(tuple(frac(v) for v in row) for row in self.values)
-        object.__setattr__(self, "values", rows)
+    def __init__(self, values):
+        rows = tuple(tuple(map(frac, row)) for row in values)
         m = len(rows)
         if m < 1 or any(len(row) != m + 1 for row in rows):
             raise ValueError("expected m rows of m+1 entries")
+        self.__dict__["values"] = rows
 
     @property
     def m(self) -> int:
@@ -83,32 +83,29 @@ class StepThieleTable:
 
     @classmethod
     def from_function(cls, m: int, fn) -> "StepThieleTable":
-        return cls(
-            tuple(tuple(frac(fn(x, y)) for x in range(m + 1)) for y in range(1, m + 1))
-        )
+        return cls([[fn(x, y) for x in range(m + 1)] for y in range(1, m + 1)])
 
 
-@dataclass(frozen=True)
-class StepCountingTable:
+class StepCountingTable(Record):
     """A table ``h(x, y, z)``: x committee members approved, committee size y,
     ballot size z."""
 
+    _fields = ("values",)
     values: tuple[tuple[tuple[Fraction, ...], ...], ...]  # indexed [x][y-1][z-1]
 
-    def __post_init__(self):
+    def __init__(self, values):
         try:
             grid = tuple(
-                tuple(tuple(frac(v) for v in zrow) for zrow in yrow)
-                for yrow in self.values
+                tuple(tuple(map(frac, zrow)) for zrow in yrow) for yrow in values
             )
         except TypeError as exc:
             raise ValueError(f"expected a 3-level grid of rationals: {exc}") from None
-        object.__setattr__(self, "values", grid)
         m = len(grid) - 1
         if m < 1 or any(
             len(yrow) != m or any(len(zrow) != m for zrow in yrow) for yrow in grid
         ):
             raise ValueError("expected (m+1) x m x m entries")
+        self.__dict__["values"] = grid
 
     @property
     def m(self) -> int:
@@ -120,32 +117,29 @@ class StepCountingTable:
     @classmethod
     def from_function(cls, m: int, fn) -> "StepCountingTable":
         return cls(
-            tuple(
-                tuple(
-                    tuple(frac(fn(x, y, z)) for z in range(1, m + 1))
-                    for y in range(1, m + 1)
-                )
+            [
+                [[fn(x, y, z) for z in range(1, m + 1)] for y in range(1, m + 1)]
                 for x in range(m + 1)
-            )
+            ]
         )
 
 
-@dataclass(frozen=True)
-class WeightTable:
+class WeightTable(Record):
     """Per-voter weights ``v(x, z)`` for one step of weighted approval voting.
 
     ``x`` is the number of committee members the ballot already approves
     (``0..m-1``) and ``z`` is the ballot size (``1..m``).
     """
 
+    _fields = ("values",)
     values: tuple[tuple[Fraction, ...], ...]  # indexed [x][z-1]
 
-    def __post_init__(self):
-        grid = tuple(tuple(frac(v) for v in row) for row in self.values)
-        object.__setattr__(self, "values", grid)
+    def __init__(self, values):
+        grid = tuple(tuple(map(frac, row)) for row in values)
         m = len(grid)
         if m < 1 or any(len(row) != m for row in grid):
             raise ValueError("expected m rows of m entries")
+        self.__dict__["values"] = grid
 
     @property
     def m(self) -> int:
@@ -164,9 +158,7 @@ class WeightTable:
 
     @classmethod
     def from_function(cls, m: int, fn) -> "WeightTable":
-        return cls(
-            tuple(tuple(frac(fn(x, z)) for z in range(1, m + 1)) for x in range(m))
-        )
+        return cls([[fn(x, z) for z in range(1, m + 1)] for x in range(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +238,7 @@ class ScaledLevel(NamedTuple):
     gains: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True, eq=False)
-class Valuation:
+class Valuation(Record):
     """A pure score function on (ballot, committee) pairs.
 
     A table-backed valuation carries its counting function as a lookup
@@ -255,17 +246,21 @@ class Valuation:
     ``y``, ballot size ``z``; ``y = 0`` is the empty committee) and scores
     through integer levels built once per committee size; a custom valuation
     carries an arbitrary ``fn(ballot, committee)``, which must depend only on
-    the pair itself.
+    the pair itself.  Valuations compare and hash by identity.
     """
 
+    _fields = ("name", "fn", "counting")
     name: str
-    fn: Callable[[frozenset[int], frozenset[int]], Fraction] | None = None
-    counting: Callable[[int, int, int], Fraction] | None = None
-    _levels: dict = field(default_factory=dict, repr=False)
+    fn: Callable[[frozenset[int], frozenset[int]], Fraction] | None
+    counting: Callable[[int, int, int], Fraction] | None
 
-    def __post_init__(self):
-        if (self.fn is None) == (self.counting is None):
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, name: str, fn=None, counting=None):
+        if (fn is None) == (counting is None):
             raise ValueError("provide exactly one of fn/counting")
+        self.__dict__.update(name=name, fn=fn, counting=counting, _levels={})
 
     def level(self, y: int, m: int) -> ScaledLevel:
         """The integer rows for committee size ``y`` over ballots of size ``<= m``.
@@ -282,7 +277,9 @@ class Valuation:
                 for x in range(y + 1)
             ]
             scale = math.lcm(*(v.denominator for row in grid for v in row))
-            values = tuple(tuple(int(v * scale) for v in row) for row in grid)
+            values = tuple(
+                tuple(v.numerator * (scale // v.denominator) for v in row) for row in grid
+            )
             gains = tuple(
                 tuple(b - a if x < z else 0 for z, (a, b) in enumerate(zip(low, high)))
                 for x, (low, high) in enumerate(zip(values, values[1:]))

@@ -10,12 +10,12 @@ axiom checkers downstream.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
-from .counting import Valuation, WeightTable, committee_score, scaled_score
-from .profiles import BallotCounts, Profile
+from .counting import ScaledLevel, Valuation, WeightTable, committee_score, scaled_score
+from .profiles import BallotCounts, CapError, Profile, Record
 
 Family = frozenset  # of frozenset[int]
 
@@ -26,7 +26,7 @@ DEFAULT_BRANCH_CAP = 100_000
 TRACE_CACHE_SIZE = 1 << 14
 
 
-class BranchCapError(RuntimeError):
+class BranchCapError(RuntimeError, CapError):
     """Tie branching exceeded the configured committee cap."""
 
 
@@ -65,14 +65,37 @@ def _approval_gains(
     return gains
 
 
+def _scored_gains(
+    level: ScaledLevel, profile: Profile, committee: frozenset[int], outside: list[int]
+) -> tuple[int, dict[int, int]]:
+    """``(base, gains)`` in one pass over the distinct ballots.
+
+    ``gains`` are those of :func:`_approval_gains` under the level's
+    forward differences, and ``base`` is the level's scaled score of
+    ``committee``, so ``W + {c}`` scores ``(base + gains[c]) / D``.
+    """
+    values, rows = level.values, level.gains
+    gains = dict.fromkeys(outside, 0)
+    base = 0
+    for ballot, count in profile.ballot_counts:
+        x, z = len(ballot & committee), len(ballot)
+        base += count * values[x][z]
+        weight = count * rows[x][z]
+        if weight:
+            for c in ballot:
+                if c in gains:
+                    gains[c] += weight
+    return base, gains
+
+
 def extension_scores(
     valuation: Valuation, profile: Profile, committee: frozenset[int]
 ) -> dict[int, Fraction]:
     """Exact scores of ``W + {c}`` for every candidate ``c`` outside ``W``.
 
-    For a table-backed valuation this is one pass over the ballots: the score
-    of ``W + {c}`` is the scaled score of ``W`` at the next size plus the
-    scaled forward-difference gain of ``c``, over the level's denominator.
+    For a table-backed valuation the score of ``W + {c}`` is the scaled
+    score of ``W`` at the next size plus the scaled forward-difference gain
+    of ``c``, over the level's denominator.
     """
     committee = frozenset(committee)
     outside = _outside(profile, committee)
@@ -170,9 +193,26 @@ def sequential_trace(
     valuation: Valuation, profile: Profile, k: int, branch_cap: int = DEFAULT_BRANCH_CAP
 ) -> tuple[Family, ...]:
     """Trace of the sequential valuation rule for ``valuation``."""
-    return step_trace(
-        lambda a, w: generator_step(valuation, a, w), profile, k, branch_cap
-    )
+    return step_trace(partial(generator_step, valuation), profile, k, branch_cap)
+
+
+def _scoring_step(valuation: Valuation, scores: dict) -> StepFn:
+    """:func:`generator_step` over ``valuation`` that also records, in
+    ``scores[W]``, the exact score of every extension of each committee W it
+    extends, from the same pass over the ballots."""
+
+    def step(profile: Profile, committee: frozenset) -> frozenset:
+        if valuation.counting is None:
+            gains = scores[committee] = extension_scores(valuation, profile, committee)
+            return _argmax(gains)
+        outside = _outside(profile, committee)
+        level = valuation.level(len(committee) + 1, profile.m)
+        base, gains = _scored_gains(level, profile, committee, outside)
+        scale = level.denominator
+        scores[committee] = {c: Fraction(base + gain, scale) for c, gain in gains.items()}
+        return _argmax(gains)
+
+    return step
 
 
 def run_sequential(
@@ -185,8 +225,10 @@ def run_sequential(
 class Rule:
     """An executable committee voting rule ``(profile, k) -> family``.
 
-    Exactly one of ``step`` (a generator function run sequentially) or
-    ``apply_direct`` (an arbitrary per-size computation) drives the rule.
+    ``step`` (a generator function run sequentially) or ``apply_direct`` (an
+    arbitrary per-size computation) drives the rule, and a rule given only a
+    ``valuation`` steps by :func:`generator_step` over it.  A rule's
+    ``valuation`` also gives the scores :meth:`scored_trace` reports.
     :meth:`trace` memoizes traces per profile, at most
     :data:`TRACE_CACHE_SIZE` per rule; anonymous rules key them on the
     ballot counts, so voter relabelings share an entry and a profile given
@@ -210,8 +252,13 @@ class Rule:
         violates: Optional[str] = None,
         branch_cap: int = DEFAULT_BRANCH_CAP,
     ):
-        if (step is None) == (apply_direct is None):
-            raise ValueError("provide exactly one of step/apply_direct")
+        if step is not None and apply_direct is not None:
+            raise ValueError("provide at most one of step/apply_direct")
+        self._steps_by_valuation = step is None and apply_direct is None
+        if self._steps_by_valuation:
+            if valuation is None:
+                raise ValueError("provide one of step/apply_direct/valuation")
+            step = partial(generator_step, valuation)
         self.name = name
         self.m = m
         self.kind = kind  # seq-thiele | step-thiele | step-scoring | zoo | oracle
@@ -282,6 +329,32 @@ class Rule:
         """The winning committees ``f(A, k)``."""
         return self.trace(profile, k)[k]
 
+    def scored_trace(
+        self, profile: Profile, k: int
+    ) -> tuple[tuple[Family, ...], dict[frozenset, dict[int, Fraction]] | None]:
+        """``(trace, scores)``: ``(f(A,0), ..., f(A,k))`` run on ``profile``,
+        and ``scores[W][c]``, the exact score of ``W + {c}`` under the rule's
+        valuation, for every committee ``W`` of levels ``0..k-1`` and every
+        ``c`` outside it (``None`` for a rule without a valuation).
+
+        A rule that steps by its valuation records the scores while it
+        traces, from the gains its steps compute anyway; any other rule is
+        traced through :meth:`trace` and each committee scored afterwards.
+        """
+        if profile.m != self.m:
+            raise ValueError(f"profile has m={profile.m}, rule expects m={self.m}")
+        valuation = self.valuation
+        if self._steps_by_valuation:
+            scores: dict = {}
+            step = _scoring_step(valuation, scores)
+            return step_trace(step, profile, k, self.branch_cap), scores
+        trace = self.trace(profile, k)
+        if valuation is None:
+            return trace, None
+        return trace, {
+            W: extension_scores(valuation, profile, W) for level in trace[:k] for W in level
+        }
+
 
 def derive_generator(rule: Rule, profile: Profile, committee: frozenset[int]) -> frozenset[int]:
     """Extract a generator function from a black-box rule.
@@ -303,8 +376,7 @@ def derive_generator(rule: Rule, profile: Profile, committee: frozenset[int]) ->
     )
 
 
-@dataclass(frozen=True)
-class GeneratorFunction:
+class GeneratorFunction(Record):
     """A named generator step over m candidates.
 
     ``id_sensitive`` steps may read voter ids; the others see only the
@@ -314,11 +386,24 @@ class GeneratorFunction:
     which is what the checkers do instead of calling ``fn`` per committee.
     """
 
+    _fields = ("name", "m", "fn", "id_sensitive", "derived_from")
     name: str
     m: int
     fn: StepFn
-    id_sensitive: bool = False
-    derived_from: Optional[Rule] = None
+    id_sensitive: bool
+    derived_from: Optional[Rule]
+
+    def __init__(
+        self,
+        name: str,
+        m: int,
+        fn: StepFn,
+        id_sensitive: bool = False,
+        derived_from: Optional[Rule] = None,
+    ):
+        self.__dict__.update(
+            name=name, m=m, fn=fn, id_sensitive=id_sensitive, derived_from=derived_from
+        )
 
 
 def step_generator(rule: Rule) -> GeneratorFunction:

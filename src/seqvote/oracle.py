@@ -16,13 +16,13 @@ from typing import Iterator, Sequence
 
 from .counting import Valuation, committee_score
 from .engine import Family, Rule
-from .profiles import BallotCounts, Profile, ballot_sort_key
+from .profiles import BallotCounts, CapError, Profile, ballot_sort_key
 
 DEFAULT_COMMITTEE_CAP = 10**6
 DEFAULT_UNIVERSE_CAP = 10**6
 
 
-class EnumerationCapError(RuntimeError):
+class EnumerationCapError(RuntimeError, CapError):
     """An enumeration would exceed its configured cap."""
 
 

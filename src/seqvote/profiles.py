@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import InitVar, dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 
@@ -19,7 +19,15 @@ class ProfileError(ValueError):
     """Invalid profile construction or misuse of the profile algebra."""
 
 
-class SymmetrizationCapError(ProfileError):
+class CapError(Exception):
+    """A configured size cap would be exceeded (the CLI exits 3).
+
+    The base of every cap error in the package, so a caller can catch them
+    all without importing the modules that raise them.
+    """
+
+
+class SymmetrizationCapError(ProfileError, CapError):
     """Symmetrizing this profile would exceed the configured size cap."""
 
 
@@ -47,8 +55,46 @@ def validate_ballot(m: int, approved: Iterable[int]) -> frozenset[int]:
     return ballot
 
 
-@dataclass(frozen=True)
-class Profile:
+class Record:
+    """An immutable value with named fields, as a frozen dataclass would be.
+
+    The records of the compute path (profiles, counting tables, valuations,
+    generator functions) are plain classes on this base rather than
+    dataclasses, because importing ``dataclasses`` imports ``inspect``: about
+    9 ms of start-up in every ``seqvote compute`` process when no bytecode
+    is cached (Python 3.11), as much as the engine work of a typical run.
+    A subclass names its fields in ``_fields`` and sets them in its own
+    ``__init__`` through ``__dict__``.  Instances of one class compare and
+    hash by those fields and print them; assigning or deleting any attribute
+    raises :class:`AttributeError`.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = staticmethod(attrgetter(*cls._fields))  # the fields, read in C
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Profile(Record):
     """A finite, non-empty map from voter ids to approval ballots.
 
     ``votes`` is stored as a tuple of ``(voter_id, ballot)`` pairs sorted by
@@ -56,30 +102,32 @@ class Profile:
     :meth:`from_counts` instead of the raw constructor.  Every constructor
     validates each ballot once; ``checked=True`` is the promise of a caller
     whose ballots are already validated frozensets (the profile algebra, the
-    enumerators over :func:`seqvote.oracle.all_ballots`) and skips the checks.
+    enumerators over :func:`seqvote.oracle.all_ballots`, the CLI's profile
+    parser) and skips the checks.
     """
 
+    _fields = ("m", "votes")
     m: int
     votes: tuple[tuple[int, frozenset[int]], ...]
-    checked: InitVar[bool] = False
 
-    def __post_init__(self, checked: bool):
+    def __init__(self, m: int, votes, checked: bool = False):
+        fields = self.__dict__
+        fields["m"] = m
         if checked:
+            fields["votes"] = votes
             return
-        if self.m < 1:
+        if m < 1:
             raise ProfileError("need at least one candidate")
-        if not self.votes:
+        if not votes:
             raise ProfileError("profiles must contain at least one voter")
-        ids = [v for v, _ in self.votes]
+        ids = [v for v, _ in votes]
         if any(not isinstance(v, int) or v < 1 for v in ids):
             raise ProfileError("voter ids must be positive integers")
         if len(set(ids)) != len(ids):
             raise ProfileError("duplicate voter ids")
         if ids != sorted(ids):
             raise ProfileError("votes must be sorted by voter id")
-        object.__setattr__(
-            self, "votes", tuple((v, validate_ballot(self.m, b)) for v, b in self.votes)
-        )
+        fields["votes"] = tuple((v, validate_ballot(m, b)) for v, b in votes)
 
     @classmethod
     def from_dict(cls, m: int, mapping: Mapping[int, Iterable[int]]) -> "Profile":

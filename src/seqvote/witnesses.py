@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .axioms import clone_violation, proportionality_violation
-from .catalog import harmonic, make_seq_thiele
+from .catalog import WITNESS_CONSTRUCTIONS as CONSTRUCTIONS, harmonic, make_seq_thiele
 from .counting import ThieleTable, validate_thiele
 from .engine import Family, Rule
 from .profiles import Profile
@@ -40,8 +40,6 @@ class WitnessNotApplicable(ValueError):
 class WitnessVerificationError(AssertionError):
     """Engine replay contradicted the construction (indicates a bug)."""
 
-
-CONSTRUCTIONS = ("T2", "T3-distrust", "T3-acceptance", "T4")
 
 _AXIOM_OF = {
     "T2": "clone-rejection",
@@ -63,6 +61,10 @@ class Witness:
     expected_trace: tuple[tuple[int, Family], ...]
     params: dict
     note: str = ""
+
+    def report_fields(self) -> dict:
+        """The fields as :func:`seqvote.cli.render_report` writes them."""
+        return {**vars(self), "expected_trace": dict(self.expected_trace)}
 
 
 def _family(committees) -> Family:

@@ -23,8 +23,9 @@ from seqvote.cli import (
     render_report,
 )
 from seqvote.counting import StepCountingTable, StepThieleTable, ThieleTable
+from seqvote.engine import extension_scores
 from seqvote.oracle import ProfileUniverse
-from seqvote.profiles import Profile, ProfileError, SymmetrizationCapError
+from seqvote.profiles import CapError, Profile, ProfileError, SymmetrizationCapError
 
 from util import fam, naive_render_report
 
@@ -272,6 +273,43 @@ def test_compute_reports_are_pinned_on_tie_heavy_inputs(rule, inputs, k, tmp_pat
         assert hashlib.sha256(out.encode()).hexdigest() == digest, pretty
 
 
+def _tie_heavy(m: int) -> dict[str, str]:
+    ballots = {
+        "singletons": [[c] for c in range(m)],
+        "cyclic-pairs": [[c, (c + 1) % m] for c in range(m)],
+        "everyone": [list(range(m))] * 2,
+        "two-blocs": [[0, 1]] * 2 + [[c] for c in range(2, m)],
+    }
+    return {
+        name: f"m={m}\n" + "".join(f"1: {' '.join(map(str, b))}\n" for b in rows)
+        for name, rows in ballots.items()
+    }
+
+
+@pytest.mark.parametrize("rule_name", catalog.RULE_NAMES)
+def test_compute_reports_the_extension_scores_of_every_parent(rule_name, tmp_path, capsys):
+    # The scores come from the trace's own steps; extension_scores is the oracle.
+    path = tmp_path / "profile.txt"
+    for m in (2, 3, 4, 5):
+        rule = catalog.make(rule_name, m)
+        for name, text in _tie_heavy(m).items():
+            path.write_text(text)
+            code, out, _ = run_cli("compute", rule_name, str(path), str(m), capsys=capsys)
+            assert code == EXIT_OK
+            profile = parse_profile(text)
+            parents = 0
+            for step in json.loads(out)["steps"]:
+                for entry in step["per_parent"]:
+                    parents += 1
+                    if rule.valuation is None:
+                        assert "scores" not in entry
+                        continue
+                    scores = extension_scores(rule.valuation, profile, frozenset(entry["parent"]))
+                    expected = {str(c): str(score) for c, score in scores.items()}
+                    assert entry["scores"] == expected, (m, name, entry["parent"])
+            assert parents == sum(len(level) for level in rule.trace(profile, m)[:m])
+
+
 def test_compute_table_m_mismatch(tmp_path, capsys):
     table = tmp_path / "h.cfg"
     table.write_text("h(0)=0\nh(1)=1\n")
@@ -349,6 +387,20 @@ def test_input_errors_exit_2(tmp_path, capsys):
         code, out, err = run_cli(*argv, capsys=capsys)
         assert code == EXIT_USAGE and out == "", argv
         assert err.startswith("error: ") and message in err, argv
+
+
+def test_every_cap_error_is_a_cap_error():
+    # main catches CapError, so none of the modules that raise one is imported
+    # for its except clause; each keeps its old base too.
+    from seqvote.engine import BranchCapError
+    from seqvote.oracle import EnumerationCapError
+
+    for error, base in (
+        (BranchCapError, RuntimeError),
+        (EnumerationCapError, RuntimeError),
+        (SymmetrizationCapError, ProfileError),
+    ):
+        assert issubclass(error, CapError) and issubclass(error, base)
 
 
 def test_internal_errors_are_not_usage_errors(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 from seqvote.catalog import harmonic, sav_table, step_counting_table, thiele_table
 from seqvote.counting import (
     StepCountingTable,
+    StepThieleTable,
     ThieleTable,
+    Valuation,
     WeightTable,
     committee_score,
     counting_from_weight,
@@ -235,3 +237,47 @@ def test_table_grid_shape_errors():
         StepCountingTable(((0,),))
     with pytest.raises(ValueError):
         WeightTable(((1, 2), (3,)))
+
+
+def test_tables_are_immutable_values():
+    tables = (
+        (ThieleTable, ThieleTable.from_function(3, lambda x: Fraction(x, 2))),
+        (StepThieleTable, StepThieleTable.from_function(3, lambda x, y: x * y)),
+        (StepCountingTable, sav_table(3)),
+        (WeightTable, WeightTable.from_function(3, lambda x, z: Fraction(1, x + z))),
+    )
+    for cls, table in tables:
+        copy = cls(table.values)
+        assert table == copy and hash(table) == hash(copy) and table is not copy
+        assert table != table.values
+        assert repr(table) == f"{cls.__name__}(values={table.values!r})"
+        with pytest.raises(AttributeError):
+            table.values = copy.values
+        with pytest.raises(AttributeError):
+            del table.values
+    assert ThieleTable(("1/2", 1, Fraction(3, 2))).values == (
+        Fraction(1, 2), Fraction(1), Fraction(3, 2)
+    )
+    assert ThieleTable((0, 1)) != StepThieleTable(((0, 1),))
+
+
+def test_sav_table_builds_the_literal_satisfaction_table():
+    for m in range(1, 7):
+        literal = StepCountingTable.from_function(m, lambda x, y, z: Fraction(x, z))
+        table = sav_table(m)
+        assert table == literal and hash(table) == hash(literal)
+        assert all(type(v) is Fraction for yrow in table.values for row in yrow for v in row)
+
+
+def test_valuations_compare_by_identity():
+    table = thiele_table("seqpav", 3)
+    a, b = thiele_valuation(table, "pav"), thiele_valuation(table, "pav")
+    assert a == a and a != b and len({a, b}) == 2
+    assert hash(a) == object.__hash__(a)
+    assert repr(a).startswith("Valuation(name='pav', fn=None, counting=<function ")
+    with pytest.raises(AttributeError):
+        a.name = "other"
+    with pytest.raises(ValueError):
+        Valuation("neither")
+    with pytest.raises(ValueError):
+        Valuation("both", fn=lambda b, w: 0, counting=lambda x, y, z: 0)

@@ -21,12 +21,16 @@ from seqvote.counting import (
 )
 from seqvote.engine import (
     BranchCapError,
+    GeneratorFunction,
     NoCandidatesError,
+    Rule,
     derive_generator,
+    derived_generator,
     extension_scores,
     generator_step,
     run_sequential,
     sequential_trace,
+    step_generator,
     weighted_approval_step,
 )
 from seqvote.oracle import ProfileUniverse, all_committees
@@ -339,3 +343,67 @@ def test_integer_scoring_matches_literal_scores(case, data):
     assert list(sequential_trace(valuation, profile, m)) == naive_sequential(
         value, m, ballots, m
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_counting_cases(), data=st.data())
+def test_scored_trace_records_the_scores_of_every_parent(case, data):
+    # A rule given only its valuation steps by generator_step over it; the
+    # scores its trace records are extension_scores of every parent.
+    m, valuation, value, _ = case
+    ballot = st.sets(st.integers(0, m - 1), min_size=1).map(frozenset)
+    ballots = data.draw(st.lists(ballot, min_size=1, max_size=6))
+    profile = Profile.from_ballots(m, ballots)
+    rule = Rule("by-valuation", m, "zoo", valuation=valuation)
+    k = data.draw(st.integers(0, m))
+    trace, scores = rule.scored_trace(profile, k)
+    assert trace == tuple(sequential_trace(valuation, profile, k)) == rule.trace(profile, k)
+    parents = [W for level in trace[:k] for W in level]
+    assert sorted(scores, key=sorted) == sorted(parents, key=sorted)
+    for W in parents:
+        assert scores[W] == extension_scores(valuation, profile, W)
+        assert scores[W] == {
+            c: naive_score(value, ballots, W | {c}) for c in range(m) if c not in W
+        }
+
+
+def test_scored_trace_of_rules_that_do_not_step_by_their_valuation():
+    profile = Profile.from_ballots(3, [{0, 1}, {2}, {0}])
+    optimizing = make("optimizing-pav", 3)  # brute force, scores shown afterwards
+    trace, scores = optimizing.scored_trace(profile, 2)
+    assert trace == optimizing.trace(profile, 2)
+    assert scores == {
+        W: extension_scores(optimizing.valuation, profile, W) for level in trace[:2] for W in level
+    }
+    doubled = make("voter1-doubled-seqav", 3)  # no valuation, no scores
+    assert doubled.scored_trace(profile, 2) == (doubled.trace(profile, 2), None)
+    with pytest.raises(ValueError):
+        make("seqav", 3).scored_trace(Profile.from_ballots(2, [{0}]), 1)
+
+
+def test_rule_needs_a_step_an_apply_direct_or_a_valuation():
+    with pytest.raises(ValueError):
+        Rule("nothing", 3, "zoo")
+    with pytest.raises(ValueError):
+        Rule("both", 3, "zoo", step=lambda a, w: w, apply_direct=lambda a, k: a)
+    rule = Rule("av", 3, "seq-thiele", valuation=AV)
+    assert rule.step(P1, frozenset()) == generator_step(AV, P1, frozenset()) == {0, 1}
+
+
+def test_generator_functions_are_immutable_values():
+    rule = make("seqpav", 3)
+    g = GeneratorFunction("g", 3, rule.step, id_sensitive=True)
+    by_keyword = GeneratorFunction(name="g", m=3, fn=rule.step, id_sensitive=True)
+    assert g == by_keyword and hash(g) == hash(by_keyword)
+    assert g != GeneratorFunction("g", 3, rule.step)
+    assert (g.id_sensitive, g.derived_from) == (True, None)
+    assert step_generator(rule) == step_generator(rule)
+    assert derived_generator(rule).derived_from is rule
+    assert repr(g) == (
+        f"GeneratorFunction(name='g', m=3, fn={rule.step!r}, id_sensitive=True, "
+        "derived_from=None)"
+    )
+    with pytest.raises(AttributeError):
+        g.m = 4
+    with pytest.raises(AttributeError):
+        del g.fn

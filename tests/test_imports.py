@@ -1,0 +1,92 @@
+"""What ``import seqvote`` and one ``seqvote compute`` load.
+
+Each check runs in a fresh interpreter started with ``-S``, so the modules
+it sees are the ones seqvote imports, not those a site hook happens to load.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import seqvote
+
+SRC = Path(seqvote.__file__).resolve().parent.parent
+
+# Modules a compute run must not load: the checkers, the witness
+# constructions and the enumerators, ``dataclasses`` with the ``inspect`` it
+# imports, and ``traceback``, which only the internal-error path needs.
+NOT_ON_THE_COMPUTE_PATH = (
+    "seqvote.axioms",
+    "seqvote.witnesses",
+    "seqvote.oracle",
+    "dataclasses",
+    "inspect",
+    "traceback",
+)
+
+COMPUTE = """
+import io, json, sys
+import seqvote.cli
+sys.stdout = io.StringIO()
+code = seqvote.cli.main(["compute", "seqsav", sys.argv[1], "3"])
+sys.stdout = sys.__stdout__
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+IMPORT = """
+import json, sys
+import seqvote
+print(json.dumps(sorted(sys.modules)))
+"""
+
+RESOLVE = """
+import json, sys
+import seqvote
+homes = {}
+for name in seqvote.__all__:
+    value = getattr(seqvote, name)
+    home = value.__module__
+    homes[name] = [home, getattr(sys.modules[home], name) is value]
+print(json.dumps({"homes": homes, "dir": sorted(dir(seqvote))}))
+"""
+
+
+def fresh(code: str, *args: str):
+    """Run ``code`` in a fresh interpreter; the JSON of its last stdout line."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, *args],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_compute_loads_only_the_compute_path(tmp_path):
+    path = tmp_path / "profile.txt"
+    path.write_text("m=4\n2: 0 1\n1: 2\n1: 1 2 3\n")
+    run = fresh(COMPUTE, str(path))
+    assert run["code"] == 0
+    assert [name for name in NOT_ON_THE_COMPUTE_PATH if name in run["modules"]] == []
+
+
+def test_import_seqvote_loads_no_submodule():
+    modules = fresh(IMPORT)
+    assert "seqvote" in modules
+    assert [name for name in modules if name.startswith("seqvote.")] == []
+
+
+def test_every_export_resolves_to_its_home_module():
+    run = fresh(RESOLVE)
+    assert sorted(run["homes"]) == sorted(seqvote.__all__)
+    for name, (home, same) in run["homes"].items():
+        assert home.startswith("seqvote.") and same, name
+    assert set(seqvote.__all__) <= set(run["dir"])
+
+
+def test_unknown_names_are_attribute_errors():
+    assert not hasattr(seqvote, "no_such_name")
+    from seqvote import catalog  # submodules still import through the package
+
+    assert seqvote.catalog is catalog

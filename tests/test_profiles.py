@@ -250,3 +250,22 @@ def test_rational_addition_exact_and_reduced(p, q, r, s):
     assert total == Fraction(p * s + r * q, q * s)
     assert math.gcd(total.numerator, total.denominator) == 1
     assert total.denominator > 0
+
+
+def test_profiles_are_immutable_values():
+    a = Profile.from_ballots(3, [{0, 1}, {2}])
+    b = Profile.from_dict(3, {2: [2], 1: [1, 0]})
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert {a: "cached"}[b] == "cached"
+    assert a != Profile.from_ballots(3, [{2}, {0, 1}])  # ids matter
+    assert a != Profile.from_ballots(4, [{0, 1}, {2}])
+    assert a != (a.m, a.votes)
+    assert repr(a) == "Profile(m=3, votes=((1, frozenset({0, 1})), (2, frozenset({2}))))"
+    assert Profile(3, a.votes) == Profile(m=3, votes=a.votes, checked=True) == a
+    for field in ("m", "votes", "ballot_counts"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        del a.votes
+    assert a.ballot_counts == ((frozenset({2}), 1), (frozenset({0, 1}), 1))
+    assert (a.m, a.n) == (3, 2)

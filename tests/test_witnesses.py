@@ -310,3 +310,10 @@ def test_deep_deviations_on_five_candidates():
     }
     w = witness_clone_proportionality(ThieleTable((0, 1, Fraction(3, 2), Fraction(11, 6), 3, 3)))
     assert w.params["x"] == 4 and (w.params["n1"], w.params["n2"]) == (16, 5)
+
+
+def test_the_cli_names_every_construction_in_builder_order():
+    # The CLI's argparse choices come from the catalog, without this module.
+    from seqvote import catalog, witnesses
+
+    assert tuple(witnesses.BUILDERS) == witnesses.CONSTRUCTIONS == catalog.WITNESS_CONSTRUCTIONS

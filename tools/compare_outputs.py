@@ -6,8 +6,8 @@ Run by hand before merging a change that could reach a report's bytes::
     python3 tools/compare_outputs.py /tmp/base
 
 For this checkout and the other one (each imported from its own ``src/`` in
-a fresh interpreter) the script writes, one file per case, the exit code and
-stdout of
+a fresh interpreter) the script writes, one file per case, the exit code,
+stdout and stderr of
 
 - ``seqvote compute`` as JSON and ``--pretty``, for all 16 catalog rules on
   seeded random profiles (m 3..6) and tie-heavy ones (one voter per
@@ -18,6 +18,9 @@ stdout of
   with repeated ballots), for every rule;
 - ``seqvote witness <construction> <table> --m <m>`` for every
   construction, named table and m in {3, 4, 6};
+- error runs: an unknown witness construction (argparse usage error), a
+  committee size out of range, a ``compute --branch-cap`` that is hit, and
+  an ``axioms`` universe over its cap;
 
 then diffs the two sets, prints how many outputs were compared and which
 differ, and exits 1 if any does.
@@ -92,19 +95,28 @@ def cases(workdir: Path):
             for m in ("3", "4", "6"):
                 argv = ["witness", construction, table_name, "--m", m]
                 yield f"witness-{construction}-{table_name}-m{m}", argv
+    singletons = str(workdir / "singletons-m8.txt")
+    yield "error-witness-unknown", ["witness", "T9", "seqav"]
+    yield "error-compute-k-range", ["compute", "seqav", singletons, "99"]
+    yield "error-compute-branch-cap", ["compute", "seqav", singletons, "4", "--branch-cap", "20"]
+    argv = ["axioms", "voter1-doubled-seqav", "all", "--max-voters", "13"]
+    yield "error-axioms-universe-cap", argv
 
 
 def write_outputs(outdir: Path) -> None:
-    """Run every case in this interpreter and write ``exit <code>`` plus stdout."""
+    """Run every case in this interpreter and write ``exit <code>``, stdout
+    and stderr (with the temporary input directory's path replaced)."""
     from seqvote.cli import main
 
     outdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in cases(Path(tmp)):
-            buffer = io.StringIO()
-            with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
-            (outdir / f"{name}.txt").write_text(f"exit {code}\n{buffer.getvalue()}")
+            stderr = err.getvalue().replace(tmp, "<inputs>")
+            text = f"exit {code}\n{out.getvalue()}--- stderr\n{stderr}"
+            (outdir / f"{name}.txt").write_text(text)
 
 
 def run_tree(tree: Path, outdir: Path) -> None:
