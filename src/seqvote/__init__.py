@@ -37,8 +37,6 @@ _HOMES = {
     "Rule": "engine",
     "derive_generator": "engine",
     "generator_step": "engine",
-    "run_sequential": "engine",
-    "sequential_trace": "engine",
     "weighted_approval_step": "engine",
     "ProfileUniverse": "oracle",
     "brute_force_optimal": "oracle",

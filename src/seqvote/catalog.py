@@ -91,42 +91,36 @@ def step_counting_table(name: str, m: int) -> StepCountingTable:
 # Constructors
 
 
-def make_seq_thiele(h: ThieleTable, name: str | None = None) -> Rule:
-    ok, why = validate_thiele(h)
+_THIELE_ERROR = "invalid Thiele counting function"
+
+
+def _validate(h, validate, error: str) -> None:
+    """Raise ``ValueError("<error>: <why>")`` unless ``validate`` accepts ``h``."""
+    ok, why = validate(h)
     if not ok:
-        raise ValueError(f"invalid Thiele counting function: {why}")
-    valuation = thiele_valuation(h, name or "seq-thiele")
-    return Rule(
-        name or "seq-thiele",
-        h.m,
-        "seq-thiele",
-        valuation=valuation,
-    )
+        raise ValueError(f"{error}: {why}")
+
+
+def _table_rule(kind: str, validate, valuation, error: str, h, name: str | None) -> Rule:
+    """The ``kind`` rule of a counting table ``h`` that passes ``validate``."""
+    _validate(h, validate, error)
+    name = name or kind
+    return Rule(name, h.m, kind, valuation=valuation(h, name))
+
+
+def make_seq_thiele(h: ThieleTable, name: str | None = None) -> Rule:
+    return _table_rule("seq-thiele", validate_thiele, thiele_valuation, _THIELE_ERROR, h, name)
 
 
 def make_step_thiele(h: StepThieleTable, name: str | None = None) -> Rule:
-    ok, why = validate_step_thiele(h)
-    if not ok:
-        raise ValueError(f"invalid step-dependent Thiele counting function: {why}")
-    valuation = step_thiele_valuation(h, name or "step-thiele")
-    return Rule(
-        name or "step-thiele",
-        h.m,
-        "step-thiele",
-        valuation=valuation,
-    )
+    error = "invalid step-dependent Thiele counting function"
+    return _table_rule("step-thiele", validate_step_thiele, step_thiele_valuation, error, h, name)
 
 
 def make_step_scoring(h: StepCountingTable, name: str | None = None) -> Rule:
-    ok, why = validate_step_counting(h)
-    if not ok:
-        raise ValueError(f"invalid step-dependent counting function: {why}")
-    valuation = step_scoring_valuation(h, name or "step-scoring")
-    return Rule(
-        name or "step-scoring",
-        h.m,
-        "step-scoring",
-        valuation=valuation,
+    error = "invalid step-dependent counting function"
+    return _table_rule(
+        "step-scoring", validate_step_counting, step_scoring_valuation, error, h, name
     )
 
 
@@ -217,17 +211,13 @@ def make_zoo_rule(
         from .oracle import optimizing_rule
 
         h = table if table is not None else thiele_table("seqpav", m)
-        ok, why = validate_thiele(h)
-        if not ok:
-            raise ValueError(f"invalid Thiele counting function: {why}")
+        _validate(h, validate_thiele, _THIELE_ERROR)
         return optimizing_rule(
             thiele_valuation(h, "optimizing"), m, name or "optimizing-thiele"
         )
     if zoo_id == "reverse-seq-thiele":
         h = table if table is not None else thiele_table("seqccav", m)
-        ok, why = validate_thiele(h)
-        if not ok:
-            raise ValueError(f"invalid Thiele counting function: {why}")
+        _validate(h, validate_thiele, _THIELE_ERROR)
         negated = thiele_valuation(
             ThieleTable(tuple(-v for v in h.values)), "reverse-thiele"
         )

@@ -181,16 +181,18 @@ def parse_counting_table(text: str):
     return table
 
 
+#: The rule constructor of each table type :func:`parse_counting_table` returns.
+_TABLE_RULES = {
+    ThieleTable: catalog.make_seq_thiele,
+    StepThieleTable: catalog.make_step_thiele,
+    StepCountingTable: catalog.make_step_scoring,
+}
+
+
 def rule_from_table(table, name: str = "table") -> Rule:
     """The sequential rule of a parsed table; an invalid table is a parse error."""
-    if isinstance(table, ThieleTable):
-        make = catalog.make_seq_thiele
-    elif isinstance(table, StepThieleTable):
-        make = catalog.make_step_thiele
-    else:
-        make = catalog.make_step_scoring
     try:
-        return make(table, name)
+        return _TABLE_RULES[type(table)](table, name)
     except ValueError as exc:
         raise TableParseError(str(exc)) from None
 

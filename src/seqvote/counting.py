@@ -149,12 +149,13 @@ class WeightTable(Record):
         return self.values[x][z - 1]
 
     @cached_property
-    def scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``(D, rows)``: ``D`` the lcm of the denominators and
-        ``rows[x][z] = D * v(x, z)``, indexed by ballot size (column 0 unused)."""
+    def scaled(self) -> "ScaledLevel":
+        """The step as a :class:`ScaledLevel`: ``D`` the lcm of the
+        denominators, ``gains[x][z] = D * v(x, z)`` indexed by ballot size
+        (column 0 unused), and zero ``values``, since only the gains score."""
         scale = math.lcm(*(v.denominator for row in self.values for v in row))
         rows = tuple((0,) + tuple(int(v * scale) for v in row) for row in self.values)
-        return scale, rows
+        return ScaledLevel(scale, tuple((0,) * len(row) for row in rows), rows)
 
     @classmethod
     def from_function(cls, m: int, fn) -> "WeightTable":
@@ -230,7 +231,8 @@ class ScaledLevel(NamedTuple):
     ``D * (h(x+1, y, z) - h(x, y, z))``, the forward-difference weight of
     :func:`weight_from_counting` scaled by ``D``.  Rows are indexed by ballot
     size ``z`` directly (column 0 is unused); entries no ballot can reach
-    (``x > min(y, z)``) are 0.
+    (``x > min(y, z)``) are 0.  A :class:`WeightTable` step has zero
+    ``values``: its weights are the gains.
     """
 
     denominator: int
@@ -305,21 +307,17 @@ def step_scoring_valuation(table: StepCountingTable, name: str | None = None) ->
     )
 
 
-def scaled_score(level: ScaledLevel, profile: Profile, committee: frozenset[int]) -> int:
-    """``D * sum_i h(|A_i & W|, y, |A_i|)`` for the level's size ``y``."""
-    values = level.values
-    return sum(
-        count * values[len(ballot & committee)][len(ballot)]
-        for ballot, count in profile.ballot_counts
-    )
-
-
 def committee_score(valuation: Valuation, profile: Profile, committee) -> Fraction:
     """The exact total score ``sum_i v(A_i, W)`` over all voters."""
     committee = frozenset(committee)
     if valuation.counting is not None:
         level = valuation.level(len(committee), profile.m)
-        return Fraction(scaled_score(level, profile, committee), level.denominator)
+        values = level.values
+        scaled = sum(
+            count * values[len(ballot & committee)][len(ballot)]
+            for ballot, count in profile.ballot_counts
+        )
+        return Fraction(scaled, level.denominator)
     total = Fraction(0)
     for ballot, count in profile.ballot_counts:
         total += count * frac(valuation.fn(ballot, committee))

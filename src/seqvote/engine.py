@@ -1,10 +1,18 @@
 """Sequential rule execution: generator steps, tie-branching runs, rules.
 
 A committee family is a frozenset of frozensets of candidates, all of one
-size; ties are always kept, never broken.  ``run_sequential`` materializes
+size; ties are always kept, never broken.  :func:`step_trace` materializes
 every tied branch and raises :class:`BranchCapError` instead of pruning when
 the frontier would exceed the cap, since silent pruning would corrupt the
 axiom checkers downstream.
+
+Every table-backed score comes from one integer pass over the distinct
+ballots, :func:`_scored_gains`: at a level with denominator ``D`` it returns
+``base`` and each outside candidate's ``gain``, and ``W + {c}`` scores
+``(base + gain) / D``.  :func:`extension_scores`, :func:`extension_gains`,
+:func:`generator_step`, :func:`weighted_approval_step` and
+:meth:`Rule.scored_trace` all go through it; a custom ``fn`` valuation is
+the only other path, scored extension by extension.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
 
-from .counting import ScaledLevel, Valuation, WeightTable, committee_score, scaled_score
+from .counting import ScaledLevel, Valuation, WeightTable, committee_score
 from .profiles import BallotCounts, CapError, Profile, Record
 
 Family = frozenset  # of frozenset[int]
@@ -46,36 +54,19 @@ def _outside(profile: Profile, committee: frozenset[int]) -> list[int]:
     return outside
 
 
-def _approval_gains(
-    rows, profile: Profile, committee: frozenset[int], outside: list[int]
-) -> dict[int, int]:
-    """One pass over the distinct ballots of weighted approval voting.
-
-    A ballot of size ``z`` approving ``x`` members of ``committee`` adds
-    ``count * rows[x][z]`` to every candidate outside the committee that it
-    approves.  ``rows`` are integers, so no rational is built per ballot.
-    """
-    gains = dict.fromkeys(outside, 0)
-    for ballot, count in profile.ballot_counts:
-        weight = count * rows[len(ballot & committee)][len(ballot)]
-        if weight:
-            for c in ballot:
-                if c in gains:
-                    gains[c] += weight
-    return gains
-
-
 def _scored_gains(
-    level: ScaledLevel, profile: Profile, committee: frozenset[int], outside: list[int]
+    level: ScaledLevel, profile: Profile, committee: frozenset[int]
 ) -> tuple[int, dict[int, int]]:
     """``(base, gains)`` in one pass over the distinct ballots.
 
-    ``gains`` are those of :func:`_approval_gains` under the level's
-    forward differences, and ``base`` is the level's scaled score of
-    ``committee``, so ``W + {c}`` scores ``(base + gains[c]) / D``.
+    A ballot of size ``z`` approving ``x`` members of ``committee`` adds
+    ``count * values[x][z]`` to ``base`` and ``count * gains[x][z]`` to
+    every candidate outside the committee that it approves, so ``W + {c}``
+    scores ``(base + gains[c]) / D``.  Every entry is an integer, so no
+    rational is built per ballot.
     """
     values, rows = level.values, level.gains
-    gains = dict.fromkeys(outside, 0)
+    gains = dict.fromkeys(_outside(profile, committee), 0)
     base = 0
     for ballot, count in profile.ballot_counts:
         x, z = len(ballot & committee), len(ballot)
@@ -88,23 +79,31 @@ def _scored_gains(
     return base, gains
 
 
+def _gains_and_scores(
+    valuation: Valuation, profile: Profile, committee: frozenset[int]
+) -> tuple[dict[int, int | Fraction], dict[int, Fraction]]:
+    """``(gains, scores)`` of every extension ``W + {c}`` of ``committee``.
+
+    ``scores`` are exact; ``gains`` are those of :func:`extension_gains`.
+    A table-backed valuation gets both from :func:`_scored_gains`; a custom
+    ``fn`` valuation scores each extension outright, and its gains are its
+    scores.
+    """
+    if valuation.counting is None:
+        outside = _outside(profile, committee)
+        scores = {c: committee_score(valuation, profile, committee | {c}) for c in outside}
+        return scores, scores
+    level = valuation.level(len(committee) + 1, profile.m)
+    base, gains = _scored_gains(level, profile, committee)
+    scale = level.denominator
+    return gains, {c: Fraction(base + gain, scale) for c, gain in gains.items()}
+
+
 def extension_scores(
     valuation: Valuation, profile: Profile, committee: frozenset[int]
 ) -> dict[int, Fraction]:
-    """Exact scores of ``W + {c}`` for every candidate ``c`` outside ``W``.
-
-    For a table-backed valuation the score of ``W + {c}`` is the scaled
-    score of ``W`` at the next size plus the scaled forward-difference gain
-    of ``c``, over the level's denominator.
-    """
-    committee = frozenset(committee)
-    outside = _outside(profile, committee)
-    if valuation.counting is None:
-        return {c: committee_score(valuation, profile, committee | {c}) for c in outside}
-    level = valuation.level(len(committee) + 1, profile.m)
-    gains = _approval_gains(level.gains, profile, committee, outside)
-    base = scaled_score(level, profile, committee)
-    return {c: Fraction(base + gain, level.denominator) for c, gain in gains.items()}
+    """Exact scores of ``W + {c}`` for every candidate ``c`` outside ``W``."""
+    return _gains_and_scores(valuation, profile, frozenset(committee))[1]
 
 
 def extension_gains(
@@ -120,10 +119,9 @@ def extension_gains(
     """
     committee = frozenset(committee)
     if valuation.counting is None:
-        return extension_scores(valuation, profile, committee)
-    outside = _outside(profile, committee)
+        return _gains_and_scores(valuation, profile, committee)[0]
     level = valuation.level(len(committee) + 1, profile.m)
-    return _approval_gains(level.gains, profile, committee, outside)
+    return _scored_gains(level, profile, committee)[1]
 
 
 def generator_step(
@@ -150,10 +148,7 @@ def weighted_approval_step(
     approves, where ``x`` counts her approved committee members and ``z`` her
     ballot size; the argmax set is returned.
     """
-    committee = frozenset(committee)
-    outside = _outside(profile, committee)
-    _, rows = weights.scaled
-    return _argmax(_approval_gains(rows, profile, committee, outside))
+    return _argmax(_scored_gains(weights.scaled, profile, frozenset(committee))[1])
 
 
 StepFn = Callable[[Profile, frozenset], frozenset]
@@ -187,39 +182,6 @@ def step_trace(
                 raise BranchCapError(f"more than {branch_cap} tied committees")
         families.append(frozenset(frontier))
     return tuple(families[: k + 1])
-
-
-def sequential_trace(
-    valuation: Valuation, profile: Profile, k: int, branch_cap: int = DEFAULT_BRANCH_CAP
-) -> tuple[Family, ...]:
-    """Trace of the sequential valuation rule for ``valuation``."""
-    return step_trace(partial(generator_step, valuation), profile, k, branch_cap)
-
-
-def _scoring_step(valuation: Valuation, scores: dict) -> StepFn:
-    """:func:`generator_step` over ``valuation`` that also records, in
-    ``scores[W]``, the exact score of every extension of each committee W it
-    extends, from the same pass over the ballots."""
-
-    def step(profile: Profile, committee: frozenset) -> frozenset:
-        if valuation.counting is None:
-            gains = scores[committee] = extension_scores(valuation, profile, committee)
-            return _argmax(gains)
-        outside = _outside(profile, committee)
-        level = valuation.level(len(committee) + 1, profile.m)
-        base, gains = _scored_gains(level, profile, committee, outside)
-        scale = level.denominator
-        scores[committee] = {c: Fraction(base + gain, scale) for c, gain in gains.items()}
-        return _argmax(gains)
-
-    return step
-
-
-def run_sequential(
-    valuation: Valuation, profile: Profile, k: int, branch_cap: int = DEFAULT_BRANCH_CAP
-) -> Family:
-    """The committee family ``f(A, k)`` of the sequential valuation rule."""
-    return sequential_trace(valuation, profile, k, branch_cap)[k]
 
 
 class Rule:
@@ -346,7 +308,11 @@ class Rule:
         valuation = self.valuation
         if self._steps_by_valuation:
             scores: dict = {}
-            step = _scoring_step(valuation, scores)
+
+            def step(profile: Profile, committee: frozenset) -> frozenset:
+                gains, scores[committee] = _gains_and_scores(valuation, profile, committee)
+                return _argmax(gains)
+
             return step_trace(step, profile, k, self.branch_cap), scores
         trace = self.trace(profile, k)
         if valuation is None:

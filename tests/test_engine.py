@@ -1,11 +1,12 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqvote import engine
 from seqvote.axioms import Bounds, check_independence_of_losers
-from seqvote.catalog import make, make_zoo_rule, sav_table, thiele_table
+from seqvote.catalog import RULE_NAMES, make, make_zoo_rule, sav_table, thiele_table
 from seqvote.counting import (
     StepCountingTable,
     StepThieleTable,
@@ -24,13 +25,14 @@ from seqvote.engine import (
     GeneratorFunction,
     NoCandidatesError,
     Rule,
+    _scored_gains,
     derive_generator,
     derived_generator,
+    extension_gains,
     extension_scores,
     generator_step,
-    run_sequential,
-    sequential_trace,
     step_generator,
+    step_trace,
     weighted_approval_step,
 )
 from seqvote.oracle import ProfileUniverse, all_committees
@@ -71,25 +73,30 @@ def test_generator_step_requires_room():
         generator_step(AV, P1, frozenset({0, 1, 2}))
 
 
-def test_run_sequential_size_zero():
+def by_valuation(valuation, m=3, **kwargs):
+    """The sequential rule of ``valuation``: a rule given only the valuation."""
+    return Rule(valuation.name, m, "zoo", valuation=valuation, **kwargs)
+
+
+def test_sequential_rule_size_zero():
     for valuation in (AV, PAV, CCAV):
-        assert run_sequential(valuation, P1, 0) == fam(set())
+        assert by_valuation(valuation).apply(P1, 0) == fam(set())
 
 
-def test_run_sequential_examples():
+def test_sequential_rule_examples():
     assert committee_score(PAV, P1, {0, 1}) == Fraction(9, 2)
     assert committee_score(PAV, P1, {0, 2}) == 4
-    assert run_sequential(PAV, P1, 2) == fam({0, 1})
-    assert run_sequential(CCAV, P1, 2) == fam({0, 2}, {1, 2})
-    assert run_sequential(AV, P1, 2) == fam({0, 1})
+    assert by_valuation(PAV).apply(P1, 2) == fam({0, 1})
+    assert by_valuation(CCAV).apply(P1, 2) == fam({0, 2}, {1, 2})
+    assert by_valuation(AV).apply(P1, 2) == fam({0, 1})
 
 
-def test_run_sequential_rejects_bad_size():
+def test_step_trace_rejects_bad_size():
     with pytest.raises(ValueError):
-        run_sequential(AV, P1, 4)
+        step_trace(partial(generator_step, AV), P1, 4)
 
 
-def test_sequential_trace_matches_naive_recursion_exhaustively():
+def test_step_trace_matches_naive_recursion_exhaustively():
     tables = {
         "seqav": thiele_value([0, 1, 2, 3]),
         "seqpav": thiele_value([0, 1, Fraction(3, 2), Fraction(11, 6)]),
@@ -99,7 +106,7 @@ def test_sequential_trace_matches_naive_recursion_exhaustively():
         valuation = thiele_valuation(thiele_table(name, 3))
         for profile in ProfileUniverse(3, 2):
             expected = naive_sequential(naive_value, 3, profile.ballots(), 3)
-            assert list(sequential_trace(valuation, profile, 3)) == expected
+            assert list(step_trace(partial(generator_step, valuation), profile, 3)) == expected
 
 
 _ballots4 = st.sets(st.integers(0, 3), min_size=1, max_size=4).map(frozenset)
@@ -115,13 +122,13 @@ def test_trace_matches_naive_recursion_on_random_instances(ballots):
         thiele_value(list(pav4.values)), 4, profile.ballots(), 4
     )
     valuation = thiele_valuation(pav4)
-    assert list(sequential_trace(valuation, profile, 4)) == expected
+    assert list(step_trace(partial(generator_step, valuation), profile, 4)) == expected
 
 
 def test_branch_cap_enforced():
     p = Profile.from_ballots(3, [{0, 1, 2}])
     with pytest.raises(BranchCapError):
-        run_sequential(AV, p, 2, branch_cap=2)
+        by_valuation(AV, branch_cap=2).apply(p, 2)
 
 
 def test_trace_stops_at_the_requested_size():
@@ -136,7 +143,7 @@ def test_trace_stops_at_the_requested_size():
     assert rule.trace(p, 1) == (fam(set()), fam({0}))
     rule.branch_cap = 3
     assert rule.apply(p, 2) == fam({0, 1}, {0, 2}, {0, 3})
-    assert rule.trace(p) == tuple(sequential_trace(rule.valuation, p, 4))
+    assert rule.trace(p) == step_trace(partial(generator_step, rule.valuation), p, 4)
 
 
 def test_anonymous_traces_are_keyed_on_ballot_counts():
@@ -148,7 +155,7 @@ def test_anonymous_traces_are_keyed_on_ballot_counts():
     assert len(rule._traces) == 1
     # a profile given by its counts alone is built on a miss
     q = Profile.from_ballots(3, [{0}, {1, 2}])
-    assert rule.trace(q.ballot_counts) == tuple(sequential_trace(rule.valuation, q, 3))
+    assert rule.trace(q.ballot_counts) == step_trace(rule.step, q, 3)
     # an id-sensitive rule traces the canonical profile with ids 1..n
     doubled = make("voter1-doubled-seqav", 3)
     assert doubled.trace(p.ballot_counts) == doubled.trace(p.canonical())
@@ -262,8 +269,14 @@ def test_rule_validates_inputs():
 # Differential test: the integer scoring pass against literal scoring
 
 
-_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
-_increments = st.fractions(min_value=0, max_value=3, max_denominator=6)
+# Every p/q in [-3, 3] with q <= 6, simplest first so examples shrink to 0.
+# Sampling from the list draws far faster than ``st.fractions``.
+_RATIONALS = sorted(
+    {Fraction(p, q) for q in range(1, 7) for p in range(-3 * q, 3 * q + 1)},
+    key=lambda v: (v.denominator, abs(v), v),
+)
+_rationals = st.sampled_from(_RATIONALS)
+_increments = st.sampled_from([v for v in _RATIONALS if v >= 0])
 
 
 @st.composite
@@ -340,7 +353,7 @@ def test_integer_scoring_matches_literal_scores(case, data):
     assert committee_score(valuation, profile, frozenset()) == naive_score(
         value, ballots, frozenset()
     )
-    assert list(sequential_trace(valuation, profile, m)) == naive_sequential(
+    assert list(step_trace(partial(generator_step, valuation), profile, m)) == naive_sequential(
         value, m, ballots, m
     )
 
@@ -357,7 +370,8 @@ def test_scored_trace_records_the_scores_of_every_parent(case, data):
     rule = Rule("by-valuation", m, "zoo", valuation=valuation)
     k = data.draw(st.integers(0, m))
     trace, scores = rule.scored_trace(profile, k)
-    assert trace == tuple(sequential_trace(valuation, profile, k)) == rule.trace(profile, k)
+    assert trace == step_trace(partial(generator_step, valuation), profile, k)
+    assert trace == rule.trace(profile, k)
     parents = [W for level in trace[:k] for W in level]
     assert sorted(scores, key=sorted) == sorted(parents, key=sorted)
     for W in parents:
@@ -365,6 +379,36 @@ def test_scored_trace_records_the_scores_of_every_parent(case, data):
         assert scores[W] == {
             c: naive_score(value, ballots, W | {c}) for c in range(m) if c not in W
         }
+
+
+_VALUED_RULES = [name for name in RULE_NAMES if make(name, 3).valuation is not None]
+
+
+@pytest.mark.parametrize("source", _VALUED_RULES + ["random-table"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_scores_add_over_disjoint_electorates(source, data):
+    # Scores add over disjoint electorates, and so do the integer gains and
+    # bases of one level, whose denominator depends only on |W| and m; the
+    # continuity certificate and generator consistency rest on this.
+    if source == "random-table":
+        m, valuation, _, _ = data.draw(_counting_cases())
+    else:
+        m = data.draw(st.integers(1, 5))
+        valuation = make(source, m).valuation
+    ballot = st.sets(st.integers(0, m - 1), min_size=1).map(frozenset)
+    a = Profile.from_ballots(m, data.draw(st.lists(ballot, min_size=1, max_size=4)))
+    b = Profile.from_ballots(m, data.draw(st.lists(ballot, min_size=1, max_size=4)))
+    b = b.relabeled(a.n + 1)
+    union = a + b
+    for W in all_committees(m, m - 1):
+        for measure in (extension_gains, extension_scores):
+            parts = measure(valuation, a, W), measure(valuation, b, W)
+            assert measure(valuation, union, W) == {c: parts[0][c] + parts[1][c] for c in parts[0]}
+        if valuation.counting is not None:
+            level = valuation.level(len(W) + 1, m)
+            base = _scored_gains(level, union, W)[0]
+            assert base == _scored_gains(level, a, W)[0] + _scored_gains(level, b, W)[0]
 
 
 def test_scored_trace_of_rules_that_do_not_step_by_their_valuation():

@@ -12,7 +12,9 @@ stdout and stderr of
 - ``seqvote compute`` as JSON and ``--pretty``, for all 16 catalog rules on
   seeded random profiles (m 3..6) and tie-heavy ones (one voter per
   singleton, cyclic pairs, everyone approving everything), at k in
-  {0, 1, m/2, m}, plus a counting-table file with h(0) != 0;
+  {0, 1, m/2, m}, plus ``compute table --table`` on one valid counting-table
+  file of each arity, h(x), h(x,y) and h(x,y,z) (all with h(0, ...) != 0 and
+  non-unit denominators), and on one invalid table of each arity (exit 2);
 - ``seqvote axioms <rule> all --max-voters 2`` and ``3``, ``all --max-m 4
   --max-voters 2``, and ``clones --max-m 4 --max-voters 3`` (profiles at m=4
   with repeated ballots), for every rule;
@@ -36,16 +38,48 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 TABLE_TEXT = "h(0)=1/3\nh(1)=3/2\nh(2)=2\nh(3)=9/4\nh(4)=5/2\n"
+TABLE_M = 4  # the m of every table file; tables run on the m=4 profiles
 NAMED_TABLES = ("seqav", "seqpav", "seqccav", "clone-trusting")
 SEED = 2023  # of the random profiles
 
 
 def profile_text(m: int, ballots) -> str:
     return f"m={m}\n" + "".join(f"1: {' '.join(map(str, sorted(b)))}\n" for b in ballots)
+
+
+def table_text(arity: int, h) -> str:
+    """The ``h(...)=p/q`` lines of ``h`` over the full grid of its arity at
+    m = TABLE_M: x in 0..m, and y and z in 1..m."""
+    m = TABLE_M
+    grids = {
+        1: ((x,) for x in range(m + 1)),
+        2: ((x, y) for x in range(m + 1) for y in range(1, m + 1)),
+        3: ((x, y, z) for x in range(m + 1) for y in range(1, m + 1) for z in range(1, m + 1)),
+    }
+    return "".join(f"h({','.join(map(str, key))})={h(*key)}\n" for key in grids[arity])
+
+
+def table_files() -> tuple[dict[str, str], dict[str, str]]:
+    """Named counting-table files: the valid ones, then the invalid ones."""
+    valid = {
+        "table": TABLE_TEXT,
+        "table-hxy": table_text(2, lambda x, y: Fraction(2, 3) + Fraction(x, y + 1)),
+        "table-hxyz": table_text(3, lambda x, y, z: Fraction(1, 4) + Fraction(x, y + z)),
+    }
+    invalid = {
+        # decreasing at x=2
+        "invalid-hx": table_text(1, lambda x: Fraction(1, 2) if x == 2 else min(x, 1)),
+        # no strict increase in x at committee size 1
+        "invalid-hxy": table_text(2, lambda x, y: x if y > 1 else Fraction(1, 2)),
+        # nothing distinguishes x from x-1
+        "invalid-hxyz": table_text(3, lambda x, y, z: Fraction(1, 3)),
+    }
+    return valid, invalid
 
 
 def profiles() -> dict[str, str]:
@@ -68,8 +102,11 @@ def cases(workdir: Path):
     """``(name, argv)`` for every output to compare."""
     from seqvote import catalog, witnesses
 
-    table = workdir / "table.cfg"
-    table.write_text(TABLE_TEXT)
+    valid, invalid = table_files()
+    tables = {}
+    for table_name, text in {**valid, **invalid}.items():
+        tables[table_name] = workdir / f"{table_name}.cfg"
+        tables[table_name].write_text(text)
     for name, text in profiles().items():
         path = workdir / f"{name}.txt"
         path.write_text(text)
@@ -79,10 +116,13 @@ def cases(workdir: Path):
                 argv = ["compute", rule, str(path), str(k)]
                 yield f"compute-{rule}-{name}-k{k}", argv
                 yield f"compute-{rule}-{name}-k{k}-pretty", argv + ["--pretty"]
-            if m == 4:
-                argv = ["compute", "table", str(path), str(k), "--table", str(table)]
-                yield f"compute-table-{name}-k{k}", argv
-                yield f"compute-table-{name}-k{k}-pretty", argv + ["--pretty"]
+            if m != TABLE_M:
+                continue
+            table_profile = path
+            for table_name in valid:
+                argv = ["compute", "table", str(path), str(k), "--table", str(tables[table_name])]
+                yield f"compute-{table_name}-{name}-k{k}", argv
+                yield f"compute-{table_name}-{name}-k{k}-pretty", argv + ["--pretty"]
     for rule in catalog.RULE_NAMES:
         for n in ("2", "3"):
             yield f"axioms-{rule}-n{n}", ["axioms", rule, "all", "--max-voters", n]
@@ -99,6 +139,9 @@ def cases(workdir: Path):
     yield "error-witness-unknown", ["witness", "T9", "seqav"]
     yield "error-compute-k-range", ["compute", "seqav", singletons, "99"]
     yield "error-compute-branch-cap", ["compute", "seqav", singletons, "4", "--branch-cap", "20"]
+    for table_name in invalid:
+        argv = ["compute", "table", str(table_profile), "1", "--table", str(tables[table_name])]
+        yield f"error-compute-{table_name}", argv
     argv = ["axioms", "voter1-doubled-seqav", "all", "--max-voters", "13"]
     yield "error-axioms-universe-cap", argv
 
