@@ -101,6 +101,12 @@ def _validate(h, validate, error: str) -> None:
         raise ValueError(f"{error}: {why}")
 
 
+def check_thiele(h: ThieleTable) -> None:
+    """Raise ``ValueError("invalid Thiele counting function: <why>")`` unless
+    ``h`` is a valid Thiele counting function."""
+    _validate(h, validate_thiele, _THIELE_ERROR)
+
+
 def _table_rule(kind: str, validate, valuation, error: str, h, name: str | None) -> Rule:
     """The ``kind`` rule of a counting table ``h`` that passes ``validate``."""
     _validate(h, validate, error)
@@ -211,13 +217,13 @@ def make_zoo_rule(
         from .oracle import optimizing_rule
 
         h = table if table is not None else thiele_table("seqpav", m)
-        _validate(h, validate_thiele, _THIELE_ERROR)
+        check_thiele(h)
         return optimizing_rule(
             thiele_valuation(h, "optimizing"), m, name or "optimizing-thiele"
         )
     if zoo_id == "reverse-seq-thiele":
         h = table if table is not None else thiele_table("seqccav", m)
-        _validate(h, validate_thiele, _THIELE_ERROR)
+        check_thiele(h)
         negated = thiele_valuation(
             ThieleTable(tuple(-v for v in h.values)), "reverse-thiele"
         )

@@ -15,7 +15,10 @@ indent with ``","`` and ``": "`` separators; dict keys in the order of their
 string form, so ``"10"`` precedes ``"2"``; sets as arrays sorted by each
 member's compact JSON text, sets of ints numerically; rationals as ``"p/q"``
 strings; candidates as indices; strings ASCII-escaped (``\\uXXXX``); no
-timestamps.  Identical inputs give byte-identical output.
+timestamps.  Identical inputs give byte-identical output.  The ``compute``
+report is written by its own writer, :func:`render_compute`, straight from
+the trace and the scoring pass's integers, in the same bytes;
+:func:`render_report` writes the ``axioms`` and ``witness`` reports.
 
 Exit codes: 0 all pass/computed, 1 a violation was found (or a witness
 reproduced one), 2 usage or parse error, 3 a cap was exceeded, 4 an internal
@@ -30,16 +33,12 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from . import catalog
 from .catalog import UnknownRuleError
-from .counting import (
-    StepCountingTable,
-    StepThieleTable,
-    ThieleTable,
-    validate_thiele,
-)
+from .counting import StepCountingTable, StepThieleTable, ThieleTable
 from .engine import Rule
 from .profiles import CapError, Profile
 
@@ -242,11 +241,8 @@ def _write(obj, nl: str, out: list[str]) -> None:
             }
             sep, close = "{" + inner, nl + "}"
             for key, value in sorted(keyed.items()):
-                if type(value) is Fraction:  # scores, the bulk of a tie-heavy report
-                    out.append(f'{sep}{_escape(key)}: "{value}"')
-                else:
-                    out.append(sep + _escape(key) + ": ")
-                    _write(value, inner, out)
+                out.append(sep + _escape(key) + ": ")
+                _write(value, inner, out)
                 sep = "," + inner
         else:
             sep, close = "[" + inner, nl + "]"
@@ -268,23 +264,9 @@ def _write(obj, nl: str, out: list[str]) -> None:
 
 def _write_set(obj, nl: str, out: list[str]) -> None:
     """A set as an array sorted by compact text (all-int sets numerically)."""
-    inner = nl + "  "
-    types = {*map(type, obj)}
-    if types == {int}:  # a committee
-        out.append("[" + inner + ("," + inner).join(map(str, sorted(obj))) + nl + "]")
-    elif types == {frozenset} and {*map(type, frozenset().union(*obj))} <= {int}:
-        # a committee family; the compact text of a list of ints is str(list)
-        deeper = inner + "  "
-        sep = "," + deeper
-        committees = (
-            "[" + deeper + text[1:-1].replace(", ", sep) + inner + "]" if text != "[]" else text
-            for text in sorted([str(sorted(c)) for c in obj])
-        )
-        out.append("[" + inner + ("," + inner).join(committees) + nl + "]")
-    else:
-        items = list(obj)
-        items.sort(key=None if all(isinstance(i, int) for i in items) else _compact)
-        _write(items, nl, out)
+    items = list(obj)
+    items.sort(key=None if all(isinstance(i, int) for i in items) else _compact)
+    _write(items, nl, out)
 
 
 def _digest(text: str) -> str:
@@ -302,21 +284,131 @@ def _letters(committee) -> str:
     return "{" + ",".join(candidate_letter(c) for c in sorted(committee)) + "}"
 
 
-def render_compute_pretty(report: dict) -> str:
+def _ratio(numerator, denominator: int) -> str:
+    """``numerator / denominator`` as ``str(Fraction)`` prints it: ``"p"`` or
+    ``"p/q"`` in lowest terms.  An int numerator is reduced by one gcd; a
+    ``Fraction`` one (a custom valuation's score, over 1) prints itself."""
+    if type(numerator) is not int:
+        return str(numerator / denominator)
+    g = gcd(numerator, denominator)
+    if g == denominator:
+        return str(numerator // g)
+    return f"{numerator // g}/{denominator // g}"
+
+
+def _indented(compact: str, nl: str) -> str:
+    """A committee's compact text ``[0, 1]`` as an array on its own line
+    indented by ``nl`` (a newline and the indent), one member a line."""
+    if compact == "[]":
+        return compact
+    inner = nl + "  "
+    return "[" + inner + compact[1:-1].replace(", ", "," + inner) + nl + "]"
+
+
+# a newline and an indent of 2 to 12 spaces: the line starts of a compute report
+_I2, _I4, _I6, _I8, _I10, _I12 = ("\n" + " " * n for n in (2, 4, 6, 8, 10, 12))
+
+
+def render_compute(
+    rule_name: str,
+    m: int,
+    k: int,
+    input_digest: str,
+    trace,
+    scores,
+    table_digest: str | None = None,
+) -> str:
+    """The ``compute`` report as JSON, written straight from the rule's
+    ``(trace, scores)`` of :meth:`Rule.scored_trace`.
+
+    The bytes are those :func:`render_report` writes for the report object
+    with keys ``command``, ``input_digest``, ``k``, ``m``, ``rule``,
+    ``steps``, ``table_digest`` (with ``--table`` only) and ``trace``; no
+    such object is built.  Each committee's compact text is made once and
+    laid out once per depth it appears at; each family ``f(A, j)`` is
+    written once and stands both as ``trace[j].committees`` and as
+    ``steps[j-1].chosen``; a score is its integers ``(base + gain) / D``
+    reduced by one gcd.
+    """
+    text = {W: str(sorted(W)) for level in trace for W in level}
+    # every family sorted by compact text, so each parent's extensions,
+    # collected in this order, come out sorted too
+    orders = [sorted(level, key=text.__getitem__) for level in trace]
+    families = [
+        "[" + _I8 + ("," + _I8).join(_indented(text[W], _I8) for W in order) + _I6 + "]"
+        for order in orders
+    ]
+    as_extension = {W: _indented(text[W], _I12) for order in orders[1:] for W in order}
+    score_keys = [(c, f'{_I12}"{c}": "') for c in sorted(range(m), key=str)]
+    ratios: dict[tuple, str] = {}  # (base + gain, D) -> its text, closing quote included
+    # one flat list of pieces, joined once: no piece is copied into another
+    out = [
+        "{", _I2, '"command": "compute",', _I2, '"input_digest": ', _escape(input_digest),
+        ",", _I2, f'"k": {k},', _I2, f'"m": {m},', _I2, '"rule": ', _escape(rule_name),
+        ",", _I2, '"steps": [' if k else '"steps": []',
+    ]
+    for j in range(1, k + 1):
+        children: dict[frozenset, list[str]] = {}
+        for W in orders[j]:
+            extension = as_extension[W]
+            for x in W:
+                children.setdefault(W - {x}, []).append(extension)
+        out += [
+            _I4 if j == 1 else "," + _I4, "{", _I6, '"chosen": ', families[j],
+            ",", _I6, '"per_parent": [',
+        ]
+        sep = _I8 + "{" + _I10 + '"extensions": '
+        for parent in sorted(trace[j - 1], key=sorted):
+            below = children.get(parent)
+            out += [
+                sep,
+                "[" + _I12 + ("," + _I12).join(below) + _I10 + "]" if below else "[]",
+                "," + _I10 + '"parent": ',
+                _indented(text[parent], _I10),
+            ]
+            if scores is not None:
+                base, gains, scale = scores[parent]
+                cells = []
+                for c, key in score_keys:
+                    gain = gains.get(c)
+                    if gain is not None:
+                        score = base + gain, scale
+                        shown = ratios.get(score)
+                        if shown is None:
+                            shown = ratios[score] = _ratio(*score) + '"'
+                        cells.append(key + shown)
+                out += ["," + _I10 + '"scores": {', ",".join(cells), _I10 + "}"]
+            out.append(_I8 + "}")
+            sep = "," + _I8 + "{" + _I10 + '"extensions": '
+        out += [_I6, "],", _I6, f'"size": {j}', _I4, "}"]
+    if k:
+        out += [_I2, "]"]
+    if table_digest is not None:
+        out += [",", _I2, '"table_digest": ', _escape(table_digest)]
+    out += [",", _I2, '"trace": [']
+    for j, family in enumerate(families):
+        out += [
+            _I4 if j == 0 else "," + _I4, "{", _I6, '"committees": ', family,
+            ",", _I6, f'"size": {j}', _I4, "}",
+        ]
+    out.append(_I2 + "]\n}\n")
+    return "".join(out)
+
+
+def render_compute_pretty(rule_name: str, m: int, k: int, trace, scores) -> str:
     """Plain-text trace with candidates as letters (indices stay in JSON mode)."""
-    lines = [f"{report['rule']} on m={report['m']}, k={report['k']}"]
-    for entry in report["trace"]:
-        names = " ".join(_letters(w) for w in sorted(entry["committees"], key=sorted))
-        lines.append(f"  size {entry['size']}: {names}")
-    for step in report["steps"]:
-        for parent in step["per_parent"]:
-            if "scores" not in parent:
-                continue
-            scores = ", ".join(
-                f"{candidate_letter(c)}={parent['scores'][c]}"
-                for c in sorted(parent["scores"])
-            )
-            lines.append(f"  extending {_letters(parent['parent'])}: {scores}")
+    lines = [f"{rule_name} on m={m}, k={k}"]
+    for j, level in enumerate(trace):
+        names = " ".join(_letters(w) for w in sorted(level, key=sorted))
+        lines.append(f"  size {j}: {names}")
+    if scores is not None:
+        for level in trace[:k]:
+            for parent in sorted(level, key=sorted):
+                base, gains, scale = scores[parent]
+                shown = ", ".join(
+                    f"{candidate_letter(c)}={_ratio(base + gains[c], scale)}" for c in sorted(gains)
+                )
+                lines.append(f"  extending {_letters(parent)}: {shown}")
     return "\n".join(lines) + "\n"
 
 
@@ -361,36 +453,13 @@ def cmd_compute(args) -> int:
     if not 0 <= k <= profile.m:
         raise UsageError(f"committee size {k} outside 0..{profile.m}")
     trace, scores = rule.scored_trace(profile, k)
-    steps = []
-    for j in range(1, k + 1):
-        parents = sorted(trace[j - 1], key=lambda c: tuple(sorted(c)))
-        children: dict[frozenset, list] = {}
-        for W in trace[j]:
-            for x in W:
-                children.setdefault(W - {x}, []).append(W)
-        detail = []
-        for parent in parents:
-            entry = {"parent": parent}
-            if scores is not None:
-                entry["scores"] = scores[parent]
-            entry["extensions"] = frozenset(children.get(parent, ()))
-            detail.append(entry)
-        steps.append({"size": j, "chosen": trace[j], "per_parent": detail})
-    report = {
-        "command": "compute",
-        "rule": rule.name,
-        "m": profile.m,
-        "k": k,
-        "input_digest": _digest(profile_text),
-        "trace": [{"size": j, "committees": trace[j]} for j in range(k + 1)],
-        "steps": steps,
-    }
-    if table_digest is not None:
-        report["table_digest"] = table_digest
     if args.pretty:
-        sys.stdout.write(render_compute_pretty(report))
+        text = render_compute_pretty(rule.name, profile.m, k, trace, scores)
     else:
-        sys.stdout.write(render_report(report))
+        text = render_compute(
+            rule.name, profile.m, k, _digest(profile_text), trace, scores, table_digest
+        )
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -450,9 +519,10 @@ def cmd_witness(args) -> int:
             raise UsageError(f"--m {args.m} differs from the table's m={table.m}")
         if not isinstance(table, ThieleTable):
             raise TableParseError("witness constructions need a one-argument table h(x)")
-        ok, why = validate_thiele(table)
-        if not ok:
-            raise TableParseError(f"invalid Thiele counting function: {why}")
+        try:
+            catalog.check_thiele(table)
+        except ValueError as exc:
+            raise TableParseError(str(exc)) from None
     try:
         witness = witnesses.build_witness(args.construction, table)
     except witnesses.WitnessNotApplicable as exc:

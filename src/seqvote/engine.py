@@ -12,7 +12,9 @@ ballots, :func:`_scored_gains`: at a level with denominator ``D`` it returns
 ``(base + gain) / D``.  :func:`extension_scores`, :func:`extension_gains`,
 :func:`generator_step`, :func:`weighted_approval_step` and
 :meth:`Rule.scored_trace` all go through it; a custom ``fn`` valuation is
-the only other path, scored extension by extension.
+the only other path, scored extension by extension.  :meth:`Rule.scored_trace`
+hands the integers ``base``, ``gain`` and ``D`` on unreduced, so a caller
+that only prints the scores builds no rational.
 """
 
 from __future__ import annotations
@@ -79,31 +81,30 @@ def _scored_gains(
     return base, gains
 
 
-def _gains_and_scores(
+def _scaled_gains(
     valuation: Valuation, profile: Profile, committee: frozenset[int]
-) -> tuple[dict[int, int | Fraction], dict[int, Fraction]]:
-    """``(gains, scores)`` of every extension ``W + {c}`` of ``committee``.
+) -> tuple[int, dict[int, int | Fraction], int]:
+    """``(base, gains, D)``: ``W + {c}`` scores exactly ``(base + gains[c]) / D``.
 
-    ``scores`` are exact; ``gains`` are those of :func:`extension_gains`.
-    A table-backed valuation gets both from :func:`_scored_gains`; a custom
-    ``fn`` valuation scores each extension outright, and its gains are its
-    scores.
+    A table-backed valuation gets them from :func:`_scored_gains` at the
+    level of size ``|W| + 1``, all integers; a custom ``fn`` valuation scores
+    each extension outright, so its gains are its scores, ``base`` is 0 and
+    ``D`` is 1.
     """
     if valuation.counting is None:
         outside = _outside(profile, committee)
-        scores = {c: committee_score(valuation, profile, committee | {c}) for c in outside}
-        return scores, scores
+        return 0, {c: committee_score(valuation, profile, committee | {c}) for c in outside}, 1
     level = valuation.level(len(committee) + 1, profile.m)
     base, gains = _scored_gains(level, profile, committee)
-    scale = level.denominator
-    return gains, {c: Fraction(base + gain, scale) for c, gain in gains.items()}
+    return base, gains, level.denominator
 
 
 def extension_scores(
     valuation: Valuation, profile: Profile, committee: frozenset[int]
 ) -> dict[int, Fraction]:
     """Exact scores of ``W + {c}`` for every candidate ``c`` outside ``W``."""
-    return _gains_and_scores(valuation, profile, frozenset(committee))[1]
+    base, gains, scale = _scaled_gains(valuation, profile, frozenset(committee))
+    return {c: Fraction(base + gain, scale) for c, gain in gains.items()}
 
 
 def extension_gains(
@@ -119,7 +120,7 @@ def extension_gains(
     """
     committee = frozenset(committee)
     if valuation.counting is None:
-        return _gains_and_scores(valuation, profile, committee)[0]
+        return _scaled_gains(valuation, profile, committee)[1]
     level = valuation.level(len(committee) + 1, profile.m)
     return _scored_gains(level, profile, committee)[1]
 
@@ -293,11 +294,14 @@ class Rule:
 
     def scored_trace(
         self, profile: Profile, k: int
-    ) -> tuple[tuple[Family, ...], dict[frozenset, dict[int, Fraction]] | None]:
+    ) -> tuple[tuple[Family, ...], dict[frozenset, tuple[int, dict, int]] | None]:
         """``(trace, scores)``: ``(f(A,0), ..., f(A,k))`` run on ``profile``,
-        and ``scores[W][c]``, the exact score of ``W + {c}`` under the rule's
-        valuation, for every committee ``W`` of levels ``0..k-1`` and every
-        ``c`` outside it (``None`` for a rule without a valuation).
+        and ``scores[W] = (base, gains, D)`` for every committee ``W`` of
+        levels ``0..k-1``, so that ``W + {c}`` scores exactly ``(base +
+        gains[c]) / D`` under the rule's valuation for every ``c`` outside
+        ``W`` (``scores`` is ``None`` for a rule without a valuation).  For a
+        table-backed valuation all three are integers, so no rational is
+        built; a custom ``fn`` valuation gives ``(0, exact scores, 1)``.
 
         A rule that steps by its valuation records the scores while it
         traces, from the gains its steps compute anyway; any other rule is
@@ -310,15 +314,15 @@ class Rule:
             scores: dict = {}
 
             def step(profile: Profile, committee: frozenset) -> frozenset:
-                gains, scores[committee] = _gains_and_scores(valuation, profile, committee)
-                return _argmax(gains)
+                scores[committee] = scored = _scaled_gains(valuation, profile, committee)
+                return _argmax(scored[1])
 
             return step_trace(step, profile, k, self.branch_cap), scores
         trace = self.trace(profile, k)
         if valuation is None:
             return trace, None
         return trace, {
-            W: extension_scores(valuation, profile, W) for level in trace[:k] for W in level
+            W: _scaled_gains(valuation, profile, W) for level in trace[:k] for W in level
         }
 
 

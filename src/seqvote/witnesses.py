@@ -27,8 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .axioms import clone_violation, proportionality_violation
-from .catalog import WITNESS_CONSTRUCTIONS as CONSTRUCTIONS, harmonic, make_seq_thiele
-from .counting import ThieleTable, validate_thiele
+from .catalog import (
+    WITNESS_CONSTRUCTIONS as CONSTRUCTIONS,
+    check_thiele,
+    harmonic,
+    make_seq_thiele,
+)
+from .counting import ThieleTable
 from .engine import Family, Rule
 from .profiles import Profile
 
@@ -72,9 +77,7 @@ def _family(committees) -> Family:
 
 
 def _normalized(h: ThieleTable) -> ThieleTable:
-    ok, why = validate_thiele(h)
-    if not ok:
-        raise ValueError(f"invalid Thiele counting function: {why}")
+    check_thiele(h)
     return h.normalized()
 
 

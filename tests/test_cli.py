@@ -27,7 +27,7 @@ from seqvote.engine import extension_scores
 from seqvote.oracle import ProfileUniverse
 from seqvote.profiles import CapError, Profile, ProfileError, SymmetrizationCapError
 
-from util import fam, naive_render_report
+from util import compute_report, fam, naive_compute_pretty, naive_render_report
 
 P1_TEXT = "m=3\n3: 0 1\n1: 2\n"
 
@@ -239,11 +239,16 @@ TIE_INPUTS = {
     "singletons-8": "m=8\n" + "".join(f"1: {c}\n" for c in range(8)),
     "cyclic-pairs-8": "m=8\n" + "".join(f"1: {c} {(c + 1) % 8}\n" for c in range(8)),
     "cyclic-pairs-5": "m=5\n" + "".join(f"1: {c} {(c + 1) % 5}\n" for c in range(5)),
+    "singletons-12": "m=12\n" + "".join(f"1: {c}\n" for c in range(12)),
+    "cyclic-pairs-14": "m=14\n" + "".join(f"1: {c} {(c + 1) % 14}\n" for c in range(14)),
 }
 SHIFTED_TABLE = "h(0)=1/3\nh(1)=3/2\nh(2)=2\nh(3)=9/4\nh(4)=5/2\nh(5)=5/2\n"
 
 # sha256 of ``seqvote compute <rule> <input> <k>`` as JSON and with
-# ``--pretty``, recorded before reports had their own JSON writer.
+# ``--pretty``, recorded before reports had their own JSON writer (m <= 8)
+# and before compute reports were written straight from the trace (m 12 and
+# 14, where candidates have two digits: score keys and families are ordered
+# by their text, so "10" precedes "2", and parents numerically).
 COMPUTE_SHA256 = {
     ("seqav", "singletons-8", "4"): (
         "23b2a26ca2942a3556a9a8be2a8cc395319740b665d6dbfbd71e6485249874d9",
@@ -256,6 +261,14 @@ COMPUTE_SHA256 = {
     ("table", "cyclic-pairs-5", "3"): (
         "a5c2cae2da1480882b7ff20a742416df197c07b0bf45f2ff07c31564c1a230f5",
         "ed36183dac0727890f01056af17823cac6185f4717012429c52cb66660eaad8c",
+    ),
+    ("seqav", "singletons-12", "3"): (
+        "078ee1625343651d35c835692b5a90a1e7e340445872e673e31371d3459a5362",
+        "aec5538ec0d492901002d1099f65f0d4aa08043d5aad1d1d9356a0c743043432",
+    ),
+    ("seqpav", "cyclic-pairs-14", "3"): (
+        "f1fdde2cfc29f79cc08516ae90d66fa59cab60aa87bfb0a3681debb33cf736e5",
+        "91c63ef3ecd31127a80833a4cfb221cc8a52c49dc0d5131a4aadbdaede809af6",
     ),
 }
 
@@ -308,6 +321,31 @@ def test_compute_reports_the_extension_scores_of_every_parent(rule_name, tmp_pat
                     expected = {str(c): str(score) for c, score in scores.items()}
                     assert entry["scores"] == expected, (m, name, entry["parent"])
             assert parents == sum(len(level) for level in rule.trace(profile, m)[:m])
+
+
+_SHIFTED_RULE = catalog.make_seq_thiele(parse_counting_table(SHIFTED_TABLE), "table")
+
+
+@pytest.mark.parametrize("rule_name", [*catalog.RULE_NAMES, "table"])
+@settings(max_examples=2, deadline=None)
+@given(m=st.integers(1, 12), data=st.data())
+def test_compute_writers_match_the_report_dict(rule_name, m, data):
+    # render_compute and render_compute_pretty write (trace, scores) directly;
+    # the oracle builds the report dict and renders it the generic way.
+    if rule_name == "table":
+        rule, table_digest = _SHIFTED_RULE, "d1" * 32
+        m = rule.m
+    else:
+        rule, table_digest = catalog.make(rule_name, m), None
+    ballot = st.frozensets(st.integers(0, m - 1), min_size=1)
+    profile = Profile.from_ballots(m, data.draw(st.lists(ballot, min_size=1, max_size=5)))
+    k = data.draw(st.integers(0, m))
+    trace, scores = rule.scored_trace(profile, k)
+    digest = hashlib.sha256(format_profile(profile).encode()).hexdigest()
+    report = compute_report(rule.name, m, k, digest, trace, scores, table_digest)
+    written = cli.render_compute(rule.name, m, k, digest, trace, scores, table_digest)
+    assert written == render_report(report)
+    assert cli.render_compute_pretty(rule.name, m, k, trace, scores) == naive_compute_pretty(report)
 
 
 def test_compute_table_m_mismatch(tmp_path, capsys):
@@ -619,6 +657,24 @@ def test_witness_command_rejects_step_tables(tmp_path, capsys):
     table.write_text("\n".join(lines))
     code, _, err = run_cli("witness", "T2", str(table), capsys=capsys)
     assert code == EXIT_USAGE and "one-argument" in err
+
+
+def test_invalid_thiele_tables_are_refused_with_one_message(tmp_path, capsys):
+    # cmd_witness (exit 2) and the witness builders (ValueError) refuse an
+    # invalid h(x) file with the catalog's message, byte for byte.
+    for values, why in (
+        ("0 1 1/2 1/3", "h decreases at x=2"),
+        ("0 0 0", "h(1) > h(0) fails"),
+    ):
+        table = tmp_path / "h.cfg"
+        table.write_text("".join(f"h({x})={v}\n" for x, v in enumerate(values.split())))
+        message = f"invalid Thiele counting function: {why}"
+        code, out, err = run_cli("witness", "T2", str(table), capsys=capsys)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+        for construction in witnesses.CONSTRUCTIONS:
+            with pytest.raises(ValueError) as refused:
+                witnesses.build_witness(construction, parse_counting_table(table.read_text()))
+            assert str(refused.value) == message
 
 
 # (exit code, sha256) of ``seqvote witness <construction> <table> --m 4``,

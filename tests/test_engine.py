@@ -38,7 +38,14 @@ from seqvote.engine import (
 from seqvote.oracle import ProfileUniverse, all_committees
 from seqvote.profiles import Profile, apply_voter_permutation
 
-from util import fam, naive_best_extensions, naive_score, naive_sequential, thiele_value
+from util import (
+    exact_scores,
+    fam,
+    naive_best_extensions,
+    naive_score,
+    naive_sequential,
+    thiele_value,
+)
 
 P1_BALLOTS = [{0, 1}, {0, 1}, {0, 1}, {2}]
 P1 = Profile.from_ballots(3, P1_BALLOTS)
@@ -375,8 +382,10 @@ def test_scored_trace_records_the_scores_of_every_parent(case, data):
     parents = [W for level in trace[:k] for W in level]
     assert sorted(scores, key=sorted) == sorted(parents, key=sorted)
     for W in parents:
-        assert scores[W] == extension_scores(valuation, profile, W)
-        assert scores[W] == {
+        base, gains, scale = scores[W]
+        assert all(type(n) is int for n in (base, scale, *gains.values()))
+        assert exact_scores(scores[W]) == extension_scores(valuation, profile, W)
+        assert exact_scores(scores[W]) == {
             c: naive_score(value, ballots, W | {c}) for c in range(m) if c not in W
         }
 
@@ -416,9 +425,15 @@ def test_scored_trace_of_rules_that_do_not_step_by_their_valuation():
     optimizing = make("optimizing-pav", 3)  # brute force, scores shown afterwards
     trace, scores = optimizing.scored_trace(profile, 2)
     assert trace == optimizing.trace(profile, 2)
-    assert scores == {
-        W: extension_scores(optimizing.valuation, profile, W) for level in trace[:2] for W in level
-    }
+    parents = [W for level in trace[:2] for W in level]
+    assert sorted(scores, key=sorted) == sorted(parents, key=sorted)
+    for W in parents:
+        assert exact_scores(scores[W]) == extension_scores(optimizing.valuation, profile, W)
+    # a custom fn valuation hands its exact scores over as they are
+    custom = make("candidate-a-doubled-seqav", 3)
+    trace, scores = custom.scored_trace(profile, 2)
+    for W in (W for level in trace[:2] for W in level):
+        assert scores[W] == (0, extension_scores(custom.valuation, profile, W), 1)
     doubled = make("voter1-doubled-seqav", 3)  # no valuation, no scores
     assert doubled.scored_trace(profile, 2) == (doubled.trace(profile, 2), None)
     with pytest.raises(ValueError):

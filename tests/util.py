@@ -10,7 +10,7 @@ import itertools
 import json
 
 from seqvote.axioms import EXISTENTIAL_NOTE, AxiomReport, check_continuity
-from seqvote.cli import format_profile
+from seqvote.cli import candidate_letter, format_profile
 from seqvote.oracle import ProfileUniverse, all_committees
 from seqvote.profiles import Profile
 from seqvote.witnesses import Witness
@@ -164,6 +164,69 @@ def _naive_key(key) -> str:
 def naive_render_report(data) -> str:
     """The report through the stdlib encoder, for comparison with ``render_report``."""
     return json.dumps(naive_jsonable(data), indent=2, sort_keys=True) + "\n"
+
+
+def exact_scores(scored):
+    """``{c: (base + gains[c]) / D}`` from one ``scores[W]`` entry of
+    :meth:`Rule.scored_trace`."""
+    base, gains, scale = scored
+    return {c: Fraction(base + gain, scale) for c, gain in gains.items()}
+
+
+def compute_report(rule_name, m, k, input_digest, trace, scores, table_digest=None):
+    """The ``seqvote compute`` report as one dict, built the literal way: the
+    oracle for the CLI's compute writers, which render ``(trace, scores)``
+    without building it."""
+    steps = []
+    for j in range(1, k + 1):
+        children = {}
+        for W in trace[j]:
+            for x in W:
+                children.setdefault(W - {x}, []).append(W)
+        detail = []
+        for parent in sorted(trace[j - 1], key=lambda c: tuple(sorted(c))):
+            entry = {"parent": parent}
+            if scores is not None:
+                entry["scores"] = exact_scores(scores[parent])
+            entry["extensions"] = frozenset(children.get(parent, ()))
+            detail.append(entry)
+        steps.append({"size": j, "chosen": trace[j], "per_parent": detail})
+    report = {
+        "command": "compute",
+        "rule": rule_name,
+        "m": m,
+        "k": k,
+        "input_digest": input_digest,
+        "trace": [{"size": j, "committees": trace[j]} for j in range(k + 1)],
+        "steps": steps,
+    }
+    if table_digest is not None:
+        report["table_digest"] = table_digest
+    return report
+
+
+def naive_compute_pretty(report) -> str:
+    """The ``--pretty`` text of a :func:`compute_report` dict."""
+
+    def letters(committee):
+        if not committee:
+            return "{}"
+        return "{" + ",".join(candidate_letter(c) for c in sorted(committee)) + "}"
+
+    lines = [f"{report['rule']} on m={report['m']}, k={report['k']}"]
+    for entry in report["trace"]:
+        names = " ".join(letters(w) for w in sorted(entry["committees"], key=sorted))
+        lines.append(f"  size {entry['size']}: {names}")
+    for step in report["steps"]:
+        for parent in step["per_parent"]:
+            if "scores" not in parent:
+                continue
+            scores = ", ".join(
+                f"{candidate_letter(c)}={parent['scores'][c]}"
+                for c in sorted(parent["scores"])
+            )
+            lines.append(f"  extending {letters(parent['parent'])}: {scores}")
+    return "\n".join(lines) + "\n"
 
 
 def naive_consistency_witness(g, n):

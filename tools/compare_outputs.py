@@ -12,9 +12,11 @@ stdout and stderr of
 - ``seqvote compute`` as JSON and ``--pretty``, for all 16 catalog rules on
   seeded random profiles (m 3..6) and tie-heavy ones (one voter per
   singleton, cyclic pairs, everyone approving everything), at k in
-  {0, 1, m/2, m}, plus ``compute table --table`` on one valid counting-table
-  file of each arity, h(x), h(x,y) and h(x,y,z) (all with h(0, ...) != 0 and
-  non-unit denominators), and on one invalid table of each arity (exit 2);
+  {0, 1, m/2, m}, and on the tie-heavy singletons and cyclic pairs at m=12
+  and k=3, where candidates have two digits, plus ``compute table --table``
+  on one valid counting-table file of each arity, h(x), h(x,y) and h(x,y,z)
+  (all with h(0, ...) != 0 and non-unit denominators), and on one invalid
+  table of each arity (exit 2);
 - ``seqvote axioms <rule> all --max-voters 2`` and ``3``, ``all --max-m 4
   --max-voters 2``, and ``clones --max-m 4 --max-voters 3`` (profiles at m=4
   with repeated ballots), for every rule;
@@ -98,6 +100,16 @@ def profiles() -> dict[str, str]:
     return out
 
 
+def two_digit_profiles() -> dict[str, str]:
+    """Tie-heavy profiles at m=12, run at k=3 only: score keys and families
+    order by their text there ("10" before "2"), parents numerically."""
+    m = 12
+    return {
+        "singletons-m12": profile_text(m, [[c] for c in range(m)]),
+        "cyclic-pairs-m12": profile_text(m, [[c, (c + 1) % m] for c in range(m)]),
+    }
+
+
 def cases(workdir: Path):
     """``(name, argv)`` for every output to compare."""
     from seqvote import catalog, witnesses
@@ -123,6 +135,13 @@ def cases(workdir: Path):
                 argv = ["compute", "table", str(path), str(k), "--table", str(tables[table_name])]
                 yield f"compute-{table_name}-{name}-k{k}", argv
                 yield f"compute-{table_name}-{name}-k{k}-pretty", argv + ["--pretty"]
+    for name, text in two_digit_profiles().items():
+        path = workdir / f"{name}.txt"
+        path.write_text(text)
+        for rule in catalog.RULE_NAMES:
+            argv = ["compute", rule, str(path), "3"]
+            yield f"compute-{rule}-{name}-k3", argv
+            yield f"compute-{rule}-{name}-k3-pretty", argv + ["--pretty"]
     for rule in catalog.RULE_NAMES:
         for n in ("2", "3"):
             yield f"axioms-{rule}-n{n}", ["axioms", rule, "all", "--max-voters", n]
