@@ -1,9 +1,9 @@
 """Bounded axiom checkers.
 
 Every check returns an :class:`AxiomReport`.  A universal check is a search
-that yields its violation witnesses in canonical order; the first one
-decides (:func:`_verdict`): ``violation`` with that replayable witness, or
-``pass-exhaustive`` when the search yields none.  Existential axioms
+for its first violation witness in canonical order, which decides
+(:func:`_report`): ``violation`` with that replayable witness, or
+``pass-exhaustive`` when there is none.  Existential axioms
 (non-imposition, continuity) can never be refuted by bounded search, so they
 come back as ``pass`` or ``inconclusive``.  That asymmetry is stated in each
 report's note.
@@ -15,11 +15,17 @@ checks trace an anonymous item by its ballot counts and build a
 :class:`Profile` only on a trace-cache miss or for a witness.  Voters
 dropping approvals (independence of losers) move in groups: each run of
 equal indices of an anonymous item, each voter of an ordered one.
-Generator consistency keeps one choice row per profile, an int holding the
-generator's choice at every committee, memoized per what the generator
-sees: the item for an anonymous generator, whose union of a pair is the
-item ``sorted(a + b)``, and the item with its voter-id offset for an
-id-sensitive one.
+Generator consistency keeps one choice row per generator and profile, an
+int holding the generator's choice at every committee below size m - 1,
+memoized per what the generator sees: the item for an anonymous generator,
+whose union of a pair is the item ``sorted(a + b)``, and the item with its
+voter-id offset for an id-sensitive one.  A rule's own step and the
+generator derived from it are checked in one pass over the pairs, which
+steps each union once: its choices are evaluated one committee at a time
+and shared, the derived row read off a trace over those same choices.  No
+committee of size m - 1 is searched, since its one outside candidate x
+leaves every choice there empty or ``{x}``, so the intersection and the
+combined choice cannot both be non-empty and differ.
 
 The rule's trace cache holds what several checks share, the items of a
 universe.  A profile built for one comparison (the union of a pair, B
@@ -38,7 +44,6 @@ permutation product tractable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -51,11 +56,13 @@ from .engine import (
     extension_gains,
     generator_step,
     step_generator,
+    step_trace,
 )
 from .oracle import ProfileUniverse, all_ballots, all_committees, committees_of_size
 from .profiles import (
     BallotCounts,
     Profile,
+    Record,
     apply_candidate_permutation,
     apply_voter_permutation,
     ballot_sort_key,
@@ -72,20 +79,34 @@ EXISTENTIAL_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     """Outcome of one bounded axiom check.
 
     Violation witnesses are replayable: applying the rule to the stored
     profiles reproduces the reported families exactly.
     """
 
+    _fields = ("axiom", "subject", "verdict", "bounds", "witness", "note")
     axiom: str
     subject: str
     verdict: str  # pass-exhaustive | pass | violation | inconclusive
     bounds: dict
-    witness: dict | None = None
-    note: str = ""
+    witness: dict | None
+    note: str
+
+    def __init__(
+        self,
+        axiom: str,
+        subject: str,
+        verdict: str,
+        bounds: dict,
+        witness: dict | None = None,
+        note: str = "",
+    ):
+        self.__dict__.update(
+            axiom=axiom, subject=subject, verdict=verdict, bounds=bounds, witness=witness,
+            note=note,
+        )
 
     def report_fields(self) -> dict:
         """The fields as :func:`seqvote.cli.render_report` writes them."""
@@ -95,28 +116,59 @@ class AxiomReport:
 def _verdict(axiom: str, subject: str, used: dict, violations: Iterator[dict]) -> AxiomReport:
     """The report of a bounded universal check: ``violation`` with the first
     witness ``violations`` yields, or ``pass-exhaustive`` if it yields none."""
-    witness = next(violations, None)
+    return _report(axiom, subject, used, next(violations, None))
+
+
+def _report(axiom: str, subject: str, used: dict, witness: dict | None) -> AxiomReport:
+    """``violation`` with ``witness``, or ``pass-exhaustive`` if it is None."""
     if witness is None:
         return AxiomReport(axiom, subject, "pass-exhaustive", used)
     return AxiomReport(axiom, subject, "violation", used, witness=witness)
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Record):
     """Search bounds for the checkers; every field is a hard cap, never a goal."""
 
-    n_single: int = 5          # voters, single-profile universal checks
-    n_perm: int = 3            # voters, permutation-quantified checks
-    n_pair_each: int = 3       # voters per side, generator consistency
-    n_pair_total: int = 3      # voters in total, committee separability
-    n_continuity: int = 3      # voters in the replicated profile
-    n_continuity_other: int = 1
-    j_max: int = 16
-    n_stats: int = 2           # voters, information-basis check
-    w_max_stats: int | None = None  # committee sizes for the stats check
-    n1_max: int = 8            # clone bloc, clone-proportionality
-    n2_max: int = 8            # singleton bloc, clone-proportionality
-    k_max_proportional: int = 3
+    _fields = (
+        "n_single", "n_perm", "n_pair_each", "n_pair_total", "n_continuity",
+        "n_continuity_other", "j_max", "n_stats", "w_max_stats", "n1_max", "n2_max",
+        "k_max_proportional",
+    )
+    n_single: int          # voters, single-profile universal checks
+    n_perm: int            # voters, permutation-quantified checks
+    n_pair_each: int       # voters per side, generator consistency
+    n_pair_total: int      # voters in total, committee separability
+    n_continuity: int      # voters in the replicated profile
+    n_continuity_other: int
+    j_max: int
+    n_stats: int           # voters, information-basis check
+    w_max_stats: int | None  # committee sizes for the stats check
+    n1_max: int            # clone bloc, clone-proportionality
+    n2_max: int            # singleton bloc, clone-proportionality
+    k_max_proportional: int
+
+    def __init__(
+        self,
+        n_single: int = 5,
+        n_perm: int = 3,
+        n_pair_each: int = 3,
+        n_pair_total: int = 3,
+        n_continuity: int = 3,
+        n_continuity_other: int = 1,
+        j_max: int = 16,
+        n_stats: int = 2,
+        w_max_stats: int | None = None,
+        n1_max: int = 8,
+        n2_max: int = 8,
+        k_max_proportional: int = 3,
+    ):
+        self.__dict__.update(
+            n_single=n_single, n_perm=n_perm, n_pair_each=n_pair_each,
+            n_pair_total=n_pair_total, n_continuity=n_continuity,
+            n_continuity_other=n_continuity_other, j_max=j_max, n_stats=n_stats,
+            w_max_stats=w_max_stats, n1_max=n1_max, n2_max=n2_max,
+            k_max_proportional=k_max_proportional,
+        )
 
     def asdict(self) -> dict:
         return {k: v for k, v in self.__dict__.items()}
@@ -499,40 +551,74 @@ def check_generator_consistency(
     is exactly the intersection (universal over the searched pairs).
 
     ``A`` and ``B`` range over the anonymous universe in canonical order and
-    ``B``'s voters are renumbered above ``A``'s.
+    ``B``'s voters are renumbered above ``A``'s.  This is the one-generator
+    case of :func:`_consistency_reports`.
     """
-    used = {"m": g.m, "n_each": bounds.n_pair_each}
-    witnesses = _consistency_witnesses(g, bounds.n_pair_each)
-    return _verdict("generator-consistency", g.name, used, witnesses)
+    return _consistency_reports((g,), bounds)[0]
 
 
-def _consistency_witnesses(g: GeneratorFunction, n: int) -> Iterator[dict]:
-    """The search keeps one choice row per profile it evaluates: an int
-    holding the mask of ``g(A, W)`` for the i-th committee W of
-    :func:`all_committees` ``(m, m - 1)`` at bits ``[i*m, (i+1)*m)``, so
+def _consistency_reports(
+    generators: tuple[GeneratorFunction, ...], bounds: Bounds = DEFAULT_BOUNDS
+) -> list[AxiomReport]:
+    """The generator-consistency report of each generator, from one pass
+    over the pairs (:func:`_consistency_witnesses`)."""
+    n = bounds.n_pair_each
+    return [
+        _report("generator-consistency", g.name, {"m": g.m, "n_each": n}, witness)
+        for g, witness in zip(generators, _consistency_witnesses(generators, n))
+    ]
+
+
+def _consistency_witnesses(
+    generators: tuple[GeneratorFunction, ...], n: int
+) -> list[dict | None]:
+    """The first consistency witness of each generator, or None, from one
+    pass over the pairs (A, B) of the anonymous universe in canonical order.
+
+    A committee W of size m - 1 is never searched: C - W is one candidate x,
+    so g(A, W), g(B, W) and g(A + B, W) all lie in {x}, and a non-empty
+    intersection {x} leaves the combined choice empty or equal to it (a
+    derived choice there is empty or {x} too, since f(., m) is at most
+    {C}).  That rests on every choice lying outside W, which is checked,
+    not assumed: a choice holding a member of W raises :class:`ValueError`.
+
+    The pass keeps one choice row per generator and profile: an int holding
+    the mask of ``g(A, W)`` for the i-th committee W of
+    :func:`all_committees` ``(m, m - 2)`` at bits ``[i*m, (i+1)*m)``, so
     ``row(A) & row(B)`` is every intersection at once.  Rows are memoized
-    per what ``g`` sees: the key ``(offset, item)`` stands for the profile
-    of ``item`` with voter ids from ``offset + 1``.  No profile is kept; a
-    witness rebuilds its profiles from their items.
+    per generator and per what the generators see: the key ``(offset,
+    item)`` stands for the profile of ``item`` with voter ids from ``offset
+    + 1``.  No profile is kept; a witness rebuilds its profiles from their
+    items.  A generator that has its witness gets no further rows.
 
-    An anonymous generator sees the item alone (offset 0), and the union of
-    a pair is the item ``sorted(a + b)``, which shares the memo.  The test
-    is symmetric in A and B and so is the union, so the first violating
-    pair in canonical order has A no later than B, and only those pairs are
-    visited.  For an id-sensitive generator B is renumbered above A, so the
-    union ``A + shifted B`` is the profile of the item ``a + b``; it is
-    built once per pair, evaluated only at the committees where the choices
-    of A and B intersect, and not kept, since no other pair has its voter
-    ids.
+    Anonymous generators see the item alone (offset 0), and the union of a
+    pair is the item ``sorted(a + b)``, which shares the memo.  The test is
+    symmetric in A and B and so is the union, so the first violating pair in
+    canonical order has A no later than B, and only those pairs are
+    visited.  For id-sensitive generators B is renumbered above A, so the
+    union ``A + shifted B`` is the profile of the item ``a + b``; it is built
+    once per pair, evaluated only at the committees where the choices of A
+    and B intersect, and not kept, since no other pair has its voter ids.
 
-    A derived generator reads a whole row off one trace of its rule.  The
-    items of the universe at offset 0 are traced through the rule's cache,
-    which the single-profile checks share; B at an offset and every union
-    larger than the universe's items are built for one comparison and
-    traced uncached.
+    A profile's choices are evaluated lazily, one committee at a time, and
+    shared by the generators that evaluate it together: a generator's
+    ``fn``, and a derived generator's rule stepping through the same step
+    function, which reads its row off :func:`step_trace` (with the rule's
+    ``branch_cap``) over those memoized choices.  So the rule's own step and
+    the generator derived from it step each union once.  The items of the
+    universe at offset 0 are traced for a derived generator through the
+    rule's cache, which the single-profile checks share; a derived rule
+    without a step traces every other profile with
+    :meth:`Rule.trace_uncached`.
     """
-    m = g.m
-    committees = all_committees(m, m - 1)
+    m = generators[0].m
+    id_sensitive = generators[0].id_sensitive
+    if any(g.m != m or g.id_sensitive != id_sensitive for g in generators):
+        raise ValueError("one pass checks generators of one m and one voter-id flag")
+    found: list[dict | None] = [None] * len(generators)
+    if m < 2:
+        return found  # every committee has size m - 1 or more
+    committees = all_committees(m, m - 2)
     index = {W: i for i, W in enumerate(committees)}
     field = (1 << m) - 1
     # the top bit of every field, and the bits below it
@@ -545,12 +631,12 @@ def _consistency_witnesses(g: GeneratorFunction, n: int) -> Iterator[dict]:
         return (((x & low) + low) | x) & high
 
     universe = ProfileUniverse(m, n)
-    rule = g.derived_from
 
     def traced_row(trace: tuple[Family, ...]) -> int:
-        # W in f(A, k) chooses each x whose W + {x} is in f(A, k + 1)
+        # W in f(A, k) chooses each x whose W + {x} is in f(A, k + 1), for
+        # every W below size m - 1
         out = 0
-        for k in range(1, len(trace)):
+        for k in range(1, min(len(trace), m)):
             below = trace[k - 1]
             for U in trace[k]:
                 for x in U:
@@ -559,72 +645,128 @@ def _consistency_witnesses(g: GeneratorFunction, n: int) -> Iterator[dict]:
                         out |= 1 << (index[W] * m + x)
         return out
 
+    def checked_choice(chosen, W: frozenset) -> frozenset:
+        chosen = frozenset(chosen)
+        if not chosen.isdisjoint(W):
+            raise ValueError(
+                f"generator chose {sorted(chosen & W)} from inside the committee {sorted(W)}"
+            )
+        return chosen
+
     masks: dict[frozenset, int] = {}  # each choice set's bit mask
 
-    def choice_row(p: Profile, wanted: int = -1) -> int:
-        """The row of ``p`` at the committees whose field in ``wanted`` is
-        non-zero (all by default); the other fields may read 0."""
-        if rule is not None:
-            top = len(committees) - 1 if wanted < 0 else (wanted.bit_length() - 1) // m
-            return traced_row(rule.trace_uncached(p, len(committees[top]) + 1))
-        out = 0
-        for i, W in enumerate(committees):
-            if wanted >> (i * m) & field:
-                chosen = frozenset(g.fn(p, W))
-                mask = masks.get(chosen)
-                if mask is None:
-                    mask = masks[chosen] = sum(1 << c for c in chosen)
-                out |= mask << (i * m)
-        return out
+    def choice_row(
+        g: GeneratorFunction, p: Profile, steps: dict, wanted: int = -1, cached: bool = False
+    ) -> int:
+        """The row of ``g`` on ``p`` at the committees whose field in
+        ``wanted`` is non-zero (all by default); the other fields may read 0.
+        ``steps`` maps each step function to the choices on ``p`` evaluated
+        so far, per committee; ``cached`` marks a universe item, which a
+        derived generator traces through its rule's cache."""
+        rule = g.derived_from
+        if rule is not None and cached:
+            return traced_row(rule.trace(p))
+        fn = g.fn if rule is None else rule.step
+        choices = steps.setdefault(fn, {})
+        if rule is None:
+            out = 0
+            for i, W in enumerate(committees):
+                if wanted >> (i * m) & field:
+                    chosen = choices.get(W)
+                    if chosen is None:
+                        chosen = choices[W] = checked_choice(fn(p, W), W)
+                    mask = masks.get(chosen)
+                    if mask is None:
+                        mask = masks[chosen] = sum(1 << c for c in chosen)
+                    out |= mask << (i * m)
+            return out
+        top = len(committees) - 1 if wanted < 0 else (wanted.bit_length() - 1) // m
+        k = len(committees[top]) + 1
+        if fn is None:
+            return traced_row(rule.trace_uncached(p, k))
 
-    rows: dict[tuple, int] = {}
+        def step(_: Profile, W: frozenset) -> frozenset:
+            chosen = choices.get(W)
+            if chosen is None:
+                chosen = choices[W] = checked_choice(fn(p, W), W)
+            return chosen
 
-    def row(offset: int, item: tuple[int, ...]) -> int:
-        key = (offset, item)
-        out = rows.get(key)
-        if out is None:
-            if offset:
-                p = universe.profile(item).relabeled(offset + 1)
-            else:  # a non-decreasing item: the canonical profile, counts filled in
-                p = Profile.from_counts(m, universe.counts(item), checked=True)
-            if rule is not None and not offset and len(item) <= n:  # a universe item
-                out = traced_row(rule.trace(p))
-            else:
-                out = choice_row(p)
-            rows[key] = out
-        return out
+        return traced_row(step_trace(step, p, k, rule.branch_cap))
+
+    memo: list[dict[tuple, int]] = [{} for _ in generators]
+
+    def fill(key: tuple, which) -> None:
+        """Memoize the rows of the profile of ``key`` for those of the
+        generators ``which`` that lack them, sharing its choices."""
+        which = [gi for gi in which if key not in memo[gi]]
+        if not which:
+            return
+        offset, item = key
+        if offset:
+            p = universe.profile(item).relabeled(offset + 1)
+        else:  # a non-decreasing item: the canonical profile, counts filled in
+            p = Profile.from_counts(m, universe.counts(item), checked=True)
+        steps: dict = {}
+        cached = not offset and len(item) <= n
+        for gi in which:
+            memo[gi][key] = choice_row(generators[gi], p, steps, cached=cached)
 
     def members(mask: int) -> frozenset:
         return frozenset(c for c in range(m) if mask >> c & 1)
 
+    live = list(range(len(generators)))
     items = list(universe.items())
     for pos, a in enumerate(items):
-        row_a = row(0, a)
-        offset = len(a) if g.id_sensitive else 0
+        key_a = (0, a)
+        fill(key_a, live)
+        # (generator, its memo, its row of A) for each generator still searching
+        searching = [(gi, memo[gi], memo[gi][key_a]) for gi in live]
+        offset = len(a) if id_sensitive else 0
         for b in items if offset else items[pos:]:
-            row_b = row(offset, b)
-            joint = row_a & row_b
-            if not joint:
+            key_b = (offset, b)
+            need = []  # the searching generators whose choices on A and B intersect
+            for gi, rows, row_a in searching:
+                row_b = rows.get(key_b)
+                if row_b is None:
+                    fill(key_b, live)
+                    row_b = rows[key_b]
+                joint = row_a & row_b
+                if joint:
+                    need.append((gi, rows, row_a, row_b, joint))
+            if not need:
                 continue
             if offset:
-                row_ab = choice_row(universe.profile(a + b), joint)
+                p_ab, steps = universe.profile(a + b), {}
             else:
-                row_ab = row(0, tuple(sorted(a + b)))
-            # committees where the intersection and the combined choice are
-            # both non-empty and differ
-            clash = nonzero(joint) & nonzero(row_ab) & nonzero(row_ab ^ joint)
-            if not clash:
-                continue
-            for i in range(len(committees)):
+                key_ab = (0, tuple(sorted(a + b)))
+            for gi, rows, row_a, row_b, joint in need:
+                if offset:
+                    row_ab = choice_row(generators[gi], p_ab, steps, joint)
+                else:
+                    row_ab = rows.get(key_ab)
+                    if row_ab is None:
+                        fill(key_ab, [entry[0] for entry in need])
+                        row_ab = rows[key_ab]
+                # committees where the intersection and the combined choice
+                # are both non-empty and differ; the first one is the witness
+                clash = nonzero(joint) & nonzero(row_ab) & nonzero(row_ab ^ joint)
+                if not clash:
+                    continue
+                i = ((clash & -clash).bit_length() - 1) // m
                 shift = i * m
-                if clash >> shift & field:
-                    both, combined = joint >> shift & field, row_ab >> shift & field
-                    yield {
-                        "a": universe.profile(a), "b": universe.profile(b).relabeled(len(a) + 1),
-                        "committee": committees[i],
-                        "g_a": members(row_a >> shift), "g_b": members(row_b >> shift),
-                        "g_combined": members(combined), "intersection": members(both),
-                    }
+                found[gi] = {
+                    "a": universe.profile(a), "b": universe.profile(b).relabeled(len(a) + 1),
+                    "committee": committees[i],
+                    "g_a": members(row_a >> shift), "g_b": members(row_b >> shift),
+                    "g_combined": members(row_ab >> shift & field),
+                    "intersection": members(joint >> shift & field),
+                }
+                live.remove(gi)
+            if len(live) < len(searching):
+                if not live:
+                    return found
+                searching = [entry for entry in searching if found[entry[0]] is None]
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -959,9 +1101,10 @@ def run_suite(rule: Rule, suite: str, bounds: Bounds = DEFAULT_BOUNDS) -> list[A
 
     def monotone_block():
         reports.append(check_committee_monotonicity(rule, bounds))
-        if rule.step is not None:
-            reports.append(check_generator_consistency(step_generator(rule), bounds))
-        reports.append(check_generator_consistency(derived_generator(rule), bounds))
+        generators = (derived_generator(rule),)
+        if rule.step is not None:  # checked with the rule's own step, in one pass
+            generators = (step_generator(rule), *generators)
+        reports.extend(_consistency_reports(generators, bounds))
 
     def clones_block():
         for which in CLONE_AXIOMS:

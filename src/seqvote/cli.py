@@ -28,13 +28,11 @@ error (a bug in seqvote, never the input's fault).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import sys
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 from . import catalog
 from .catalog import UnknownRuleError
@@ -270,6 +268,8 @@ def _write_set(obj, nl: str, out: list[str]) -> None:
 
 
 def _digest(text: str) -> str:
+    import hashlib  # here, so that only the ops that print a digest load it
+
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -418,7 +418,8 @@ def render_compute_pretty(rule_name: str, m: int, k: int, trace, scores) -> str:
 
 def _read_input(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as file:  # not pathlib, which an op would import for this alone
+            return file.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
 from .counting import Valuation, committee_score
 from .engine import Family, Rule
-from .profiles import BallotCounts, CapError, Profile, ballot_sort_key
+from .profiles import BallotCounts, CapError, Profile, Record, ballot_sort_key
 
 DEFAULT_COMMITTEE_CAP = 10**6
 DEFAULT_UNIVERSE_CAP = 10**6
@@ -50,8 +49,7 @@ def all_committees(m: int, max_size: int | None = None) -> tuple[frozenset[int],
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ProfileUniverse:
+class ProfileUniverse(Record):
     """All profiles with 1..``max_voters`` voters over m candidates, streamed.
 
     An item of the universe is a tuple of indices into :attr:`ballots`:
@@ -68,10 +66,16 @@ class ProfileUniverse:
     is kept between yields.
     """
 
+    _fields = ("m", "max_voters", "cap", "ordered")
     m: int
     max_voters: int
-    cap: int = DEFAULT_UNIVERSE_CAP
-    ordered: bool = False
+    cap: int
+    ordered: bool
+
+    def __init__(
+        self, m: int, max_voters: int, cap: int = DEFAULT_UNIVERSE_CAP, ordered: bool = False
+    ):
+        self.__dict__.update(m=m, max_voters=max_voters, cap=cap, ordered=ordered)
 
     def count(self, n: int) -> int:
         """Closed form: size-n multisets (or sequences) of the 2^m - 1 ballots."""

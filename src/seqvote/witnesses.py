@@ -23,7 +23,6 @@ candidates beyond the construction's needs are approved by nobody.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .axioms import clone_violation, proportionality_violation
@@ -35,7 +34,7 @@ from .catalog import (
 )
 from .counting import ThieleTable
 from .engine import Family, Rule
-from .profiles import Profile
+from .profiles import Profile, Record
 
 
 class WitnessNotApplicable(ValueError):
@@ -54,10 +53,12 @@ _AXIOM_OF = {
 }
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A verified violation instance for one clone axiom."""
 
+    _fields = (
+        "construction", "axiom", "profile", "k", "expected", "expected_trace", "params", "note",
+    )
     construction: str
     axiom: str
     profile: Profile
@@ -65,7 +66,23 @@ class Witness:
     expected: Family
     expected_trace: tuple[tuple[int, Family], ...]
     params: dict
-    note: str = ""
+    note: str
+
+    def __init__(
+        self,
+        construction: str,
+        axiom: str,
+        profile: Profile,
+        k: int,
+        expected: Family,
+        expected_trace: tuple[tuple[int, Family], ...],
+        params: dict,
+        note: str = "",
+    ):
+        self.__dict__.update(
+            construction=construction, axiom=axiom, profile=profile, k=k, expected=expected,
+            expected_trace=expected_trace, params=params, note=note,
+        )
 
     def report_fields(self) -> dict:
         """The fields as :func:`seqvote.cli.render_report` writes them."""

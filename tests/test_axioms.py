@@ -397,6 +397,88 @@ def test_native_step_of_cc_tiebreak_is_consistent_but_derived_is_not():
     assert check_generator_consistency(derived_generator(rule), bounds).verdict == "violation"
 
 
+STEPPED_CASES = [
+    (name, m) for m in (2, 3) for name in catalog.RULE_NAMES if make(name, m).step is not None
+]
+
+
+@pytest.mark.parametrize("name, m", STEPPED_CASES)
+def test_one_pass_matches_each_generator_alone(name, m):
+    # run_suite checks a rule's own step and its derived generator in one
+    # pass; each report must be the one-generator search's, and its witness
+    # the naive search's, which also evaluates committees of size m - 1
+    bounds = Bounds(n_pair_each=2)
+    rule = make(name, m)
+    generators = (step_generator(rule), derived_generator(rule))
+    together = axioms._consistency_reports(generators, bounds)
+    for g, report in zip(generators, together):
+        alone = check_generator_consistency(g, bounds)
+        assert render_report(report) == render_report(alone)
+        naive = naive_consistency_witness(g, 2)
+        assert render_report(report.witness) == render_report(naive)
+    suite = run_suite(rule, "monotone", Bounds(n_single=2, n_pair_each=2))[1:]
+    assert [render_report(r) for r in suite] == [render_report(r) for r in together]
+
+
+@pytest.mark.parametrize("names", [
+    # the first generator has its witness at the first pair, the others go on
+    ("crowd-picky", "derived(seqpav)", "step(seqpav)"),
+    ("derived(reverse-seqccav)", "step(reverse-seqccav)", "crowd-shy"),
+    ("voter1-in-company", "derived(voter1-doubled-seqav)", "step(voter1-doubled-seqav)"),
+])
+def test_one_pass_over_generators_of_different_rules(names):
+    bounds = Bounds(n_pair_each=2)
+    generators = tuple(_generators(3)[name] for name in names)
+    together = axioms._consistency_reports(generators, bounds)
+    for g, report in zip(generators, together):
+        assert render_report(report) == render_report(check_generator_consistency(g, bounds))
+        assert render_report(report.witness) == render_report(naive_consistency_witness(g, 2))
+
+
+def test_one_pass_needs_one_m_and_one_voter_id_flag():
+    gens = _generators(3)
+    with pytest.raises(ValueError):
+        axioms._consistency_reports((gens["crowd-shy"], gens["voter1-outside"]))
+    with pytest.raises(ValueError):
+        axioms._consistency_reports((gens["crowd-shy"], _generators(2)["crowd-shy"]))
+
+
+def test_no_union_is_evaluated_at_size_m_minus_1():
+    m, n = 3, 2
+    calls = []  # (voters, committee size) of every call
+
+    def counting(profile, W):
+        calls.append((profile.n, len(W)))
+        return frozenset(range(profile.m)) - W
+
+    check_generator_consistency(GeneratorFunction("everyone", m, counting), Bounds(n_pair_each=n))
+    assert any(voters > n for voters, _ in calls)  # unions were evaluated
+    assert all(size < m - 1 for _, size in calls)
+
+    # a rule's own step and its derived generator, in one pass: the items of
+    # the universe are traced in full through the rule's cache, the unions
+    # only up to size m - 1
+    calls.clear()
+    rule = Rule("counted-seqav", m, "zoo", step=counting)
+    run_suite(rule, "monotone", Bounds(n_single=n, n_pair_each=n))
+    unions = [size for voters, size in calls if voters > n]
+    assert unions and max(unions) < m - 1
+
+
+def _inside(profile, W):
+    """Every candidate, members of W included."""
+    return frozenset(range(profile.m))
+
+
+def test_a_choice_inside_the_committee_is_an_error():
+    bounds = Bounds(n_pair_each=2)
+    with pytest.raises(ValueError, match="from inside the committee"):
+        check_generator_consistency(GeneratorFunction("inside", 3, _inside), bounds)
+    rule = Rule("inside", 3, "zoo", step=_inside)
+    with pytest.raises(ValueError, match="from inside the committee"):
+        check_generator_consistency(derived_generator(rule), bounds)
+
+
 # ---------------------------------------------------------------------------
 # Independence of losers / committee separability
 

@@ -1,4 +1,5 @@
-"""What ``import seqvote`` and one ``seqvote compute`` load.
+"""What ``import seqvote`` and one ``seqvote compute``, ``axioms`` or
+``witness`` op load.
 
 Each check runs in a fresh interpreter started with ``-S``, so the modules
 it sees are the ones seqvote imports, not those a site hook happens to load.
@@ -16,7 +17,8 @@ SRC = Path(seqvote.__file__).resolve().parent.parent
 
 # Modules a compute run must not load: the checkers, the witness
 # constructions and the enumerators, ``dataclasses`` with the ``inspect`` it
-# imports, and ``traceback``, which only the internal-error path needs.
+# imports, ``traceback``, which only the internal-error path needs, and
+# ``pathlib``, which reading an input file does not need.
 NOT_ON_THE_COMPUTE_PATH = (
     "seqvote.axioms",
     "seqvote.witnesses",
@@ -24,13 +26,19 @@ NOT_ON_THE_COMPUTE_PATH = (
     "dataclasses",
     "inspect",
     "traceback",
+    "pathlib",
 )
 
-COMPUTE = """
+# Modules the checker and witness ops must not load: ``dataclasses`` with
+# the ``inspect`` it imports (their records are ``profiles.Record``s),
+# ``pathlib``, and ``hashlib``, which only a printed digest needs.
+NOT_ON_THE_CHECKER_PATH = ("dataclasses", "inspect", "pathlib", "hashlib")
+
+OP = """
 import io, json, sys
 import seqvote.cli
 sys.stdout = io.StringIO()
-code = seqvote.cli.main(["compute", "seqsav", sys.argv[1], "3"])
+code = seqvote.cli.main(sys.argv[1:])
 sys.stdout = sys.__stdout__
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
@@ -66,9 +74,22 @@ def fresh(code: str, *args: str):
 def test_compute_loads_only_the_compute_path(tmp_path):
     path = tmp_path / "profile.txt"
     path.write_text("m=4\n2: 0 1\n1: 2\n1: 1 2 3\n")
-    run = fresh(COMPUTE, str(path))
+    run = fresh(OP, "compute", "seqsav", str(path), "3")
     assert run["code"] == 0
     assert [name for name in NOT_ON_THE_COMPUTE_PATH if name in run["modules"]] == []
+
+
+def test_axioms_loads_no_record_or_digest_machinery():
+    run = fresh(OP, "axioms", "seqpav", "proper", "--max-voters", "1")
+    assert run["code"] == 0
+    assert [name for name in NOT_ON_THE_CHECKER_PATH if name in run["modules"]] == []
+
+
+def test_witness_loads_no_record_machinery():
+    # the report carries the table's sha256 digest, so ``hashlib`` is loaded
+    run = fresh(OP, "witness", "T2", "seqpav", "--m", "4")
+    assert run["code"] == 1
+    assert [name for name in NOT_ON_THE_CHECKER_PATH if name in run["modules"]] == ["hashlib"]
 
 
 def test_import_seqvote_loads_no_submodule():
