@@ -86,31 +86,12 @@ class AxiomReport(Record):
     profiles reproduces the reported families exactly.
     """
 
-    _fields = ("axiom", "subject", "verdict", "bounds", "witness", "note")
     axiom: str
     subject: str
     verdict: str  # pass-exhaustive | pass | violation | inconclusive
     bounds: dict
-    witness: dict | None
-    note: str
-
-    def __init__(
-        self,
-        axiom: str,
-        subject: str,
-        verdict: str,
-        bounds: dict,
-        witness: dict | None = None,
-        note: str = "",
-    ):
-        self.__dict__.update(
-            axiom=axiom, subject=subject, verdict=verdict, bounds=bounds, witness=witness,
-            note=note,
-        )
-
-    def report_fields(self) -> dict:
-        """The fields as :func:`seqvote.cli.render_report` writes them."""
-        return vars(self)
+    witness: dict | None = None
+    note: str = ""
 
 
 def _verdict(axiom: str, subject: str, used: dict, violations: Iterator[dict]) -> AxiomReport:
@@ -129,49 +110,18 @@ def _report(axiom: str, subject: str, used: dict, witness: dict | None) -> Axiom
 class Bounds(Record):
     """Search bounds for the checkers; every field is a hard cap, never a goal."""
 
-    _fields = (
-        "n_single", "n_perm", "n_pair_each", "n_pair_total", "n_continuity",
-        "n_continuity_other", "j_max", "n_stats", "w_max_stats", "n1_max", "n2_max",
-        "k_max_proportional",
-    )
-    n_single: int          # voters, single-profile universal checks
-    n_perm: int            # voters, permutation-quantified checks
-    n_pair_each: int       # voters per side, generator consistency
-    n_pair_total: int      # voters in total, committee separability
-    n_continuity: int      # voters in the replicated profile
-    n_continuity_other: int
-    j_max: int
-    n_stats: int           # voters, information-basis check
-    w_max_stats: int | None  # committee sizes for the stats check
-    n1_max: int            # clone bloc, clone-proportionality
-    n2_max: int            # singleton bloc, clone-proportionality
-    k_max_proportional: int
-
-    def __init__(
-        self,
-        n_single: int = 5,
-        n_perm: int = 3,
-        n_pair_each: int = 3,
-        n_pair_total: int = 3,
-        n_continuity: int = 3,
-        n_continuity_other: int = 1,
-        j_max: int = 16,
-        n_stats: int = 2,
-        w_max_stats: int | None = None,
-        n1_max: int = 8,
-        n2_max: int = 8,
-        k_max_proportional: int = 3,
-    ):
-        self.__dict__.update(
-            n_single=n_single, n_perm=n_perm, n_pair_each=n_pair_each,
-            n_pair_total=n_pair_total, n_continuity=n_continuity,
-            n_continuity_other=n_continuity_other, j_max=j_max, n_stats=n_stats,
-            w_max_stats=w_max_stats, n1_max=n1_max, n2_max=n2_max,
-            k_max_proportional=k_max_proportional,
-        )
-
-    def asdict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items()}
+    n_single: int = 5          # voters, single-profile universal checks
+    n_perm: int = 3            # voters, permutation-quantified checks
+    n_pair_each: int = 3       # voters per side, generator consistency
+    n_pair_total: int = 3      # voters in total, committee separability
+    n_continuity: int = 3      # voters in the replicated profile
+    n_continuity_other: int = 1
+    j_max: int = 16
+    n_stats: int = 2           # voters, information-basis check
+    w_max_stats: int | None = None  # committee sizes for the stats check
+    n1_max: int = 8            # clone bloc, clone-proportionality
+    n2_max: int = 8            # singleton bloc, clone-proportionality
+    k_max_proportional: int = 3
 
 
 DEFAULT_BOUNDS = Bounds()
@@ -413,7 +363,7 @@ def check_continuity(
     limit = certificate if certificate is not None else j_max
     used = {"m": rule.m, "j_max": j_max, "certified_bound": certificate}
     for j in range(1, limit + 1):
-        if rule.apply(_combined(a, j, b), k) == target:
+        if rule.trace_uncached(_combined(a, j, b), k)[k] == target:
             return AxiomReport(
                 "continuity",
                 rule.name,
@@ -871,8 +821,10 @@ def _separability_witnesses(rule: Rule, n_total: int) -> Iterator[dict]:
                 continue
             shifted = b.relabeled(a.n + 1)
             combined = a + shifted
+            trace = ()
             for k in range(m + 1):
-                for W in rule.apply(combined, k):
+                trace = rule.trace_uncached(combined, k, prefix=trace)
+                for W in trace[k]:
                     wa, wb = W & a.support, W & complement
                     ok_a = wa in rule.apply(a, len(wa))
                     ok_b = wb in rule.apply(shifted, len(wb))

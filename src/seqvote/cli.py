@@ -133,7 +133,7 @@ def format_profile(profile: Profile) -> str:
 
 
 _ENTRY_RE = re.compile(
-    r"^h\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?(?:,\s*(\d+)\s*)?\)\s*=\s*(-?\d+(?:\s*/\s*\d+)?)$"
+    r"^h\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?(?:,\s*(\d+)\s*)?\)\s*=\s*(-?\d+(?:\s*/\s*\d*[1-9]\d*)?)$"
 )
 
 
@@ -254,8 +254,8 @@ def _write(obj, nl: str, out: list[str]) -> None:
     elif isinstance(obj, Profile):
         votes = [[voter, sorted(ballot)] for voter, ballot in obj.votes]
         _write({"m": obj.m, "votes": votes, "text": format_profile(obj)}, nl, out)
-    elif hasattr(obj, "report_fields"):  # an AxiomReport or a Witness
-        _write(obj.report_fields(), nl, out)
+    elif hasattr(obj, "asdict"):  # a Record: an AxiomReport or a Witness
+        _write(obj.asdict(), nl, out)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

@@ -33,7 +33,6 @@ class ValidationResult(NamedTuple):
 class ThieleTable(Record):
     """A table ``h(x)`` for ``x in 0..m``."""
 
-    _fields = ("values",)
     values: tuple[Fraction, ...]
 
     def __init__(self, values):
@@ -64,7 +63,6 @@ class ThieleTable(Record):
 class StepThieleTable(Record):
     """A table ``h(x, y)`` for ``x in 0..m``, ``y in 1..m`` (y = committee size)."""
 
-    _fields = ("values",)
     values: tuple[tuple[Fraction, ...], ...]  # indexed [y-1][x]
 
     def __init__(self, values):
@@ -90,7 +88,6 @@ class StepCountingTable(Record):
     """A table ``h(x, y, z)``: x committee members approved, committee size y,
     ballot size z."""
 
-    _fields = ("values",)
     values: tuple[tuple[tuple[Fraction, ...], ...], ...]  # indexed [x][y-1][z-1]
 
     def __init__(self, values):
@@ -131,7 +128,6 @@ class WeightTable(Record):
     (``0..m-1``) and ``z`` is the ballot size (``1..m``).
     """
 
-    _fields = ("values",)
     values: tuple[tuple[Fraction, ...], ...]  # indexed [x][z-1]
 
     def __init__(self, values):
@@ -251,7 +247,6 @@ class Valuation(Record):
     the pair itself.  Valuations compare and hash by identity.
     """
 
-    _fields = ("name", "fn", "counting")
     name: str
     fn: Callable[[frozenset[int], frozenset[int]], Fraction] | None
     counting: Callable[[int, int, int], Fraction] | None

@@ -118,11 +118,7 @@ def extension_gains(
     between gains therefore compare exactly across profiles, without a
     rational per candidate.  Other valuations get their exact scores.
     """
-    committee = frozenset(committee)
-    if valuation.counting is None:
-        return _scaled_gains(valuation, profile, committee)[1]
-    level = valuation.level(len(committee) + 1, profile.m)
-    return _scored_gains(level, profile, committee)[1]
+    return _scaled_gains(valuation, profile, frozenset(committee))[1]
 
 
 def generator_step(
@@ -356,24 +352,11 @@ class GeneratorFunction(Record):
     which is what the checkers do instead of calling ``fn`` per committee.
     """
 
-    _fields = ("name", "m", "fn", "id_sensitive", "derived_from")
     name: str
     m: int
     fn: StepFn
-    id_sensitive: bool
-    derived_from: Optional[Rule]
-
-    def __init__(
-        self,
-        name: str,
-        m: int,
-        fn: StepFn,
-        id_sensitive: bool = False,
-        derived_from: Optional[Rule] = None,
-    ):
-        self.__dict__.update(
-            name=name, m=m, fn=fn, id_sensitive=id_sensitive, derived_from=derived_from
-        )
+    id_sensitive: bool = False
+    derived_from: Optional[Rule] = None
 
 
 def step_generator(rule: Rule) -> GeneratorFunction:

@@ -66,16 +66,10 @@ class ProfileUniverse(Record):
     is kept between yields.
     """
 
-    _fields = ("m", "max_voters", "cap", "ordered")
     m: int
     max_voters: int
-    cap: int
-    ordered: bool
-
-    def __init__(
-        self, m: int, max_voters: int, cap: int = DEFAULT_UNIVERSE_CAP, ordered: bool = False
-    ):
-        self.__dict__.update(m=m, max_voters=max_voters, cap=cap, ordered=ordered)
+    cap: int = DEFAULT_UNIVERSE_CAP
+    ordered: bool = False
 
     def count(self, n: int) -> int:
         """Closed form: size-n multisets (or sequences) of the 2^m - 1 ballots."""

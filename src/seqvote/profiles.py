@@ -63,17 +63,40 @@ class Record:
     dataclasses, because importing ``dataclasses`` imports ``inspect``: about
     9 ms of start-up in every ``seqvote compute`` process when no bytecode
     is cached (Python 3.11), as much as the engine work of a typical run.
-    A subclass names its fields in ``_fields`` and sets them in its own
-    ``__init__`` through ``__dict__``.  Instances of one class compare and
-    hash by those fields and print them; assigning or deleting any attribute
-    raises :class:`AttributeError`.
+    Every annotation in a subclass body is a field, in declaration order,
+    and a value given with it there is its default.  The base constructor
+    takes the fields by position or by name; a subclass that validates or
+    coerces its fields writes its own ``__init__`` and sets them through
+    ``__dict__``.  Instances of one class compare and hash by their fields
+    and print them; assigning or deleting any attribute raises
+    :class:`AttributeError`.
     """
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
         cls._key = staticmethod(attrgetter(*cls._fields))  # the fields, read in C
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)}")
+        given = dict(zip(fields, args))
+        for field in kwargs:
+            if field in given or field not in fields:
+                raise TypeError(f"{name}() got a repeated or unknown field {field!r}")
+        values = {**self._defaults, **given, **kwargs}
+        missing = [field for field in fields if field not in values]
+        if missing:
+            raise TypeError(f"{name}() is missing fields {missing}")
+        self.__dict__.update((field, values[field]) for field in fields)
+
+    def asdict(self) -> dict:
+        """The fields by name, in field order."""
+        return {field: self.__dict__[field] for field in self._fields}
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -106,7 +129,6 @@ class Profile(Record):
     parser) and skips the checks.
     """
 
-    _fields = ("m", "votes")
     m: int
     votes: tuple[tuple[int, frozenset[int]], ...]
 

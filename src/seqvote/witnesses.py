@@ -34,7 +34,7 @@ from .catalog import (
 )
 from .counting import ThieleTable
 from .engine import Family, Rule
-from .profiles import Profile, Record
+from .profiles import CapError, Profile, Record
 
 
 class WitnessNotApplicable(ValueError):
@@ -43,6 +43,16 @@ class WitnessNotApplicable(ValueError):
 
 class WitnessVerificationError(AssertionError):
     """Engine replay contradicted the construction (indicates a bug)."""
+
+
+class WitnessCapError(CapError):
+    """The witness profile would hold more than :data:`WITNESS_VOTER_CAP` voters."""
+
+
+#: The most voters a witness profile may hold.  The replication grows like
+#: one over the table's first deviation; the named tables at m 3..12 need at
+#: most 7 voters.
+WITNESS_VOTER_CAP = 10_000
 
 
 _AXIOM_OF = {
@@ -56,9 +66,6 @@ _AXIOM_OF = {
 class Witness(Record):
     """A verified violation instance for one clone axiom."""
 
-    _fields = (
-        "construction", "axiom", "profile", "k", "expected", "expected_trace", "params", "note",
-    )
     construction: str
     axiom: str
     profile: Profile
@@ -66,27 +73,11 @@ class Witness(Record):
     expected: Family
     expected_trace: tuple[tuple[int, Family], ...]
     params: dict
-    note: str
+    note: str = ""
 
-    def __init__(
-        self,
-        construction: str,
-        axiom: str,
-        profile: Profile,
-        k: int,
-        expected: Family,
-        expected_trace: tuple[tuple[int, Family], ...],
-        params: dict,
-        note: str = "",
-    ):
-        self.__dict__.update(
-            construction=construction, axiom=axiom, profile=profile, k=k, expected=expected,
-            expected_trace=expected_trace, params=params, note=note,
-        )
-
-    def report_fields(self) -> dict:
+    def asdict(self) -> dict:
         """The fields as :func:`seqvote.cli.render_report` writes them."""
-        return {**vars(self), "expected_trace": dict(self.expected_trace)}
+        return {**super().asdict(), "expected_trace": dict(self.expected_trace)}
 
 
 def _family(committees) -> Family:
@@ -128,6 +119,14 @@ def _replication(ell: int | None, *lower_bounds: Fraction) -> int:
     if ell < need:
         raise ValueError(f"replication {ell} too small; need at least {need}")
     return ell
+
+
+def _capped(construction: str, voters: int) -> None:
+    """Refuse a witness of ``voters`` voters over the cap, before any ballot is built."""
+    if voters > WITNESS_VOTER_CAP:
+        raise WitnessCapError(
+            f"{construction} needs {voters} voters, cap is {WITNESS_VOTER_CAP}"
+        )
 
 
 def _verified(h: ThieleTable, witness: Witness) -> Witness:
@@ -182,6 +181,7 @@ def witness_clone_rejection(h: ThieleTable, ell: int | None = None) -> Witness:
         "table is the coverage rule's on this domain; it rejects clones",
     )
     ell = _replication(ell, 1 / delta)
+    _capped("T2", ell + x * (x + 1) // 2)
     clones = list(range(x))
     ballots = [frozenset(clones)] * ell + [frozenset({0, 1})] * x
     for i in range(3, x + 2):  # bloc sizes x-1, x-2, ..., 1 on candidates 2..x
@@ -209,6 +209,7 @@ def witness_distrust(h: ThieleTable, ell: int | None = None) -> Witness:
         "first deviation is not above the linear table; distrust holds there",
     )
     ell = _replication(ell, 1 / delta)
+    _capped("T3-distrust", 2 * ell + 3)
     base = set(range(x - 1))
     c, d = x - 1, x
     ballots = (
@@ -239,6 +240,7 @@ def witness_clone_acceptance(h: ThieleTable, ell: int | None = None) -> Witness:
     )
     delta = -deviation
     ell = _replication(ell, 1 / delta)
+    _capped("T3-acceptance", 2 * ell - 1)
     base = set(range(x - 2))
     c, d, b = x - 2, x - 1, x
     ballots = [frozenset(base | {c, d})] * ell + [frozenset({b})] * (ell - 1)
@@ -269,6 +271,7 @@ def witness_clone_proportionality(h: ThieleTable, ell: int | None = None) -> Wit
     )
     delta = abs(deviation)
     ell = _replication(ell, 1 / (x * delta), x - 1)
+    _capped("T4", ell * (x + 1) + 1)
     clones = frozenset(range(x))
     c = x
     if deviation > 0:

@@ -224,6 +224,15 @@ def test_continuity_search_matches_the_per_instance_loop(name):
     assert render_report(report) == render_report(naive_continuity_search(make(name, 3), Bounds()))
 
 
+def test_continuity_check_caches_only_a():
+    rule = make("seqpav", 3)
+    a = Profile.from_ballots(3, [{0, 1}, {0}])
+    b = Profile.from_ballots(3, [{2}, {2}, {1, 2}])
+    report = check_continuity(rule, a, b, 1, j_max=4)
+    assert report.verdict == "pass" and report.witness["j"] > 1
+    assert list(rule._traces) == [a.ballot_counts]
+
+
 def test_continuity_search_caches_only_the_searched_profiles():
     # jA + B is built for one comparison; only the A side, at most
     # n_continuity voters, belongs in the rule's cache.
@@ -552,6 +561,15 @@ def test_independence_of_losers_reports_are_pinned(name, m, n):
 
 def test_separability_coverage_rule():
     assert check_committee_separability(make("seqccav", 3), Bounds(n_pair_total=3)).verdict == "pass-exhaustive"
+
+
+def test_separability_caches_no_union():
+    # A + B is built for one comparison; only the sides, at most
+    # n_pair_total - 1 voters each, belong in the rule's cache.
+    rule = make("seqpav", 3)
+    bounds = Bounds(n_pair_total=3)
+    assert check_committee_separability(rule, bounds).verdict == "pass-exhaustive"
+    assert max(sum(count for _, count in key) for key in rule._traces) <= bounds.n_pair_total - 1
 
 
 def test_separability_violation_for_alternating_is_replayable():

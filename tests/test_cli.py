@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -397,6 +398,8 @@ def test_input_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "missing.txt")
     linear = tmp_path / "lin.cfg"
     linear.write_text("h(0)=0\nh(1)=1\nh(2)=2\nh(3)=3\n")
+    zero_denominator = tmp_path / "zero-denominator.cfg"
+    zero_denominator.write_text("h(0)=0\nh(1)=1/0\nh(2)=2\nh(3)=3\n")
     axioms = ["axioms", "seqav", "proper"]
     for argv, message in (
         (["compute", "seqav", str(path), "4"], "committee size 4 outside 0..3"),
@@ -421,10 +424,24 @@ def test_input_errors_exit_2(tmp_path, capsys):
         (["compute", "seqav", str(path), "1", "--table", str(linear)],
          "--table needs the rule name 'table', got 'seqav'"),
         (["compute", "table", str(path), "1"], "rule 'table' needs --table"),
+        (["compute", "table", str(path), "1", "--table", str(zero_denominator)],
+         "bad table entry at line 2: 'h(1)=1/0'"),
+        (["witness", "T2", str(zero_denominator)], "bad table entry at line 2: 'h(1)=1/0'"),
     ):
         code, out, err = run_cli(*argv, capsys=capsys)
         assert code == EXIT_USAGE and out == "", argv
         assert err.startswith("error: ") and message in err, argv
+
+
+def test_a_witness_over_the_voter_cap_exits_3_before_building(tmp_path, capsys):
+    # The first deviation is 1/10^9, so T2 needs 10^9 + 4 voters.
+    table = tmp_path / "tiny-deviation.cfg"
+    table.write_text("h(0)=0\nh(1)=1\nh(2)=1000000001/1000000000\nh(3)=3\n")
+    started = time.perf_counter()
+    code, out, err = run_cli("witness", "T2", str(table), capsys=capsys)
+    assert time.perf_counter() - started < 1
+    assert code == EXIT_CAP and out == ""
+    assert err == f"cap exceeded: T2 needs 1000000004 voters, cap is {witnesses.WITNESS_VOTER_CAP}\n"
 
 
 def test_every_cap_error_is_a_cap_error():

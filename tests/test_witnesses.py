@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from seqvote.catalog import make_seq_thiele, thiele_table
 from seqvote.counting import ThieleTable, validate_thiele
-from seqvote.profiles import Profile
+from seqvote import witnesses
+from seqvote.profiles import CapError, Profile
 from seqvote.witnesses import (
     Witness,
+    WitnessCapError,
     WitnessNotApplicable,
     build_witness,
     predicate_holds,
@@ -172,6 +174,34 @@ def test_growing_the_replication_preserves_the_violation(builder, table):
         bigger = builder(table, ell=ell + extra)  # constructors re-verify internally
         assert bigger.params["ell"] == ell + extra
         assert predicate_holds(bigger, make_seq_thiele(table))
+
+
+@pytest.mark.parametrize(
+    "builder,table",
+    [
+        (witness_clone_rejection, AV3),
+        (witness_clone_rejection, ThieleTable((0, 1, 1, 1, 2, 2))),
+        (witness_distrust, TRUSTING3),
+        (witness_distrust, ThieleTable((0, 1, 2, 3, 6, 7))),
+        (witness_clone_acceptance, PAV3),
+        (witness_clone_acceptance, ThieleTable((0, 1, 2, Fraction(5, 2), 3, Fraction(7, 2)))),
+        (witness_clone_proportionality, AV3),
+        (witness_clone_proportionality, CCAV3),
+        (witness_clone_proportionality, ThieleTable((0, 1, Fraction(3, 2), Fraction(11, 6), 3, 3))),
+    ],
+)
+def test_the_voter_cap_counts_each_witness_exactly(builder, table, monkeypatch):
+    # The closed-form voter count is checked before any ballot is built, so
+    # a cap one below the witness's size refuses it and a cap at it does not.
+    voters = builder(table).profile.n
+    monkeypatch.setattr(witnesses, "WITNESS_VOTER_CAP", voters - 1)
+    with pytest.raises(WitnessCapError):
+        builder(table)
+    monkeypatch.setattr(witnesses, "WITNESS_VOTER_CAP", voters)
+    assert builder(table).profile.n == voters
+    monkeypatch.undo()
+    with pytest.raises(CapError):  # an explicit replication is capped too
+        builder(table, ell=10**9)
 
 
 def test_minimal_replication_is_enforced():
