@@ -6,7 +6,9 @@ for its first violation witness in canonical order, which decides
 ``pass-exhaustive`` when there is none.  Existential axioms
 (non-imposition, continuity) can never be refuted by bounded search, so they
 come back as ``pass`` or ``inconclusive``.  That asymmetry is stated in each
-report's note.
+report's note.  Continuity is decided per pair (A, B) by one routine,
+:func:`_replications`; :func:`check_continuity` is its one-instance case,
+and its test oracle, a literal loop over ``jA + B``, shares none of it.
 
 Profile universes (:class:`seqvote.oracle.ProfileUniverse`) stream items,
 tuples of ballot indices: ballot multisets (non-decreasing items) for
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .counting import Valuation
 from .engine import (
@@ -244,14 +246,12 @@ def check_non_imposition(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRe
     used = {"m": m, "n": bounds.n_single}
     targets = {(k, W) for k in range(1, m + 1) for W in committees_of_size(m, k)}
     found: dict[tuple[int, frozenset], Profile] = {}
-    singleton_seen = {k: False for k in range(1, m + 1)}
     universe = _universe(rule, bounds.n_single)
     for item in universe.items():
         trace = rule.trace(universe.key(item))
         for k in range(1, m + 1):
             fam = trace[k]
             if len(fam) == 1:
-                singleton_seen[k] = True
                 key = (k, next(iter(fam)))
                 if key not in found:
                     found[key] = universe.profile(item)
@@ -271,7 +271,8 @@ def check_non_imposition(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRe
     missing = sorted(
         (k, tuple(sorted(W))) for (k, W) in targets - set(found)
     )
-    structural = [k for k, seen in singleton_seen.items() if not seen and k < m]
+    seen = {k for k, _ in found}  # the sizes with a singleton outcome
+    structural = [k for k in range(1, m) if k not in seen]
     note = EXISTENTIAL_NOTE
     if structural:
         note += (
@@ -294,53 +295,69 @@ def _combined(a: Profile, j: int, b: Profile) -> Profile:
     return scaled + b.relabeled(max(scaled.voter_ids) + 1)
 
 
-def _continuity_certificate(rule: Rule, a: Profile, b: Profile, k: int) -> int | None:
-    """A replication count certified to restore every level of the trace.
-
-    Only valid for rules that genuinely are sequential valuation rules.  For
-    every winning committee of ``a`` and every extension that falls outside
-    the next winning family, some argmax candidate beats it by a positive
-    exact gap; enough copies of ``a`` make that gap dominate whatever ``b``
-    contributes, which pins ``f(jA+B, l)`` inside ``f(A, l)`` level by level.
-    """
-    if not _certifiable(rule):
-        return None
-    v = rule.valuation
-    trace = rule.trace(a, k)
-    winners = [X for level in range(k) for X in trace[level]]
-    gains_a = {X: extension_gains(v, a, X) for X in winners}
-    gains_b = {X: extension_gains(v, b, X) for X in winners}
-    levels = (_level_certificate(trace, level, gains_a, gains_b) for level in range(k))
-    return max(levels, default=1)
-
-
 def _certifiable(rule: Rule) -> bool:
     return rule.valuation is not None and not rule.id_sensitive and rule.step is not None
 
 
-def _level_certificate(
-    trace: tuple[Family, ...], level: int, gains_a: dict, gains_b: dict
-) -> int:
-    """The replication count that pins level ``level + 1`` of ``jA + B``
-    inside ``trace[level + 1]`` (at least 1); ``gains_a`` and ``gains_b``
-    map each committee X of ``trace[level]`` to the extension gains of A and
-    B at X."""
+def _replications(
+    rule: Rule,
+    trace: tuple[Family, ...],
+    ks: list[int],
+    j_max: int,
+    combined: Callable[[int], Profile],
+    gains: tuple[dict, dict] | None = None,
+) -> tuple[dict[int, int], dict[int, int]]:
+    """``(limits, restored)`` for one pair (A, B) and the sizes ``ks``, in
+    increasing order: each k's replication limit and, if some count up to it
+    restores ``trace[k] = f(A, k)``, the least one.  ``combined(j)`` builds
+    ``jA + B``, traced once, uncached, for every k still pending.
+
+    A limit is ``j_max``, or certified by ``gains``: the extension gains of
+    A and of B at each committee of ``trace`` below the largest k, for a
+    rule that genuinely is a sequential valuation rule.  For every winning
+    committee of A and every extension outside the next winning family,
+    some argmax candidate beats it by a positive exact gap; enough copies of
+    A make that gap dominate whatever B contributes, which pins ``f(jA+B,
+    l)`` inside ``f(A, l)`` level by level.
+    """
+    limits = dict.fromkeys(ks, j_max if gains is None else 1)
     needed = 1
-    for X in trace[level]:
-        # gains share one positive factor per level, so push // gap is
-        # the ratio of the exact score differences, rounded down
-        score_a = gains_a[X]
-        score_b = gains_b[X]
-        best = max(score_a.values())
-        argmax = [c for c in score_a if score_a[c] == best]
-        for d in score_a:
-            if X | {d} in trace[level + 1]:
-                continue
-            gap = best - score_a[d]  # positive: d is not an argmax at X
-            push = min(score_b[d] - score_b[c] for c in argmax)
-            if push > 0:
-                needed = max(needed, push // gap + 1)
-    return needed
+    for level in range(0 if gains is None else ks[-1]):
+        for X in trace[level]:
+            # gains share one positive factor per level, so push // gap is
+            # the ratio of the exact score differences, rounded down
+            score_a = gains[0][X]
+            score_b = gains[1][X]
+            best = max(score_a.values())
+            argmax = [c for c in score_a if score_a[c] == best]
+            for d in score_a:
+                if X | {d} in trace[level + 1]:
+                    continue
+                gap = best - score_a[d]  # positive: d is not an argmax at X
+                push = min(score_b[d] - score_b[c] for c in argmax)
+                if push > 0:
+                    needed = max(needed, push // gap + 1)
+        if level + 1 in limits:
+            limits[level + 1] = needed
+    restored: dict[int, int] = {}
+    j = 0
+    while pending := [k for k in ks if k not in restored and limits[k] > j]:
+        j += 1
+        traced = rule.trace_uncached(combined(j), pending[-1])
+        for k in pending:
+            if traced[k] == trace[k]:
+                restored[k] = j
+    return limits, restored
+
+
+def _inconclusive(rule: Rule, used: dict, a, b, k: int, target: Family, limit: int) -> AxiomReport:
+    """The continuity report of an instance that no count up to ``limit`` restores."""
+    note = EXISTENTIAL_NOTE + (
+        f"; no replication count up to {limit} restores the base outcome"
+        " (the deciding comparison is invariant under replication)"
+    )
+    witness = {"a": a, "b": b, "k": k, "target": target}
+    return AxiomReport("continuity", rule.name, "inconclusive", used, witness=witness, note=note)
 
 
 def check_continuity(
@@ -355,34 +372,27 @@ def check_continuity(
     Requires ``|f(A, k)| = 1``.  For rules driven by a valuation an exact
     score-gap bound certifies some count works, so the answer is always
     ``pass``; black-box rules get ``pass`` or ``inconclusive`` at ``j_max``.
+    This is the one-instance case of :func:`_replications`, which
+    :func:`continuity_search` runs for every pair.
     """
-    target = rule.apply(a, k)
-    if len(target) != 1:
+    trace = rule.trace(a, k)
+    if len(trace[k]) != 1:
         raise PreconditionError("continuity needs a unique winning committee for A")
-    certificate = _continuity_certificate(rule, a, b, k)
-    limit = certificate if certificate is not None else j_max
-    used = {"m": rule.m, "j_max": j_max, "certified_bound": certificate}
-    for j in range(1, limit + 1):
-        if rule.trace_uncached(_combined(a, j, b), k)[k] == target:
-            return AxiomReport(
-                "continuity",
-                rule.name,
-                "pass",
-                used,
-                witness={"a": a, "b": b, "k": k, "j": j},
-                note=EXISTENTIAL_NOTE,
-            )
-    note = EXISTENTIAL_NOTE + (
-        f"; no replication count up to {limit} restores the base outcome"
-        " (the deciding comparison is invariant under replication)"
-    )
+    gains = None
+    if _certifiable(rule):
+        winners = [X for level in range(k) for X in trace[level]]
+        gains = tuple({X: extension_gains(rule.valuation, p, X) for X in winners} for p in (a, b))
+    limits, restored = _replications(rule, trace, [k], j_max, lambda j: _combined(a, j, b), gains)
+    used = {"m": rule.m, "j_max": j_max, "certified_bound": None if gains is None else limits[k]}
+    if k not in restored:
+        return _inconclusive(rule, used, a, b, k, trace[k], limits[k])
     return AxiomReport(
         "continuity",
         rule.name,
-        "inconclusive",
+        "pass",
         used,
-        witness={"a": a, "b": b, "k": k, "target": target},
-        note=note,
+        witness={"a": a, "b": b, "k": k, "j": restored[k]},
+        note=EXISTENTIAL_NOTE,
     )
 
 
@@ -393,11 +403,10 @@ def continuity_search(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRepor
     ``(A, B, k)`` with ``|f(A, k)| = 1``, in canonical order, but each piece
     of work is done once: A is traced once and its extension gains are
     computed once per committee, B's gains once per committee for the whole
-    search, the certificate of every k comes from one pass over the levels,
-    and each ``jA + B`` is built from its ballot indices (the item
-    ``a * j + b``) and traced once, uncached, for every k still pending.
-    On an ``inconclusive`` instance the report carries the witness and note
-    :func:`check_continuity` gives for it.
+    search, and :func:`_replications` decides every k of a pair at once,
+    building each ``jA + B`` from its ballot indices (the item ``a * j +
+    b``).  On an ``inconclusive`` instance the report carries the witness
+    and note :func:`check_continuity` gives for it.
     """
     used = {
         "m": rule.m,
@@ -429,32 +438,16 @@ def continuity_search(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRepor
                 for X in trace[level]
             }
         for ib, b in enumerate(others):
-            limits = dict.fromkeys(singleton_ks, bounds.j_max)
-            if certified:
-                needed = 1
-                for level in range(singleton_ks[-1]):
-                    needed = max(needed, _level_certificate(trace, level, gains_a, gains_b[ib]))
-                    if level + 1 in limits:
-                        limits[level + 1] = needed
-            pending, restored = dict(limits), {}
-            j = 0
-            while pending:
-                j += 1
+            limits, restored = _replications(
+                rule, trace, singleton_ks, bounds.j_max,
                 # the item of jA + B: j copies of A's voters, then B's
-                combined = rule.trace_uncached(universe.profile(a * j + b), max(pending))
-                for k, limit in list(pending.items()):
-                    if combined[k] == trace[k]:
-                        restored[k] = j
-                    if k in restored or limit == j:
-                        del pending[k]
-            failed = [k for k in singleton_ks if k not in restored]
-            if failed:
-                report = check_continuity(
-                    rule, universe.profile(a), universe.profile(b), failed[0], bounds.j_max
-                )
-                return AxiomReport(
-                    "continuity", rule.name, "inconclusive", used,
-                    witness=report.witness, note=report.note,
+                lambda j: universe.profile(a * j + b),
+                (gains_a, gains_b[ib]) if certified else None,
+            )
+            k = next((k for k in singleton_ks if k not in restored), None)
+            if k is not None:  # the first size no count restores
+                return _inconclusive(
+                    rule, used, universe.profile(a), universe.profile(b), k, trace[k], limits[k]
                 )
             worst = max(worst, *restored.values())
     return AxiomReport(
@@ -1032,8 +1025,7 @@ def run_suite(rule: Rule, suite: str, bounds: Bounds = DEFAULT_BOUNDS) -> list[A
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     reports: list[AxiomReport] = []
-
-    def proper_block():
+    if suite in ("proper", "all"):
         reports.append(check_anonymity(rule, bounds))
         reports.append(check_neutrality(rule, bounds))
         reports.append(continuity_search(rule, bounds))
@@ -1050,24 +1042,15 @@ def run_suite(rule: Rule, suite: str, bounds: Bounds = DEFAULT_BOUNDS) -> list[A
                 note="bundle of anonymity, neutrality, continuity, non-imposition",
             )
         )
-
-    def monotone_block():
+    if suite in ("monotone", "all"):
         reports.append(check_committee_monotonicity(rule, bounds))
         generators = (derived_generator(rule),)
         if rule.step is not None:  # checked with the rule's own step, in one pass
             generators = (step_generator(rule), *generators)
         reports.extend(_consistency_reports(generators, bounds))
-
-    def clones_block():
+    if suite in ("clones", "all"):
         for which in CLONE_AXIOMS:
             reports.append(check_clone_axiom(rule, which, bounds))
-
-    if suite in ("proper", "all"):
-        proper_block()
-    if suite in ("monotone", "all"):
-        monotone_block()
-    if suite in ("clones", "all"):
-        clones_block()
     if suite == "all":
         reports.append(check_independence_of_losers(rule, bounds))
         reports.append(check_committee_separability(rule, bounds))

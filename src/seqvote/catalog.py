@@ -6,6 +6,7 @@ finite, so the same name yields a different (but consistent) rule per m.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .counting import (
@@ -56,6 +57,9 @@ def thiele_table(name: str, m: int) -> ThieleTable:
     """The counting table behind a named sequential Thiele rule."""
     if name not in _THIELE_FUNCTIONS:
         raise UnknownRuleError(f"unknown Thiele table {name!r}")
+    if name == "seqpav":  # every harmonic(x) at once, as running sums
+        terms = (Fraction(1, i) for i in range(1, m + 1))
+        return ThieleTable(itertools.accumulate(terms, initial=0))
     return ThieleTable.from_function(m, _THIELE_FUNCTIONS[name])
 
 
@@ -63,7 +67,8 @@ def sav_table(m: int) -> StepCountingTable:
     """Satisfaction approval: each voter splits one point over her ballot.
 
     ``h(x, y, z) = x/z`` does not depend on ``y``, so each of the
-    ``(m+1)·m`` distinct entries is built once and its row shared by every y.
+    ``(m+1)·m`` distinct entries is built once and its row shared by every y,
+    in the table as well: :class:`StepCountingTable` converts a shared row once.
     """
     rows = [[Fraction(x, z) for z in range(1, m + 1)] for x in range(m + 1)]
     return StepCountingTable([[row] * m for row in rows])

@@ -524,30 +524,22 @@ def cmd_witness(args) -> int:
             catalog.check_thiele(table)
         except ValueError as exc:
             raise TableParseError(str(exc)) from None
+    report = {"command": "witness", "construction": args.construction, "table_digest": digest}
     try:
         witness = witnesses.build_witness(args.construction, table)
     except witnesses.WitnessNotApplicable as exc:
-        report = {
-            "command": "witness",
-            "construction": args.construction,
-            "table_digest": digest,
-            "verdict": "no-witness",
-            "reason": str(exc),
-        }
+        report.update(verdict="no-witness", reason=str(exc))
         sys.stdout.write(render_report(report))
         return EXIT_OK
     rule = catalog.make_seq_thiele(table, "under-test")
     observed = rule.apply(witness.profile, witness.k)
-    report = {
-        "command": "witness",
-        "construction": args.construction,
-        "table_digest": digest,
-        "verdict": "violation-reproduced",
-        "witness": witness,
-        "profile_text": format_profile(witness.profile),
-        "observed": observed,
-        "matches_expected": observed == witness.expected,
-    }
+    report.update(
+        verdict="violation-reproduced",
+        witness=witness,
+        profile_text=format_profile(witness.profile),
+        observed=observed,
+        matches_expected=observed == witness.expected,
+    )
     sys.stdout.write(render_report(report))
     return EXIT_VIOLATION
 
@@ -597,14 +589,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    commands = {"compute": cmd_compute, "axioms": cmd_axioms, "witness": cmd_witness}
     try:
-        if args.command == "compute":
-            return cmd_compute(args)
-        if args.command == "axioms":
-            return cmd_axioms(args)
-        if args.command == "witness":
-            return cmd_witness(args)
-        parser.error(f"unknown command {args.command!r}")
+        return commands[args.command](args)
     except (UsageError, ProfileParseError, TableParseError, UnknownRuleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -617,7 +604,6 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

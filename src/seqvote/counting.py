@@ -91,10 +91,15 @@ class StepCountingTable(Record):
     values: tuple[tuple[tuple[Fraction, ...], ...], ...]  # indexed [x][y-1][z-1]
 
     def __init__(self, values):
+        rows: dict[int, tuple] = {}  # id -> (the row, kept so the id stays its own; exact row)
+
+        def exact(zrow) -> tuple[Fraction, ...]:  # a row shared by several (x, y) stays shared
+            if id(zrow) not in rows:
+                rows[id(zrow)] = (zrow, tuple(map(frac, zrow)))
+            return rows[id(zrow)][1]
+
         try:
-            grid = tuple(
-                tuple(tuple(map(frac, zrow)) for zrow in yrow) for yrow in values
-            )
+            grid = tuple(tuple(map(exact, yrow)) for yrow in values)
         except TypeError as exc:
             raise ValueError(f"expected a 3-level grid of rationals: {exc}") from None
         m = len(grid) - 1

@@ -29,8 +29,8 @@ from .axioms import clone_violation, proportionality_violation
 from .catalog import (
     WITNESS_CONSTRUCTIONS as CONSTRUCTIONS,
     check_thiele,
-    harmonic,
     make_seq_thiele,
+    thiele_table,
 )
 from .counting import ThieleTable
 from .engine import Family, Rule
@@ -266,7 +266,7 @@ def witness_clone_proportionality(h: ThieleTable, ell: int | None = None) -> Wit
     a clone it should lose against.
     """
     m, x, deviation = _first_deviation(
-        h, harmonic, lambda dev: dev != 0,
+        h, thiele_table("seqpav", h.m), lambda dev: dev != 0,
         "table is the proportional rule's on this domain; it treats clones proportionally",
     )
     delta = abs(deviation)

@@ -207,18 +207,40 @@ def test_continuity_certificate_survives_tied_sibling_extensions():
     assert frozenset({0, 1}) in rule.apply(a, 2)
     assert rule.step(a, frozenset({0})) == {2}
     b = Profile.from_ballots(4, [{3}])
-    bound = axioms._continuity_certificate(rule, a, b, 4)
-    assert bound >= 1
     report = check_continuity(rule, a, b, 4)
+    assert report.bounds["certified_bound"] >= 1
     assert report.verdict == "pass"
 
 
-@pytest.mark.parametrize("name", [
-    "seqpav", "seqsav", "av-cc-alternating",
-    "candidate-a-doubled-seqav",  # a custom valuation: its gains are Fractions
-    "cc-tiebreak-seqav",  # no certificate: every k searched up to j_max
-    "voter1-doubled-seqav",  # id-sensitive: jA + B keeps its vote order
-])
+CERTIFIABLE = (
+    "seqav", "seqpav", "seqccav", "seqsav", "av-cc-alternating",
+    "candidate-a-doubled-seqav", "clone-trusting",
+    "reverse-seqav", "reverse-seqpav", "reverse-seqccav",
+)
+
+
+def test_the_certifiable_catalog_rules():
+    # a step and a valuation, and no voter ids read
+    certifiable = [name for name in catalog.RULE_NAMES if axioms._certifiable(make(name, 3))]
+    assert certifiable == list(CERTIFIABLE)
+
+
+@pytest.mark.parametrize("name", CERTIFIABLE)
+def test_continuity_certificate_alone_decides_at_one_copy(name):
+    # at j_max = 1 a searched count above one can only come from the
+    # certificate; the literal oracle, which has none, stops at j_max
+    assert continuity_search(make(name, 3), Bounds(j_max=1)).verdict == "pass"
+
+
+def test_continuity_search_stops_at_a_limit_of_zero():
+    # no count is tried, as in check_continuity: no count restores this
+    # rule's gap instance, so a search past its limit would never end
+    report = continuity_search(make("cc-tiebreak-seqav", 3), Bounds(j_max=0))
+    assert report.verdict == "inconclusive"
+    assert "up to 0 restores" in report.note
+
+
+@pytest.mark.parametrize("name", catalog.RULE_NAMES)
 def test_continuity_search_matches_the_per_instance_loop(name):
     report = continuity_search(make(name, 3))
     assert render_report(report) == render_report(naive_continuity_search(make(name, 3), Bounds()))

@@ -35,6 +35,17 @@ def test_named_tables():
     assert harmonic(4) == Fraction(25, 12)
 
 
+def test_the_proportional_table_holds_the_harmonic_numbers():
+    for m in range(1, 13):
+        table = thiele_table("seqpav", m)
+        assert table.values == tuple(harmonic(x) for x in range(m + 1))
+
+
+def test_the_satisfaction_table_shares_one_row_per_x():
+    table = sav_table(200)
+    assert len({id(row) for yrow in table.values for row in yrow}) == 201
+
+
 def test_make_seq_thiele_runs_and_validates():
     assert make_seq_thiele(thiele_table("seqav", 3), "seqav").apply(P1, 2) == fam({0, 1})
     assert make_seq_thiele(thiele_table("seqpav", 3), "seqpav").apply(P1, 2) == fam({0, 1})

@@ -644,6 +644,16 @@ def test_witness_command_no_witness(capsys):
     assert json.loads(out)["verdict"] == "no-witness"
 
 
+def test_witness_t4_on_the_proportional_table_is_linear_in_m(capsys):
+    # the table and the harmonic target are running sums; with one
+    # harmonic(x) call per x this took 16-24 s on a 2-vCPU VM
+    start = time.perf_counter()
+    code, out, _ = run_cli("witness", "T4", "seqpav", "--m", "2000", capsys=capsys)
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_OK
+    assert json.loads(out)["verdict"] == "no-witness"
+
+
 def test_witness_command_wider_candidate_set(capsys):
     code, out, _ = run_cli("witness", "T2", "seqav", "--m", "4", capsys=capsys)
     assert code == EXIT_VIOLATION

@@ -9,7 +9,7 @@ from fractions import Fraction
 import itertools
 import json
 
-from seqvote.axioms import EXISTENTIAL_NOTE, AxiomReport, check_continuity
+from seqvote.axioms import EXISTENTIAL_NOTE, AxiomReport
 from seqvote.cli import candidate_letter, format_profile
 from seqvote.oracle import ProfileUniverse, all_committees
 from seqvote.profiles import Profile
@@ -302,9 +302,11 @@ def naive_consistency_witness(g, n):
 
 
 def naive_continuity_search(rule, bounds):
-    """The continuity report as a literal loop: :func:`check_continuity` on
-    every ``(A, B, k)`` with ``|f(A, k)| = 1``, in canonical order; the
-    first instance it does not pass decides ``inconclusive``."""
+    """The continuity report as a literal loop, with no certificate: for
+    every ``(A, B, k)`` with ``|f(A, k)| = 1``, in canonical order, ``jA +
+    B`` is built from the ballots of j copies of A, then B's, and traced for
+    j = 1..``j_max``; the first instance that no j restores decides
+    ``inconclusive``."""
     used = {
         "m": rule.m,
         "n_a": bounds.n_continuity,
@@ -314,15 +316,25 @@ def naive_continuity_search(rule, bounds):
     worst = 0
     others = list(ProfileUniverse(rule.m, bounds.n_continuity_other, ordered=rule.id_sensitive))
     for a in ProfileUniverse(rule.m, bounds.n_continuity, ordered=rule.id_sensitive):
-        singleton_ks = [k for k in range(1, rule.m + 1) if len(rule.apply(a, k)) == 1]
+        trace_a = rule.trace_uncached(a)
         for b in others:
-            for k in singleton_ks:
-                report = check_continuity(rule, a, b, k, bounds.j_max)
-                if report.verdict != "pass":
-                    return AxiomReport(
-                        "continuity", rule.name, "inconclusive", used,
-                        witness=report.witness, note=report.note,
+            for k in range(1, rule.m + 1):
+                target = trace_a[k]
+                if len(target) != 1:
+                    continue
+                for j in range(1, bounds.j_max + 1):
+                    combined = Profile.from_ballots(rule.m, a.ballots() * j + b.ballots())
+                    if rule.trace_uncached(combined, k)[k] == target:
+                        worst = max(worst, j)
+                        break
+                else:
+                    note = EXISTENTIAL_NOTE + (
+                        f"; no replication count up to {bounds.j_max} restores the base"
+                        " outcome (the deciding comparison is invariant under replication)"
                     )
-                worst = max(worst, report.witness["j"])
+                    witness = {"a": a, "b": b, "k": k, "target": target}
+                    return AxiomReport(
+                        "continuity", rule.name, "inconclusive", used, witness=witness, note=note
+                    )
     note = EXISTENTIAL_NOTE + f"; largest minimal replication count seen: {worst}"
     return AxiomReport("continuity", rule.name, "pass", used, note=note)

@@ -20,6 +20,10 @@ stdout and stderr of
 - ``seqvote axioms <rule> all --max-voters 2`` and ``3``, ``all --max-m 4
   --max-voters 2``, and ``clones --max-m 4 --max-voters 3`` (profiles at m=4
   with repeated ballots), for every rule;
+- ``seqvote axioms <rule> proper --max-voters 3 --j-max 1`` for every rule:
+  the continuity certificate decides the rules with a step and a valuation
+  that are not id-sensitive, and the others are searched at j = 1 only
+  (``trivial`` passes there, the rest are inconclusive with limit 1);
 - ``seqvote witness <construction> <table> --m <m>`` for every
   construction, named table and m in {3, 4, 6};
 - error runs: an unknown witness construction (argparse usage error), a
@@ -149,6 +153,8 @@ def cases(workdir: Path):
         yield f"axioms-{rule}-m4-n2", argv
         argv = ["axioms", rule, "clones", "--max-m", "4", "--max-voters", "3"]
         yield f"axioms-{rule}-clones-m4-n3", argv
+        argv = ["axioms", rule, "proper", "--max-voters", "3", "--j-max", "1"]
+        yield f"axioms-{rule}-proper-n3-j1", argv
     for construction in witnesses.CONSTRUCTIONS:
         for table_name in NAMED_TABLES:
             for m in ("3", "4", "6"):
