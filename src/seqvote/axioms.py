@@ -12,11 +12,23 @@ and its test oracle, a literal loop over ``jA + B``, shares none of it.
 
 Profile universes (:class:`seqvote.oracle.ProfileUniverse`) stream items,
 tuples of ballot indices: ballot multisets (non-decreasing items) for
-anonymous rules, ballot sequences for id-sensitive ones.  The single-profile
-checks trace an anonymous item by its ballot counts and build a
-:class:`Profile` only on a trace-cache miss or for a witness.  Voters
-dropping approvals (independence of losers) move in groups: each run of
-equal indices of an anonymous item, each voter of an ordered one.
+anonymous rules, ballot sequences for id-sensitive ones.  An item is traced
+on one of two paths, into the rule's trace cache under the key
+:meth:`Rule.trace` uses.  A rule that steps by :func:`generator_step` over a
+table-backed valuation and reads no voter ids (the seq-Thiele family,
+``seqsav``, ``av-cc-alternating``, ``clone-trusting``, ``reverse-*``) is
+traced from :class:`GainRows`: one precomputed int row per ballot, summed
+per item, so no :class:`Profile` is built and no ballot passed over; the
+same sums give generator consistency's rows and continuity's ``jA + B``
+traces and certificate gains.  Every other rule is traced by
+:meth:`Rule.trace`, which builds a :class:`Profile` from an anonymous
+item's ballot counts only on a trace-cache miss; a witness builds its
+profiles either way.  Independence of losers is decided over single drops,
+one voter dropping one approval, which settle every shrinking; only on a
+violation are all shrinkings searched, voters moving in groups (each run of
+equal indices of an anonymous item, each voter of an ordered one), for the
+first witness in canonical order.
+
 Generator consistency keeps one choice row per generator and profile, an
 int holding the generator's choice at every committee below size m - 1,
 memoized per what the generator sees: the item for an anonymous generator,
@@ -24,7 +36,8 @@ whose union of a pair is the item ``sorted(a + b)``, and the item with its
 voter-id offset for an id-sensitive one.  A rule's own step and the
 generator derived from it are checked in one pass over the pairs, which
 steps each union once: its choices are evaluated one committee at a time
-and shared, the derived row read off a trace over those same choices.  No
+(or read off the sum of its sides' gain rows) and shared, the derived row
+read off a trace over those same choices.  No
 committee of size m - 1 is searched, since its one outside candidate x
 leaves every choice there empty or ``{x}``, so the intersection and the
 combined choice cannot both be non-empty and differ.
@@ -32,9 +45,9 @@ combined choice cannot both be non-empty and differ.
 The rule's trace cache holds what several checks share, the items of a
 universe.  A profile built for one comparison (the union of a pair, B
 renumbered above A, a replicated ``jA + B``) is traced with
-:meth:`Rule.trace_uncached` and dropped.  Enumeration order is canonical
-throughout, so the first witness found is deterministic, and every universe
-is capped: one over its cap raises
+:meth:`Rule.trace_uncached` and dropped; with gain rows, none is built.
+Enumeration order is canonical throughout, so the first witness found is
+deterministic, and every universe is capped: one over its cap raises
 :class:`seqvote.oracle.EnumerationCapError` before it yields anything.
 
 Default bounds: single-profile checks search up to five voters and pairwise
@@ -47,6 +60,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import partial
+from operator import add
 from typing import Callable, Iterator
 
 from .counting import Valuation
@@ -60,6 +75,7 @@ from .engine import (
     step_generator,
     step_trace,
 )
+from .gains import GainRows, gain_rows, table_valuation
 from .oracle import ProfileUniverse, all_ballots, all_committees, committees_of_size
 from .profiles import (
     BallotCounts,
@@ -135,6 +151,34 @@ DEFAULT_BOUNDS = Bounds()
 
 def _universe(rule: Rule, n_max: int) -> ProfileUniverse:
     return ProfileUniverse(rule.m, n_max, ordered=rule.id_sensitive)
+
+
+# ---------------------------------------------------------------------------
+# Tracing items
+
+
+def _item_tracer(
+    rule: Rule, universe: ProfileUniverse, rows: GainRows | None
+) -> Callable[..., tuple[Family, ...]]:
+    """``trace(item, k=None)``: the rule's ``(f(A,0), ..., f(A,k))`` on an
+    item of ``universe``, kept in the rule's trace cache under the key
+    :meth:`Rule.trace` uses.  With gain ``rows`` a miss is traced from the
+    item's gains instead of a profile."""
+    m = rule.m
+    if rows is None:
+        key = universe.key
+        return lambda item, k=None: rule.trace(key(item), k)
+    counts = universe.counts
+
+    def trace(item: tuple[int, ...], k: int | None = None) -> tuple[Family, ...]:
+        k = m if k is None else k
+        key = counts(item)
+        hit = rule.cached(key, k)
+        if hit is not None:
+            return hit
+        return rule.remember(key, rows.trace(rows.gains(item), k, rule.branch_cap))
+
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +291,9 @@ def check_non_imposition(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRe
     targets = {(k, W) for k in range(1, m + 1) for W in committees_of_size(m, k)}
     found: dict[tuple[int, frozenset], Profile] = {}
     universe = _universe(rule, bounds.n_single)
+    trace_item = _item_tracer(rule, universe, gain_rows(rule))
     for item in universe.items():
-        trace = rule.trace(universe.key(item))
+        trace = trace_item(item)
         for k in range(1, m + 1):
             fam = trace[k]
             if len(fam) == 1:
@@ -300,17 +345,18 @@ def _certifiable(rule: Rule) -> bool:
 
 
 def _replications(
-    rule: Rule,
+    m: int,
     trace: tuple[Family, ...],
     ks: list[int],
     j_max: int,
-    combined: Callable[[int], Profile],
+    replicated: Callable[[int, int], tuple[Family, ...]],
     gains: tuple[dict, dict] | None = None,
 ) -> tuple[dict[int, int], dict[int, int]]:
     """``(limits, restored)`` for one pair (A, B) and the sizes ``ks``, in
     increasing order: each k's replication limit and, if some count up to it
-    restores ``trace[k] = f(A, k)``, the least one.  ``combined(j)`` builds
-    ``jA + B``, traced once, uncached, for every k still pending.
+    and up to ``j_max`` restores ``trace[k] = f(A, k)``, the least one.
+    ``replicated(j, k)`` is ``(f(jA+B, 0), ..., f(jA+B, k))``, traced once
+    for every k still pending.
 
     A limit is ``j_max``, or certified by ``gains``: the extension gains of
     A and of B at each committee of ``trace`` below the largest k, for a
@@ -318,12 +364,15 @@ def _replications(
     committee of A and every extension outside the next winning family,
     some argmax candidate beats it by a positive exact gap; enough copies of
     A make that gap dominate whatever B contributes, which pins ``f(jA+B,
-    l)`` inside ``f(A, l)`` level by level.
+    l)`` inside ``f(A, l)`` level by level.  No committee of size m - 1
+    needs gains: its one extension, the full committee, always wins.  A
+    certified limit above ``j_max`` is reported but not searched to, so a
+    k it leaves unrestored has a minimal count above ``j_max``.
     """
     limits = dict.fromkeys(ks, j_max if gains is None else 1)
     needed = 1
     for level in range(0 if gains is None else ks[-1]):
-        for X in trace[level]:
+        for X in trace[level] if level < m - 1 else ():
             # gains share one positive factor per level, so push // gap is
             # the ratio of the exact score differences, rounded down
             score_a = gains[0][X]
@@ -341,9 +390,9 @@ def _replications(
             limits[level + 1] = needed
     restored: dict[int, int] = {}
     j = 0
-    while pending := [k for k in ks if k not in restored and limits[k] > j]:
+    while pending := [k for k in ks if k not in restored and min(limits[k], j_max) > j]:
         j += 1
-        traced = rule.trace_uncached(combined(j), pending[-1])
+        traced = replicated(j, pending[-1])
         for k in pending:
             if traced[k] == trace[k]:
                 restored[k] = j
@@ -371,8 +420,9 @@ def check_continuity(
 
     Requires ``|f(A, k)| = 1``.  For rules driven by a valuation an exact
     score-gap bound certifies some count works, so the answer is always
-    ``pass``; black-box rules get ``pass`` or ``inconclusive`` at ``j_max``.
-    This is the one-instance case of :func:`_replications`, which
+    ``pass``, with the minimal count if it is at most ``j_max``; black-box
+    rules get ``pass`` or ``inconclusive`` at ``j_max``.  This is the
+    one-instance case of :func:`_replications`, which
     :func:`continuity_search` runs for every pair.
     """
     trace = rule.trace(a, k)
@@ -380,20 +430,24 @@ def check_continuity(
         raise PreconditionError("continuity needs a unique winning committee for A")
     gains = None
     if _certifiable(rule):
-        winners = [X for level in range(k) for X in trace[level]]
+        winners = [X for level in range(min(k, rule.m - 1)) for X in trace[level]]
         gains = tuple({X: extension_gains(rule.valuation, p, X) for X in winners} for p in (a, b))
-    limits, restored = _replications(rule, trace, [k], j_max, lambda j: _combined(a, j, b), gains)
-    used = {"m": rule.m, "j_max": j_max, "certified_bound": None if gains is None else limits[k]}
-    if k not in restored:
-        return _inconclusive(rule, used, a, b, k, trace[k], limits[k])
-    return AxiomReport(
-        "continuity",
-        rule.name,
-        "pass",
-        used,
-        witness={"a": a, "b": b, "k": k, "j": restored[k]},
-        note=EXISTENTIAL_NOTE,
+    limits, restored = _replications(
+        rule.m, trace, [k], j_max,
+        lambda j, top: rule.trace_uncached(_combined(a, j, b), top), gains,
     )
+    used = {"m": rule.m, "j_max": j_max, "certified_bound": None if gains is None else limits[k]}
+    if k in restored:
+        witness, note = {"a": a, "b": b, "k": k, "j": restored[k]}, EXISTENTIAL_NOTE
+    elif limits[k] > j_max:
+        witness = {"a": a, "b": b, "k": k}
+        note = EXISTENTIAL_NOTE + (
+            f"; the minimal replication count exceeds j_max = {j_max}, and the score"
+            f" gaps certify that {limits[k]} copies restore the base outcome"
+        )
+    else:
+        return _inconclusive(rule, used, a, b, k, trace[k], limits[k])
+    return AxiomReport("continuity", rule.name, "pass", used, witness=witness, note=note)
 
 
 def continuity_search(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
@@ -404,9 +458,11 @@ def continuity_search(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRepor
     of work is done once: A is traced once and its extension gains are
     computed once per committee, B's gains once per committee for the whole
     search, and :func:`_replications` decides every k of a pair at once,
-    building each ``jA + B`` from its ballot indices (the item ``a * j +
-    b``).  On an ``inconclusive`` instance the report carries the witness
-    and note :func:`check_continuity` gives for it.
+    tracing each ``jA + B`` from its ballot indices (the item ``a * j +
+    b``).  A rule with gain rows (:class:`GainRows`) reads A's and B's gains
+    off them and traces ``jA + B`` from ``j * G(A) + G(B)``.  On an
+    ``inconclusive`` instance the report carries the witness and note
+    :func:`check_continuity` gives for it.
     """
     used = {
         "m": rule.m,
@@ -417,46 +473,70 @@ def continuity_search(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRepor
     m = rule.m
     universe = _universe(rule, bounds.n_continuity)
     others = list(_universe(rule, bounds.n_continuity_other).items())
+    rows = gain_rows(rule)
+    trace_item = _item_tracer(rule, universe, rows)
     certified = _certifiable(rule)
-    if certified:
+    if rows is not None:
+        gains_b = [{X: rows.at(rows.gains(b), X) for X in rows.slots} for b in others]
+    elif certified:
         v = rule.valuation
-        committees = all_committees(m, m - 1)
+        committees = all_committees(m, m - 2)
         gains_b = [
             {X: extension_gains(v, universe.profile(b), X) for X in committees} for b in others
         ]
-    worst = 0
+    worst, beyond = 0, False
     for a in universe.items():
-        trace = rule.trace(universe.key(a))
+        trace = trace_item(a)
         singleton_ks = [k for k in range(1, m + 1) if len(trace[k]) == 1]
         if not singleton_ks:
             continue
-        if certified:
+        winners = [X for level in range(min(singleton_ks[-1], m - 1)) for X in trace[level]]
+        if rows is not None:
+            g_a = rows.gains(a)
+            gains_a = {X: rows.at(g_a, X) for X in winners}
+        elif certified:
             profile_a = universe.profile(a)
-            gains_a = {
-                X: extension_gains(v, profile_a, X)
-                for level in range(singleton_ks[-1])
-                for X in trace[level]
-            }
+            gains_a = {X: extension_gains(v, profile_a, X) for X in winners}
         for ib, b in enumerate(others):
+            if rows is not None:
+                replicated = partial(_replicated_from_gains, rule, rows, g_a, rows.gains(b))
+            else:
+                replicated = partial(_replicated_from_items, rule, universe, a, b)
             limits, restored = _replications(
-                rule, trace, singleton_ks, bounds.j_max,
-                # the item of jA + B: j copies of A's voters, then B's
-                lambda j: universe.profile(a * j + b),
+                m, trace, singleton_ks, bounds.j_max, replicated,
                 (gains_a, gains_b[ib]) if certified else None,
             )
-            k = next((k for k in singleton_ks if k not in restored), None)
+            k = next(
+                (k for k in singleton_ks if k not in restored and limits[k] <= bounds.j_max), None
+            )
             if k is not None:  # the first size no count restores
                 return _inconclusive(
                     rule, used, universe.profile(a), universe.profile(b), k, trace[k], limits[k]
                 )
-            worst = max(worst, *restored.values())
-    return AxiomReport(
-        "continuity",
-        rule.name,
-        "pass",
-        used,
-        note=EXISTENTIAL_NOTE + f"; largest minimal replication count seen: {worst}",
-    )
+            worst = max(worst, *restored.values(), 0)
+            beyond = beyond or len(restored) < len(singleton_ks)
+    if beyond:
+        seen = (
+            f"some minimal replication count exceeds j_max = {bounds.j_max},"
+            " and the score gaps certify a count for each"
+        )
+    else:
+        seen = f"largest minimal replication count seen: {worst}"
+    return AxiomReport("continuity", rule.name, "pass", used, note=f"{EXISTENTIAL_NOTE}; {seen}")
+
+
+def _replicated_from_items(
+    rule: Rule, universe: ProfileUniverse, a: tuple, b: tuple, j: int, k: int
+) -> tuple[Family, ...]:
+    """``f(jA + B, 0..k)`` traced on the item of j copies of A's voters, then B's."""
+    return rule.trace_uncached(universe.profile(a * j + b), k)
+
+
+def _replicated_from_gains(
+    rule: Rule, rows: GainRows, g_a: list[int], g_b: list[int], j: int, k: int
+) -> tuple[Family, ...]:
+    """``f(jA + B, 0..k)`` traced from the gains ``j * G(A) + G(B)``."""
+    return rows.trace([j * x + y for x, y in zip(g_a, g_b)], k, rule.branch_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +552,9 @@ def check_committee_monotonicity(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) ->
 
 def _monotonicity_witnesses(rule: Rule, n: int) -> Iterator[dict]:
     universe = _universe(rule, n)
+    trace_item = _item_tracer(rule, universe, gain_rows(rule))
     for item in universe.items():
-        trace = rule.trace(universe.key(item))
+        trace = trace_item(item)
         for k in range(1, rule.m + 1):
             for W in trace[k]:
                 if not any(W - {x} in trace[k - 1] for x in W):
@@ -512,6 +593,45 @@ def _consistency_reports(
     ]
 
 
+def _derived_row(trace: tuple[Family, ...], index: dict[frozenset, int], m: int) -> int:
+    """The choice row a derived generator reads off ``trace``: W in f(A, k)
+    chooses each x whose W + {x} is in f(A, k + 1), at bits ``[i*m, (i+1)*m)``
+    for the committee W of ``index[W] = i``, every W below size m - 1."""
+    out = 0
+    for k in range(1, min(len(trace), m)):
+        below = trace[k - 1]
+        for U in trace[k]:
+            for x in U:
+                W = U - {x}
+                if W in below:
+                    out |= 1 << (index[W] * m + x)
+    return out
+
+
+def _gain_fields(rows: GainRows) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Per committee, its slots ``[first, end)`` in a gain row and the bits of
+    their candidates in a choice row: the slots follow :func:`all_committees`
+    ``(m, m - 2)``, so the i-th committee's candidate c is bit ``i*m + c``."""
+    m = rows.m
+    return [
+        (first, end, tuple(1 << (i * m + c) for c in outside))
+        for i, (first, end, outside, _) in enumerate(rows.slots.values())
+    ]
+
+
+def _step_row(gains: list[int], fields: list[tuple[int, int, tuple[int, ...]]]) -> int:
+    """The choice row of :func:`generator_step`, which picks the largest
+    gains at each committee, from an electorate's ``gains``."""
+    out = 0
+    for first, end, bits in fields:
+        scores = gains[first:end]
+        best = max(scores)
+        for bit, score in zip(bits, scores):
+            if score == best:
+                out |= bit
+    return out
+
+
 def _consistency_witnesses(
     generators: tuple[GeneratorFunction, ...], n: int
 ) -> list[dict | None]:
@@ -541,18 +661,26 @@ def _consistency_witnesses(
     visited.  For id-sensitive generators B is renumbered above A, so the
     union ``A + shifted B`` is the profile of the item ``a + b``; it is built
     once per pair, evaluated only at the committees where the choices of A
-    and B intersect, and not kept, since no other pair has its voter ids.
+    and B intersect, and not kept.  Different pairs can share it (``a =
+    (0, 1), b = (2,)`` and ``a = (0,), b = (1, 2)`` build the same profile),
+    but rarely: at m = 3 with up to three voters per side, ``run_suite``'s
+    pass over ``voter1-doubled-seqav`` builds 13,855 unions, 12,901 of them
+    distinct, so a memo would save 7% of them.
 
-    A profile's choices are evaluated lazily, one committee at a time, and
-    shared by the generators that evaluate it together: a generator's
-    ``fn``, and a derived generator's rule stepping through the same step
-    function, which reads its row off :func:`step_trace` (with the rule's
-    ``branch_cap``) over those memoized choices.  So the rule's own step and
-    the generator derived from it step each union once.  The items of the
-    universe at offset 0 are traced for a derived generator through the
-    rule's cache, which the single-profile checks share; a derived rule
-    without a step traces every other profile with
-    :meth:`Rule.trace_uncached`.
+    A generator whose step is :func:`generator_step` over a table valuation
+    (an anonymous pass only) has its rows from :class:`GainRows`: an item's
+    gains, or a union's as the sum of its sides', give the step row
+    directly and the derived row off a trace of the same gains, with no
+    profile built.  Any other profile's choices are evaluated lazily, one
+    committee at a time, and shared by the generators that evaluate it
+    together: a generator's ``fn``, and a derived generator's rule stepping
+    through the same step function, which reads its row off
+    :func:`step_trace` (with the rule's ``branch_cap``) over those memoized
+    choices.  So the rule's own step and the generator derived from it step
+    each union once.  The items of the universe at offset 0 are traced for a
+    derived generator through the rule's cache, which the single-profile
+    checks share; a derived rule without a step traces every other profile
+    with :meth:`Rule.trace_uncached`.
     """
     m = generators[0].m
     id_sensitive = generators[0].id_sensitive
@@ -575,19 +703,6 @@ def _consistency_witnesses(
 
     universe = ProfileUniverse(m, n)
 
-    def traced_row(trace: tuple[Family, ...]) -> int:
-        # W in f(A, k) chooses each x whose W + {x} is in f(A, k + 1), for
-        # every W below size m - 1
-        out = 0
-        for k in range(1, min(len(trace), m)):
-            below = trace[k - 1]
-            for U in trace[k]:
-                for x in U:
-                    W = U - {x}
-                    if W in below:
-                        out |= 1 << (index[W] * m + x)
-        return out
-
     def checked_choice(chosen, W: frozenset) -> frozenset:
         chosen = frozenset(chosen)
         if not chosen.isdisjoint(W):
@@ -608,7 +723,7 @@ def _consistency_witnesses(
         derived generator traces through its rule's cache."""
         rule = g.derived_from
         if rule is not None and cached:
-            return traced_row(rule.trace(p))
+            return _derived_row(rule.trace(p), index, m)
         fn = g.fn if rule is None else rule.step
         choices = steps.setdefault(fn, {})
         if rule is None:
@@ -626,7 +741,7 @@ def _consistency_witnesses(
         top = len(committees) - 1 if wanted < 0 else (wanted.bit_length() - 1) // m
         k = len(committees[top]) + 1
         if fn is None:
-            return traced_row(rule.trace_uncached(p, k))
+            return _derived_row(rule.trace_uncached(p, k), index, m)
 
         def step(_: Profile, W: frozenset) -> frozenset:
             chosen = choices.get(W)
@@ -634,25 +749,50 @@ def _consistency_witnesses(
                 chosen = choices[W] = checked_choice(fn(p, W), W)
             return chosen
 
-        return traced_row(step_trace(step, p, k, rule.branch_cap))
+        return _derived_row(step_trace(step, p, k, rule.branch_cap), index, m)
 
     memo: list[dict[tuple, int]] = [{} for _ in generators]
+    # the gain rows each generator's choices come from, one per table valuation
+    by_valuation: dict[Valuation, GainRows] = {}
+    row_sources: list[GainRows | None] = []
+    for g in generators:
+        step = g.fn if g.derived_from is None else g.derived_from.step
+        valuation = None if id_sensitive else table_valuation(step)
+        if valuation is not None and valuation not in by_valuation:
+            by_valuation[valuation] = GainRows(valuation, m)
+        row_sources.append(by_valuation.get(valuation))
+    fields = _gain_fields(next(iter(by_valuation.values()))) if by_valuation else []
 
-    def fill(key: tuple, which) -> None:
+    def fill(key: tuple, which, parts: tuple = ()) -> None:
         """Memoize the rows of the profile of ``key`` for those of the
-        generators ``which`` that lack them, sharing its choices."""
+        generators ``which`` that lack them, sharing its choices, or its
+        gains; ``parts`` are the items of a union's two sides."""
         which = [gi for gi in which if key not in memo[gi]]
         if not which:
             return
         offset, item = key
-        if offset:
-            p = universe.profile(item).relabeled(offset + 1)
-        else:  # a non-decreasing item: the canonical profile, counts filled in
-            p = Profile.from_counts(m, universe.counts(item), checked=True)
-        steps: dict = {}
-        cached = not offset and len(item) <= n
+        p, steps, sums = None, {}, {}
         for gi in which:
-            memo[gi][key] = choice_row(generators[gi], p, steps, cached=cached)
+            g, rows = generators[gi], row_sources[gi]
+            if rows is not None:
+                gains = sums.get(rows)
+                if gains is None:
+                    gains = sums[rows] = (
+                        list(map(add, *map(rows.gains, parts))) if parts else rows.gains(item)
+                    )
+                rule = g.derived_from
+                if rule is None:
+                    memo[gi][key] = _step_row(gains, fields)
+                else:
+                    trace = rows.trace(gains, m - 1, rule.branch_cap)
+                    memo[gi][key] = _derived_row(trace, index, m)
+                continue
+            if p is None:
+                if offset:
+                    p = universe.profile(item).relabeled(offset + 1)
+                else:  # a non-decreasing item: the canonical profile, counts filled in
+                    p = Profile.from_counts(m, universe.counts(item), checked=True)
+            memo[gi][key] = choice_row(g, p, steps, cached=not offset and len(item) <= n)
 
     def members(mask: int) -> frozenset:
         return frozenset(c for c in range(m) if mask >> c & 1)
@@ -688,7 +828,7 @@ def _consistency_witnesses(
                 else:
                     row_ab = rows.get(key_ab)
                     if row_ab is None:
-                        fill(key_ab, [entry[0] for entry in need])
+                        fill(key_ab, [entry[0] for entry in need], (a, b))
                         row_ab = rows[key_ab]
                 # committees where the intersection and the combined choice
                 # are both non-empty and differ; the first one is the witness
@@ -769,17 +909,28 @@ def check_independence_of_losers(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) ->
 
 
 def _independence_witnesses(rule: Rule, n: int) -> Iterator[dict]:
+    """Every violation in canonical order (:func:`_shrinking_witnesses`),
+    searched only if :func:`_single_drops_violate` says there is one."""
     universe = _universe(rule, n)
+    trace_item = _item_tracer(rule, universe, gain_rows(rule))
+    if _single_drops_violate(rule.m, universe, trace_item):
+        yield from _shrinking_witnesses(rule.m, universe, trace_item)
+
+
+def _shrinking_witnesses(m: int, universe: ProfileUniverse, trace_item) -> Iterator[dict]:
+    """Every violation of independence of losers over ``universe``, in
+    canonical order: per item, size and winning committee W, every
+    :func:`_shrunk` item where W loses."""
     moves: dict = {}
     kept = set()  # (shrunk, k, W) already seen to keep W winning
     for item in universe.items():
-        trace = rule.trace(universe.key(item))
-        for k in range(1, rule.m + 1):
+        trace = trace_item(item)
+        for k in range(1, m + 1):
             for W in sorted(trace[k], key=lambda c: tuple(sorted(c))):
                 for shrunk in _shrunk(universe, item, W, moves):
                     if (shrunk, k, W) in kept:
                         continue
-                    family = rule.apply(universe.key(shrunk), k)
+                    family = trace_item(shrunk, k)[k]
                     if W not in family:
                         yield {
                             "profile": universe.profile(item), "k": k, "committee": W,
@@ -787,6 +938,37 @@ def _independence_witnesses(rule: Rule, n: int) -> Iterator[dict]:
                             "families": (trace[k], family),
                         }
                     kept.add((shrunk, k, W))
+
+
+def _single_drops_violate(m: int, universe: ProfileUniverse, trace_item) -> bool:
+    """Whether one voter dropping one approval outside a winning committee W
+    ever makes W lose, over the items of ``universe``.
+
+    That decides independence of losers over the whole universe: any
+    shrinking of A that keeps W's part of every ballot is a chain of single
+    drops, each leaving a ballot non-empty and the profile in the universe,
+    so if no single drop makes W lose, W wins all along the chain.  A
+    shrunk ballot is smaller, so a shrunk item comes earlier in canonical
+    order than its item: its trace is at hand, and the drops trace no item
+    that the full search would not trace.
+    """
+    ballots, index, ordered = universe.ballots, universe.index, universe.ordered
+    # per ballot: (c, the index of the ballot without c) for each c it can drop
+    drops = [tuple((c, index[b - {c}]) for c in sorted(b)) if len(b) > 1 else () for b in ballots]
+    traces: dict[tuple[int, ...], tuple[Family, ...]] = {}
+    for item in universe.items():
+        winners = traces[item] = trace_item(item)
+        for p, i in enumerate(item):
+            if not ordered and p and item[p - 1] == i:
+                continue  # equal voters of an anonymous item drop alike
+            for c, j in drops[i]:
+                shrunk = item[:p] + (j,) + item[p + 1:]
+                after = traces[shrunk if ordered else tuple(sorted(shrunk))]
+                for k in range(1, m):
+                    for W in winners[k]:
+                        if c not in W and W not in after[k]:
+                            return True
+    return False
 
 
 def check_committee_separability(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
@@ -970,11 +1152,12 @@ def _proportionality_witnesses(rule: Rule, bounds: Bounds) -> Iterator[dict]:
 def _clone_witnesses(rule: Rule, which: str, n: int) -> Iterator[dict]:
     m = rule.m
     universe = _universe(rule, n)
+    trace = _item_tracer(rule, universe, gain_rows(rule))
     for item in universe.items():
         counts = universe.counts(item)
         if which != "distrust" and not _clone_pairs(m, counts):
             continue  # those two axioms only constrain profiles with clones
-        found = clone_violation(which, m, counts, rule.trace(universe.key(item)))
+        found = clone_violation(which, m, counts, trace(item))
         if found:
             yield {"profile": universe.profile(item), **found}
 

@@ -252,19 +252,34 @@ class Rule:
             key = profile if self.id_sensitive else profile.ballot_counts
         else:
             key = profile
+        hit = self.cached(key, k)
+        if hit is not None:
+            return hit
+        if not isinstance(profile, Profile):
+            profile = Profile.from_counts(self.m, key)  # built only on a miss
+        return self.remember(key, self.trace_uncached(profile, k, prefix=self._traces.get(key)))
+
+    def cached(self, key, k: int) -> tuple[Family, ...] | None:
+        """The cached ``(f(A,0), ..., f(A,k))`` under :meth:`trace`'s ``key``
+        for A (the profile, or an anonymous rule's ballot counts), or None if
+        the cache holds less; a hit counts as a use."""
         traces = self._traces
         cached = traces.get(key)
         if cached is not None and len(cached) > k:
             traces.move_to_end(key)
             return cached[: k + 1]
-        if not isinstance(profile, Profile):
-            profile = Profile.from_counts(self.m, key)  # built only on a miss
-        cached = self.trace_uncached(profile, k, prefix=cached)
-        traces[key] = cached
+        return None
+
+    def remember(self, key, trace: tuple[Family, ...]) -> tuple[Family, ...]:
+        """Cache ``trace`` under ``key``, as :meth:`trace` does on a miss, and
+        return it; a caller that derives a trace without stepping a profile
+        stores it here, so every check shares it."""
+        traces = self._traces
+        traces[key] = trace
         traces.move_to_end(key)
         if len(traces) > TRACE_CACHE_SIZE:
             traces.popitem(last=False)
-        return cached
+        return trace
 
     def trace_uncached(
         self,

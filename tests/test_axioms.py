@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 from fractions import Fraction
+from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from seqvote import axioms, catalog
+from seqvote import axioms, catalog, gains
 from seqvote.axioms import (
     Bounds,
     PreconditionError,
@@ -25,7 +27,16 @@ from seqvote.axioms import (
 )
 from seqvote.catalog import continuity_gap_instance, make
 from seqvote.cli import render_report
-from seqvote.engine import GeneratorFunction, Rule, derived_generator, step_generator, step_trace
+from seqvote.engine import (
+    BranchCapError,
+    GeneratorFunction,
+    Rule,
+    derive_generator,
+    derived_generator,
+    generator_step,
+    step_generator,
+    step_trace,
+)
 from seqvote.oracle import ProfileUniverse, all_committees
 from seqvote.profiles import Profile, apply_candidate_permutation, apply_voter_permutation
 
@@ -33,6 +44,113 @@ from util import fam, naive_consistency_witness, naive_continuity_search
 
 P1 = Profile.from_ballots(3, [{0, 1}, {0, 1}, {0, 1}, {2}])
 SMALL = Bounds(n_single=4, n_perm=2, n_pair_each=2, n_pair_total=3)
+
+
+# ---------------------------------------------------------------------------
+# Gain rows
+
+# the catalog rules that step by generator_step over a table valuation and
+# read no voter ids
+GAIN_ROW_RULES = (
+    "seqav", "seqpav", "seqccav", "seqsav", "av-cc-alternating", "clone-trusting",
+    "reverse-seqav", "reverse-seqpav", "reverse-seqccav",
+)
+
+
+def test_the_catalog_rules_with_gain_rows():
+    rows = {name: gains.gain_rows(make(name, 3)) for name in catalog.RULE_NAMES}
+    assert [name for name, row in rows.items() if row is not None] == list(GAIN_ROW_RULES)
+
+
+def _outcome(trace, *args):
+    """What ``trace(*args)`` returns, or the text of the BranchCapError it raises."""
+    try:
+        return trace(*args)
+    except BranchCapError as error:
+        return f"BranchCapError: {error}"
+
+
+@pytest.mark.parametrize("m", (2, 3, 4))
+@pytest.mark.parametrize("name", GAIN_ROW_RULES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_gain_rows_match_stepping_the_profiles(name, m, data):
+    rule = make(name, m)
+    rows = gains.gain_rows(rule)
+    universe = ProfileUniverse(m, 4)
+    ballot = st.integers(0, len(universe.ballots) - 1)
+    item = st.lists(ballot, min_size=1, max_size=4).map(lambda x: tuple(sorted(x)))
+    a, b, j = data.draw(item), data.draw(item), data.draw(st.integers(1, 3))
+    p_a, p_b = universe.profile(a), universe.profile(b)
+    g_a, g_b = rows.gains(a), rows.gains(b)
+    # an item's trace, the trivial last step included
+    assert rows.trace(g_a, m, rule.branch_cap) == rule.trace_uncached(p_a)
+    # the step row: generator_step at every committee below size m - 1
+    committees = all_committees(m, m - 2)
+    index = {W: i for i, W in enumerate(committees)}
+    step_row = derived_row = 0
+    union = Profile.from_ballots(m, p_a.ballots() + p_b.ballots())
+    for i, W in enumerate(committees):
+        step_row |= sum(1 << (i * m + c) for c in generator_step(rule.valuation, p_a, W))
+        derived_row |= sum(1 << (i * m + c) for c in derive_generator(rule, union, W))
+    assert axioms._step_row(g_a, axioms._gain_fields(rows)) == step_row
+    # a union's gains are the sum of its sides', and its derived row is read
+    # off a trace of them
+    g_ab = list(map(add, g_a, g_b))
+    assert g_ab == rows.gains(tuple(sorted(a + b)))
+    assert axioms._derived_row(rows.trace(g_ab, m - 1, rule.branch_cap), index, m) == derived_row
+    # jA + B from j * G(A) + G(B)
+    expected = rule.trace_uncached(Profile.from_ballots(m, p_a.ballots() * j + p_b.ballots()))
+    for k in range(m + 1):
+        assert axioms._replicated_from_gains(rule, rows, g_a, g_b, j, k) == expected[: k + 1]
+    # a small branch cap fires where step_trace fires, through the item tracer too
+    rule.branch_cap = cap = data.draw(st.integers(0, 3))
+    trace_item = axioms._item_tracer(rule, universe, rows)
+    for k in range(m + 1):
+        expected = _outcome(step_trace, rule.step, union, k, cap)
+        assert _outcome(rows.trace, g_ab, k, cap) == expected
+        assert _outcome(trace_item, a, k) == _outcome(rule.trace_uncached, p_a, k)
+
+
+def _refuse(*args):
+    raise AssertionError("gain rows built for a rule that does not step by its table valuation")
+
+
+GAIN_FREE = (
+    "cc-tiebreak-seqav", "candidate-a-doubled-seqav", "voter1-doubled-seqav",
+    "optimizing-av", "optimizing-pav", "optimizing-ccav",
+)
+
+
+def _outcomes(reports):
+    """Each report's verdict and witness, but for the checks that read the
+    valuation: continuity's certificate and the statistics check."""
+    valued = ("continuity", "proper", "information-basis")
+    return [(r.axiom, r.verdict, render_report(r.witness)) for r in reports if r.axiom not in valued]
+
+
+def test_only_a_step_by_the_table_valuation_takes_gain_rows(monkeypatch):
+    m = 3
+    bounds = Bounds(
+        n_single=2, n_perm=2, n_pair_each=2, n_pair_total=2, n_continuity=1, n1_max=3, n2_max=3
+    )
+    seqav, seqpav = make("seqav", m), make("seqpav", m)
+    expected = _outcomes(run_suite(seqav, "all", bounds))
+    # seqpav differs in generator consistency and clone acceptance
+    assert _outcomes(run_suite(seqpav, "all", bounds)) != expected
+    monkeypatch.setattr(gains.GainRows, "__init__", _refuse)
+    # seqav's step as a plain function, on a rule whose table valuation is
+    # seqpav's: the checks follow the step, not the table
+    custom = Rule(
+        "custom", m, "seq-thiele", step=lambda p, W: generator_step(seqav.valuation, p, W),
+        valuation=seqpav.valuation,
+    )
+    assert gains.gain_rows(custom) is None
+    assert _outcomes(run_suite(custom, "all", bounds)) == expected
+    for name in GAIN_FREE:  # every check, each generator consistency included
+        rule = make(name, m)
+        assert gains.gain_rows(rule) is None
+        run_suite(rule, "all", bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +356,38 @@ def test_continuity_search_stops_at_a_limit_of_zero():
     report = continuity_search(make("cc-tiebreak-seqav", 3), Bounds(j_max=0))
     assert report.verdict == "inconclusive"
     assert "up to 0 restores" in report.note
+
+
+def test_j_max_caps_the_replications_of_a_certified_instance():
+    # one voter for {0} against two for {1}: the certificate gives 3 copies
+    rule = make("seqav", 3)
+    a = Profile.from_ballots(3, [{0}])
+    b = Profile.from_ballots(3, [{1}, {1}])
+    assert check_continuity(rule, a, b, 1, j_max=3).witness["j"] == 3
+    report = check_continuity(rule, a, b, 1, j_max=2)
+    assert report.verdict == "pass" and report.bounds["certified_bound"] == 3
+    assert report.witness == {"a": a, "b": b, "k": 1}
+    assert "exceeds j_max = 2" in report.note and "3 copies restore" in report.note
+
+
+@pytest.mark.parametrize("name", ["seqpav", "candidate-a-doubled-seqav"])
+def test_continuity_search_replicates_no_further_than_j_max(name, monkeypatch):
+    # a certified count above j_max is never searched to, by gain rows or by
+    # profiles; the note says that some minimal count exceeds j_max
+    counts = []
+    for provider in ("_replicated_from_gains", "_replicated_from_items"):
+        replicate = getattr(axioms, provider)
+
+        def counted(*args, replicate=replicate):
+            counts.append(args[-2])
+            return replicate(*args)
+
+        monkeypatch.setattr(axioms, provider, counted)
+    report = continuity_search(make(name, 3), Bounds(n_continuity=1, j_max=1))
+    assert report.verdict == "pass" and "exceeds j_max = 1" in report.note
+    assert counts and max(counts) == 1
+    default = continuity_search(make(name, 3), Bounds(n_continuity=1, j_max=16))
+    assert "largest minimal replication count seen: 3" in default.note
 
 
 @pytest.mark.parametrize("name", catalog.RULE_NAMES)
@@ -579,6 +729,43 @@ def test_independence_of_losers_reports_are_pinned(name, m, n):
     report = check_independence_of_losers(make(name, m), Bounds(n_single=n))
     text = render_report(report)
     assert hashlib.sha256(text.encode()).hexdigest() == INDEPENDENCE_OF_LOSERS_SHA256[name, m, n]
+
+
+def _top_elects_zero(profile, W):
+    """Candidate 0 first if anyone approves the top candidate, else 1; then
+    the lowest outsider.  Only dropping the top candidate, the last one any
+    ballot can drop, makes a winner lose."""
+    if not W:
+        return frozenset({0 if any(profile.m - 1 in b for b in profile.ballots()) else 1})
+    return frozenset({min(c for c in range(profile.m) if c not in W)})
+
+
+def _drop_test_rule(name, m):
+    if name == "ordered-seqsav":  # an anonymous violator over the ordered universe
+        return Rule(name, m, "zoo", valuation=make("seqsav", m).valuation, id_sensitive=True)
+    if name == "top-elects-zero":
+        return Rule(name, m, "zoo", step=_top_elects_zero)
+    return make(name, m)
+
+
+@pytest.mark.parametrize("name", catalog.RULE_NAMES + ("ordered-seqsav", "top-elects-zero"))
+def test_single_drops_decide_independence_of_losers(name):
+    # the verdict over single drops is the verdict over every shrinking, and
+    # the first witness is the full search's; a universe holds the smaller
+    # ones, so a pass at the largest n is a pass at every n
+    for m, n_max in ((2, 4), (3, 4), (4, 2)):
+        rule = _drop_test_rule(name, m)
+        for n in range(n_max, 0, -1):
+            universe = axioms._universe(rule, n)
+            trace_item = axioms._item_tracer(rule, universe, gains.gain_rows(rule))
+            first = next(axioms._shrinking_witnesses(m, universe, trace_item), None)
+            assert axioms._single_drops_violate(m, universe, trace_item) == (first is not None)
+            report = check_independence_of_losers(rule, Bounds(n_single=n))
+            assert render_report(report.witness) == render_report(first)
+            if first is None:
+                break
+    if name == "top-elects-zero":
+        assert first["shrunk_profile"].ballots() == (frozenset({0}),)
 
 
 def test_separability_coverage_rule():

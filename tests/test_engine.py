@@ -172,14 +172,15 @@ def test_trace_cache_never_exceeds_its_bound(monkeypatch):
     monkeypatch.setattr(engine, "TRACE_CACHE_SIZE", 8)
     rule, fresh = make("seqpav", 3), make("seqpav", 3)
     sizes = []
-    trace = rule.trace
+    remember = rule.remember
 
-    def recording(profile, k=None):
-        out = trace(profile, k)
+    def recording(key, trace):
+        # every write to the cache: a miss of Rule.trace or a gain-derived trace
+        out = remember(key, trace)
         sizes.append(len(rule._traces))
         return out
 
-    monkeypatch.setattr(rule, "trace", recording)
+    monkeypatch.setattr(rule, "remember", recording)
     assert check_independence_of_losers(rule, Bounds(n_single=3)).verdict == "pass-exhaustive"
     assert len(sizes) > 100 and max(sizes) == 8
     for profile in ProfileUniverse(3, 2):  # evicted traces come back exact

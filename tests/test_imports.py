@@ -15,12 +15,13 @@ import seqvote
 
 SRC = Path(seqvote.__file__).resolve().parent.parent
 
-# Modules a compute run must not load: the checkers, the witness
-# constructions and the enumerators, ``dataclasses`` with the ``inspect`` it
-# imports, ``traceback``, which only the internal-error path needs, and
-# ``pathlib``, which reading an input file does not need.
+# Modules a compute run must not load: the checkers with their gain rows,
+# the witness constructions and the enumerators, ``dataclasses`` with the
+# ``inspect`` it imports, ``traceback``, which only the internal-error path
+# needs, and ``pathlib``, which reading an input file does not need.
 NOT_ON_THE_COMPUTE_PATH = (
     "seqvote.axioms",
+    "seqvote.gains",
     "seqvote.witnesses",
     "seqvote.oracle",
     "dataclasses",
