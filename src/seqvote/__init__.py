@@ -7,6 +7,8 @@ The package splits into:
 - :mod:`seqvote.engine` -- generator steps, tie-branching sequential runs;
 - :mod:`seqvote.catalog` -- the named rules and the axiom-violating zoo;
 - :mod:`seqvote.axioms` -- bounded axiom checkers returning replayable reports;
+- :mod:`seqvote.predicates` -- per-instance axiom predicates, shared by the
+  checkers and the witness replay;
 - :mod:`seqvote.witnesses` -- constructive counterexamples for the clone axioms;
 - :mod:`seqvote.oracle` -- brute-force enumeration and optimizing baselines;
 - :mod:`seqvote.cli` -- the ``seqvote`` command-line tool.

@@ -35,17 +35,19 @@ memoized per what the generator sees: the item for an anonymous generator,
 whose union of a pair is the item ``sorted(a + b)``, and the item with its
 voter-id offset for an id-sensitive one.  A rule's own step and the
 generator derived from it are checked in one pass over the pairs, which
-steps each union once: its choices are evaluated one committee at a time
-(or read off the sum of its sides' gain rows) and shared, the derived row
-read off a trace over those same choices.  No
-committee of size m - 1 is searched, since its one outside candidate x
-leaves every choice there empty or ``{x}``, so the intersection and the
-combined choice cannot both be non-empty and differ.
+steps each union once: its choices are candidate masks, evaluated one
+committee at a time (or read off the sum of its sides' gain rows) and
+shared, and the derived row is read off a trace on masks over those same
+choices (:func:`_traced_row`).  No committee of size m - 1 is searched,
+since its one outside candidate x leaves every choice there empty or
+``{x}``, so the intersection and the combined choice cannot both be
+non-empty and differ.
 
 The rule's trace cache holds what several checks share, the items of a
 universe.  A profile built for one comparison (the union of a pair, B
-renumbered above A, a replicated ``jA + B``) is traced with
-:meth:`Rule.trace_uncached` and dropped; with gain rows, none is built.
+renumbered above A, a replicated ``jA + B``) is stepped outside the cache,
+by the trace on masks or :meth:`Rule.trace_uncached`, and dropped; with
+gain rows, none is built.
 Enumeration order is canonical throughout, so the first witness found is
 deterministic, and every universe is capped: one over its cap raises
 :class:`seqvote.oracle.EnumerationCapError` before it yields anything.
@@ -59,13 +61,13 @@ permutation product tractable.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import partial
 from operator import add
 from typing import Callable, Iterator
 
 from .counting import Valuation
 from .engine import (
+    BranchCapError,
     Family,
     GeneratorFunction,
     Rule,
@@ -73,15 +75,13 @@ from .engine import (
     extension_gains,
     generator_step,
     step_generator,
-    step_trace,
 )
 from .gains import GainRows, gain_rows, table_valuation
 from .oracle import ProfileUniverse, all_ballots, all_committees, committees_of_size
+from .predicates import CLONE_AXIOMS, clone_pairs, clone_violation, proportionality_violation
 from .profiles import (
-    BallotCounts,
     Profile,
     Record,
-    apply_candidate_permutation,
     apply_voter_permutation,
     ballot_sort_key,
     profile_scale,
@@ -264,16 +264,31 @@ def check_neutrality(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport
 
 
 def _neutrality_witnesses(rule: Rule, n: int) -> Iterator[dict]:
-    for profile in _universe(rule, n):
-        base = rule.trace(profile)
-        for tau in itertools.permutations(range(rule.m)):
-            other = rule.trace(apply_candidate_permutation(tau, profile))
+    """Every violation in canonical order: per item, per relabeling tau in
+    ``permutations`` order, the first size k where f(tau(A), k) is not
+    tau(f(A, k)).  Each tau is a table from ballot indices to ballot
+    indices, built once; the relabeled item (sorted, in the anonymous
+    universe) is traced like any item, and a profile is built only for a
+    witness."""
+    m = rule.m
+    universe = _universe(rule, n)
+    trace_item = _item_tracer(rule, universe, gain_rows(rule))
+    index, ballots = universe.index, universe.ballots
+    relabelings = [
+        (tau, [index[frozenset(tau[c] for c in ballot)] for ballot in ballots])
+        for tau in itertools.permutations(range(m))
+    ]
+    for item in universe.items():
+        base = trace_item(item)
+        for tau, table in relabelings:
+            image = [table[i] for i in item]
+            other = trace_item(tuple(image if universe.ordered else sorted(image)))
             for k, (fam, actual) in enumerate(zip(base, other)):
                 expected = frozenset(frozenset(tau[c] for c in W) for W in fam)
                 if actual != expected:
                     yield {
-                        "profile": profile,
-                        "candidate_permutation": tuple(tau),
+                        "profile": universe.profile(item),
+                        "candidate_permutation": tau,
                         "k": k,
                         "families": (fam, actual),
                         "expected": expected,
@@ -608,6 +623,67 @@ def _derived_row(trace: tuple[Family, ...], index: dict[frozenset, int], m: int)
     return out
 
 
+def _growth(m: int) -> list[tuple[tuple[int, int, int], ...]]:
+    """Per committee of :func:`all_committees` ``(m, m - 2)``, in order, one
+    ``(candidate bit, child bit, row bit)`` per candidate c outside it: c's
+    bit in a choice mask, the bit of the child W + c in a family mask over
+    :func:`all_committees` ``(m, m - 1)``, and the bit of (W, c) in a choice
+    row, as :func:`_derived_row` lays rows out."""
+    family = all_committees(m, m - 1)
+    where = {W: j for j, W in enumerate(family)}
+    return [
+        tuple((1 << c, 1 << where[W | {c}], 1 << (i * m + c)) for c in range(m) if c not in W)
+        for i, W in enumerate(all_committees(m, m - 2))
+    ]
+
+
+def _traced_row(
+    choice: Callable[[int], int],
+    k: int,
+    branch_cap: int,
+    growth: list[tuple[tuple[int, int, int], ...]],
+) -> int:
+    """The row :func:`_derived_row` reads off the trace ``(f(A,0), ...,
+    f(A,k))``, ``k < m``, of the step whose choice at the i-th committee of
+    :func:`all_committees` ``(m, m - 2)`` is the candidate mask
+    ``choice(i)``, traced on masks with the layout of :func:`_growth`: a
+    family is the list of its committees' indices, and W's derived choice
+    is every c whose W + c is in the next family, through any parent.
+
+    The errors are :func:`seqvote.engine.step_trace`'s, level by level: an
+    empty choice raises its :class:`ValueError`, and so does any error
+    ``choice`` raises, and a level of more than ``branch_cap`` committees
+    raises :class:`BranchCapError`.  A level's committees are stepped in
+    committee order and the cap is checked once the level is complete, so
+    where one level holds both a failing choice and more committees than
+    the cap, the failing choice's error is raised; ``step_trace`` raises
+    whichever its set's order reaches first.
+    """
+    out = 0
+    family = [0]  # the committees' indices, in order: f(A, 0) = {{}}
+    for _ in range(k):
+        grown = 0  # the next family, one bit per committee
+        for i in family:
+            chosen = choice(i)
+            if not chosen:
+                raise ValueError("generator step returned no candidates mid-run")
+            for bit, child, _ in growth[i]:
+                if chosen & bit:
+                    grown |= child
+        if grown.bit_count() > branch_cap:
+            raise BranchCapError(f"more than {branch_cap} tied committees")
+        for i in family:
+            for _, child, row_bit in growth[i]:
+                if grown & child:
+                    out |= row_bit
+        family = []
+        while grown:
+            low = grown & -grown
+            family.append(low.bit_length() - 1)
+            grown ^= low
+    return out
+
+
 def _gain_fields(rows: GainRows) -> list[tuple[int, int, tuple[int, ...]]]:
     """Per committee, its slots ``[first, end)`` in a gain row and the bits of
     their candidates in a choice row: the slots follow :func:`all_committees`
@@ -658,29 +734,32 @@ def _consistency_witnesses(
     pair is the item ``sorted(a + b)``, which shares the memo.  The test is
     symmetric in A and B and so is the union, so the first violating pair in
     canonical order has A no later than B, and only those pairs are
-    visited.  For id-sensitive generators B is renumbered above A, so the
-    union ``A + shifted B`` is the profile of the item ``a + b``; it is built
-    once per pair, evaluated only at the committees where the choices of A
-    and B intersect, and not kept.  Different pairs can share it (``a =
-    (0, 1), b = (2,)`` and ``a = (0,), b = (1, 2)`` build the same profile),
-    but rarely: at m = 3 with up to three voters per side, ``run_suite``'s
-    pass over ``voter1-doubled-seqav`` builds 13,855 unions, 12,901 of them
-    distinct, so a memo would save 7% of them.
+    visited.  For id-sensitive generators B is renumbered above A, and
+    every pair is visited.  The union is built from vote tuples, A's
+    ``(1, ballot)``, ... followed by B's shifted by ``len(a)``, each kept
+    per ``(offset, item)`` and shared with B's own profile; it is evaluated
+    only at the committees where the choices of A and B intersect, and not
+    kept.  A memo of unions would save little: different pairs can build
+    the same union (``a = (0, 1), b = (2,)`` and ``a = (0,), b = (1, 2)``),
+    but at m = 3 with up to three voters per side, ``run_suite``'s pass over
+    ``voter1-doubled-seqav`` builds 13,855 unions, 12,901 of them distinct.
 
     A generator whose step is :func:`generator_step` over a table valuation
     (an anonymous pass only) has its rows from :class:`GainRows`: an item's
     gains, or a union's as the sum of its sides', give the step row
-    directly and the derived row off a trace of the same gains, with no
-    profile built.  Any other profile's choices are evaluated lazily, one
-    committee at a time, and shared by the generators that evaluate it
-    together: a generator's ``fn``, and a derived generator's rule stepping
-    through the same step function, which reads its row off
-    :func:`step_trace` (with the rule's ``branch_cap``) over those memoized
-    choices.  So the rule's own step and the generator derived from it step
-    each union once.  The items of the universe at offset 0 are traced for a
-    derived generator through the rule's cache, which the single-profile
-    checks share; a derived rule without a step traces every other profile
-    with :meth:`Rule.trace_uncached`.
+    directly, with no profile built.  Every other generator that steps a
+    profile reads one mask per committee index, evaluated on first use and
+    shared by the generators that evaluate the profile together: a
+    generator's ``fn``, and a derived generator's rule stepping through the
+    same step function.  Either way a derived generator reads its row off
+    :func:`_traced_row`, a trace on masks over those choices (the step
+    row's fields, with gain rows) with the rule's ``branch_cap``.  So the
+    rule's own step and the generator derived from it step each union
+    once.  The items of the
+    universe at offset 0 are traced for a derived generator through the
+    rule's cache, which the single-profile checks share; a derived rule
+    without a step traces every other profile with
+    :meth:`Rule.trace_uncached`.
     """
     m = generators[0].m
     id_sensitive = generators[0].id_sensitive
@@ -690,11 +769,14 @@ def _consistency_witnesses(
     if m < 2:
         return found  # every committee has size m - 1 or more
     committees = all_committees(m, m - 2)
+    width = len(committees)
     index = {W: i for i, W in enumerate(committees)}
+    inside = [sum(1 << c for c in W) for W in committees]
+    growth = _growth(m)
     field = (1 << m) - 1
     # the top bit of every field, and the bits below it
-    high = sum(1 << (i * m + m - 1) for i in range(len(committees)))
-    low = sum(field >> 1 << (i * m) for i in range(len(committees)))
+    high = sum(1 << (i * m + m - 1) for i in range(width))
+    low = sum(field >> 1 << (i * m) for i in range(width))
 
     def nonzero(x: int) -> int:
         """The top bit of every non-zero field of ``x``: the low bits of a
@@ -702,54 +784,69 @@ def _consistency_witnesses(
         return (((x & low) + low) | x) & high
 
     universe = ProfileUniverse(m, n)
-
-    def checked_choice(chosen, W: frozenset) -> frozenset:
-        chosen = frozenset(chosen)
-        if not chosen.isdisjoint(W):
-            raise ValueError(
-                f"generator chose {sorted(chosen & W)} from inside the committee {sorted(W)}"
-            )
-        return chosen
-
+    ballots = universe.ballots
     masks: dict[frozenset, int] = {}  # each choice set's bit mask
+
+    def choices(fn, p: Profile) -> Callable[[int], int]:
+        """``choice(i)``: the mask of ``fn(p, W)`` for the i-th committee W,
+        evaluated on first use; a member of W in it raises ValueError."""
+        got: list[int | None] = [None] * width
+
+        def choice(i: int) -> int:
+            mask = got[i]
+            if mask is None:
+                chosen = frozenset(fn(p, committees[i]))
+                mask = masks.get(chosen)
+                if mask is None:
+                    mask = masks[chosen] = sum(1 << c for c in chosen)
+                if mask & inside[i]:
+                    W = committees[i]
+                    raise ValueError(
+                        f"generator chose {sorted(chosen & W)} from inside the committee {sorted(W)}"
+                    )
+                got[i] = mask
+            return mask
+
+        return choice
 
     def choice_row(
         g: GeneratorFunction, p: Profile, steps: dict, wanted: int = -1, cached: bool = False
     ) -> int:
         """The row of ``g`` on ``p`` at the committees whose field in
         ``wanted`` is non-zero (all by default); the other fields may read 0.
-        ``steps`` maps each step function to the choices on ``p`` evaluated
-        so far, per committee; ``cached`` marks a universe item, which a
-        derived generator traces through its rule's cache."""
+        ``steps`` maps each step function to its :func:`choices` on ``p``;
+        ``cached`` marks a universe item, which a derived generator traces
+        through its rule's cache."""
         rule = g.derived_from
         if rule is not None and cached:
             return _derived_row(rule.trace(p), index, m)
         fn = g.fn if rule is None else rule.step
-        choices = steps.setdefault(fn, {})
         if rule is None:
+            choice = steps.get(fn) or steps.setdefault(fn, choices(fn, p))
             out = 0
-            for i, W in enumerate(committees):
-                if wanted >> (i * m) & field:
-                    chosen = choices.get(W)
-                    if chosen is None:
-                        chosen = choices[W] = checked_choice(fn(p, W), W)
-                    mask = masks.get(chosen)
-                    if mask is None:
-                        mask = masks[chosen] = sum(1 << c for c in chosen)
-                    out |= mask << (i * m)
+            tops = high if wanted < 0 else nonzero(wanted)
+            while tops:
+                top = tops & -tops
+                tops ^= top
+                i = top.bit_length() // m - 1
+                out |= choice(i) << (i * m)
             return out
-        top = len(committees) - 1 if wanted < 0 else (wanted.bit_length() - 1) // m
+        top = width - 1 if wanted < 0 else (wanted.bit_length() - 1) // m
         k = len(committees[top]) + 1
         if fn is None:
             return _derived_row(rule.trace_uncached(p, k), index, m)
+        choice = steps.get(fn) or steps.setdefault(fn, choices(fn, p))
+        return _traced_row(choice, k, rule.branch_cap, growth)
 
-        def step(_: Profile, W: frozenset) -> frozenset:
-            chosen = choices.get(W)
-            if chosen is None:
-                chosen = choices[W] = checked_choice(fn(p, W), W)
-            return chosen
+    votes: dict[tuple, tuple] = {}  # (offset, item) -> its votes, ids from offset + 1
 
-        return _derived_row(step_trace(step, p, k, rule.branch_cap), index, m)
+    def votes_of(key: tuple) -> tuple:
+        out = votes.get(key)
+        if out is None:
+            offset, item = key
+            out = votes[key] = tuple(zip(range(offset + 1, offset + len(item) + 1),
+                                         map(ballots.__getitem__, item)))
+        return out
 
     memo: list[dict[tuple, int]] = [{} for _ in generators]
     # the gain rows each generator's choices come from, one per table valuation
@@ -775,21 +872,21 @@ def _consistency_witnesses(
         for gi in which:
             g, rows = generators[gi], row_sources[gi]
             if rows is not None:
-                gains = sums.get(rows)
-                if gains is None:
-                    gains = sums[rows] = (
-                        list(map(add, *map(rows.gains, parts))) if parts else rows.gains(item)
-                    )
+                row = sums.get(rows)
+                if row is None:
+                    gains = list(map(add, *map(rows.gains, parts))) if parts else rows.gains(item)
+                    row = sums[rows] = _step_row(gains, fields)
                 rule = g.derived_from
                 if rule is None:
-                    memo[gi][key] = _step_row(gains, fields)
-                else:
-                    trace = rows.trace(gains, m - 1, rule.branch_cap)
-                    memo[gi][key] = _derived_row(trace, index, m)
+                    memo[gi][key] = row
+                else:  # a trace of the same choices, which are the step row's fields
+                    memo[gi][key] = _traced_row(
+                        lambda i: row >> (i * m) & field, m - 1, rule.branch_cap, growth
+                    )
                 continue
             if p is None:
                 if offset:
-                    p = universe.profile(item).relabeled(offset + 1)
+                    p = Profile(m, votes_of(key), checked=True)
                 else:  # a non-decreasing item: the canonical profile, counts filled in
                     p = Profile.from_counts(m, universe.counts(item), checked=True)
             memo[gi][key] = choice_row(g, p, steps, cached=not offset and len(item) <= n)
@@ -805,6 +902,7 @@ def _consistency_witnesses(
         # (generator, its memo, its row of A) for each generator still searching
         searching = [(gi, memo[gi], memo[gi][key_a]) for gi in live]
         offset = len(a) if id_sensitive else 0
+        votes_a = votes_of(key_a) if offset else ()
         for b in items if offset else items[pos:]:
             key_b = (offset, b)
             need = []  # the searching generators whose choices on A and B intersect
@@ -819,7 +917,7 @@ def _consistency_witnesses(
             if not need:
                 continue
             if offset:
-                p_ab, steps = universe.profile(a + b), {}
+                p_ab, steps = Profile(m, votes_a + votes_of(key_b), checked=True), {}
             else:
                 key_ab = (0, tuple(sorted(a + b)))
             for gi, rows, row_a, row_b, joint in need:
@@ -1015,102 +1113,6 @@ def _separability_witnesses(rule: Rule, n_total: int) -> Iterator[dict]:
 # Clone axioms
 
 
-def _clone_pairs(m: int, counts: BallotCounts) -> list[tuple[int, int]]:
-    """Candidate pairs approved by exactly the same voters."""
-    return [
-        (c, d)
-        for c in range(m)
-        for d in range(c + 1, m)
-        if all((c in ballot) == (d in ballot) for ballot, _ in counts)
-    ]
-
-
-CLONE_AXIOMS = ("rejection", "acceptance", "distrust", "proportionality")
-
-
-def clone_violation(
-    which: str, m: int, counts: BallotCounts, trace: tuple[Family, ...]
-) -> dict | None:
-    """How one profile violates clone rejection, acceptance or distrust, if it does.
-
-    ``counts`` are the profile's ballot counts and ``trace`` is the rule's
-    ``(f(A,0), ..., f(A,K))`` on it; committee sizes above ``K`` are not
-    examined, and neither is size m, which every rule fills completely.
-    Returns the violation (without the profile), or None.
-    """
-    # (k, W) for every size k below m and above 0 that W wins alone
-    unique = ((k, next(iter(fam))) for k, fam in enumerate(trace[1:m], 1) if len(fam) == 1)
-    if which == "rejection":
-        pairs = _clone_pairs(m, counts)
-        for k, W in unique:
-            for c, d in pairs:
-                if c in W and d in W:
-                    return {"k": k, "committee": W, "clones": (c, d)}
-
-    elif which == "acceptance":
-        pairs = _clone_pairs(m, counts)
-        for c, d in pairs + [(d, c) for c, d in pairs]:
-            rest = [x for x in range(m) if x not in (c, d)]
-            for size in range(len(trace) - 2):
-                for W in itertools.combinations(rest, size):
-                    W = frozenset(W)
-                    if W | {c} in trace[size + 1] and W | {c, d} not in trace[size + 2]:
-                        return {
-                            "committee": W, "clones": (c, d),
-                            "wins": W | {c}, "excluded": W | {c, d},
-                            "families": (trace[size + 1], trace[size + 2]),
-                        }
-
-    elif which == "distrust":
-        exact, approvals = [0] * m, [0] * m
-        for ballot, count in counts:
-            if len(ballot) == 1:
-                exact[next(iter(ballot))] += count
-            for c in ballot:
-                approvals[c] += count
-        for k, W in unique:
-            for b in sorted(W):
-                for c in range(m):
-                    if c not in W and exact[c] > approvals[b]:
-                        return {
-                            "k": k, "committee": W, "chosen": b, "ignored": c,
-                            "singleton_reports": exact[c],
-                            "approvals_of_chosen": approvals[b],
-                        }
-
-    else:
-        raise ValueError(f"unknown clone axiom {which!r}")
-    return None
-
-
-def proportionality_violation(rule: Rule, profile: Profile, k: int, c: int) -> dict | None:
-    """How ``rule`` at size ``k`` violates clone proportionality on ``profile``, if it does.
-
-    The axiom speaks of profiles where ``n1`` voters approve one bloc not
-    containing ``c`` and ``n2`` voters approve ``{c}`` alone: a committee must
-    include ``c`` when ``n1 / k < n2`` and exclude it when ``n1 / k > n2``.
-    Returns the violation (without the profile), or None, also for a profile
-    of any other shape.
-    """
-    blocs = dict(profile.ballot_counts)
-    n2 = blocs.pop(frozenset({c}), 0)
-    if not n2 or len(blocs) != 1:
-        return None
-    [(bloc, n1)] = blocs.items()
-    if c in bloc:
-        return None
-    share = Fraction(n1, k)
-    for W in rule.apply(profile, k):
-        bad_in = share > n2 and c in W
-        bad_out = share < n2 and c not in W
-        if bad_in or bad_out:
-            return {
-                "k": k, "committee": W, "c": c, "n1": n1, "n2": n2, "share": share,
-                "requires": "exclude c" if bad_in else "include c",
-            }
-    return None
-
-
 def check_clone_axiom(
     rule: Rule, which: str, bounds: Bounds = DEFAULT_BOUNDS
 ) -> AxiomReport:
@@ -1155,7 +1157,7 @@ def _clone_witnesses(rule: Rule, which: str, n: int) -> Iterator[dict]:
     trace = _item_tracer(rule, universe, gain_rows(rule))
     for item in universe.items():
         counts = universe.counts(item)
-        if which != "distrust" and not _clone_pairs(m, counts):
+        if which != "distrust" and not clone_pairs(m, counts):
             continue  # those two axioms only constrain profiles with clones
         found = clone_violation(which, m, counts, trace(item))
         if found:

@@ -140,15 +140,23 @@ def make_step_scoring(h: StepCountingTable, name: str | None = None) -> Rule:
 
 
 def _voter1_doubled_step(profile: Profile, committee: frozenset) -> frozenset:
-    outside = [c for c in range(profile.m) if c not in committee]
-    totals = {c: 0 for c in outside}
-    for voter, ballot in profile.votes:
-        weight = 2 if voter == 1 else 1
-        for c in ballot:
-            if c in totals:
-                totals[c] += weight
-    best = max(totals.values())
-    return frozenset(c for c, t in totals.items() if t == best)
+    """Approval voting's step with voter 1's ballot counted twice: the
+    profile's approval tally, computed once per profile, plus one for each
+    candidate voter 1 approves, if voter 1 votes (votes are in id order, so
+    voter 1 comes first)."""
+    votes = profile.votes
+    doubled = votes[0][1] if votes and votes[0][0] == 1 else ()
+    best, chosen = -1, []
+    for c, total in enumerate(profile.approval_counts):
+        if c in committee:
+            continue
+        if c in doubled:
+            total += 1
+        if total > best:
+            best, chosen = total, [c]
+        elif total == best:
+            chosen.append(c)
+    return frozenset(chosen)
 
 
 def _cc_tiebreak_step(m: int) -> StepFn:

@@ -194,8 +194,9 @@ class Rule:
     by its counts alone is only built on a miss.  The cache is for profiles
     that several callers ask about, such as the items of a checker's
     universe; a profile built for one comparison (a union of two
-    electorates, a replicated ``jA + B``) goes through
-    :meth:`trace_uncached` and leaves nothing behind.
+    electorates, a replicated ``jA + B``) is traced outside it, by
+    :meth:`trace_uncached` or the checkers' own traces, and leaves nothing
+    behind.
     """
 
     def __init__(

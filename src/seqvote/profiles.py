@@ -211,6 +211,15 @@ class Profile(Record):
         """All candidates approved by at least one voter."""
         return frozenset().union(*self.ballots())
 
+    @cached_property
+    def approval_counts(self) -> tuple[int, ...]:
+        """Each candidate's number of approvals, indexed by candidate."""
+        counts = [0] * self.m
+        for _, ballot in self.votes:
+            for c in ballot:
+                counts[c] += 1
+        return tuple(counts)
+
     def same_ballots(self, other: "Profile") -> bool:
         """Anonymous equality: same candidate set and same ballot multiset."""
         return self.m == other.m and self.ballot_multiset == other.ballot_multiset

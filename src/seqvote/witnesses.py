@@ -11,9 +11,9 @@ names).
 Every witness self-verifies: the constructor replays the profile through the
 engine under both the normalized and the original table, checks the expected
 families, and judges the violation with the bounded checker's own predicates
-(:func:`seqvote.axioms.clone_violation`,
-:func:`seqvote.axioms.proportionality_violation`), so a witness object you
-can hold already carries a violation the checker would report.
+(:func:`seqvote.predicates.clone_violation`,
+:func:`seqvote.predicates.proportionality_violation`), so a witness object
+you can hold already carries a violation the checker would report.
 
 Candidate labeling is fixed so witnesses are byte-stable: the clone bloc
 takes indices ``0..x-1`` and auxiliary candidates take the next indices;
@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .axioms import clone_violation, proportionality_violation
 from .catalog import (
     WITNESS_CONSTRUCTIONS as CONSTRUCTIONS,
     check_thiele,
@@ -34,6 +33,7 @@ from .catalog import (
 )
 from .counting import ThieleTable
 from .engine import Family, Rule
+from .predicates import clone_violation, proportionality_violation
 from .profiles import CapError, Profile, Record
 
 
@@ -151,8 +151,8 @@ def predicate_holds(witness: Witness, rule: Rule) -> bool:
     """Does ``rule``, replaying the witness, violate the witness's axiom?
 
     The judgement is the bounded checker's own:
-    :func:`seqvote.axioms.clone_violation` on the committee sizes up to the
-    witness's ``k``, or :func:`seqvote.axioms.proportionality_violation` at
+    :func:`seqvote.predicates.clone_violation` on the committee sizes up to
+    the witness's ``k``, or :func:`seqvote.predicates.proportionality_violation` at
     ``k``, so a pair that is not a clone pair proves nothing.
     """
     which = _AXIOM_OF[witness.construction].removeprefix("clone-")

@@ -1,7 +1,9 @@
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 from operator import add
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from seqvote.axioms import (
 from seqvote.catalog import continuity_gap_instance, make
 from seqvote.cli import render_report
 from seqvote.engine import (
+    DEFAULT_BRANCH_CAP,
     BranchCapError,
     GeneratorFunction,
     Rule,
@@ -40,7 +43,13 @@ from seqvote.engine import (
 from seqvote.oracle import ProfileUniverse, all_committees
 from seqvote.profiles import Profile, apply_candidate_permutation, apply_voter_permutation
 
-from util import fam, naive_consistency_witness, naive_continuity_search
+from util import (
+    derived_row_by_step_trace,
+    fam,
+    naive_consistency_witness,
+    naive_continuity_search,
+    naive_neutrality_witness,
+)
 
 P1 = Profile.from_ballots(3, [{0, 1}, {0, 1}, {0, 1}, {2}])
 SMALL = Bounds(n_single=4, n_perm=2, n_pair_each=2, n_pair_total=3)
@@ -63,11 +72,12 @@ def test_the_catalog_rules_with_gain_rows():
 
 
 def _outcome(trace, *args):
-    """What ``trace(*args)`` returns, or the text of the BranchCapError it raises."""
+    """What ``trace(*args)`` returns, or the class and text of the
+    BranchCapError or ValueError it raises."""
     try:
         return trace(*args)
-    except BranchCapError as error:
-        return f"BranchCapError: {error}"
+    except (BranchCapError, ValueError) as error:
+        return f"{type(error).__name__}: {error}"
 
 
 @pytest.mark.parametrize("m", (2, 3, 4))
@@ -87,18 +97,20 @@ def test_gain_rows_match_stepping_the_profiles(name, m, data):
     assert rows.trace(g_a, m, rule.branch_cap) == rule.trace_uncached(p_a)
     # the step row: generator_step at every committee below size m - 1
     committees = all_committees(m, m - 2)
-    index = {W: i for i, W in enumerate(committees)}
     step_row = derived_row = 0
     union = Profile.from_ballots(m, p_a.ballots() + p_b.ballots())
     for i, W in enumerate(committees):
         step_row |= sum(1 << (i * m + c) for c in generator_step(rule.valuation, p_a, W))
         derived_row |= sum(1 << (i * m + c) for c in derive_generator(rule, union, W))
-    assert axioms._step_row(g_a, axioms._gain_fields(rows)) == step_row
+    fields = axioms._gain_fields(rows)
+    assert axioms._step_row(g_a, fields) == step_row
     # a union's gains are the sum of its sides', and its derived row is read
-    # off a trace of them
+    # off a trace on masks of their step row
     g_ab = list(map(add, g_a, g_b))
     assert g_ab == rows.gains(tuple(sorted(a + b)))
-    assert axioms._derived_row(rows.trace(g_ab, m - 1, rule.branch_cap), index, m) == derived_row
+    row_ab, field, growth = axioms._step_row(g_ab, fields), (1 << m) - 1, axioms._growth(m)
+    choice = lambda i: row_ab >> (i * m) & field
+    assert axioms._traced_row(choice, m - 1, rule.branch_cap, growth) == derived_row
     # jA + B from j * G(A) + G(B)
     expected = rule.trace_uncached(Profile.from_ballots(m, p_a.ballots() * j + p_b.ballots()))
     for k in range(m + 1):
@@ -110,6 +122,9 @@ def test_gain_rows_match_stepping_the_profiles(name, m, data):
         expected = _outcome(step_trace, rule.step, union, k, cap)
         assert _outcome(rows.trace, g_ab, k, cap) == expected
         assert _outcome(trace_item, a, k) == _outcome(rule.trace_uncached, p_a, k)
+        if 0 < k < m:
+            expected = _outcome(derived_row_by_step_trace, rule.step, union, k, cap)
+            assert _outcome(axioms._traced_row, choice, k, cap, growth) == expected
 
 
 def _refuse(*args):
@@ -248,6 +263,28 @@ def test_neutrality_violation_for_candidate_doubled_is_replayable():
 
 def test_neutrality_passes_for_trivial():
     assert check_neutrality(make("trivial", 3), SMALL).verdict == "pass-exhaustive"
+
+
+def _lowest_outsider(profile, W):
+    """The lowest-numbered candidate outside W: neutral on no profile."""
+    return frozenset({min(c for c in range(profile.m) if c not in W)})
+
+
+@pytest.mark.parametrize("name", (
+    "seqpav", "candidate-a-doubled-seqav", "cc-tiebreak-seqav", "voter1-doubled-seqav",
+    "trivial", "optimizing-pav", "lowest-outsider",
+))
+def test_neutrality_matches_relabeling_each_profile(name):
+    # the relabeled items and their traces against profiles relabeled and
+    # stepped outright: the same verdict and the same first witness
+    if name == "lowest-outsider":  # id-sensitive, so its universe is ordered
+        rule = Rule(name, 3, "zoo", step=_lowest_outsider, id_sensitive=True)
+    else:
+        rule = make(name, 3)
+    report = check_neutrality(rule, Bounds(n_perm=2))
+    expected = naive_neutrality_witness(rule, 2)
+    assert report.verdict == ("pass-exhaustive" if expected is None else "violation")
+    assert render_report(report.witness) == render_report(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +638,15 @@ def test_one_pass_matches_each_generator_alone(name, m):
     assert [render_report(r) for r in suite] == [render_report(r) for r in together]
 
 
+def test_voter1_doubled_at_four_candidates():
+    # the id-sensitive pass on masks at m = 4, both generators in one pass
+    rule = make("voter1-doubled-seqav", 4)
+    generators = (step_generator(rule), derived_generator(rule))
+    for g, report in zip(generators, axioms._consistency_reports(generators, Bounds(n_pair_each=2))):
+        assert render_report(report.witness) == render_report(naive_consistency_witness(g, 2))
+        assert report.verdict == "pass-exhaustive"
+
+
 @pytest.mark.parametrize("names", [
     # the first generator has its witness at the first pair, the others go on
     ("crowd-picky", "derived(seqpav)", "step(seqpav)"),
@@ -658,6 +704,155 @@ def test_a_choice_inside_the_committee_is_an_error():
     rule = Rule("inside", 3, "zoo", step=_inside)
     with pytest.raises(ValueError, match="from inside the committee"):
         check_generator_consistency(derived_generator(rule), bounds)
+
+
+TRACED_ROW = axioms._traced_row  # the mask trace, also where a test replaces it
+
+
+def _by_step_trace(choice, m, k, cap):
+    """The row ``step_trace`` gives for a step that chooses the mask
+    ``choice(i)`` at the i-th committee, whatever the profile."""
+    index = {W: i for i, W in enumerate(all_committees(m, m - 2))}
+
+    def step(_, W):
+        return frozenset(c for c in range(m) if choice(index[W]) >> c & 1)
+
+    return derived_row_by_step_trace(step, Profile.from_ballots(m, [range(m)]), k, cap)
+
+
+def _compare_traced_row(choice, m, k, cap):
+    """``(new, old)``: the outcomes of :func:`axioms._traced_row` on the
+    choice masks ``choice`` and of the row ``step_trace`` gives for the same
+    choices, after checking that they agree.
+
+    Both trace level by level, so they fail first at the same level.  They
+    step a level's committees in different orders, committee order and the
+    order of ``step_trace``'s set, so where one level holds a failing choice
+    together with another failing choice or a frontier over the cap, they
+    may report different errors; the mask trace then reports a failing
+    choice's ValueError.
+    """
+    growth = axioms._growth(m)
+
+    def new(j, cap):
+        return _outcome(TRACED_ROW, choice, j, cap, growth)
+
+    def old(j, cap):
+        return _outcome(_by_step_trace, choice, m, j, cap)
+
+    got, expected = new(k, cap), old(k, cap)
+    if got != expected:
+        level = next(j for j in range(1, k + 1) if isinstance(old(j, cap), str))
+        assert [isinstance(new(j, cap), str) for j in range(1, level + 1)] == [False] * (level - 1) + [True]
+        assert got.startswith("ValueError")
+        assert old(level, DEFAULT_BRANCH_CAP).startswith("ValueError")
+    return got, expected
+
+
+CAPS = st.integers(1, 3) | st.just(DEFAULT_BRANCH_CAP)
+
+
+@pytest.mark.parametrize("m", (2, 3, 4))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mask_trace_matches_step_trace(m, data):
+    # a choice per committee: outsiders, ties included, or, for a failing
+    # step, possibly none
+    failing = data.draw(st.booleans())
+    masks = []
+    for W in all_committees(m, m - 2):
+        outside = [c for c in range(m) if c not in W]
+        chosen = data.draw(st.sets(st.sampled_from(outside), min_size=0 if failing else 1))
+        masks.append(sum(1 << c for c in chosen))
+    k, cap = data.draw(st.integers(1, m - 1)), data.draw(CAPS)
+    got, _ = _compare_traced_row(masks.__getitem__, m, k, cap)
+    if not failing and cap == DEFAULT_BRANCH_CAP:
+        assert isinstance(got, int)
+
+
+def test_a_failing_choice_outranks_an_overflow_at_its_level():
+    # at size 2, one committee of f(A, 1) has three children, over the cap
+    # of 2, and the other chooses nothing: step_trace reports whichever its
+    # set reaches first, the mask trace the empty choice
+    m = 4
+    index = {W: i for i, W in enumerate(all_committees(m, m - 2))}
+    for wide, empty in itertools.permutations(range(m), 2):
+        masks = [0] * len(index)
+        masks[index[frozenset()]] = 1 << wide | 1 << empty
+        masks[index[frozenset({wide})]] = ((1 << m) - 1) ^ 1 << wide
+        got, _ = _compare_traced_row(masks.__getitem__, m, 2, 2)
+        assert got == "ValueError: generator step returned no candidates mid-run"
+
+
+def _random_step(seed, id_sensitive, failing):
+    """Weighted approval with pseudo-random weights in 0..2, which tie
+    often: each vote adds to each candidate c outside the committee W a
+    weight keyed by the ballot, W and c, and by the voter id too for an
+    ``id_sensitive`` step, and the step chooses the best.  Scores add over disjoint
+    electorates, so the step is consistent and a pass goes on to the end.
+    A ``failing`` step, on about one in 40 of what it sees of a profile (its
+    votes, or its ballot counts) and W, chooses nothing or a member of W."""
+
+    def step(profile, W):
+        outside = [c for c in range(profile.m) if c not in W]
+        if failing:
+            seen = profile.votes if id_sensitive else profile.ballot_counts
+            draw = hash((seed, seen, W)) % 80
+            if draw < 2:
+                return W | {outside[0]} if W and draw else frozenset()
+        scores = dict.fromkeys(outside, 0)
+        for voter, ballot in profile.votes:
+            who = voter if id_sensitive else 0
+            for c in outside:
+                scores[c] += hash((seed, who, ballot, W, c)) % 3
+        best = max(scores.values())
+        return frozenset(c for c in outside if scores[c] == best)
+
+    return step
+
+
+def _pass_outcome(rule, generators, traced_row):
+    """The rendered reports of one consistency pass over ``generators`` of
+    ``rule`` with ``_traced_row`` replaced by ``traced_row``, or the error
+    it raises."""
+    rule._traces.clear()
+    with mock.patch.object(axioms, "_traced_row", traced_row):
+        out = _outcome(axioms._consistency_reports, generators, Bounds(n_pair_each=2))
+    return out if isinstance(out, str) else [render_report(report) for report in out]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32), id_sensitive=st.booleans(), failing=st.booleans(), cap=CAPS
+)
+def test_mask_trace_in_the_consistency_pass(seed, id_sensitive, failing, cap):
+    m = 3
+    step = _random_step(seed, id_sensitive, failing)
+    rule = Rule("random", m, "zoo", step=step, id_sensitive=id_sensitive, branch_cap=cap)
+    ambiguous = []
+
+    def checked(choice, k, cap, growth):  # each row checked, then the mask trace's
+        got, expected = _compare_traced_row(choice, m, k, cap)
+        ambiguous.append(got != expected)
+        return TRACED_ROW(choice, k, cap, growth)
+
+    def by_step_trace(choice, k, cap, growth):
+        return _by_step_trace(choice, m, k, cap)
+
+    # the rule's own step and its derived generator in one pass, as the
+    # suite runs them, and the derived generator alone, which evaluates its
+    # choices in the trace's order
+    for generators in ((step_generator(rule), derived_generator(rule)), (derived_generator(rule),)):
+        ambiguous.clear()
+        got = _pass_outcome(rule, generators, checked)
+        expected = _pass_outcome(rule, generators, by_step_trace)
+        if got != expected:
+            assert any(ambiguous) and got.startswith("ValueError")
+        if not failing and cap == DEFAULT_BRANCH_CAP:  # no error: the naive search's witnesses
+            reports = axioms._consistency_reports(generators, Bounds(n_pair_each=2))
+            assert [render_report(report) for report in reports] == got
+            for g, report in zip(generators, reports):
+                assert render_report(report.witness) == render_report(naive_consistency_witness(g, 2))
 
 
 # ---------------------------------------------------------------------------

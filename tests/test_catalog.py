@@ -16,10 +16,10 @@ from seqvote.catalog import (
     thiele_table,
 )
 from seqvote.counting import StepCountingTable, ThieleTable
-from seqvote.oracle import ProfileUniverse, compare_rules
+from seqvote.oracle import ProfileUniverse, all_committees, compare_rules
 from seqvote.profiles import Profile
 
-from util import fam
+from util import fam, voter1_doubled_step_literal
 
 P1 = Profile.from_ballots(3, [{0, 1}, {0, 1}, {0, 1}, {2}])
 
@@ -82,6 +82,18 @@ def test_zoo_voter1_doubled():
     assert rule.apply(p, 1) == fam({0})
     swapped = Profile.from_dict(3, {1: {1}, 2: {0}})
     assert rule.apply(swapped, 1) == fam({1})
+
+
+def test_voter1_doubled_step_matches_its_literal_tally():
+    # every ordered profile up to three voters, with voter 1 and with the
+    # voters renumbered from 2, at every committee short of the full one
+    for m in (1, 2, 3):
+        universe = ProfileUniverse(m, 3, ordered=True)
+        for item in universe.items():
+            profile = universe.profile(item)
+            for p in (profile, profile.relabeled(2)):
+                for W in all_committees(m, m - 1):
+                    assert catalog._voter1_doubled_step(p, W) == voter1_doubled_step_literal(p, W)
 
 
 def test_zoo_candidate_doubled():

@@ -35,6 +35,9 @@ NOT_ON_THE_COMPUTE_PATH = (
 # ``pathlib``, and ``hashlib``, which only a printed digest needs.
 NOT_ON_THE_CHECKER_PATH = ("dataclasses", "inspect", "pathlib", "hashlib")
 
+# Modules a witness op must not load: the bounded searches and their gain rows.
+NOT_ON_THE_WITNESS_PATH = ("seqvote.axioms", "seqvote.gains")
+
 OP = """
 import io, json, sys
 import seqvote.cli
@@ -87,10 +90,13 @@ def test_axioms_loads_no_record_or_digest_machinery():
 
 
 def test_witness_loads_no_record_machinery():
-    # the report carries the table's sha256 digest, so ``hashlib`` is loaded
+    # the report carries the table's sha256 digest, so ``hashlib`` is
+    # loaded; the replay's predicates come without the checkers
     run = fresh(OP, "witness", "T2", "seqpav", "--m", "4")
     assert run["code"] == 1
     assert [name for name in NOT_ON_THE_CHECKER_PATH if name in run["modules"]] == ["hashlib"]
+    assert "seqvote.predicates" in run["modules"]
+    assert [name for name in NOT_ON_THE_WITNESS_PATH if name in run["modules"]] == []
 
 
 def test_import_seqvote_loads_no_submodule():

@@ -28,6 +28,14 @@ def test_construction_and_accessors():
     assert p.ballot_counts == ((frozenset({2}), 1), (frozenset({0, 1}), 1))
 
 
+def test_approval_counts_count_each_candidates_approvers():
+    p = Profile.from_dict(4, {2: {0, 2}, 5: {2}, 9: {0, 1, 2}})
+    assert p.approval_counts == (2, 1, 3, 0)
+    for ballots in itertools.product([{0}, {1, 2}, {0, 1, 2}], repeat=3):
+        p = Profile.from_ballots(3, ballots)
+        assert p.approval_counts == tuple(sum(c in b for b in ballots) for c in range(3))
+
+
 def test_invalid_profiles_rejected():
     with pytest.raises(ProfileError):
         Profile.from_dict(3, {})

@@ -11,8 +11,9 @@ import json
 
 from seqvote.axioms import EXISTENTIAL_NOTE, AxiomReport
 from seqvote.cli import candidate_letter, format_profile
+from seqvote.engine import step_trace
 from seqvote.oracle import ProfileUniverse, all_committees
-from seqvote.profiles import Profile
+from seqvote.profiles import Profile, apply_candidate_permutation
 from seqvote.witnesses import Witness
 
 
@@ -338,3 +339,63 @@ def naive_continuity_search(rule, bounds):
                     )
     note = EXISTENTIAL_NOTE + f"; largest minimal replication count seen: {worst}"
     return AxiomReport("continuity", rule.name, "pass", used, note=note)
+
+
+def derived_row_by_step_trace(step, profile, k, branch_cap):
+    """The choice row of the generator derived from the rule that ``step``
+    drives, read off ``step_trace(step, profile, k, branch_cap)``: each W of
+    f(A, j), j < k, chooses every x whose W + {x} is in f(A, j + 1), at bit
+    ``i*m + x`` for the i-th committee W of ``all_committees(m, m - 2)``.
+    A choice holding a member of its committee raises ValueError, as the
+    consistency checker refuses it."""
+    m = profile.m
+
+    def checked(p, W):
+        chosen = frozenset(step(p, W))
+        if chosen & W:
+            raise ValueError(
+                f"generator chose {sorted(chosen & W)} from inside the committee {sorted(W)}"
+            )
+        return chosen
+
+    trace = step_trace(checked, profile, k, branch_cap)
+    out = 0
+    for i, W in enumerate(all_committees(m, m - 2)):
+        if len(W) < k and W in trace[len(W)]:
+            for x in range(m):
+                if x not in W and W | {x} in trace[len(W) + 1]:
+                    out |= 1 << (i * m + x)
+    return out
+
+
+def voter1_doubled_step_literal(profile, committee):
+    """Approval voting's step with voter 1's approvals weighted twice, every
+    vote tallied on every call."""
+    outside = [c for c in range(profile.m) if c not in committee]
+    totals = {c: 0 for c in outside}
+    for voter, ballot in profile.votes:
+        weight = 2 if voter == 1 else 1
+        for c in ballot:
+            if c in totals:
+                totals[c] += weight
+    best = max(totals.values())
+    return frozenset(c for c, t in totals.items() if t == best)
+
+
+def naive_neutrality_witness(rule, n):
+    """The first neutrality witness over up to ``n`` voters, or None: every
+    profile of the rule's universe, every candidate permutation tau, both
+    profiles stepped outright (no trace cache) and tau applied to the
+    base outcome at every size."""
+    for profile in ProfileUniverse(rule.m, n, ordered=rule.id_sensitive):
+        base = rule.trace_uncached(profile)
+        for tau in itertools.permutations(range(rule.m)):
+            other = rule.trace_uncached(apply_candidate_permutation(tau, profile))
+            for k in range(rule.m + 1):
+                expected = frozenset(frozenset(tau[c] for c in W) for W in base[k])
+                if other[k] != expected:
+                    return {
+                        "profile": profile, "candidate_permutation": tau, "k": k,
+                        "families": (base[k], other[k]), "expected": expected,
+                    }
+    return None
