@@ -43,6 +43,16 @@ since its one outside candidate x leaves every choice there empty or
 ``{x}``, so the intersection and the combined choice cannot both be
 non-empty and differ.
 
+Candidate symmetry is used once, by :func:`_reduced_search`: a search is
+decided first over a reduced stream, and runs over the full one, for the
+same first witness in canonical order, only where the reduced run finds a
+violation.  Neutrality is decided over two relabelings that generate S_m,
+for every rule.  A rule with gain rows commutes with every relabeling by
+construction, so its monotonicity, generator-consistency, continuity,
+independence-of-losers and clone searches are decided over the first item
+of each orbit (:func:`_orbits`), and clone proportionality over one
+(bloc, c) per bloc size.  Anonymity is never reduced.
+
 The rule's trace cache holds what several checks share, the items of a
 universe.  A profile built for one comparison (the union of a pair, B
 renumbered above A, a replicated ``jA + B``) is stepped outside the cache,
@@ -61,12 +71,14 @@ permutation product tractable.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from functools import partial
 from operator import add
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .counting import Valuation
 from .engine import (
+    TRACE_CACHE_SIZE,
     BranchCapError,
     Family,
     GeneratorFunction,
@@ -86,6 +98,9 @@ from .profiles import (
     ballot_sort_key,
     profile_scale,
 )
+
+
+T = TypeVar("T")
 
 
 class PreconditionError(ValueError):
@@ -182,6 +197,56 @@ def _item_tracer(
 
 
 # ---------------------------------------------------------------------------
+# Reduced searches
+
+
+def _reduced_search(
+    search: Callable[[Iterable], T],
+    every: Callable[[], Iterable],
+    reduced: Callable[[], Iterable] | None,
+) -> T:
+    """``search(every())``, decided first by ``search(reduced())``.
+
+    ``search`` runs over a stream in its order and returns what it finds,
+    a falsy value where it finds no violation.  A caller passes a
+    ``reduced`` stream only where a violation over ``every()`` implies one
+    over ``reduced()``: a generating set of the relabelings for neutrality,
+    or the orbit representatives of a universe (:func:`_orbits`).  Finding
+    none there settles the search.  Finding one, or raising, the search
+    runs again over ``every()``, and its first violation in canonical
+    order, or the error it raises first, is the answer: a report never
+    depends on the reduction.  A search over several subjects, such as the
+    generators of one consistency pass, may search again only those it
+    found a violation for.
+    """
+    if reduced is not None:
+        try:
+            found = search(reduced())
+        except Exception:  # the full search raises it too, or finds a violation first
+            found = True
+        if not found:
+            return found
+    return search(every())
+
+
+def _orbits(universe: ProfileUniverse, rows: GainRows | None) -> Callable[[], Iterator] | None:
+    """``universe.representatives`` as the reduced stream of a check on a
+    rule with gain ``rows``, or None for any other rule.
+
+    Such a rule steps by the largest gain, and a gain reads only ``|ballot
+    & W|``, ``|ballot|`` and whether the ballot approves the candidate, so
+    ``f(tau(A), k) = tau(f(A, k))`` for every candidate relabeling tau, and
+    ``derived`` and ``step`` generators satisfy ``g(tau(A), tau(W)) =
+    tau(g(A, W))``; the universe is closed under relabeling.  A check whose
+    violations tau maps to violations therefore has one iff it has one on
+    the first item of some orbit.  Each reduced check states why its
+    violations map so.  Anonymity and neutrality test symmetries
+    themselves and are never reduced by orbits.
+    """
+    return None if rows is None else universe.representatives
+
+
+# ---------------------------------------------------------------------------
 # n-statistics
 
 
@@ -260,39 +325,56 @@ def _anonymity_witnesses(rule: Rule, n: int) -> Iterator[dict]:
 def check_neutrality(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
     """Candidate relabelings permute the outcome (universal, exhaustive)."""
     used = {"m": rule.m, "n": bounds.n_perm, "permutations": "all of S_m"}
-    return _verdict("neutrality", rule.name, used, _neutrality_witnesses(rule, bounds.n_perm))
+    return _report("neutrality", rule.name, used, _neutrality_witness(rule, bounds.n_perm))
 
 
-def _neutrality_witnesses(rule: Rule, n: int) -> Iterator[dict]:
-    """Every violation in canonical order: per item, per relabeling tau in
-    ``permutations`` order, the first size k where f(tau(A), k) is not
-    tau(f(A, k)).  Each tau is a table from ballot indices to ballot
-    indices, built once; the relabeled item (sorted, in the anonymous
-    universe) is traced like any item, and a profile is built only for a
-    witness."""
+def _neutrality_witness(rule: Rule, n: int) -> dict | None:
+    """The first violation in canonical order, or None: per item, per
+    relabeling tau in ``permutations`` order, the first size k where
+    f(tau(A), k) is not tau(f(A, k)).  Each tau is a table from ballot
+    indices to ballot indices (:meth:`ProfileUniverse.relabeling`), built
+    once; the relabeled item is traced like any item, and a profile is
+    built only for a witness.
+
+    The search is decided first over two relabelings, the transposition of
+    candidates 0 and 1 and the cycle c -> c + 1 mod m, which generate S_m.
+    The relabelings tau with f(tau(A), k) = tau(f(A, k)) for every A of the
+    universe and every k are closed under composition, since the universe
+    is closed under relabeling: f(sigma(tau(A))) = sigma(f(tau(A))) =
+    sigma(tau(f(A))).  So if both generators pass, every relabeling does.
+    That holds for any rule, black-box and id-sensitive ones included, and
+    neutrality is the one check that may assume no symmetry of the rule.
+    Only where a generator fails are all of S_m searched
+    (:func:`_reduced_search`), for the same first witness.
+    """
     m = rule.m
     universe = _universe(rule, n)
     trace_item = _item_tracer(rule, universe, gain_rows(rule))
-    index, ballots = universe.index, universe.ballots
-    relabelings = [
-        (tau, [index[frozenset(tau[c] for c in ballot)] for ballot in ballots])
-        for tau in itertools.permutations(range(m))
-    ]
-    for item in universe.items():
-        base = trace_item(item)
-        for tau, table in relabelings:
-            image = [table[i] for i in item]
-            other = trace_item(tuple(image if universe.ordered else sorted(image)))
-            for k, (fam, actual) in enumerate(zip(base, other)):
-                expected = frozenset(frozenset(tau[c] for c in W) for W in fam)
-                if actual != expected:
-                    yield {
-                        "profile": universe.profile(item),
-                        "candidate_permutation": tau,
-                        "k": k,
-                        "families": (fam, actual),
-                        "expected": expected,
-                    }
+
+    def search(taus: Iterable[tuple[int, ...]]) -> dict | None:
+        relabelings = [(tau, universe.relabeling(tau)) for tau in taus]
+        for item in universe.items():
+            base = trace_item(item)
+            for tau, table in relabelings:
+                other = trace_item(universe.relabeled(item, table))
+                for k, (fam, actual) in enumerate(zip(base, other)):
+                    expected = frozenset(frozenset(tau[c] for c in W) for W in fam)
+                    if actual != expected:
+                        return {
+                            "profile": universe.profile(item),
+                            "candidate_permutation": tau,
+                            "k": k,
+                            "families": (fam, actual),
+                            "expected": expected,
+                        }
+        return None
+
+    swap = (1, 0, *range(2, m))
+    cycle = tuple((c + 1) % m for c in range(m))
+    generators = list(dict.fromkeys((swap, cycle))) if m > 1 else []
+    return _reduced_search(
+        search, lambda: itertools.permutations(range(m)), lambda: generators
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +560,16 @@ def continuity_search(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRepor
     off them and traces ``jA + B`` from ``j * G(A) + G(B)``.  On an
     ``inconclusive`` instance the report carries the witness and note
     :func:`check_continuity` gives for it.
+
+    For a rule with gain rows, A ranges first over orbit representatives
+    (:func:`_orbits`), B over every item.  A relabeling tau maps ``f(A, k)``
+    and ``f(jA + B, k)`` to ``f(tau(A), k)`` and ``f(j tau(A) + tau(B),
+    k)``, and permutes the extension gains behind the certified limits, so
+    the pair (tau(A), tau(B)) has the same limits and minimal replication
+    counts as (A, B); as B ranges over every item, so does tau(B).  An
+    instance no count restores thus has an orbit-mate with A a
+    representative, and the largest minimal count in the note is the
+    same over representatives as over every item.
     """
     used = {
         "m": rule.m,
@@ -500,36 +592,49 @@ def continuity_search(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRepor
             {X: extension_gains(v, universe.profile(b), X) for X in committees} for b in others
         ]
     worst, beyond = 0, False
-    for a in universe.items():
-        trace = trace_item(a)
-        singleton_ks = [k for k in range(1, m + 1) if len(trace[k]) == 1]
-        if not singleton_ks:
-            continue
-        winners = [X for level in range(min(singleton_ks[-1], m - 1)) for X in trace[level]]
-        if rows is not None:
-            g_a = rows.gains(a)
-            gains_a = {X: rows.at(g_a, X) for X in winners}
-        elif certified:
-            profile_a = universe.profile(a)
-            gains_a = {X: extension_gains(v, profile_a, X) for X in winners}
-        for ib, b in enumerate(others):
+
+    def search(items: Iterable[tuple[int, ...]]) -> AxiomReport | None:
+        """The ``inconclusive`` report of the first instance with A in
+        ``items`` that no count restores, or None; ``worst`` and ``beyond``
+        then cover every instance searched."""
+        nonlocal worst, beyond
+        worst, beyond = 0, False
+        for a in items:
+            trace = trace_item(a)
+            singleton_ks = [k for k in range(1, m + 1) if len(trace[k]) == 1]
+            if not singleton_ks:
+                continue
+            winners = [X for level in range(min(singleton_ks[-1], m - 1)) for X in trace[level]]
             if rows is not None:
-                replicated = partial(_replicated_from_gains, rule, rows, g_a, rows.gains(b))
-            else:
-                replicated = partial(_replicated_from_items, rule, universe, a, b)
-            limits, restored = _replications(
-                m, trace, singleton_ks, bounds.j_max, replicated,
-                (gains_a, gains_b[ib]) if certified else None,
-            )
-            k = next(
-                (k for k in singleton_ks if k not in restored and limits[k] <= bounds.j_max), None
-            )
-            if k is not None:  # the first size no count restores
-                return _inconclusive(
-                    rule, used, universe.profile(a), universe.profile(b), k, trace[k], limits[k]
+                g_a = rows.gains(a)
+                gains_a = {X: rows.at(g_a, X) for X in winners}
+            elif certified:
+                profile_a = universe.profile(a)
+                gains_a = {X: extension_gains(v, profile_a, X) for X in winners}
+            for ib, b in enumerate(others):
+                if rows is not None:
+                    replicated = partial(_replicated_from_gains, rule, rows, g_a, rows.gains(b))
+                else:
+                    replicated = partial(_replicated_from_items, rule, universe, a, b)
+                limits, restored = _replications(
+                    m, trace, singleton_ks, bounds.j_max, replicated,
+                    (gains_a, gains_b[ib]) if certified else None,
                 )
-            worst = max(worst, *restored.values(), 0)
-            beyond = beyond or len(restored) < len(singleton_ks)
+                k = next(
+                    (k for k in singleton_ks if k not in restored and limits[k] <= bounds.j_max),
+                    None,
+                )
+                if k is not None:  # the first size no count restores
+                    return _inconclusive(
+                        rule, used, universe.profile(a), universe.profile(b), k, trace[k], limits[k]
+                    )
+                worst = max(worst, *restored.values(), 0)
+                beyond = beyond or len(restored) < len(singleton_ks)
+        return None
+
+    found = _reduced_search(search, universe.items, _orbits(universe, rows))
+    if found is not None:
+        return found
     if beyond:
         seen = (
             f"some minimal replication count exceeds j_max = {bounds.j_max},"
@@ -561,26 +666,39 @@ def _replicated_from_gains(
 def check_committee_monotonicity(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
     """Winners extend smaller winners and extend to larger ones (universal)."""
     used = {"m": rule.m, "n": bounds.n_single}
-    witnesses = _monotonicity_witnesses(rule, bounds.n_single)
-    return _verdict("committee-monotonicity", rule.name, used, witnesses)
+    witness = _monotonicity_witness(rule, bounds.n_single)
+    return _report("committee-monotonicity", rule.name, used, witness)
 
 
-def _monotonicity_witnesses(rule: Rule, n: int) -> Iterator[dict]:
+def _monotonicity_witness(rule: Rule, n: int) -> dict | None:
+    """The first item, size and committee W of f(A, k) with no winning
+    parent one size down, or of f(A, k - 1) with no winning extension one
+    size up, or None.
+
+    Decided first on orbit representatives (:func:`_orbits`): a relabeling
+    tau maps W to tau(W) in f(tau(A), k) = tau(f(A, k)), and W's parents and
+    extensions to tau(W)'s, so a violation at A is one at tau(A).
+    """
+    m = rule.m
     universe = _universe(rule, n)
-    trace_item = _item_tracer(rule, universe, gain_rows(rule))
-    for item in universe.items():
-        trace = trace_item(item)
-        for k in range(1, rule.m + 1):
-            for W in trace[k]:
-                if not any(W - {x} in trace[k - 1] for x in W):
-                    yield {"profile": universe.profile(item), "k": k, "committee": W,
-                           "missing": "no winning parent one size down"}
-            for W in trace[k - 1]:
-                if not any(
-                    W | {x} in trace[k] for x in range(rule.m) if x not in W
-                ):
-                    yield {"profile": universe.profile(item), "k": k - 1, "committee": W,
-                           "missing": "no winning extension one size up"}
+    rows = gain_rows(rule)
+    trace_item = _item_tracer(rule, universe, rows)
+
+    def search(items: Iterable[tuple[int, ...]]) -> dict | None:
+        for item in items:
+            trace = trace_item(item)
+            for k in range(1, m + 1):
+                for W in trace[k]:
+                    if not any(W - {x} in trace[k - 1] for x in W):
+                        return {"profile": universe.profile(item), "k": k, "committee": W,
+                                "missing": "no winning parent one size down"}
+                for W in trace[k - 1]:
+                    if not any(W | {x} in trace[k] for x in range(m) if x not in W):
+                        return {"profile": universe.profile(item), "k": k - 1, "committee": W,
+                                "missing": "no winning extension one size up"}
+        return None
+
+    return _reduced_search(search, universe.items, _orbits(universe, rows))
 
 
 def check_generator_consistency(
@@ -653,11 +771,12 @@ def _traced_row(
     The errors are :func:`seqvote.engine.step_trace`'s, level by level: an
     empty choice raises its :class:`ValueError`, and so does any error
     ``choice`` raises, and a level of more than ``branch_cap`` committees
-    raises :class:`BranchCapError`.  A level's committees are stepped in
-    committee order and the cap is checked once the level is complete, so
-    where one level holds both a failing choice and more committees than
-    the cap, the failing choice's error is raised; ``step_trace`` raises
-    whichever its set's order reaches first.
+    raises :class:`BranchCapError`.  The cap is checked once the level is
+    complete, so where one level holds both a failing choice and more
+    committees than the cap, the failing choice's error is raised, as
+    ``step_trace`` raises it.  Only between two failing choices of one level
+    can the two differ: this trace steps a level in committee order,
+    ``step_trace`` in the order of its set.
     """
     out = 0
     family = [0]  # the committees' indices, in order: f(A, 0) = {{}}
@@ -731,9 +850,11 @@ def _consistency_witnesses(
     items.  A generator that has its witness gets no further rows.
 
     Anonymous generators see the item alone (offset 0), and the union of a
-    pair is the item ``sorted(a + b)``, which shares the memo.  The test is
-    symmetric in A and B and so is the union, so the first violating pair in
-    canonical order has A no later than B, and only those pairs are
+    pair is the item ``sorted(a + b)``: its row is memoized too, with the
+    rows of items if it is one, else among the rows of unions, at most
+    :data:`TRACE_CACHE_SIZE` per generator, oldest evicted first.  The test
+    is symmetric in A and B and so is the union, so the first violating pair
+    in canonical order has A no later than B, and only those pairs are
     visited.  For id-sensitive generators B is renumbered above A, and
     every pair is visited.  The union is built from vote tuples, A's
     ``(1, ballot)``, ... followed by B's shifted by ``len(a)``, each kept
@@ -760,14 +881,24 @@ def _consistency_witnesses(
     rule's cache, which the single-profile checks share; a derived rule
     without a step traces every other profile with
     :meth:`Rule.trace_uncached`.
+
+    When every generator has gain rows, A ranges first over orbit
+    representatives (:func:`_orbits`), and B over the first items of the
+    orbits under the relabelings that fix A.  A relabeling tau maps each
+    choice g(A, W) to g(tau(A), tau(W)) and the union A + B to tau(A) +
+    tau(B), so a violation at (A, B, W) is one at (tau(A), tau(B),
+    tau(W)).  By the symmetry of the test, some violation then has A a
+    representative, though not always no later than B, and applying a
+    relabeling that fixes A moves B to the first item of its orbit.  Only
+    the generators with a violation there are searched again over the
+    canonical pairs.
     """
     m = generators[0].m
     id_sensitive = generators[0].id_sensitive
     if any(g.m != m or g.id_sensitive != id_sensitive for g in generators):
         raise ValueError("one pass checks generators of one m and one voter-id flag")
-    found: list[dict | None] = [None] * len(generators)
     if m < 2:
-        return found  # every committee has size m - 1 or more
+        return [None] * len(generators)  # every committee has size m - 1 or more
     committees = all_committees(m, m - 2)
     width = len(committees)
     index = {W: i for i, W in enumerate(committees)}
@@ -848,7 +979,9 @@ def _consistency_witnesses(
                                          map(ballots.__getitem__, item)))
         return out
 
-    memo: list[dict[tuple, int]] = [{} for _ in generators]
+    memo: list[dict[tuple, int]] = [{} for _ in generators]  # the rows of items
+    # the rows of anonymous unions, bounded
+    unions: list[OrderedDict[tuple, int]] = [OrderedDict() for _ in generators]
     # the gain rows each generator's choices come from, one per table valuation
     by_valuation: dict[Valuation, GainRows] = {}
     row_sources: list[GainRows | None] = []
@@ -863,8 +996,10 @@ def _consistency_witnesses(
     def fill(key: tuple, which, parts: tuple = ()) -> None:
         """Memoize the rows of the profile of ``key`` for those of the
         generators ``which`` that lack them, sharing its choices, or its
-        gains; ``parts`` are the items of a union's two sides."""
-        which = [gi for gi in which if key not in memo[gi]]
+        gains; ``parts`` are the items of a union's two sides, whose rows
+        go to ``unions``, the oldest evicted past :data:`TRACE_CACHE_SIZE`."""
+        store = unions if parts else memo
+        which = [gi for gi in which if key not in store[gi]]
         if not which:
             return
         offset, item = key
@@ -872,82 +1007,113 @@ def _consistency_witnesses(
         for gi in which:
             g, rows = generators[gi], row_sources[gi]
             if rows is not None:
-                row = sums.get(rows)
-                if row is None:
+                step_row = sums.get(rows)
+                if step_row is None:
                     gains = list(map(add, *map(rows.gains, parts))) if parts else rows.gains(item)
-                    row = sums[rows] = _step_row(gains, fields)
+                    step_row = sums[rows] = _step_row(gains, fields)
                 rule = g.derived_from
                 if rule is None:
-                    memo[gi][key] = row
+                    row = step_row
                 else:  # a trace of the same choices, which are the step row's fields
-                    memo[gi][key] = _traced_row(
-                        lambda i: row >> (i * m) & field, m - 1, rule.branch_cap, growth
+                    row = _traced_row(
+                        lambda i: step_row >> (i * m) & field, m - 1, rule.branch_cap, growth
                     )
-                continue
-            if p is None:
-                if offset:
-                    p = Profile(m, votes_of(key), checked=True)
-                else:  # a non-decreasing item: the canonical profile, counts filled in
-                    p = Profile.from_counts(m, universe.counts(item), checked=True)
-            memo[gi][key] = choice_row(g, p, steps, cached=not offset and len(item) <= n)
+            else:
+                if p is None:
+                    if offset:
+                        p = Profile(m, votes_of(key), checked=True)
+                    else:  # a non-decreasing item: the canonical profile, counts filled in
+                        p = Profile.from_counts(m, universe.counts(item), checked=True)
+                row = choice_row(g, p, steps, cached=not offset and len(item) <= n)
+            rows_of = store[gi]
+            rows_of[key] = row
+            if parts and len(rows_of) > TRACE_CACHE_SIZE:
+                rows_of.popitem(last=False)
 
     def members(mask: int) -> frozenset:
         return frozenset(c for c in range(m) if mask >> c & 1)
 
-    live = list(range(len(generators)))
     items = list(universe.items())
-    for pos, a in enumerate(items):
-        key_a = (0, a)
-        fill(key_a, live)
-        # (generator, its memo, its row of A) for each generator still searching
-        searching = [(gi, memo[gi], memo[gi][key_a]) for gi in live]
-        offset = len(a) if id_sensitive else 0
-        votes_a = votes_of(key_a) if offset else ()
-        for b in items if offset else items[pos:]:
-            key_b = (offset, b)
-            need = []  # the searching generators whose choices on A and B intersect
-            for gi, rows, row_a in searching:
-                row_b = rows.get(key_b)
-                if row_b is None:
-                    fill(key_b, live)
-                    row_b = rows[key_b]
-                joint = row_a & row_b
-                if joint:
-                    need.append((gi, rows, row_a, row_b, joint))
-            if not need:
-                continue
-            if offset:
-                p_ab, steps = Profile(m, votes_a + votes_of(key_b), checked=True), {}
-            else:
-                key_ab = (0, tuple(sorted(a + b)))
-            for gi, rows, row_a, row_b, joint in need:
-                if offset:
-                    row_ab = choice_row(generators[gi], p_ab, steps, joint)
-                else:
-                    row_ab = rows.get(key_ab)
-                    if row_ab is None:
-                        fill(key_ab, [entry[0] for entry in need], (a, b))
-                        row_ab = rows[key_ab]
-                # committees where the intersection and the combined choice
-                # are both non-empty and differ; the first one is the witness
-                clash = nonzero(joint) & nonzero(row_ab) & nonzero(row_ab ^ joint)
-                if not clash:
+    pending = list(range(len(generators)))  # the generators a run searches
+
+    def search(pairs: Iterable[tuple[tuple[int, ...], Iterable]]) -> dict[int, dict]:
+        """The first witness of each pending generator over ``pairs``, each
+        an item A with the items B to pair it with, in order; afterwards
+        only the generators with a witness are pending."""
+        found: dict[int, dict] = {}
+        live = list(pending)
+        for a, others in pairs:
+            if not live:
+                break
+            key_a = (0, a)
+            fill(key_a, live)
+            # (generator, its memo, its row of A) for each generator still searching
+            searching = [(gi, memo[gi], memo[gi][key_a]) for gi in live]
+            offset = len(a) if id_sensitive else 0
+            votes_a = votes_of(key_a) if offset else ()
+            for b in others:
+                key_b = (offset, b)
+                need = []  # the searching generators whose choices on A and B intersect
+                for gi, rows, row_a in searching:
+                    row_b = rows.get(key_b)
+                    if row_b is None:
+                        fill(key_b, live)
+                        row_b = rows[key_b]
+                    joint = row_a & row_b
+                    if joint:
+                        need.append((gi, rows, row_a, row_b, joint))
+                if not need:
                     continue
-                i = ((clash & -clash).bit_length() - 1) // m
-                shift = i * m
-                found[gi] = {
-                    "a": universe.profile(a), "b": universe.profile(b).relabeled(len(a) + 1),
-                    "committee": committees[i],
-                    "g_a": members(row_a >> shift), "g_b": members(row_b >> shift),
-                    "g_combined": members(row_ab >> shift & field),
-                    "intersection": members(joint >> shift & field),
-                }
-                live.remove(gi)
-            if len(live) < len(searching):
-                if not live:
-                    return found
-                searching = [entry for entry in searching if found[entry[0]] is None]
-    return found
+                if offset:
+                    p_ab, steps = Profile(m, votes_a + votes_of(key_b), checked=True), {}
+                else:
+                    key_ab = (0, tuple(sorted(a + b)))
+                for gi, rows, row_a, row_b, joint in need:
+                    if offset:
+                        row_ab = choice_row(generators[gi], p_ab, steps, joint)
+                    else:
+                        row_ab = rows.get(key_ab)
+                        if row_ab is None:
+                            row_ab = unions[gi].get(key_ab)
+                        if row_ab is None:
+                            fill(key_ab, [entry[0] for entry in need], (a, b))
+                            row_ab = unions[gi][key_ab]
+                    # committees where the intersection and the combined choice
+                    # are both non-empty and differ; the first one is the witness
+                    clash = nonzero(joint) & nonzero(row_ab) & nonzero(row_ab ^ joint)
+                    if not clash:
+                        continue
+                    i = ((clash & -clash).bit_length() - 1) // m
+                    shift = i * m
+                    found[gi] = {
+                        "a": universe.profile(a), "b": universe.profile(b).relabeled(len(a) + 1),
+                        "committee": committees[i],
+                        "g_a": members(row_a >> shift), "g_b": members(row_b >> shift),
+                        "g_combined": members(row_ab >> shift & field),
+                        "intersection": members(joint >> shift & field),
+                    }
+                    live.remove(gi)
+                if len(live) < len(searching):
+                    if not live:
+                        break
+                    searching = [entry for entry in searching if entry[0] not in found]
+        pending[:] = sorted(found)
+        return found
+
+    def every() -> Iterator[tuple[tuple[int, ...], Iterable]]:
+        """Every pair in canonical order; an anonymous pass pairs A only
+        with B no earlier, as the test is symmetric in A and B."""
+        for pos, a in enumerate(items):
+            yield a, items if id_sensitive else items[pos:]
+
+    def reduced() -> Iterator[tuple[tuple[int, ...], Iterable]]:
+        """A over orbit representatives, B over those of the relabelings fixing A."""
+        for a in universe.representatives():
+            yield a, universe.representatives(fixing=a)
+
+    symmetric = not id_sensitive and all(rows is not None for rows in row_sources)
+    found = _reduced_search(search, every, reduced if symmetric else None)
+    return [found.get(gi) for gi in range(len(generators))]
 
 
 # ---------------------------------------------------------------------------
@@ -1002,17 +1168,29 @@ def _shrunk(
 def check_independence_of_losers(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
     """Disapproving candidates outside a winning committee keeps it winning."""
     used = {"m": rule.m, "n": bounds.n_single}
-    witnesses = _independence_witnesses(rule, bounds.n_single)
-    return _verdict("independence-of-losers", rule.name, used, witnesses)
+    witness = _independence_witness(rule, bounds.n_single)
+    return _report("independence-of-losers", rule.name, used, witness)
 
 
-def _independence_witnesses(rule: Rule, n: int) -> Iterator[dict]:
-    """Every violation in canonical order (:func:`_shrinking_witnesses`),
-    searched only if :func:`_single_drops_violate` says there is one."""
+def _independence_witness(rule: Rule, n: int) -> dict | None:
+    """The first violation in canonical order (:func:`_shrinking_witnesses`),
+    searched only if :func:`_single_drops_violate` says there is one.
+
+    The single drops are decided first on orbit representatives
+    (:func:`_orbits`): a relabeling tau maps a voter of A dropping c where W
+    wins in f(A, k) to the same voter of tau(A) dropping tau(c) where tau(W)
+    wins, and the shrunk item to its relabeled one, so a single drop that
+    makes W lose is one that makes tau(W) lose.
+    """
     universe = _universe(rule, n)
-    trace_item = _item_tracer(rule, universe, gain_rows(rule))
-    if _single_drops_violate(rule.m, universe, trace_item):
-        yield from _shrinking_witnesses(rule.m, universe, trace_item)
+    rows = gain_rows(rule)
+    trace_item = _item_tracer(rule, universe, rows)
+    violated = _reduced_search(
+        partial(_single_drops_violate, rule.m, universe, trace_item),
+        universe.items,
+        _orbits(universe, rows),
+    )
+    return next(_shrinking_witnesses(rule.m, universe, trace_item), None) if violated else None
 
 
 def _shrinking_witnesses(m: int, universe: ProfileUniverse, trace_item) -> Iterator[dict]:
@@ -1038,30 +1216,36 @@ def _shrinking_witnesses(m: int, universe: ProfileUniverse, trace_item) -> Itera
                     kept.add((shrunk, k, W))
 
 
-def _single_drops_violate(m: int, universe: ProfileUniverse, trace_item) -> bool:
+def _single_drops_violate(
+    m: int, universe: ProfileUniverse, trace_item, items: Iterable[tuple[int, ...]]
+) -> bool:
     """Whether one voter dropping one approval outside a winning committee W
-    ever makes W lose, over the items of ``universe``.
+    ever makes W lose, over the ``items`` of ``universe``.
 
-    That decides independence of losers over the whole universe: any
-    shrinking of A that keeps W's part of every ballot is a chain of single
-    drops, each leaving a ballot non-empty and the profile in the universe,
-    so if no single drop makes W lose, W wins all along the chain.  A
-    shrunk ballot is smaller, so a shrunk item comes earlier in canonical
-    order than its item: its trace is at hand, and the drops trace no item
-    that the full search would not trace.
+    Over every item, that decides independence of losers over the whole
+    universe: any shrinking of A that keeps W's part of every ballot is a
+    chain of single drops, each leaving a ballot non-empty and the profile
+    in the universe, so if no single drop makes W lose, W wins all along the
+    chain.  A shrunk ballot is smaller, so a shrunk item comes earlier in
+    canonical order than its item, and the drops trace no item that the full
+    search would not trace; over every item, each trace is at hand.
     """
     ballots, index, ordered = universe.ballots, universe.index, universe.ordered
     # per ballot: (c, the index of the ballot without c) for each c it can drop
     drops = [tuple((c, index[b - {c}]) for c in sorted(b)) if len(b) > 1 else () for b in ballots]
     traces: dict[tuple[int, ...], tuple[Family, ...]] = {}
-    for item in universe.items():
+    for item in items:
         winners = traces[item] = trace_item(item)
         for p, i in enumerate(item):
             if not ordered and p and item[p - 1] == i:
                 continue  # equal voters of an anonymous item drop alike
             for c, j in drops[i]:
                 shrunk = item[:p] + (j,) + item[p + 1:]
-                after = traces[shrunk if ordered else tuple(sorted(shrunk))]
+                if not ordered:
+                    shrunk = tuple(sorted(shrunk))
+                after = traces.get(shrunk)
+                if after is None:
+                    after = traces[shrunk] = trace_item(shrunk)
                 for k in range(1, m):
                     for W in winners[k]:
                         if c not in W and W not in after[k]:
@@ -1130,38 +1314,82 @@ def check_clone_axiom(
             "k_max": bounds.k_max_proportional,
             "family": "one bloc of identical ballots plus one singleton bloc",
         }
-        witnesses = _proportionality_witnesses(rule, bounds)
+        witness = _proportionality_witness(rule, bounds)
     else:
         used = {"m": rule.m, "n": bounds.n_single}
-        witnesses = _clone_witnesses(rule, which, bounds.n_single)
-    return _verdict(name, rule.name, used, witnesses)
+        witness = _clone_witness(rule, which, bounds.n_single)
+    return _report(name, rule.name, used, witness)
 
 
-def _proportionality_witnesses(rule: Rule, bounds: Bounds) -> Iterator[dict]:
+def _proportionality_witness(rule: Rule, bounds: Bounds) -> dict | None:
+    """The first violation over the profiles of ``n1`` voters approving a
+    bloc and ``n2`` approving ``{c}``, c outside the bloc, per (bloc, c,
+    n1, n2) in ``product`` order and each size k up to ``|bloc|``, or None.
+
+    A rule with gain rows is traced from ``n1 * row[bloc] + n2 * row[{c}]``
+    with no profile built, and is decided first on one pair (bloc, c) per
+    bloc size, ``({0, ..., s - 1}, s)``, the first of its orbit: a
+    relabeling tau maps every pair with ``|bloc| = s`` to every other, and
+    ``c in W`` for W in f(A, k) to ``tau(c) in tau(W)`` for tau(W) in
+    f(tau(A), k), with n1, n2 and k unchanged.
+    """
     m = rule.m
-    for bloc, c, n1, n2 in itertools.product(
-        all_ballots(m), range(m), range(1, bounds.n1_max + 1), range(1, bounds.n2_max + 1)
-    ):
-        if c in bloc:
-            continue
-        profile = Profile.from_ballots(m, [bloc] * n1 + [frozenset({c})] * n2)
-        for k in range(1, min(len(bloc), bounds.k_max_proportional) + 1):
-            found = proportionality_violation(rule, profile, k, c)
-            if found:
-                yield {"profile": profile, **found}
+    rows = gain_rows(rule)
+    ballots = all_ballots(m)
+    row_of = dict(zip(ballots, rows.rows)) if rows is not None else {}
+    sizes = list(itertools.product(range(1, bounds.n1_max + 1), range(1, bounds.n2_max + 1)))
+
+    def search(pairs: Iterable[tuple[frozenset, int]]) -> dict | None:
+        for bloc, c in pairs:
+            single = frozenset({c})
+            for n1, n2 in sizes:
+                blocs = ((bloc, n1), (single, n2))
+                if rows is None:
+                    profile = Profile.from_ballots(m, [bloc] * n1 + [single] * n2)
+                    family = partial(rule.apply, profile)
+                else:
+                    gains = [n1 * x + n2 * y for x, y in zip(row_of[bloc], row_of[single])]
+                    family = lambda k: rows.trace(gains, k, rule.branch_cap)[k]
+                for k in range(1, min(len(bloc), bounds.k_max_proportional) + 1):
+                    found = proportionality_violation(blocs, k, c, family(k))
+                    if found:
+                        if rows is not None:
+                            profile = Profile.from_ballots(m, [bloc] * n1 + [single] * n2)
+                        return {"profile": profile, **found}
+        return None
+
+    every = [(bloc, c) for bloc in ballots for c in range(m) if c not in bloc]
+    representatives = [(frozenset(range(s)), s) for s in range(1, m)]
+    return _reduced_search(
+        search, lambda: every, None if rows is None else lambda: representatives
+    )
 
 
-def _clone_witnesses(rule: Rule, which: str, n: int) -> Iterator[dict]:
+def _clone_witness(rule: Rule, which: str, n: int) -> dict | None:
+    """The first item that violates clone rejection, acceptance or distrust
+    (:func:`clone_violation`), or None.
+
+    Decided first on orbit representatives (:func:`_orbits`): a relabeling
+    tau maps clone pairs (c, d) to clone pairs (tau(c), tau(d)), each
+    candidate's approval and singleton counts to tau's image, and f(A, k)
+    to tau(f(A, k)), so whatever violation A shows, tau(A) shows relabeled.
+    """
     m = rule.m
     universe = _universe(rule, n)
-    trace = _item_tracer(rule, universe, gain_rows(rule))
-    for item in universe.items():
-        counts = universe.counts(item)
-        if which != "distrust" and not clone_pairs(m, counts):
-            continue  # those two axioms only constrain profiles with clones
-        found = clone_violation(which, m, counts, trace(item))
-        if found:
-            yield {"profile": universe.profile(item), **found}
+    rows = gain_rows(rule)
+    trace = _item_tracer(rule, universe, rows)
+
+    def search(items: Iterable[tuple[int, ...]]) -> dict | None:
+        for item in items:
+            counts = universe.counts(item)
+            if which != "distrust" and not clone_pairs(m, counts):
+                continue  # those two axioms only constrain profiles with clones
+            found = clone_violation(which, m, counts, trace(item))
+            if found:
+                return {"profile": universe.profile(item), **found}
+        return None
+
+    return _reduced_search(search, universe.items, _orbits(universe, rows))
 
 
 # ---------------------------------------------------------------------------

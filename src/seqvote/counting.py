@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
-from .profiles import Profile, Record
+from .profiles import Profile, Record, lazy
 
 
 def frac(value) -> Fraction:
@@ -149,7 +148,7 @@ class WeightTable(Record):
     def __call__(self, x: int, z: int) -> Fraction:
         return self.values[x][z - 1]
 
-    @cached_property
+    @lazy
     def scaled(self) -> "ScaledLevel":
         """The step as a :class:`ScaledLevel`: ``D`` the lcm of the
         denominators, ``gains[x][z] = D * v(x, z)`` indexed by ballot size

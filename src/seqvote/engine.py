@@ -164,19 +164,30 @@ def step_trace(
     through different parents are merged.  A ``prefix`` ``(f(A,0), ...,
     f(A,j))`` already traced with the same step and profile is extended
     rather than recomputed.
+
+    Errors are raised level by level, and within a level a failing step
+    outranks the cap: once the frontier passes ``branch_cap``, the level's
+    remaining committees are stepped only to find an empty choice (a
+    :class:`ValueError`) or any error the step raises, and then
+    :class:`BranchCapError` is raised.  Which error a level raises thus
+    never depends on the order of its set, and the frontier never holds
+    more than ``branch_cap + m`` committees.
     """
     if not 0 <= k <= profile.m:
         raise ValueError(f"committee size {k} outside 0..{profile.m}")
     families = list(prefix) if prefix else [frozenset({frozenset()})]
     for _ in range(len(families) - 1, k):
         frontier = set()
+        over = False
         for committee in families[-1]:
             extension = step(profile, committee)
             if not extension:
                 raise ValueError("generator step returned no candidates mid-run")
-            frontier.update(committee | {c} for c in extension)
-            if len(frontier) > branch_cap:
-                raise BranchCapError(f"more than {branch_cap} tied committees")
+            if not over:
+                frontier.update(committee | {c} for c in extension)
+                over = len(frontier) > branch_cap
+        if over:
+            raise BranchCapError(f"more than {branch_cap} tied committees")
         families.append(frozenset(frontier))
     return tuple(families[: k + 1])
 

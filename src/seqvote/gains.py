@@ -20,6 +20,7 @@ imports this module.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import partial
 from operator import add
 
@@ -74,7 +75,7 @@ class GainRows:
             start += len(outside)
         self.zero = [0] * start
         self.rows = [self._row(valuation, ballot) for ballot in all_ballots(m)]
-        self.memo: dict[tuple[int, ...], list[int]] = {}
+        self.memo: OrderedDict[tuple[int, ...], list[int]] = OrderedDict()
 
     def _row(self, valuation: Valuation, ballot: frozenset) -> list[int]:
         row = []
@@ -92,7 +93,7 @@ class GainRows:
         if gains is None:
             gains = memo[item] = list(map(add, self.gains(item[:-1]), self.rows[item[-1]]))
             if len(memo) > TRACE_CACHE_SIZE:
-                del memo[next(iter(memo))]
+                memo.popitem(last=False)
         return gains
 
     def at(self, gains: list[int], W: frozenset) -> dict[int, int]:

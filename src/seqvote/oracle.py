@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
 from typing import Iterator, Sequence
 
 from .counting import Valuation, committee_score
 from .engine import Family, Rule
-from .profiles import BallotCounts, CapError, Profile, Record, ballot_sort_key
+from .profiles import BallotCounts, CapError, Profile, Record, ballot_sort_key, lazy
 
 DEFAULT_COMMITTEE_CAP = 10**6
 DEFAULT_UNIVERSE_CAP = 10**6
@@ -63,7 +62,7 @@ class ProfileUniverse(Record):
 
     The size is checked against the closed form, and
     :class:`EnumerationCapError` raised, before anything is yielded; nothing
-    is kept between yields.
+    is kept between yields but the orbit marks of :meth:`representatives`.
     """
 
     m: int
@@ -79,12 +78,12 @@ class ProfileUniverse(Record):
     def total(self) -> int:
         return sum(self.count(n) for n in range(1, self.max_voters + 1))
 
-    @cached_property
+    @lazy
     def ballots(self) -> tuple[frozenset[int], ...]:
         """The ballot kinds, :func:`all_ballots`, validated once per universe."""
         return all_ballots(self.m)
 
-    @cached_property
+    @lazy
     def index(self) -> dict[frozenset[int], int]:
         """Each ballot's position in :attr:`ballots`."""
         return {ballot: i for i, ballot in enumerate(self.ballots)}
@@ -102,6 +101,49 @@ class ProfileUniverse(Record):
         else:
             per_count = (itertools.combinations_with_replacement(kinds, n) for n in voters)
         return itertools.chain.from_iterable(per_count)
+
+    def relabeling(self, tau: Sequence[int]) -> tuple[int, ...]:
+        """The candidate relabeling ``tau`` (candidate c becomes ``tau[c]``)
+        as a table over ballot indices: ballot i becomes ballot ``table[i]``."""
+        index = self.index
+        return tuple(index[frozenset(tau[c] for c in ballot)] for ballot in self.ballots)
+
+    def relabeled(self, item: Sequence[int], table: Sequence[int]) -> tuple[int, ...]:
+        """The item of ``item``'s profile relabeled by the :meth:`relabeling`
+        ``table``: voter i keeps its place in an ordered universe, and an
+        anonymous item is sorted."""
+        image = map(table.__getitem__, item)
+        return tuple(image) if self.ordered else tuple(sorted(image))
+
+    @lazy
+    def relabelings(self) -> tuple[tuple[int, ...], ...]:
+        """The :meth:`relabeling` table of every permutation of the
+        candidates, in ``itertools.permutations`` order."""
+        return tuple(map(self.relabeling, itertools.permutations(range(self.m))))
+
+    def representatives(self, fixing: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:
+        """The first item of each orbit under candidate relabeling, in
+        canonical order; with ``fixing``, an item, under the relabelings
+        that map it to itself.
+
+        An item no earlier orbit holds is yielded, and the rest of its
+        orbit marked; a marked item is unmarked when it is reached, so the
+        marks never outnumber the items still ahead.
+        """
+        tables = self.relabelings
+        if fixing is not None:
+            tables = [table for table in tables if self.relabeled(fixing, table) == fixing]
+            if len(tables) == 1:  # the identity alone: every item is its own orbit
+                yield from self.items()
+                return
+        marked: set[tuple[int, ...]] = set()
+        for item in self.items():
+            if item in marked:
+                marked.remove(item)
+                continue
+            marked.update(self.relabeled(item, table) for table in tables)
+            marked.discard(item)
+            yield item
 
     def counts(self, item: Sequence[int]) -> BallotCounts:
         """The ``ballot_counts`` of ``item``'s profile."""

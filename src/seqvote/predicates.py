@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Iterable
 
-from .engine import Family, Rule
-from .profiles import BallotCounts, Profile
+from .engine import Family
+from .profiles import BallotCounts
 
 CLONE_AXIOMS = ("rejection", "acceptance", "distrust", "proportionality")
 
@@ -85,16 +86,20 @@ def clone_violation(
     return None
 
 
-def proportionality_violation(rule: Rule, profile: Profile, k: int, c: int) -> dict | None:
-    """How ``rule`` at size ``k`` violates clone proportionality on ``profile``, if it does.
+def proportionality_violation(
+    counts: Iterable[tuple[frozenset[int], int]], k: int, c: int, family: Family
+) -> dict | None:
+    """How the outcome ``family``, a rule's f(A, k), violates clone
+    proportionality at size ``k``, if it does.
 
-    The axiom speaks of profiles where ``n1`` voters approve one bloc not
-    containing ``c`` and ``n2`` voters approve ``{c}`` alone: a committee must
-    include ``c`` when ``n1 / k < n2`` and exclude it when ``n1 / k > n2``.
-    Returns the violation (without the profile), or None, also for a profile
-    of any other shape.
+    ``counts`` are the profile's ``(ballot, multiplicity)`` pairs, in any
+    order.  The axiom speaks of profiles where ``n1`` voters approve one
+    bloc not containing ``c`` and ``n2`` voters approve ``{c}`` alone: a
+    committee must include ``c`` when ``n1 / k < n2`` and exclude it when
+    ``n1 / k > n2``.  Returns the violation (without the profile), or None,
+    also for a profile of any other shape.
     """
-    blocs = dict(profile.ballot_counts)
+    blocs = dict(counts)
     n2 = blocs.pop(frozenset({c}), 0)
     if not n2 or len(blocs) != 1:
         return None
@@ -102,7 +107,7 @@ def proportionality_violation(rule: Rule, profile: Profile, k: int, c: int) -> d
     if c in bloc:
         return None
     share = Fraction(n1, k)
-    for W in rule.apply(profile, k):
+    for W in family:
         bad_in = share > n2 and c in W
         bad_out = share < n2 and c not in W
         if bad_in or bad_out:

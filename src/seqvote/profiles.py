@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -53,6 +52,29 @@ def validate_ballot(m: int, approved: Iterable[int]) -> frozenset[int]:
         if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < m:
             raise ProfileError(f"candidate {c!r} outside 0..{m - 1}")
     return ballot
+
+
+class lazy:
+    """A record field computed from the others on first access.
+
+    The value goes into the instance's ``__dict__``, which a non-data
+    descriptor like this one gives way to, so every later access is a plain
+    attribute read; a constructor that already knows the value may put it
+    there first.  This is :func:`functools.cached_property` without its
+    lock, which Python 3.11 takes on every first access: two threads that
+    both compute a field compute the same immutable value.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
 
 
 class Record:
@@ -193,12 +215,12 @@ class Profile(Record):
     def ballots(self) -> tuple[frozenset[int], ...]:
         return tuple(b for _, b in self.votes)
 
-    @cached_property
+    @lazy
     def ballot_multiset(self) -> tuple[frozenset[int], ...]:
         """The anonymous content of the profile: ballots in canonical order."""
         return tuple(sorted(self.ballots(), key=ballot_sort_key))
 
-    @cached_property
+    @lazy
     def ballot_counts(self) -> BallotCounts:
         """Distinct ballots with multiplicities, in canonical ballot order."""
         return tuple(
@@ -206,12 +228,12 @@ class Profile(Record):
             for ballot, group in itertools.groupby(self.ballot_multiset)
         )
 
-    @cached_property
+    @lazy
     def support(self) -> frozenset[int]:
         """All candidates approved by at least one voter."""
         return frozenset().union(*self.ballots())
 
-    @cached_property
+    @lazy
     def approval_counts(self) -> tuple[int, ...]:
         """Each candidate's number of approvals, indexed by candidate."""
         counts = [0] * self.m

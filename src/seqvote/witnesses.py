@@ -158,7 +158,8 @@ def predicate_holds(witness: Witness, rule: Rule) -> bool:
     which = _AXIOM_OF[witness.construction].removeprefix("clone-")
     profile, k = witness.profile, witness.k
     if which == "proportionality":
-        found = proportionality_violation(rule, profile, k, witness.params["c"])
+        c = witness.params["c"]
+        found = proportionality_violation(profile.ballot_counts, k, c, rule.apply(profile, k))
     else:
         found = clone_violation(which, rule.m, profile.ballot_counts, rule.trace(profile, k))
     return found is not None

@@ -46,9 +46,13 @@ from seqvote.profiles import Profile, apply_candidate_permutation, apply_voter_p
 from util import (
     derived_row_by_step_trace,
     fam,
+    naive_clone_witness,
     naive_consistency_witness,
     naive_continuity_search,
+    naive_independence_witness,
+    naive_monotonicity_witness,
     naive_neutrality_witness,
+    naive_proportionality_witness,
 )
 
 P1 = Profile.from_ballots(3, [{0, 1}, {0, 1}, {0, 1}, {2}])
@@ -125,6 +129,29 @@ def test_gain_rows_match_stepping_the_profiles(name, m, data):
         if 0 < k < m:
             expected = _outcome(derived_row_by_step_trace, rule.step, union, k, cap)
             assert _outcome(axioms._traced_row, choice, k, cap, growth) == expected
+
+
+@pytest.mark.parametrize("name", GAIN_ROW_RULES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_gain_row_rules_commute_with_candidate_relabeling(name, data):
+    # what the orbit reduction rests on: relabeling a profile relabels
+    # every family, stepped outright and traced from gain rows alike
+    m = data.draw(st.integers(2, 5))
+    rule = make(name, m)
+    ballot = st.frozensets(st.integers(0, m - 1), min_size=1)
+    profile = Profile.from_ballots(m, data.draw(st.lists(ballot, min_size=1, max_size=6)))
+    tau = data.draw(st.permutations(range(m)))
+    relabeled = apply_candidate_permutation(tau, profile)
+    expected = tuple(
+        frozenset(frozenset(tau[c] for c in W) for W in family)
+        for family in rule.trace_uncached(profile)
+    )
+    assert rule.trace_uncached(relabeled) == expected
+    rows = gains.gain_rows(rule)
+    universe = ProfileUniverse(m, 1)
+    item = tuple(sorted(universe.index[b] for b in relabeled.ballots()))
+    assert rows.trace(rows.gains(item), m, rule.branch_cap) == expected
 
 
 def _refuse(*args):
@@ -261,6 +288,23 @@ def test_neutrality_violation_for_candidate_doubled_is_replayable():
     assert rule.apply(permuted, w["k"]) != expected
 
 
+# sha256 of ``render_report`` of the check at n_perm = 3, recorded while
+# every item was tried under all of S_m: the two generating relabelings
+# find the violation, and the fallback to S_m keeps the first witness
+CANDIDATE_A_NEUTRALITY_SHA256 = {
+    3: "18461d1e79d9322f902294c626d7c7960a251362a2f790914b81528310dc9157",
+    4: "11293f8600d31d934c4458988c9052378c37a978ab77a5b4dab0f96ad87feda2",
+}
+
+
+@pytest.mark.parametrize("m", sorted(CANDIDATE_A_NEUTRALITY_SHA256))
+def test_candidate_a_doubled_keeps_its_first_neutrality_witness(m):
+    report = check_neutrality(make("candidate-a-doubled-seqav", m), Bounds(n_perm=3))
+    assert report.verdict == "violation"
+    text = render_report(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == CANDIDATE_A_NEUTRALITY_SHA256[m]
+
+
 def test_neutrality_passes_for_trivial():
     assert check_neutrality(make("trivial", 3), SMALL).verdict == "pass-exhaustive"
 
@@ -270,15 +314,30 @@ def _lowest_outsider(profile, W):
     return frozenset({min(c for c in range(profile.m) if c not in W)})
 
 
+def _last_doubled(profile, W):
+    """Approval voting's step with the last candidate's approvals counted
+    twice: it commutes with the relabelings that fix the last candidate,
+    the transposition of candidates 0 and 1 among them, and no others."""
+    totals = dict.fromkeys((c for c in range(profile.m) if c not in W), 0)
+    for _, ballot in profile.votes:
+        for c in ballot:
+            if c in totals:
+                totals[c] += 2 if c == profile.m - 1 else 1
+    best = max(totals.values())
+    return frozenset(c for c, total in totals.items() if total == best)
+
+
 @pytest.mark.parametrize("name", (
     "seqpav", "candidate-a-doubled-seqav", "cc-tiebreak-seqav", "voter1-doubled-seqav",
-    "trivial", "optimizing-pav", "lowest-outsider",
+    "trivial", "optimizing-pav", "lowest-outsider", "last-doubled",
 ))
 def test_neutrality_matches_relabeling_each_profile(name):
     # the relabeled items and their traces against profiles relabeled and
     # stepped outright: the same verdict and the same first witness
     if name == "lowest-outsider":  # id-sensitive, so its universe is ordered
         rule = Rule(name, 3, "zoo", step=_lowest_outsider, id_sensitive=True)
+    elif name == "last-doubled":  # only the cycle of the two generators exposes it
+        rule = Rule(name, 3, "zoo", step=_last_doubled)
     else:
         rule = make(name, 3)
     report = check_neutrality(rule, Bounds(n_perm=2))
@@ -431,6 +490,27 @@ def test_continuity_search_replicates_no_further_than_j_max(name, monkeypatch):
 def test_continuity_search_matches_the_per_instance_loop(name):
     report = continuity_search(make(name, 3))
     assert render_report(report) == render_report(naive_continuity_search(make(name, 3), Bounds()))
+
+
+# the largest minimal replication count of the continuity note, recorded
+# while A ranged over every item: at m = 3 with the default bounds, and at
+# m = 4 with A of up to two voters
+LARGEST_REPLICATION_COUNT = {
+    "seqav": (2, 2), "seqpav": (3, 4), "seqccav": (2, 2), "seqsav": (3, 7),
+    "av-cc-alternating": (2, 2), "clone-trusting": (5, 5),
+    "reverse-seqav": (2, 2), "reverse-seqpav": (3, 4), "reverse-seqccav": (2, 2),
+}
+
+
+@pytest.mark.parametrize("name", GAIN_ROW_RULES)
+def test_continuity_note_keeps_its_largest_replication_count(name):
+    # A ranges over orbit representatives for these rules; the count is the
+    # same over every item, as each orbit shares its counts
+    for m, bounds in ((3, Bounds()), (4, Bounds(n_continuity=2))):
+        report = continuity_search(make(name, m), bounds)
+        count = LARGEST_REPLICATION_COUNT[name][m - 3]
+        assert report.verdict == "pass"
+        assert report.note.endswith(f"; largest minimal replication count seen: {count}")
 
 
 def test_continuity_check_caches_only_a():
@@ -725,12 +805,11 @@ def _compare_traced_row(choice, m, k, cap):
     choice masks ``choice`` and of the row ``step_trace`` gives for the same
     choices, after checking that they agree.
 
-    Both trace level by level, so they fail first at the same level.  They
-    step a level's committees in different orders, committee order and the
-    order of ``step_trace``'s set, so where one level holds a failing choice
-    together with another failing choice or a frontier over the cap, they
-    may report different errors; the mask trace then reports a failing
-    choice's ValueError.
+    Both trace level by level, so they fail first at the same level, and
+    both let a failing choice outrank a frontier over the cap.  They step a
+    level's committees in different orders, committee order and the order
+    of ``step_trace``'s set, so where one level holds two failing choices,
+    they may report different ones; both are ValueErrors.
     """
     growth = axioms._growth(m)
 
@@ -772,16 +851,26 @@ def test_mask_trace_matches_step_trace(m, data):
 
 def test_a_failing_choice_outranks_an_overflow_at_its_level():
     # at size 2, one committee of f(A, 1) has three children, over the cap
-    # of 2, and the other chooses nothing: step_trace reports whichever its
-    # set reaches first, the mask trace the empty choice
+    # of 2, and the other chooses nothing: step_trace and the mask trace
+    # both report the empty choice, whatever order step_trace's set steps
+    # the level in
     m = 4
     index = {W: i for i, W in enumerate(all_committees(m, m - 2))}
+    profile = Profile.from_ballots(m, [range(m)])
     for wide, empty in itertools.permutations(range(m), 2):
         masks = [0] * len(index)
         masks[index[frozenset()]] = 1 << wide | 1 << empty
         masks[index[frozenset({wide})]] = ((1 << m) - 1) ^ 1 << wide
-        got, _ = _compare_traced_row(masks.__getitem__, m, 2, 2)
-        assert got == "ValueError: generator step returned no candidates mid-run"
+        got, expected = _compare_traced_row(masks.__getitem__, m, 2, 2)
+        assert got == expected == "ValueError: generator step returned no candidates mid-run"
+
+        def step(_, W, masks=masks):
+            return frozenset(c for c in range(m) if masks[index[W]] >> c & 1)
+
+        assert _outcome(step_trace, step, profile, 2, 2) == expected
+        # one level down, with no failing choice left, the cap fires
+        masks[index[frozenset({empty})]] = 1 << wide
+        assert _outcome(step_trace, step, profile, 2, 2).startswith("BranchCapError")
 
 
 def _random_step(seed, id_sensitive, failing):
@@ -954,7 +1043,11 @@ def test_single_drops_decide_independence_of_losers(name):
             universe = axioms._universe(rule, n)
             trace_item = axioms._item_tracer(rule, universe, gains.gain_rows(rule))
             first = next(axioms._shrinking_witnesses(m, universe, trace_item), None)
-            assert axioms._single_drops_violate(m, universe, trace_item) == (first is not None)
+            drops = axioms._single_drops_violate(m, universe, trace_item, universe.items())
+            assert drops == (first is not None)
+            if gains.gain_rows(rule) is not None:  # the same verdict on orbit representatives
+                reduced = universe.representatives()
+                assert axioms._single_drops_violate(m, universe, trace_item, reduced) == drops
             report = check_independence_of_losers(rule, Bounds(n_single=n))
             assert render_report(report.witness) == render_report(first)
             if first is None:
@@ -1135,3 +1228,42 @@ def test_universal_checks_hold_at_four_candidates():
         assert check_committee_monotonicity(rule, bounds).verdict == "pass-exhaustive"
     sav = make("seqsav", 4)
     assert check_generator_consistency(step_generator(sav), bounds).verdict == "pass-exhaustive"
+
+
+# ---------------------------------------------------------------------------
+# Reduced searches
+
+
+REDUCED_CASES = [(name, m, 3) for m in (2, 3) for name in catalog.RULE_NAMES] + [
+    (name, 4, 2) for name in ("seqpav", "seqsav", "av-cc-alternating")
+]
+
+
+@pytest.mark.parametrize("name, m, n", REDUCED_CASES)
+def test_reduced_searches_match_the_literal_ones(name, m, n):
+    # each search decided on orbit representatives, or for neutrality on two
+    # generating relabelings, against a literal search over every item and
+    # all of S_m: the same verdicts, first witnesses and continuity note
+    bounds = Bounds(
+        n_single=n, n_perm=n, n_pair_each=min(n, 2), n_continuity=n, n1_max=4, n2_max=4
+    )
+    rule = make(name, m)
+    pairs = [
+        (check_neutrality(rule, bounds), naive_neutrality_witness(rule, n)),
+        (check_committee_monotonicity(rule, bounds), naive_monotonicity_witness(rule, n)),
+        (check_independence_of_losers(rule, bounds), naive_independence_witness(rule, n)),
+        (check_clone_axiom(rule, "proportionality", bounds),
+         naive_proportionality_witness(rule, bounds)),
+    ]
+    for which in ("rejection", "acceptance", "distrust"):
+        pairs.append((check_clone_axiom(rule, which, bounds), naive_clone_witness(rule, which, n)))
+    generators = (derived_generator(rule),)
+    if rule.step is not None:
+        generators = (step_generator(rule), *generators)
+    for g, report in zip(generators, axioms._consistency_reports(generators, bounds)):
+        pairs.append((report, naive_consistency_witness(g, bounds.n_pair_each)))
+    for report, expected in pairs:
+        assert report.verdict == ("pass-exhaustive" if expected is None else "violation")
+        assert render_report(report.witness) == render_report(expected)
+    expected = naive_continuity_search(rule, bounds)
+    assert render_report(continuity_search(rule, bounds)) == render_report(expected)

@@ -14,7 +14,7 @@ from seqvote.oracle import (
     committees_of_size,
     compare_rules,
 )
-from seqvote.profiles import Profile
+from seqvote.profiles import Profile, apply_candidate_permutation
 
 from util import fam, naive_optimal, thiele_value
 
@@ -133,6 +133,37 @@ def test_over_cap_universes_raise_before_yielding(ordered):
         iter(universe)
     with pytest.raises(EnumerationCapError):
         universe.items()
+
+
+def _literal_orbit(universe, item, perms):
+    """The items of ``item``'s profile relabeled by each of ``perms``."""
+    profile = universe.profile(item)
+    out = set()
+    for tau in perms:
+        ballots = apply_candidate_permutation(tau, profile).ballots()
+        image = [universe.index[b] for b in ballots]
+        out.add(tuple(image if universe.ordered else sorted(image)))
+    return out
+
+
+@pytest.mark.parametrize("m, n, ordered", [(2, 4, False), (3, 3, False), (4, 2, False), (3, 2, True)])
+def test_representatives_are_the_first_item_of_each_orbit(m, n, ordered):
+    # against orbits built by relabeling profiles: each orbit once, by its
+    # first item in canonical order, and in canonical order
+    universe = ProfileUniverse(m, n, ordered=ordered)
+    items = list(universe.items())
+    position = {item: i for i, item in enumerate(items)}
+    perms = list(itertools.permutations(range(m)))
+
+    def first_of_orbit(item, under):
+        return min(_literal_orbit(universe, item, under), key=position.__getitem__) == item
+
+    expected = [item for item in items if first_of_orbit(item, perms)]
+    assert list(universe.representatives()) == expected
+    for fixed in expected[::7]:  # under the relabelings that map one item to itself
+        stabilizer = [tau for tau in perms if _literal_orbit(universe, fixed, [tau]) == {fixed}]
+        expected_b = [item for item in items if first_of_orbit(item, stabilizer)]
+        assert list(universe.representatives(fixing=fixed)) == expected_b
 
 
 def test_compare_rules_av_equals_optimizing_av():

@@ -277,3 +277,20 @@ def test_profiles_are_immutable_values():
         del a.votes
     assert a.ballot_counts == ((frozenset({2}), 1), (frozenset({0, 1}), 1))
     assert (a.m, a.n) == (3, 2)
+
+
+def test_lazy_fields_are_computed_once_and_kept():
+    # each lazy field lands in the profile's __dict__ on first access, where
+    # later reads find it; one that from_counts fills in is never computed
+    p = Profile.from_ballots(3, [{2}, {0, 1}, {2}])
+    fields = ("ballot_multiset", "ballot_counts", "support", "approval_counts")
+    assert not any(name in p.__dict__ for name in fields)
+    values = [getattr(p, name) for name in fields]
+    assert [p.__dict__[name] for name in fields] == values
+    assert all(getattr(p, name) is value for name, value in zip(fields, values))
+    assert values[1:] == [
+        ((frozenset({2}), 2), (frozenset({0, 1}), 1)), frozenset({0, 1, 2}), (1, 1, 2)
+    ]
+    counts = ((frozenset({1}), 2),)
+    q = Profile.from_counts(3, counts, checked=True)
+    assert q.ballot_counts is counts and "ballot_multiset" not in q.__dict__

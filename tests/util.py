@@ -13,7 +13,8 @@ from seqvote.axioms import EXISTENTIAL_NOTE, AxiomReport
 from seqvote.cli import candidate_letter, format_profile
 from seqvote.engine import step_trace
 from seqvote.oracle import ProfileUniverse, all_committees
-from seqvote.profiles import Profile, apply_candidate_permutation
+from seqvote.predicates import clone_pairs, clone_violation, proportionality_violation
+from seqvote.profiles import Profile, apply_candidate_permutation, ballot_sort_key
 from seqvote.witnesses import Witness
 
 
@@ -398,4 +399,92 @@ def naive_neutrality_witness(rule, n):
                         "profile": profile, "candidate_permutation": tau, "k": k,
                         "families": (base[k], other[k]), "expected": expected,
                     }
+    return None
+
+
+def naive_monotonicity_witness(rule, n):
+    """The first committee-monotonicity witness over up to ``n`` voters, or
+    None: every profile of the rule's universe stepped outright, every
+    winning committee checked for a winning parent and a winning extension."""
+    m = rule.m
+    for profile in ProfileUniverse(m, n, ordered=rule.id_sensitive):
+        trace = rule.trace_uncached(profile)
+        for k in range(1, m + 1):
+            for W in trace[k]:
+                if not any(W - {x} in trace[k - 1] for x in W):
+                    return {"profile": profile, "k": k, "committee": W,
+                            "missing": "no winning parent one size down"}
+            for W in trace[k - 1]:
+                if not any(W | {x} in trace[k] for x in range(m) if x not in W):
+                    return {"profile": profile, "k": k - 1, "committee": W,
+                            "missing": "no winning extension one size up"}
+    return None
+
+
+def naive_independence_witness(rule, n):
+    """The first independence-of-losers witness over up to ``n`` voters, or
+    None: per profile, size k and winning committee W (in sorted order),
+    every choice of one sub-ballot per voter that keeps the voter's part of
+    W, sub-ballots in canonical order and voters in ``product`` order, each
+    shrunk profile stepped outright."""
+    m = rule.m
+    for profile in ProfileUniverse(m, n, ordered=rule.id_sensitive):
+        trace = rule.trace_uncached(profile)
+        for k in range(1, m + 1):
+            for W in sorted(trace[k], key=sorted):
+                per_voter = []
+                for ballot in profile.ballots():
+                    rest = sorted(ballot - W)
+                    subs = {
+                        (ballot & W) | frozenset(tail)
+                        for size in range(len(rest) + 1)
+                        for tail in itertools.combinations(rest, size)
+                    }
+                    per_voter.append(sorted((b for b in subs if b), key=ballot_sort_key))
+                for choice in itertools.product(*per_voter):
+                    if not rule.id_sensitive:
+                        choice = sorted(choice, key=ballot_sort_key)
+                    shrunk = Profile.from_ballots(m, choice)
+                    if shrunk == profile:
+                        continue
+                    family = rule.trace_uncached(shrunk, k)[k]
+                    if W not in family:
+                        return {"profile": profile, "k": k, "committee": W,
+                                "shrunk_profile": shrunk, "families": (trace[k], family)}
+    return None
+
+
+def naive_clone_witness(rule, which, n):
+    """The first witness of clone rejection, acceptance or distrust over up
+    to ``n`` voters, or None: every profile stepped outright and judged by
+    the predicate witness replay uses."""
+    m = rule.m
+    for profile in ProfileUniverse(m, n, ordered=rule.id_sensitive):
+        counts = profile.ballot_counts
+        if which != "distrust" and not clone_pairs(m, counts):
+            continue
+        found = clone_violation(which, m, counts, rule.trace_uncached(profile))
+        if found:
+            return {"profile": profile, **found}
+    return None
+
+
+def naive_proportionality_witness(rule, bounds):
+    """The first clone-proportionality witness, or None: every bloc, every
+    candidate c outside it and every pair of bloc sizes, the profile of
+    ``n1`` bloc ballots then ``n2`` ballots ``{c}`` stepped outright."""
+    m = rule.m
+    for bloc in all_ballots_naive(m):
+        for c in range(m):
+            if c in bloc:
+                continue
+            for n1 in range(1, bounds.n1_max + 1):
+                for n2 in range(1, bounds.n2_max + 1):
+                    profile = Profile.from_ballots(m, [bloc] * n1 + [{c}] * n2)
+                    top = min(len(bloc), bounds.k_max_proportional)
+                    trace = rule.trace_uncached(profile, top)
+                    for k in range(1, top + 1):
+                        found = proportionality_violation(profile.ballot_counts, k, c, trace[k])
+                        if found:
+                            return {"profile": profile, **found}
     return None

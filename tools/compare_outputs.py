@@ -19,7 +19,10 @@ stdout and stderr of
   table of each arity (exit 2);
 - ``seqvote axioms <rule> all --max-voters 2`` and ``3``, ``all --max-m 4
   --max-voters 2``, and ``clones --max-m 4 --max-voters 3`` (profiles at m=4
-  with repeated ballots), for every rule;
+  with repeated ballots), for every rule, and ``all --max-m 4 --max-voters
+  3`` for ``seqpav``, whose searches are decided on orbit representatives,
+  and ``candidate-a-doubled-seqav``, whose neutrality search falls back
+  from two generating relabelings to all of S_m;
 - ``seqvote axioms <rule> proper --max-voters 3 --j-max 1`` for every rule:
   the continuity certificate decides the rules with a step and a valuation
   that are not id-sensitive, and the others are searched at j = 1 only
@@ -155,6 +158,9 @@ def cases(workdir: Path):
         yield f"axioms-{rule}-clones-m4-n3", argv
         argv = ["axioms", rule, "proper", "--max-voters", "3", "--j-max", "1"]
         yield f"axioms-{rule}-proper-n3-j1", argv
+    for rule in ("seqpav", "candidate-a-doubled-seqav"):
+        argv = ["axioms", rule, "all", "--max-m", "4", "--max-voters", "3"]
+        yield f"axioms-{rule}-m4-n3", argv
     for construction in witnesses.CONSTRUCTIONS:
         for table_name in NAMED_TABLES:
             for m in ("3", "4", "6"):
