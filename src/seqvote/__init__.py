@@ -47,7 +47,6 @@ _HOMES = {
     "apply_candidate_permutation": "profiles",
     "profile_scale": "profiles",
     "profile_sum": "profiles",
-    "symmetrize_profile": "profiles",
     "Witness": "witnesses",
     "witness_clone_acceptance": "witnesses",
     "witness_clone_proportionality": "witnesses",

@@ -43,15 +43,18 @@ since its one outside candidate x leaves every choice there empty or
 ``{x}``, so the intersection and the combined choice cannot both be
 non-empty and differ.
 
-Candidate symmetry is used once, by :func:`_reduced_search`: a search is
-decided first over a reduced stream, and runs over the full one, for the
-same first witness in canonical order, only where the reduced run finds a
-violation.  Neutrality is decided over two relabelings that generate S_m,
-for every rule.  A rule with gain rows commutes with every relabeling by
-construction, so its monotonicity, generator-consistency, continuity,
-independence-of-losers and clone searches are decided over the first item
-of each orbit (:func:`_orbits`), and clone proportionality over one
-(bloc, c) per bloc size.  Anonymity is never reduced.
+Candidate symmetry is used once.  A rule with gain rows commutes with
+every relabeling by construction, so its monotonicity,
+generator-consistency, continuity, independence-of-losers and clone
+searches run once, over the first item of each orbit (:func:`_orbits`),
+and clone proportionality over one (bloc, c) per bloc size.  A relabeling
+maps violations to violations and errors to the same errors, so the first
+one in canonical order is the first of its orbit: the reduced search
+returns the unreduced search's first witness, or raises its error, in one
+pass.  Neutrality is decided over two relabelings that generate S_m, for
+every rule, and searches all of S_m only where they find a violation or
+raise, since they are not a prefix of the ``permutations`` order.
+Anonymity is never reduced.
 
 The rule's trace cache holds what several checks share, the items of a
 universe.  A profile built for one comparison (the union of a pair, B
@@ -74,7 +77,7 @@ import itertools
 from collections import OrderedDict
 from functools import partial
 from operator import add
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator
 
 from .counting import Valuation
 from .engine import (
@@ -98,9 +101,6 @@ from .profiles import (
     ballot_sort_key,
     profile_scale,
 )
-
-
-T = TypeVar("T")
 
 
 class PreconditionError(ValueError):
@@ -197,53 +197,52 @@ def _item_tracer(
 
 
 # ---------------------------------------------------------------------------
-# Reduced searches
+# Orbit-reduced searches
 
 
-def _reduced_search(
-    search: Callable[[Iterable], T],
-    every: Callable[[], Iterable],
-    reduced: Callable[[], Iterable] | None,
-) -> T:
-    """``search(every())``, decided first by ``search(reduced())``.
-
-    ``search`` runs over a stream in its order and returns what it finds,
-    a falsy value where it finds no violation.  A caller passes a
-    ``reduced`` stream only where a violation over ``every()`` implies one
-    over ``reduced()``: a generating set of the relabelings for neutrality,
-    or the orbit representatives of a universe (:func:`_orbits`).  Finding
-    none there settles the search.  Finding one, or raising, the search
-    runs again over ``every()``, and its first violation in canonical
-    order, or the error it raises first, is the answer: a report never
-    depends on the reduction.  A search over several subjects, such as the
-    generators of one consistency pass, may search again only those it
-    found a violation for.
-    """
-    if reduced is not None:
-        try:
-            found = search(reduced())
-        except Exception:  # the full search raises it too, or finds a violation first
-            found = True
-        if not found:
-            return found
-    return search(every())
-
-
-def _orbits(universe: ProfileUniverse, rows: GainRows | None) -> Callable[[], Iterator] | None:
-    """``universe.representatives`` as the reduced stream of a check on a
-    rule with gain ``rows``, or None for any other rule.
+def _orbits(universe: ProfileUniverse, rows: GainRows | None) -> Iterator[tuple[int, ...]]:
+    """The items a check searches: for a rule with gain ``rows``, the first
+    item of each orbit under candidate relabeling
+    (``universe.representatives()``), and for any other rule every item.
 
     Such a rule steps by the largest gain, and a gain reads only ``|ballot
     & W|``, ``|ballot|`` and whether the ballot approves the candidate, so
     ``f(tau(A), k) = tau(f(A, k))`` for every candidate relabeling tau, and
     ``derived`` and ``step`` generators satisfy ``g(tau(A), tau(W)) =
-    tau(g(A, W))``; the universe is closed under relabeling.  A check whose
-    violations tau maps to violations therefore has one iff it has one on
-    the first item of some orbit.  Each reduced check states why its
-    violations map so.  Anonymity and neutrality test symmetries
-    themselves and are never reduced by orbits.
+    tau(g(A, W))``; the universe is closed under relabeling.  Each reduced
+    check states why tau maps its violations at A to violations at tau(A).
+    Its errors map too: a trace raises :class:`BranchCapError` where a tie
+    frontier outgrows the cap, and :class:`ValueError` where a step chooses
+    nothing; tau keeps frontier sizes and empty choices, and neither
+    message names a candidate.  So an item has a violation or an error iff
+    every item of its orbit has one, and the first such item in
+    canonical order is the first of its orbit.  The search over
+    representatives reaches it having found nothing, and searches it as
+    the search over every item would: it returns the same first witness,
+    or raises the same error, in one pass.
+
+    The same argument serves the searches over other streams:
+
+    - generator consistency pairs each representative A with the first
+      items of the orbits under the relabelings that fix A
+      (``universe.representatives(fixing=a)``).  tau maps a violation or
+      error at (A, B) to one at (tau(A), tau(B)), and the test is symmetric
+      in A and B, so the first such pair with A no later than B has A the
+      first of its orbit and B the first of its orbit under A's stabilizer.
+      A reduced pair with B earlier than A is the pair (B, A), which comes
+      earlier in canonical order, so it holds nothing before that first
+      pair does.  That holds for each generator of a pass, so each one's
+      first witness, and the first error of one still searching, come at
+      the same pair as over every pair;
+    - clone proportionality searches ``({0, ..., s - 1}, s)`` per bloc size
+      s, the first ``(bloc, c)`` with ``|bloc| = s`` in canonical order,
+      since :func:`all_ballots` sorts ballots by size and then
+      lexicographically, and every pair of that size is in its orbit.
+
+    Anonymity and neutrality test symmetries themselves and are never
+    reduced by orbits.
     """
-    return None if rows is None else universe.representatives
+    return universe.items() if rows is None else universe.representatives()
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +343,9 @@ def _neutrality_witness(rule: Rule, n: int) -> dict | None:
     sigma(tau(f(A))).  So if both generators pass, every relabeling does.
     That holds for any rule, black-box and id-sensitive ones included, and
     neutrality is the one check that may assume no symmetry of the rule.
-    Only where a generator fails are all of S_m searched
-    (:func:`_reduced_search`), for the same first witness.
+    Only where a generator fails, or the search raises, are all of S_m
+    searched, for the first witness or error in canonical order: the two
+    generators are not a prefix of the ``permutations`` order.
     """
     m = rule.m
     universe = _universe(rule, n)
@@ -371,10 +371,12 @@ def _neutrality_witness(rule: Rule, n: int) -> dict | None:
 
     swap = (1, 0, *range(2, m))
     cycle = tuple((c + 1) % m for c in range(m))
-    generators = list(dict.fromkeys((swap, cycle))) if m > 1 else []
-    return _reduced_search(
-        search, lambda: itertools.permutations(range(m)), lambda: generators
-    )
+    try:
+        if search(dict.fromkeys((swap, cycle)) if m > 1 else ()) is None:
+            return None
+    except Exception:  # all of S_m raises it too, or finds a violation first
+        pass
+    return search(itertools.permutations(range(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -561,15 +563,15 @@ def continuity_search(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRepor
     ``inconclusive`` instance the report carries the witness and note
     :func:`check_continuity` gives for it.
 
-    For a rule with gain rows, A ranges first over orbit representatives
+    For a rule with gain rows, A ranges over orbit representatives
     (:func:`_orbits`), B over every item.  A relabeling tau maps ``f(A, k)``
     and ``f(jA + B, k)`` to ``f(tau(A), k)`` and ``f(j tau(A) + tau(B),
     k)``, and permutes the extension gains behind the certified limits, so
     the pair (tau(A), tau(B)) has the same limits and minimal replication
-    counts as (A, B); as B ranges over every item, so does tau(B).  An
-    instance no count restores thus has an orbit-mate with A a
-    representative, and the largest minimal count in the note is the
-    same over representatives as over every item.
+    counts as (A, B); as B ranges over every item, so does tau(B).  So the
+    first A with an instance no count restores is a representative, and the
+    largest minimal count in the note is the same over representatives as
+    over every item.
     """
     used = {
         "m": rule.m,
@@ -592,49 +594,37 @@ def continuity_search(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRepor
             {X: extension_gains(v, universe.profile(b), X) for X in committees} for b in others
         ]
     worst, beyond = 0, False
-
-    def search(items: Iterable[tuple[int, ...]]) -> AxiomReport | None:
-        """The ``inconclusive`` report of the first instance with A in
-        ``items`` that no count restores, or None; ``worst`` and ``beyond``
-        then cover every instance searched."""
-        nonlocal worst, beyond
-        worst, beyond = 0, False
-        for a in items:
-            trace = trace_item(a)
-            singleton_ks = [k for k in range(1, m + 1) if len(trace[k]) == 1]
-            if not singleton_ks:
-                continue
-            winners = [X for level in range(min(singleton_ks[-1], m - 1)) for X in trace[level]]
+    for a in _orbits(universe, rows):
+        trace = trace_item(a)
+        singleton_ks = [k for k in range(1, m + 1) if len(trace[k]) == 1]
+        if not singleton_ks:
+            continue
+        winners = [X for level in range(min(singleton_ks[-1], m - 1)) for X in trace[level]]
+        if rows is not None:
+            g_a = rows.gains(a)
+            gains_a = {X: rows.at(g_a, X) for X in winners}
+        elif certified:
+            profile_a = universe.profile(a)
+            gains_a = {X: extension_gains(v, profile_a, X) for X in winners}
+        for ib, b in enumerate(others):
             if rows is not None:
-                g_a = rows.gains(a)
-                gains_a = {X: rows.at(g_a, X) for X in winners}
-            elif certified:
-                profile_a = universe.profile(a)
-                gains_a = {X: extension_gains(v, profile_a, X) for X in winners}
-            for ib, b in enumerate(others):
-                if rows is not None:
-                    replicated = partial(_replicated_from_gains, rule, rows, g_a, rows.gains(b))
-                else:
-                    replicated = partial(_replicated_from_items, rule, universe, a, b)
-                limits, restored = _replications(
-                    m, trace, singleton_ks, bounds.j_max, replicated,
-                    (gains_a, gains_b[ib]) if certified else None,
+                replicated = partial(_replicated_from_gains, rule, rows, g_a, rows.gains(b))
+            else:
+                replicated = partial(_replicated_from_items, rule, universe, a, b)
+            limits, restored = _replications(
+                m, trace, singleton_ks, bounds.j_max, replicated,
+                (gains_a, gains_b[ib]) if certified else None,
+            )
+            k = next(
+                (k for k in singleton_ks if k not in restored and limits[k] <= bounds.j_max),
+                None,
+            )
+            if k is not None:  # the first size no count restores
+                return _inconclusive(
+                    rule, used, universe.profile(a), universe.profile(b), k, trace[k], limits[k]
                 )
-                k = next(
-                    (k for k in singleton_ks if k not in restored and limits[k] <= bounds.j_max),
-                    None,
-                )
-                if k is not None:  # the first size no count restores
-                    return _inconclusive(
-                        rule, used, universe.profile(a), universe.profile(b), k, trace[k], limits[k]
-                    )
-                worst = max(worst, *restored.values(), 0)
-                beyond = beyond or len(restored) < len(singleton_ks)
-        return None
-
-    found = _reduced_search(search, universe.items, _orbits(universe, rows))
-    if found is not None:
-        return found
+            worst = max(worst, *restored.values(), 0)
+            beyond = beyond or len(restored) < len(singleton_ks)
     if beyond:
         seen = (
             f"some minimal replication count exceeds j_max = {bounds.j_max},"
@@ -675,30 +665,26 @@ def _monotonicity_witness(rule: Rule, n: int) -> dict | None:
     parent one size down, or of f(A, k - 1) with no winning extension one
     size up, or None.
 
-    Decided first on orbit representatives (:func:`_orbits`): a relabeling
-    tau maps W to tau(W) in f(tau(A), k) = tau(f(A, k)), and W's parents and
+    Searched on orbit representatives (:func:`_orbits`): a relabeling tau
+    maps W to tau(W) in f(tau(A), k) = tau(f(A, k)), and W's parents and
     extensions to tau(W)'s, so a violation at A is one at tau(A).
     """
     m = rule.m
     universe = _universe(rule, n)
     rows = gain_rows(rule)
     trace_item = _item_tracer(rule, universe, rows)
-
-    def search(items: Iterable[tuple[int, ...]]) -> dict | None:
-        for item in items:
-            trace = trace_item(item)
-            for k in range(1, m + 1):
-                for W in trace[k]:
-                    if not any(W - {x} in trace[k - 1] for x in W):
-                        return {"profile": universe.profile(item), "k": k, "committee": W,
-                                "missing": "no winning parent one size down"}
-                for W in trace[k - 1]:
-                    if not any(W | {x} in trace[k] for x in range(m) if x not in W):
-                        return {"profile": universe.profile(item), "k": k - 1, "committee": W,
-                                "missing": "no winning extension one size up"}
-        return None
-
-    return _reduced_search(search, universe.items, _orbits(universe, rows))
+    for item in _orbits(universe, rows):
+        trace = trace_item(item)
+        for k in range(1, m + 1):
+            for W in trace[k]:
+                if not any(W - {x} in trace[k - 1] for x in W):
+                    return {"profile": universe.profile(item), "k": k, "committee": W,
+                            "missing": "no winning parent one size down"}
+            for W in trace[k - 1]:
+                if not any(W | {x} in trace[k] for x in range(m) if x not in W):
+                    return {"profile": universe.profile(item), "k": k - 1, "committee": W,
+                            "missing": "no winning extension one size up"}
+    return None
 
 
 def check_generator_consistency(
@@ -882,16 +868,12 @@ def _consistency_witnesses(
     without a step traces every other profile with
     :meth:`Rule.trace_uncached`.
 
-    When every generator has gain rows, A ranges first over orbit
-    representatives (:func:`_orbits`), and B over the first items of the
-    orbits under the relabelings that fix A.  A relabeling tau maps each
-    choice g(A, W) to g(tau(A), tau(W)) and the union A + B to tau(A) +
-    tau(B), so a violation at (A, B, W) is one at (tau(A), tau(B),
-    tau(W)).  By the symmetry of the test, some violation then has A a
-    representative, though not always no later than B, and applying a
-    relabeling that fixes A moves B to the first item of its orbit.  Only
-    the generators with a violation there are searched again over the
-    canonical pairs.
+    When every generator has gain rows, A ranges over orbit representatives,
+    and B over the first items of the orbits under the relabelings that fix
+    A (:func:`_orbits` says why that finds the first witness in canonical
+    order).  A relabeling tau maps each choice g(A, W) to g(tau(A),
+    tau(W)) and the union A + B to tau(A) + tau(B), so a violation at (A,
+    B, W) is one at (tau(A), tau(B), tau(W)).
     """
     m = generators[0].m
     id_sensitive = generators[0].id_sensitive
@@ -1033,86 +1015,70 @@ def _consistency_witnesses(
     def members(mask: int) -> frozenset:
         return frozenset(c for c in range(m) if mask >> c & 1)
 
-    items = list(universe.items())
-    pending = list(range(len(generators)))  # the generators a run searches
-
-    def search(pairs: Iterable[tuple[tuple[int, ...], Iterable]]) -> dict[int, dict]:
-        """The first witness of each pending generator over ``pairs``, each
-        an item A with the items B to pair it with, in order; afterwards
-        only the generators with a witness are pending."""
-        found: dict[int, dict] = {}
-        live = list(pending)
-        for a, others in pairs:
-            if not live:
-                break
-            key_a = (0, a)
-            fill(key_a, live)
-            # (generator, its memo, its row of A) for each generator still searching
-            searching = [(gi, memo[gi], memo[gi][key_a]) for gi in live]
-            offset = len(a) if id_sensitive else 0
-            votes_a = votes_of(key_a) if offset else ()
-            for b in others:
-                key_b = (offset, b)
-                need = []  # the searching generators whose choices on A and B intersect
-                for gi, rows, row_a in searching:
-                    row_b = rows.get(key_b)
-                    if row_b is None:
-                        fill(key_b, live)
-                        row_b = rows[key_b]
-                    joint = row_a & row_b
-                    if joint:
-                        need.append((gi, rows, row_a, row_b, joint))
-                if not need:
-                    continue
+    # each item A with the items B to pair it with, in order
+    pairs: Iterable[tuple[tuple[int, ...], Iterable]]
+    if not id_sensitive and all(rows is not None for rows in row_sources):
+        pairs = ((a, universe.representatives(fixing=a)) for a in universe.representatives())
+    else:
+        items = list(universe.items())
+        pairs = ((a, items if id_sensitive else items[pos:]) for pos, a in enumerate(items))
+    found: dict[int, dict] = {}
+    live = list(range(len(generators)))  # the generators without a witness
+    for a, others in pairs:
+        if not live:
+            break
+        key_a = (0, a)
+        fill(key_a, live)
+        # (generator, its memo, its row of A) for each generator still searching
+        searching = [(gi, memo[gi], memo[gi][key_a]) for gi in live]
+        offset = len(a) if id_sensitive else 0
+        votes_a = votes_of(key_a) if offset else ()
+        for b in others:
+            key_b = (offset, b)
+            need = []  # the searching generators whose choices on A and B intersect
+            for gi, rows, row_a in searching:
+                row_b = rows.get(key_b)
+                if row_b is None:
+                    fill(key_b, live)
+                    row_b = rows[key_b]
+                joint = row_a & row_b
+                if joint:
+                    need.append((gi, rows, row_a, row_b, joint))
+            if not need:
+                continue
+            if offset:
+                p_ab, steps = Profile(m, votes_a + votes_of(key_b), checked=True), {}
+            else:
+                key_ab = (0, tuple(sorted(a + b)))
+            for gi, rows, row_a, row_b, joint in need:
                 if offset:
-                    p_ab, steps = Profile(m, votes_a + votes_of(key_b), checked=True), {}
+                    row_ab = choice_row(generators[gi], p_ab, steps, joint)
                 else:
-                    key_ab = (0, tuple(sorted(a + b)))
-                for gi, rows, row_a, row_b, joint in need:
-                    if offset:
-                        row_ab = choice_row(generators[gi], p_ab, steps, joint)
-                    else:
-                        row_ab = rows.get(key_ab)
-                        if row_ab is None:
-                            row_ab = unions[gi].get(key_ab)
-                        if row_ab is None:
-                            fill(key_ab, [entry[0] for entry in need], (a, b))
-                            row_ab = unions[gi][key_ab]
-                    # committees where the intersection and the combined choice
-                    # are both non-empty and differ; the first one is the witness
-                    clash = nonzero(joint) & nonzero(row_ab) & nonzero(row_ab ^ joint)
-                    if not clash:
-                        continue
-                    i = ((clash & -clash).bit_length() - 1) // m
-                    shift = i * m
-                    found[gi] = {
-                        "a": universe.profile(a), "b": universe.profile(b).relabeled(len(a) + 1),
-                        "committee": committees[i],
-                        "g_a": members(row_a >> shift), "g_b": members(row_b >> shift),
-                        "g_combined": members(row_ab >> shift & field),
-                        "intersection": members(joint >> shift & field),
-                    }
-                    live.remove(gi)
-                if len(live) < len(searching):
-                    if not live:
-                        break
-                    searching = [entry for entry in searching if entry[0] not in found]
-        pending[:] = sorted(found)
-        return found
-
-    def every() -> Iterator[tuple[tuple[int, ...], Iterable]]:
-        """Every pair in canonical order; an anonymous pass pairs A only
-        with B no earlier, as the test is symmetric in A and B."""
-        for pos, a in enumerate(items):
-            yield a, items if id_sensitive else items[pos:]
-
-    def reduced() -> Iterator[tuple[tuple[int, ...], Iterable]]:
-        """A over orbit representatives, B over those of the relabelings fixing A."""
-        for a in universe.representatives():
-            yield a, universe.representatives(fixing=a)
-
-    symmetric = not id_sensitive and all(rows is not None for rows in row_sources)
-    found = _reduced_search(search, every, reduced if symmetric else None)
+                    row_ab = rows.get(key_ab)
+                    if row_ab is None:
+                        row_ab = unions[gi].get(key_ab)
+                    if row_ab is None:
+                        fill(key_ab, [entry[0] for entry in need], (a, b))
+                        row_ab = unions[gi][key_ab]
+                # committees where the intersection and the combined choice
+                # are both non-empty and differ; the first one is the witness
+                clash = nonzero(joint) & nonzero(row_ab) & nonzero(row_ab ^ joint)
+                if not clash:
+                    continue
+                i = ((clash & -clash).bit_length() - 1) // m
+                shift = i * m
+                found[gi] = {
+                    "a": universe.profile(a), "b": universe.profile(b).relabeled(len(a) + 1),
+                    "committee": committees[i],
+                    "g_a": members(row_a >> shift), "g_b": members(row_b >> shift),
+                    "g_combined": members(row_ab >> shift & field),
+                    "intersection": members(joint >> shift & field),
+                }
+                live.remove(gi)
+            if len(live) < len(searching):
+                if not live:
+                    break
+                searching = [entry for entry in searching if entry[0] not in found]
     return [found.get(gi) for gi in range(len(generators))]
 
 
@@ -1176,30 +1142,31 @@ def _independence_witness(rule: Rule, n: int) -> dict | None:
     """The first violation in canonical order (:func:`_shrinking_witnesses`),
     searched only if :func:`_single_drops_violate` says there is one.
 
-    The single drops are decided first on orbit representatives
-    (:func:`_orbits`): a relabeling tau maps a voter of A dropping c where W
-    wins in f(A, k) to the same voter of tau(A) dropping tau(c) where tau(W)
-    wins, and the shrunk item to its relabeled one, so a single drop that
-    makes W lose is one that makes tau(W) lose.
+    Both search orbit representatives (:func:`_orbits`): a relabeling tau
+    maps a voter of A dropping c where W wins in f(A, k) to the same voter
+    of tau(A) dropping tau(c) where tau(W) wins, and the shrunk item to its
+    relabeled one, so a single drop that makes W lose is one that makes
+    tau(W) lose; likewise a shrinking of tau(A) that keeps tau(W) is tau of
+    a shrinking of A that keeps W.
     """
+    m = rule.m
     universe = _universe(rule, n)
     rows = gain_rows(rule)
     trace_item = _item_tracer(rule, universe, rows)
-    violated = _reduced_search(
-        partial(_single_drops_violate, rule.m, universe, trace_item),
-        universe.items,
-        _orbits(universe, rows),
-    )
-    return next(_shrinking_witnesses(rule.m, universe, trace_item), None) if violated else None
+    if not _single_drops_violate(m, universe, trace_item, _orbits(universe, rows)):
+        return None
+    return next(_shrinking_witnesses(m, universe, trace_item, _orbits(universe, rows)), None)
 
 
-def _shrinking_witnesses(m: int, universe: ProfileUniverse, trace_item) -> Iterator[dict]:
-    """Every violation of independence of losers over ``universe``, in
-    canonical order: per item, size and winning committee W, every
-    :func:`_shrunk` item where W loses."""
+def _shrinking_witnesses(
+    m: int, universe: ProfileUniverse, trace_item, items: Iterable[tuple[int, ...]]
+) -> Iterator[dict]:
+    """Every violation of independence of losers over the ``items`` of
+    ``universe``, in their order: per item, size and winning committee W,
+    every :func:`_shrunk` item where W loses."""
     moves: dict = {}
     kept = set()  # (shrunk, k, W) already seen to keep W winning
-    for item in universe.items():
+    for item in items:
         trace = trace_item(item)
         for k in range(1, m + 1):
             for W in sorted(trace[k], key=lambda c: tuple(sorted(c))):
@@ -1327,9 +1294,9 @@ def _proportionality_witness(rule: Rule, bounds: Bounds) -> dict | None:
     n1, n2) in ``product`` order and each size k up to ``|bloc|``, or None.
 
     A rule with gain rows is traced from ``n1 * row[bloc] + n2 * row[{c}]``
-    with no profile built, and is decided first on one pair (bloc, c) per
-    bloc size, ``({0, ..., s - 1}, s)``, the first of its orbit: a
-    relabeling tau maps every pair with ``|bloc| = s`` to every other, and
+    with no profile built, and is searched on one pair (bloc, c) per bloc
+    size, ``({0, ..., s - 1}, s)``, the first of its orbit (:func:`_orbits`):
+    a relabeling tau maps every pair with ``|bloc| = s`` to every other, and
     ``c in W`` for W in f(A, k) to ``tau(c) in tau(W)`` for tau(W) in
     f(tau(A), k), with n1, n2 and k unchanged.
     """
@@ -1338,39 +1305,35 @@ def _proportionality_witness(rule: Rule, bounds: Bounds) -> dict | None:
     ballots = all_ballots(m)
     row_of = dict(zip(ballots, rows.rows)) if rows is not None else {}
     sizes = list(itertools.product(range(1, bounds.n1_max + 1), range(1, bounds.n2_max + 1)))
-
-    def search(pairs: Iterable[tuple[frozenset, int]]) -> dict | None:
-        for bloc, c in pairs:
-            single = frozenset({c})
-            for n1, n2 in sizes:
-                blocs = ((bloc, n1), (single, n2))
-                if rows is None:
-                    profile = Profile.from_ballots(m, [bloc] * n1 + [single] * n2)
-                    family = partial(rule.apply, profile)
-                else:
-                    gains = [n1 * x + n2 * y for x, y in zip(row_of[bloc], row_of[single])]
-                    family = lambda k: rows.trace(gains, k, rule.branch_cap)[k]
-                for k in range(1, min(len(bloc), bounds.k_max_proportional) + 1):
-                    found = proportionality_violation(blocs, k, c, family(k))
-                    if found:
-                        if rows is not None:
-                            profile = Profile.from_ballots(m, [bloc] * n1 + [single] * n2)
-                        return {"profile": profile, **found}
-        return None
-
-    every = [(bloc, c) for bloc in ballots for c in range(m) if c not in bloc]
-    representatives = [(frozenset(range(s)), s) for s in range(1, m)]
-    return _reduced_search(
-        search, lambda: every, None if rows is None else lambda: representatives
-    )
+    if rows is None:
+        pairs = [(bloc, c) for bloc in ballots for c in range(m) if c not in bloc]
+    else:
+        pairs = [(frozenset(range(s)), s) for s in range(1, m)]
+    for bloc, c in pairs:
+        single = frozenset({c})
+        for n1, n2 in sizes:
+            blocs = ((bloc, n1), (single, n2))
+            if rows is None:
+                profile = Profile.from_ballots(m, [bloc] * n1 + [single] * n2)
+                family = partial(rule.apply, profile)
+            else:
+                gains = [n1 * x + n2 * y for x, y in zip(row_of[bloc], row_of[single])]
+                family = lambda k: rows.trace(gains, k, rule.branch_cap)[k]
+            for k in range(1, min(len(bloc), bounds.k_max_proportional) + 1):
+                found = proportionality_violation(blocs, k, c, family(k))
+                if found:
+                    if rows is not None:
+                        profile = Profile.from_ballots(m, [bloc] * n1 + [single] * n2)
+                    return {"profile": profile, **found}
+    return None
 
 
 def _clone_witness(rule: Rule, which: str, n: int) -> dict | None:
     """The first item that violates clone rejection, acceptance or distrust
     (:func:`clone_violation`), or None.
 
-    Decided first on orbit representatives (:func:`_orbits`): a relabeling
-    tau maps clone pairs (c, d) to clone pairs (tau(c), tau(d)), each
+    Searched on orbit representatives (:func:`_orbits`): a relabeling tau
+    maps clone pairs (c, d) to clone pairs (tau(c), tau(d)), each
     candidate's approval and singleton counts to tau's image, and f(A, k)
     to tau(f(A, k)), so whatever violation A shows, tau(A) shows relabeled.
     """
@@ -1378,18 +1341,14 @@ def _clone_witness(rule: Rule, which: str, n: int) -> dict | None:
     universe = _universe(rule, n)
     rows = gain_rows(rule)
     trace = _item_tracer(rule, universe, rows)
-
-    def search(items: Iterable[tuple[int, ...]]) -> dict | None:
-        for item in items:
-            counts = universe.counts(item)
-            if which != "distrust" and not clone_pairs(m, counts):
-                continue  # those two axioms only constrain profiles with clones
-            found = clone_violation(which, m, counts, trace(item))
-            if found:
-                return {"profile": universe.profile(item), **found}
-        return None
-
-    return _reduced_search(search, universe.items, _orbits(universe, rows))
+    for item in _orbits(universe, rows):
+        counts = universe.counts(item)
+        if which != "distrust" and not clone_pairs(m, counts):
+            continue  # those two axioms only constrain profiles with clones
+        found = clone_violation(which, m, counts, trace(item))
+        if found:
+            return {"profile": universe.profile(item), **found}
+    return None
 
 
 # ---------------------------------------------------------------------------

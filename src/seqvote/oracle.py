@@ -62,7 +62,8 @@ class ProfileUniverse(Record):
 
     The size is checked against the closed form, and
     :class:`EnumerationCapError` raised, before anything is yielded; nothing
-    is kept between yields but the orbit marks of :meth:`representatives`.
+    is kept between yields but the orbit marks of :meth:`representatives`,
+    whose relabeling tables are capped too.
     """
 
     m: int
@@ -128,8 +129,14 @@ class ProfileUniverse(Record):
 
         An item no earlier orbit holds is yielded, and the rest of its
         orbit marked; a marked item is unmarked when it is reached, so the
-        marks never outnumber the items still ahead.
+        marks never outnumber the items still ahead.  Where the tables of
+        :attr:`relabelings` would hold more than :attr:`cap` entries, every
+        item is yielded and no table built: a search for the first violation
+        in canonical order finds the same one over every item.
         """
+        if math.factorial(self.m) * len(self.ballots) > self.cap:
+            yield from self.items()
+            return
         tables = self.relabelings
         if fixing is not None:
             tables = [table for table in tables if self.relabeled(fixing, table) == fixing]

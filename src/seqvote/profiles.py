@@ -9,7 +9,6 @@ cache keys.  Two profiles with different ``m`` never mix.
 from __future__ import annotations
 
 import itertools
-import math
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -25,13 +24,6 @@ class CapError(Exception):
     all without importing the modules that raise them.
     """
 
-
-class SymmetrizationCapError(ProfileError, CapError):
-    """Symmetrizing this profile would exceed the configured size cap."""
-
-
-#: Guard against the factorial blowup of symmetrization.
-DEFAULT_SYMMETRIZATION_CAP = 10_000
 
 #: An anonymous profile as :attr:`Profile.ballot_counts` gives it: distinct
 #: ballots in canonical order with their multiplicities.
@@ -349,31 +341,3 @@ def apply_voter_permutation(pi: Mapping[int, int], a: Profile) -> Profile:
         raise ProfileError(f"not injective on voter ids: {pi!r}")
     return Profile(a.m, tuple(sorted((pi.get(v, v), b) for v, b in a.votes)))
 
-
-def symmetrize_profile(
-    a: Profile,
-    fixed: frozenset[int] | set[int],
-    cap: int = DEFAULT_SYMMETRIZATION_CAP,
-) -> Profile:
-    """Disjoint sum of ``tau(a)`` over all permutations fixing ``fixed`` pointwise.
-
-    In the result all candidates outside ``fixed`` are fully interchangeable:
-    they have identical n-statistics with respect to any committee contained
-    in ``fixed``.  The output size is ``(m - |fixed|)! * n`` voters; the call
-    fails if that exceeds ``cap``.
-    """
-    fixed = frozenset(fixed)
-    if not fixed <= set(range(a.m)):
-        raise ProfileError("fixed candidates outside 0..m-1")
-    movable = sorted(set(range(a.m)) - fixed)
-    total = math.factorial(len(movable)) * a.n
-    if total > cap:
-        raise SymmetrizationCapError(
-            f"symmetrization needs {total} voters, cap is {cap}"
-        )
-    ballots = []
-    for images in itertools.permutations(movable):
-        tau = {c: c for c in fixed}
-        tau.update(dict(zip(movable, images)))
-        ballots.extend(apply_candidate_permutation(tau, a).ballots())
-    return Profile.from_ballots(a.m, ballots)

@@ -41,6 +41,7 @@ from seqvote.engine import (
     step_trace,
 )
 from seqvote.oracle import ProfileUniverse, all_committees
+from seqvote.predicates import CLONE_AXIOMS
 from seqvote.profiles import Profile, apply_candidate_permutation, apply_voter_permutation
 
 from util import (
@@ -1042,7 +1043,7 @@ def test_single_drops_decide_independence_of_losers(name):
         for n in range(n_max, 0, -1):
             universe = axioms._universe(rule, n)
             trace_item = axioms._item_tracer(rule, universe, gains.gain_rows(rule))
-            first = next(axioms._shrinking_witnesses(m, universe, trace_item), None)
+            first = next(axioms._shrinking_witnesses(m, universe, trace_item, universe.items()), None)
             drops = axioms._single_drops_violate(m, universe, trace_item, universe.items())
             assert drops == (first is not None)
             if gains.gain_rows(rule) is not None:  # the same verdict on orbit representatives
@@ -1267,3 +1268,116 @@ def test_reduced_searches_match_the_literal_ones(name, m, n):
         assert render_report(report.witness) == render_report(expected)
     expected = naive_continuity_search(rule, bounds)
     assert render_report(continuity_search(rule, bounds)) == render_report(expected)
+
+
+@pytest.mark.parametrize("which", ["rejection", "acceptance"])
+def test_a_reduced_violation_traces_only_representatives(which):
+    # a reduced search runs once: finding a violation, it traces no item
+    # outside the first items of the orbits
+    rule = make("seqpav", 3)
+    assert check_clone_axiom(rule, which, Bounds(n_single=3)).verdict == "violation"
+    universe = axioms._universe(rule, 3)
+    traced = {item for item in universe.items() if rule.cached(universe.counts(item), 0)}
+    assert traced and traced <= set(universe.representatives())
+
+
+# Each reduced check, called on a fresh rule with a branch cap; what it ends
+# with is its witness (None for a pass), or its error's type and message.
+CAPPED_CHECKS = {
+    "neutrality": check_neutrality,
+    "monotonicity": check_committee_monotonicity,
+    "consistency": lambda rule, bounds: [
+        report.witness
+        for report in axioms._consistency_reports((step_generator(rule), derived_generator(rule)), bounds)
+    ],
+    "continuity": continuity_search,
+    "independence": check_independence_of_losers,
+    **{
+        which: (lambda which: lambda rule, bounds: check_clone_axiom(rule, which, bounds))(which)
+        for which in CLONE_AXIOMS
+    },
+}
+
+
+def _capped_bounds(m):
+    n = 3 if m == 3 else 2
+    return Bounds(n_single=n, n_perm=n, n_pair_each=2, n_continuity=n, n1_max=4, n2_max=4)
+
+
+def _capped_outcome(check, name, m, cap):
+    """What ``check`` ends with on rule ``name`` at m with ``branch_cap = cap``:
+    its witness (a list of them for consistency) or continuity report,
+    rendered, or its error."""
+    rule = make(name, m)
+    rule.branch_cap = cap
+    try:
+        found = check(rule, _capped_bounds(m))
+    except (BranchCapError, ValueError) as error:
+        return f"{type(error).__name__}: {error}"
+    if isinstance(found, axioms.AxiomReport) and found.axiom != "continuity":
+        found = found.witness
+    return render_report(found)
+
+
+def _literal_consistency_witnesses(rule, bounds):
+    return [
+        naive_consistency_witness(g, bounds.n_pair_each)
+        for g in (step_generator(rule), derived_generator(rule))
+    ]
+
+
+LITERAL_CHECKS = {
+    "monotonicity": lambda rule, bounds: naive_monotonicity_witness(rule, bounds.n_single),
+    "consistency": _literal_consistency_witnesses,
+    "continuity": naive_continuity_search,
+    "independence": lambda rule, bounds: naive_independence_witness(rule, bounds.n_single),
+    "proportionality": naive_proportionality_witness,
+    **{
+        which: (lambda which: lambda rule, bounds: naive_clone_witness(rule, which, bounds.n_single))(which)
+        for which in ("rejection", "acceptance", "distrust")
+    },
+}
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_reduced_searches_under_branch_caps_match_the_literal_ones(m):
+    # a branch cap makes traces raise: each reduced search raises the error,
+    # or finds the witness, that the literal search over every item meets
+    # first; neutrality, which orbits do not reduce, and at m = 4 the
+    # slow literal searches are left to the pins below
+    for cap in range(1, 7):
+        for check, literal in LITERAL_CHECKS.items():
+            if m == 4 and check in ("consistency", "continuity"):
+                continue
+            got = _capped_outcome(CAPPED_CHECKS[check], "seqpav", m, cap)
+            assert got == _capped_outcome(literal, "seqpav", m, cap), (check, cap)
+
+
+# sha256 of every outcome of ``_capped_outcome`` for one rule and m, checks
+# in ``CAPPED_CHECKS`` order within each cap 1..6, joined by newlines,
+# recorded where every orbit-reduced search that found a violation or
+# raised was searched again over every item: every gain-row rule at m = 3,
+# and three of them at m = 4
+CAPPED_SHA256 = {
+    ("seqav", 3): "04e02577520a504bce248c0865a29e81b2bd60adaa4a8aa962fb1a1858077b72",
+    ("seqpav", 3): "b6f6d9ed498e47ba1af52497595ebd33b57c8b9ba3ca884d8198e39ea674b66f",
+    ("seqccav", 3): "b609fc4ad4df1be08b8d29d65bc8c8f6fcf0c49b05932b42caff1a8b44617e05",
+    ("seqsav", 3): "cc436ff73c6d2208718400dd94a4ccea5733c21913b5c0016ac5e450b78cfbb7",
+    ("av-cc-alternating", 3): "f6b6e36d0eff964c26999018fba9d36c06389dd2c8a43bd2d1ec6498251047fc",
+    ("clone-trusting", 3): "9c34a78cbc32235f0d0282d044b0345aabfd1f6a6907d9b9d8bf671313946d8b",
+    ("reverse-seqav", 3): "bc7eb93dc32760dd600f4ec5c73737edd297569077d420ff978dbcbe43a8023e",
+    ("reverse-seqpav", 3): "92ef0a48b047b55751a207ecc8e45e3be0e551f1c521cc02e61bdeaacef04e97",
+    ("reverse-seqccav", 3): "8a090b9fcb24f7da4f96a2ff7801d1308636b7b9d3fd50bc9df475c4797a8263",
+    ("seqpav", 4): "a02144a1bd8cfe706c7aa1f2a3510878292f155847057944c40c213fe497db4e",
+    ("seqsav", 4): "1eb30fb54976fba9f861ec5292d320385a16c9638758b1d831f0b9dac975eea0",
+    ("av-cc-alternating", 4): "01eb1ed8be23953d59a2d9f73a266edfafc8e0699292d35b6e51b5bfe170943c",
+}
+
+
+@pytest.mark.parametrize("name, m", sorted(CAPPED_SHA256))
+def test_reduced_searches_under_branch_caps_are_pinned(name, m):
+    outcomes = [
+        _capped_outcome(check, name, m, cap) for cap in range(1, 7) for check in CAPPED_CHECKS.values()
+    ]
+    text = "\n".join(outcomes)
+    assert hashlib.sha256(text.encode()).hexdigest() == CAPPED_SHA256[name, m]

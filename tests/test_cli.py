@@ -26,9 +26,15 @@ from seqvote.cli import (
 from seqvote.counting import StepCountingTable, StepThieleTable, ThieleTable
 from seqvote.engine import extension_scores
 from seqvote.oracle import ProfileUniverse
-from seqvote.profiles import CapError, Profile, ProfileError, SymmetrizationCapError
+from seqvote.profiles import CapError, Profile, ProfileError
 
-from util import compute_report, fam, naive_compute_pretty, naive_render_report
+from util import (
+    SymmetrizationCapError,
+    compute_report,
+    fam,
+    naive_compute_pretty,
+    naive_render_report,
+)
 
 P1_TEXT = "m=3\n3: 0 1\n1: 2\n"
 

@@ -166,6 +166,20 @@ def test_representatives_are_the_first_item_of_each_orbit(m, n, ordered):
         assert list(universe.representatives(fixing=fixed)) == expected_b
 
 
+def test_representatives_past_the_table_cap_are_every_item():
+    # 3! relabelings of 7 ballots make 42 table entries: over the cap every
+    # item is yielded, with or without a fixed item, and no table is built;
+    # at the cap the orbits still reduce
+    items = list(ProfileUniverse(3, 1).items())
+    over = ProfileUniverse(3, 1, cap=10)
+    assert list(over.representatives()) == items
+    assert list(over.representatives(fixing=(0,))) == items
+    assert "relabelings" not in vars(over)
+    at = ProfileUniverse(3, 1, cap=42)
+    assert list(at.representatives()) == [(0,), (3,), (6,)]
+    assert list(at.representatives(fixing=(0,))) == [(0,), (1,), (3,), (5,), (6,)]
+
+
 def test_compare_rules_av_equals_optimizing_av():
     assert compare_rules(make("seqav", 3), make("optimizing-av", 3), ProfileUniverse(3, 3)) is None
 

@@ -8,15 +8,15 @@ from hypothesis import given, strategies as st
 from seqvote.profiles import (
     Profile,
     ProfileError,
-    SymmetrizationCapError,
     apply_candidate_permutation,
     apply_voter_permutation,
     ballot_sort_key,
     profile_scale,
     profile_sum,
-    symmetrize_profile,
     validate_ballot,
 )
+
+from util import SymmetrizationCapError, symmetrize_profile
 
 
 def test_construction_and_accessors():

@@ -8,13 +8,20 @@ rather than against itself.
 from fractions import Fraction
 import itertools
 import json
+import math
 
 from seqvote.axioms import EXISTENTIAL_NOTE, AxiomReport
 from seqvote.cli import candidate_letter, format_profile
 from seqvote.engine import step_trace
 from seqvote.oracle import ProfileUniverse, all_committees
 from seqvote.predicates import clone_pairs, clone_violation, proportionality_violation
-from seqvote.profiles import Profile, apply_candidate_permutation, ballot_sort_key
+from seqvote.profiles import (
+    CapError,
+    Profile,
+    ProfileError,
+    apply_candidate_permutation,
+    ballot_sort_key,
+)
 from seqvote.witnesses import Witness
 
 
@@ -488,3 +495,36 @@ def naive_proportionality_witness(rule, bounds):
                         if found:
                             return {"profile": profile, **found}
     return None
+
+
+class SymmetrizationCapError(ProfileError, CapError):
+    """Symmetrizing this profile would exceed the configured size cap."""
+
+
+#: Guard against the factorial blowup of symmetrization.
+DEFAULT_SYMMETRIZATION_CAP = 10_000
+
+
+def symmetrize_profile(a, fixed, cap=DEFAULT_SYMMETRIZATION_CAP):
+    """Disjoint sum of ``tau(a)`` over all permutations fixing ``fixed`` pointwise.
+
+    In the result all candidates outside ``fixed`` are fully interchangeable:
+    they have identical n-statistics with respect to any committee contained
+    in ``fixed``.  The output size is ``(m - |fixed|)! * n`` voters; the call
+    fails if that exceeds ``cap``.
+    """
+    fixed = frozenset(fixed)
+    if not fixed <= set(range(a.m)):
+        raise ProfileError("fixed candidates outside 0..m-1")
+    movable = sorted(set(range(a.m)) - fixed)
+    total = math.factorial(len(movable)) * a.n
+    if total > cap:
+        raise SymmetrizationCapError(
+            f"symmetrization needs {total} voters, cap is {cap}"
+        )
+    ballots = []
+    for images in itertools.permutations(movable):
+        tau = {c: c for c in fixed}
+        tau.update(dict(zip(movable, images)))
+        ballots.extend(apply_candidate_permutation(tau, a).ballots())
+    return Profile.from_ballots(a.m, ballots)

@@ -20,9 +20,11 @@ stdout and stderr of
 - ``seqvote axioms <rule> all --max-voters 2`` and ``3``, ``all --max-m 4
   --max-voters 2``, and ``clones --max-m 4 --max-voters 3`` (profiles at m=4
   with repeated ballots), for every rule, and ``all --max-m 4 --max-voters
-  3`` for ``seqpav``, whose searches are decided on orbit representatives,
-  and ``candidate-a-doubled-seqav``, whose neutrality search falls back
-  from two generating relabelings to all of S_m;
+  3`` for ``seqpav``, whose searches run once, over orbit representatives
+  (the first violation or error in canonical order is the first of its
+  orbit, so a reduced search needs no second pass over every item), and
+  ``candidate-a-doubled-seqav``, whose neutrality search falls back from
+  two generating relabelings to all of S_m;
 - ``seqvote axioms <rule> proper --max-voters 3 --j-max 1`` for every rule:
   the continuity certificate decides the rules with a step and a valuation
   that are not id-sensitive, and the others are searched at j = 1 only
