@@ -29,15 +29,17 @@ violation are all shrinkings searched, voters moving in groups (each run of
 equal indices of an anonymous item, each voter of an ordered one), for the
 first witness in canonical order.
 
-Generator consistency keeps one choice row per generator and profile, an
-int holding the generator's choice at every committee below size m - 1,
+Generator consistency checks one generator per pass.  A step by the
+largest score, ``partial(generator_step, valuation)``, is consistent
+because scores add over disjoint electorates, so it is decided without a
+search (:func:`check_generator_consistency` states the lemma).  Every other
+generator is searched over the pairs, keeping one choice row per profile,
+an int holding the generator's choice at every committee below size m - 1,
 memoized per what the generator sees: the item for an anonymous generator,
 whose union of a pair is the item ``sorted(a + b)``, and the item with its
-voter-id offset for an id-sensitive one.  A rule's own step and the
-generator derived from it are checked in one pass over the pairs, which
-steps each union once: its choices are candidate masks, evaluated one
-committee at a time (or read off the sum of its sides' gain rows) and
-shared, and the derived row is read off a trace on masks over those same
+voter-id offset for an id-sensitive one.  A profile's choices are candidate
+masks, evaluated one committee at a time (or read off its gain rows), and a
+derived generator's row is read off a trace on masks over its rule's
 choices (:func:`_traced_row`).  No committee of size m - 1 is searched,
 since its one outside candidate x leaves every choice there empty or
 ``{x}``, so the intersection and the combined choice cannot both be
@@ -79,7 +81,6 @@ from functools import partial
 from operator import add
 from typing import Callable, Iterable, Iterator
 
-from .counting import Valuation
 from .engine import (
     TRACE_CACHE_SIZE,
     BranchCapError,
@@ -91,7 +92,7 @@ from .engine import (
     generator_step,
     step_generator,
 )
-from .gains import GainRows, gain_rows, table_valuation
+from .gains import GainRows, gain_rows, step_valuation
 from .oracle import ProfileUniverse, all_ballots, all_committees, committees_of_size
 from .predicates import CLONE_AXIOMS, clone_pairs, clone_violation, proportionality_violation
 from .profiles import (
@@ -223,17 +224,19 @@ def _orbits(universe: ProfileUniverse, rows: GainRows | None) -> Iterator[tuple[
 
     The same argument serves the searches over other streams:
 
-    - generator consistency pairs each representative A with the first
-      items of the orbits under the relabelings that fix A
-      (``universe.representatives(fixing=a)``).  tau maps a violation or
-      error at (A, B) to one at (tau(A), tau(B)), and the test is symmetric
-      in A and B, so the first such pair with A no later than B has A the
-      first of its orbit and B the first of its orbit under A's stabilizer.
-      A reduced pair with B earlier than A is the pair (B, A), which comes
-      earlier in canonical order, so it holds nothing before that first
-      pair does.  That holds for each generator of a pass, so each one's
-      first witness, and the first error of one still searching, come at
-      the same pair as over every pair;
+    - generator consistency has one pairing rule for every anonymous
+      stream (:func:`_pairs`): A is paired only with B from A on, ``(len(b),
+      b) >= (len(a), a)``, since the test is symmetric in A and B and a
+      pair with B earlier than A is the pair (B, A), which comes earlier.
+      Reduced, each representative A is paired with the first items of the
+      orbits under the relabelings that fix A
+      (``universe.representatives(fixing=a)``) from A on.  tau maps a
+      violation or error at (A, B) to one at (tau(A), tau(B)), so the first
+      such pair with A no later than B has A the first of its orbit and B
+      the first of its orbit under A's stabilizer: its witness, or its
+      error, comes at the same pair as over every pair.  Where the
+      representatives fall back to every item (m >= 8), the rule leaves
+      each unordered pair once;
     - clone proportionality searches ``({0, ..., s - 1}, s)`` per bloc size
       s, the first ``(bloc, c)`` with ``|bloc| = s`` in canonical order,
       since :func:`all_ballots` sorts ballots by size and then
@@ -694,22 +697,23 @@ def check_generator_consistency(
     is exactly the intersection (universal over the searched pairs).
 
     ``A`` and ``B`` range over the anonymous universe in canonical order and
-    ``B``'s voters are renumbered above ``A``'s.  This is the one-generator
-    case of :func:`_consistency_reports`.
+    ``B``'s voters are renumbered above ``A``'s (:func:`_consistency_witness`).
+
+    A step by the largest score, ``partial(generator_step, valuation)``, is
+    consistent, so it is decided without a search: the score of ``W + {c}``
+    is a sum over voters, so it adds over disjoint electorates, and where
+    J = g(A, W) & g(B, W) is non-empty, every x in J scores max_A + max_B
+    on A + B, nothing scores more, and only a candidate that is an argmax
+    on both sides reaches it, so g(A + B, W) = J.  Its choices lie outside
+    W and are never empty below size m, so it raises no error either.
+    Eligibility is the step's identity (:func:`seqvote.gains.step_valuation`:
+    one valuation, table or ``fn``, and no other argument), never a bounded
+    run; its universe is still held to its cap.
     """
-    return _consistency_reports((g,), bounds)[0]
-
-
-def _consistency_reports(
-    generators: tuple[GeneratorFunction, ...], bounds: Bounds = DEFAULT_BOUNDS
-) -> list[AxiomReport]:
-    """The generator-consistency report of each generator, from one pass
-    over the pairs (:func:`_consistency_witnesses`)."""
     n = bounds.n_pair_each
-    return [
-        _report("generator-consistency", g.name, {"m": g.m, "n_each": n}, witness)
-        for g, witness in zip(generators, _consistency_witnesses(generators, n))
-    ]
+    return _report(
+        "generator-consistency", g.name, {"m": g.m, "n_each": n}, _consistency_witness(g, n)
+    )
 
 
 def _derived_row(trace: tuple[Family, ...], index: dict[frozenset, int], m: int) -> int:
@@ -813,11 +817,26 @@ def _step_row(gains: list[int], fields: list[tuple[int, int, tuple[int, ...]]]) 
     return out
 
 
-def _consistency_witnesses(
-    generators: tuple[GeneratorFunction, ...], n: int
-) -> list[dict | None]:
-    """The first consistency witness of each generator, or None, from one
-    pass over the pairs (A, B) of the anonymous universe in canonical order.
+def _pairs(
+    universe: ProfileUniverse, reduced: bool, ordered: bool
+) -> Iterator[tuple[tuple[int, ...], Iterable[tuple[int, ...]]]]:
+    """Each item A that generator consistency searches, in canonical order,
+    with the items B to pair it with, in order: every B for an ``ordered``
+    pass, where B is renumbered above A, and else B from A on, ``(len(b),
+    b) >= (len(a), a)``; ``reduced``, over orbit representatives
+    (:func:`_orbits`)."""
+    if reduced:
+        return (
+            (a, (b for b in universe.representatives(fixing=a) if (len(b), b) >= (len(a), a)))
+            for a in universe.representatives()
+        )
+    items = list(universe.items())
+    return ((a, items if ordered else items[pos:]) for pos, a in enumerate(items))
+
+
+def _consistency_witness(g: GeneratorFunction, n: int) -> dict | None:
+    """The first consistency witness of ``g``, or None, from one pass over
+    the pairs (A, B) of the anonymous universe in canonical order.
 
     A committee W of size m - 1 is never searched: C - W is one candidate x,
     so g(A, W), g(B, W) and g(A + B, W) all lie in {x}, and a non-empty
@@ -826,61 +845,47 @@ def _consistency_witnesses(
     {C}).  That rests on every choice lying outside W, which is checked,
     not assumed: a choice holding a member of W raises :class:`ValueError`.
 
-    The pass keeps one choice row per generator and profile: an int holding
-    the mask of ``g(A, W)`` for the i-th committee W of
-    :func:`all_committees` ``(m, m - 2)`` at bits ``[i*m, (i+1)*m)``, so
-    ``row(A) & row(B)`` is every intersection at once.  Rows are memoized
-    per generator and per what the generators see: the key ``(offset,
-    item)`` stands for the profile of ``item`` with voter ids from ``offset
-    + 1``.  No profile is kept; a witness rebuilds its profiles from their
-    items.  A generator that has its witness gets no further rows.
+    The pass keeps one choice row per profile: an int holding the mask of
+    ``g(A, W)`` for the i-th committee W of :func:`all_committees` ``(m, m -
+    2)`` at bits ``[i*m, (i+1)*m)``, so ``row(A) & row(B)`` is every
+    intersection at once.  Rows are memoized per what ``g`` sees: the key
+    ``(offset, item)`` stands for the profile of ``item`` with voter ids
+    from ``offset + 1``.  No profile is kept; a witness rebuilds its
+    profiles from their items.
 
-    Anonymous generators see the item alone (offset 0), and the union of a
-    pair is the item ``sorted(a + b)``: its row is memoized too, with the
+    An anonymous generator sees the item alone (offset 0), and the union of
+    a pair is the item ``sorted(a + b)``: its row is memoized too, with the
     rows of items if it is one, else among the rows of unions, at most
-    :data:`TRACE_CACHE_SIZE` per generator, oldest evicted first.  The test
-    is symmetric in A and B and so is the union, so the first violating pair
-    in canonical order has A no later than B, and only those pairs are
-    visited.  For id-sensitive generators B is renumbered above A, and
-    every pair is visited.  The union is built from vote tuples, A's
-    ``(1, ballot)``, ... followed by B's shifted by ``len(a)``, each kept
-    per ``(offset, item)`` and shared with B's own profile; it is evaluated
-    only at the committees where the choices of A and B intersect, and not
-    kept.  A memo of unions would save little: different pairs can build
-    the same union (``a = (0, 1), b = (2,)`` and ``a = (0,), b = (1, 2)``),
-    but at m = 3 with up to three voters per side, ``run_suite``'s pass over
-    ``voter1-doubled-seqav`` builds 13,855 unions, 12,901 of them distinct.
+    :data:`TRACE_CACHE_SIZE`, oldest evicted first.  The test is symmetric
+    in A and B and so is the union, so only pairs with A no later than B
+    are visited (:func:`_orbits`).  For an id-sensitive generator B is
+    renumbered above A, and every pair is visited.  The union is built from
+    vote tuples, A's ``(1, ballot)``, ... followed by B's shifted by
+    ``len(a)``, each kept per ``(offset, item)`` and shared with B's own
+    profile; it is evaluated only at the committees where the choices of A
+    and B intersect, and not kept.
 
-    A generator whose step is :func:`generator_step` over a table valuation
-    (an anonymous pass only) has its rows from :class:`GainRows`: an item's
-    gains, or a union's as the sum of its sides', give the step row
-    directly, with no profile built.  Every other generator that steps a
-    profile reads one mask per committee index, evaluated on first use and
-    shared by the generators that evaluate the profile together: a
-    generator's ``fn``, and a derived generator's rule stepping through the
-    same step function.  Either way a derived generator reads its row off
-    :func:`_traced_row`, a trace on masks over those choices (the step
-    row's fields, with gain rows) with the rule's ``branch_cap``.  So the
-    rule's own step and the generator derived from it step each union
-    once.  The items of the
-    universe at offset 0 are traced for a derived generator through the
-    rule's cache, which the single-profile checks share; a derived rule
-    without a step traces every other profile with
-    :meth:`Rule.trace_uncached`.
-
-    When every generator has gain rows, A ranges over orbit representatives,
-    and B over the first items of the orbits under the relabelings that fix
-    A (:func:`_orbits` says why that finds the first witness in canonical
-    order).  A relabeling tau maps each choice g(A, W) to g(tau(A),
-    tau(W)) and the union A + B to tau(A) + tau(B), so a violation at (A,
-    B, W) is one at (tau(A), tau(B), tau(W)).
+    A generator that steps a profile reads one mask per committee index,
+    evaluated on first use: its ``fn``, or the step of the rule it is
+    derived from, whose row is read off :func:`_traced_row`, a trace on
+    masks over those choices with the rule's ``branch_cap``.  The items of
+    the universe are traced for a derived generator through the rule's
+    cache, which the single-profile checks share; a derived rule without a
+    step traces every other profile with :meth:`Rule.trace_uncached`.  The
+    derived generator of a rule with gain rows reads its choices off the
+    step row of an item's gains, or of a union's as the sum of its sides',
+    with no profile built, and A and B range over orbit representatives
+    (:func:`_orbits` says why that finds the first witness in canonical
+    order).
     """
-    m = generators[0].m
-    id_sensitive = generators[0].id_sensitive
-    if any(g.m != m or g.id_sensitive != id_sensitive for g in generators):
-        raise ValueError("one pass checks generators of one m and one voter-id flag")
+    m = g.m
     if m < 2:
-        return [None] * len(generators)  # every committee has size m - 1 or more
+        return None  # every committee has size m - 1 or more
+    universe = ProfileUniverse(m, n)
+    rule = g.derived_from
+    if rule is None and step_valuation(g.fn) is not None:
+        universe.items()  # consistent, but held to the cap: over it this raises
+        return None
     committees = all_committees(m, m - 2)
     width = len(committees)
     index = {W: i for i, W in enumerate(committees)}
@@ -896,19 +901,19 @@ def _consistency_witnesses(
         field are non-zero exactly when adding ``low`` carries into the top."""
         return (((x & low) + low) | x) & high
 
-    universe = ProfileUniverse(m, n)
     ballots = universe.ballots
     masks: dict[frozenset, int] = {}  # each choice set's bit mask
+    step = g.fn if rule is None else rule.step
 
-    def choices(fn, p: Profile) -> Callable[[int], int]:
-        """``choice(i)``: the mask of ``fn(p, W)`` for the i-th committee W,
+    def choices(p: Profile) -> Callable[[int], int]:
+        """``choice(i)``: the mask of ``step(p, W)`` for the i-th committee W,
         evaluated on first use; a member of W in it raises ValueError."""
         got: list[int | None] = [None] * width
 
         def choice(i: int) -> int:
             mask = got[i]
             if mask is None:
-                chosen = frozenset(fn(p, committees[i]))
+                chosen = frozenset(step(p, committees[i]))
                 mask = masks.get(chosen)
                 if mask is None:
                     mask = masks[chosen] = sum(1 << c for c in chosen)
@@ -922,20 +927,13 @@ def _consistency_witnesses(
 
         return choice
 
-    def choice_row(
-        g: GeneratorFunction, p: Profile, steps: dict, wanted: int = -1, cached: bool = False
-    ) -> int:
+    def choice_row(p: Profile, wanted: int = -1, cached: bool = False) -> int:
         """The row of ``g`` on ``p`` at the committees whose field in
         ``wanted`` is non-zero (all by default); the other fields may read 0.
-        ``steps`` maps each step function to its :func:`choices` on ``p``;
         ``cached`` marks a universe item, which a derived generator traces
         through its rule's cache."""
-        rule = g.derived_from
-        if rule is not None and cached:
-            return _derived_row(rule.trace(p), index, m)
-        fn = g.fn if rule is None else rule.step
         if rule is None:
-            choice = steps.get(fn) or steps.setdefault(fn, choices(fn, p))
+            choice = choices(p)
             out = 0
             tops = high if wanted < 0 else nonzero(wanted)
             while tops:
@@ -944,12 +942,22 @@ def _consistency_witnesses(
                 i = top.bit_length() // m - 1
                 out |= choice(i) << (i * m)
             return out
+        if cached:
+            return _derived_row(rule.trace(p), index, m)
         top = width - 1 if wanted < 0 else (wanted.bit_length() - 1) // m
         k = len(committees[top]) + 1
-        if fn is None:
+        if step is None:
             return _derived_row(rule.trace_uncached(p, k), index, m)
-        choice = steps.get(fn) or steps.setdefault(fn, choices(fn, p))
-        return _traced_row(choice, k, rule.branch_cap, growth)
+        return _traced_row(choices(p), k, rule.branch_cap, growth)
+
+    rows = None if rule is None else gain_rows(rule)
+    fields = [] if rows is None else _gain_fields(rows)
+
+    def gain_row(gains: list[int]) -> int:
+        """The derived row of the electorate with ``gains``: a trace of the
+        step's choices, which are the fields of its step row."""
+        step_row = _step_row(gains, fields)
+        return _traced_row(lambda i: step_row >> (i * m) & field, m - 1, rule.branch_cap, growth)
 
     votes: dict[tuple, tuple] = {}  # (offset, item) -> its votes, ids from offset + 1
 
@@ -961,125 +969,71 @@ def _consistency_witnesses(
                                          map(ballots.__getitem__, item)))
         return out
 
-    memo: list[dict[tuple, int]] = [{} for _ in generators]  # the rows of items
-    # the rows of anonymous unions, bounded
-    unions: list[OrderedDict[tuple, int]] = [OrderedDict() for _ in generators]
-    # the gain rows each generator's choices come from, one per table valuation
-    by_valuation: dict[Valuation, GainRows] = {}
-    row_sources: list[GainRows | None] = []
-    for g in generators:
-        step = g.fn if g.derived_from is None else g.derived_from.step
-        valuation = None if id_sensitive else table_valuation(step)
-        if valuation is not None and valuation not in by_valuation:
-            by_valuation[valuation] = GainRows(valuation, m)
-        row_sources.append(by_valuation.get(valuation))
-    fields = _gain_fields(next(iter(by_valuation.values()))) if by_valuation else []
+    memo: dict[tuple, int] = {}  # the rows of items
 
-    def fill(key: tuple, which, parts: tuple = ()) -> None:
-        """Memoize the rows of the profile of ``key`` for those of the
-        generators ``which`` that lack them, sharing its choices, or its
-        gains; ``parts`` are the items of a union's two sides, whose rows
-        go to ``unions``, the oldest evicted past :data:`TRACE_CACHE_SIZE`."""
-        store = unions if parts else memo
-        which = [gi for gi in which if key not in store[gi]]
-        if not which:
-            return
-        offset, item = key
-        p, steps, sums = None, {}, {}
-        for gi in which:
-            g, rows = generators[gi], row_sources[gi]
+    def item_row(key: tuple) -> int:
+        row = memo.get(key)
+        if row is None:
+            offset, item = key
             if rows is not None:
-                step_row = sums.get(rows)
-                if step_row is None:
-                    gains = list(map(add, *map(rows.gains, parts))) if parts else rows.gains(item)
-                    step_row = sums[rows] = _step_row(gains, fields)
-                rule = g.derived_from
-                if rule is None:
-                    row = step_row
-                else:  # a trace of the same choices, which are the step row's fields
-                    row = _traced_row(
-                        lambda i: step_row >> (i * m) & field, m - 1, rule.branch_cap, growth
-                    )
+                row = gain_row(rows.gains(item))
+            elif offset:
+                row = choice_row(Profile(m, votes_of(key), checked=True))
+            else:  # a non-decreasing item: the canonical profile, counts filled in
+                p = Profile.from_counts(m, universe.counts(item), checked=True)
+                row = choice_row(p, cached=True)
+            memo[key] = row
+        return row
+
+    unions: OrderedDict[tuple, int] = OrderedDict()  # the rows of anonymous unions, bounded
+
+    def union_row(a: tuple, b: tuple) -> int:
+        item = tuple(sorted(a + b))
+        row = memo.get((0, item))
+        if row is None:
+            row = unions.get(item)
+        if row is None:
+            if rows is not None:
+                row = gain_row(list(map(add, rows.gains(a), rows.gains(b))))
             else:
-                if p is None:
-                    if offset:
-                        p = Profile(m, votes_of(key), checked=True)
-                    else:  # a non-decreasing item: the canonical profile, counts filled in
-                        p = Profile.from_counts(m, universe.counts(item), checked=True)
-                row = choice_row(g, p, steps, cached=not offset and len(item) <= n)
-            rows_of = store[gi]
-            rows_of[key] = row
-            if parts and len(rows_of) > TRACE_CACHE_SIZE:
-                rows_of.popitem(last=False)
+                p = Profile.from_counts(m, universe.counts(item), checked=True)
+                row = choice_row(p, cached=len(item) <= n)
+            unions[item] = row
+            if len(unions) > TRACE_CACHE_SIZE:
+                unions.popitem(last=False)
+        return row
 
     def members(mask: int) -> frozenset:
         return frozenset(c for c in range(m) if mask >> c & 1)
 
-    # each item A with the items B to pair it with, in order
-    pairs: Iterable[tuple[tuple[int, ...], Iterable]]
-    if not id_sensitive and all(rows is not None for rows in row_sources):
-        pairs = ((a, universe.representatives(fixing=a)) for a in universe.representatives())
-    else:
-        items = list(universe.items())
-        pairs = ((a, items if id_sensitive else items[pos:]) for pos, a in enumerate(items))
-    found: dict[int, dict] = {}
-    live = list(range(len(generators)))  # the generators without a witness
-    for a, others in pairs:
-        if not live:
-            break
-        key_a = (0, a)
-        fill(key_a, live)
-        # (generator, its memo, its row of A) for each generator still searching
-        searching = [(gi, memo[gi], memo[gi][key_a]) for gi in live]
-        offset = len(a) if id_sensitive else 0
-        votes_a = votes_of(key_a) if offset else ()
+    for a, others in _pairs(universe, rows is not None, g.id_sensitive):
+        row_a = item_row((0, a))
+        offset = len(a) if g.id_sensitive else 0
+        votes_a = votes_of((0, a)) if offset else ()
         for b in others:
-            key_b = (offset, b)
-            need = []  # the searching generators whose choices on A and B intersect
-            for gi, rows, row_a in searching:
-                row_b = rows.get(key_b)
-                if row_b is None:
-                    fill(key_b, live)
-                    row_b = rows[key_b]
-                joint = row_a & row_b
-                if joint:
-                    need.append((gi, rows, row_a, row_b, joint))
-            if not need:
+            row_b = item_row((offset, b))
+            joint = row_a & row_b
+            if not joint:
                 continue
             if offset:
-                p_ab, steps = Profile(m, votes_a + votes_of(key_b), checked=True), {}
+                p_ab = Profile(m, votes_a + votes_of((offset, b)), checked=True)
+                row_ab = choice_row(p_ab, joint)
             else:
-                key_ab = (0, tuple(sorted(a + b)))
-            for gi, rows, row_a, row_b, joint in need:
-                if offset:
-                    row_ab = choice_row(generators[gi], p_ab, steps, joint)
-                else:
-                    row_ab = rows.get(key_ab)
-                    if row_ab is None:
-                        row_ab = unions[gi].get(key_ab)
-                    if row_ab is None:
-                        fill(key_ab, [entry[0] for entry in need], (a, b))
-                        row_ab = unions[gi][key_ab]
-                # committees where the intersection and the combined choice
-                # are both non-empty and differ; the first one is the witness
-                clash = nonzero(joint) & nonzero(row_ab) & nonzero(row_ab ^ joint)
-                if not clash:
-                    continue
+                row_ab = union_row(a, b)
+            # committees where the intersection and the combined choice are
+            # both non-empty and differ; the first one is the witness
+            clash = nonzero(joint) & nonzero(row_ab) & nonzero(row_ab ^ joint)
+            if clash:
                 i = ((clash & -clash).bit_length() - 1) // m
                 shift = i * m
-                found[gi] = {
+                return {
                     "a": universe.profile(a), "b": universe.profile(b).relabeled(len(a) + 1),
                     "committee": committees[i],
                     "g_a": members(row_a >> shift), "g_b": members(row_b >> shift),
                     "g_combined": members(row_ab >> shift & field),
                     "intersection": members(joint >> shift & field),
                 }
-                live.remove(gi)
-            if len(live) < len(searching):
-                if not live:
-                    break
-                searching = [entry for entry in searching if entry[0] not in found]
-    return [found.get(gi) for gi in range(len(generators))]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1416,10 +1370,9 @@ def run_suite(rule: Rule, suite: str, bounds: Bounds = DEFAULT_BOUNDS) -> list[A
         )
     if suite in ("monotone", "all"):
         reports.append(check_committee_monotonicity(rule, bounds))
-        generators = (derived_generator(rule),)
-        if rule.step is not None:  # checked with the rule's own step, in one pass
-            generators = (step_generator(rule), *generators)
-        reports.extend(_consistency_reports(generators, bounds))
+        if rule.step is not None:
+            reports.append(check_generator_consistency(step_generator(rule), bounds))
+        reports.append(check_generator_consistency(derived_generator(rule), bounds))
     if suite in ("clones", "all"):
         for which in CLONE_AXIOMS:
             reports.append(check_clone_axiom(rule, which, bounds))

@@ -29,13 +29,13 @@ from .engine import TRACE_CACHE_SIZE, BranchCapError, Family, Rule, generator_st
 from .oracle import all_ballots, all_committees
 
 
-def table_valuation(step) -> Valuation | None:
-    """The table-backed valuation ``step`` maximizes, if ``step`` is
-    :func:`generator_step` bound to one, as a rule given only a valuation
-    steps; None for any other step."""
+def step_valuation(step) -> Valuation | None:
+    """The valuation ``step`` maximizes, if ``step`` is
+    :func:`generator_step` bound to one valuation, with no other argument,
+    as a rule given only a valuation steps; None for any other step."""
     if isinstance(step, partial) and step.func is generator_step and len(step.args) == 1:
         valuation = step.args[0]
-        if valuation.counting is not None and not step.keywords:
+        if isinstance(valuation, Valuation) and not step.keywords:
             return valuation
     return None
 
@@ -43,8 +43,10 @@ def table_valuation(step) -> Valuation | None:
 def gain_rows(rule: Rule) -> GainRows | None:
     """Gain rows for a rule that steps by a table valuation and reads no
     voter ids, or None: every other rule is traced by stepping profiles."""
-    valuation = None if rule.id_sensitive else table_valuation(rule.step)
-    return None if valuation is None else GainRows(valuation, rule.m)
+    valuation = None if rule.id_sensitive else step_valuation(rule.step)
+    if valuation is None or valuation.counting is None:
+        return None
+    return GainRows(valuation, rule.m)
 
 
 class GainRows:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 from operator import add
 from unittest import mock
 
@@ -29,6 +30,7 @@ from seqvote.axioms import (
 )
 from seqvote.catalog import continuity_gap_instance, make
 from seqvote.cli import render_report
+from seqvote.counting import Valuation
 from seqvote.engine import (
     DEFAULT_BRANCH_CAP,
     BranchCapError,
@@ -40,7 +42,7 @@ from seqvote.engine import (
     step_generator,
     step_trace,
 )
-from seqvote.oracle import ProfileUniverse, all_committees
+from seqvote.oracle import EnumerationCapError, ProfileUniverse, all_committees
 from seqvote.predicates import CLONE_AXIOMS
 from seqvote.profiles import Profile, apply_candidate_permutation, apply_voter_permutation
 
@@ -703,27 +705,27 @@ STEPPED_CASES = [
 
 @pytest.mark.parametrize("name, m", STEPPED_CASES)
 def test_one_pass_matches_each_generator_alone(name, m):
-    # run_suite checks a rule's own step and its derived generator in one
-    # pass; each report must be the one-generator search's, and its witness
-    # the naive search's, which also evaluates committees of size m - 1
+    # run_suite checks a rule's own step, then its derived generator, one
+    # pass each; each witness is the naive search's, which also evaluates
+    # committees of size m - 1 and decides no step without searching it
     bounds = Bounds(n_pair_each=2)
     rule = make(name, m)
-    generators = (step_generator(rule), derived_generator(rule))
-    together = axioms._consistency_reports(generators, bounds)
-    for g, report in zip(generators, together):
-        alone = check_generator_consistency(g, bounds)
-        assert render_report(report) == render_report(alone)
+    alone = []
+    for g in (step_generator(rule), derived_generator(rule)):
+        report = check_generator_consistency(g, bounds)
         naive = naive_consistency_witness(g, 2)
+        assert report.verdict == ("pass-exhaustive" if naive is None else "violation")
         assert render_report(report.witness) == render_report(naive)
+        alone.append(render_report(report))
     suite = run_suite(rule, "monotone", Bounds(n_single=2, n_pair_each=2))[1:]
-    assert [render_report(r) for r in suite] == [render_report(r) for r in together]
+    assert [render_report(r) for r in suite] == alone
 
 
 def test_voter1_doubled_at_four_candidates():
-    # the id-sensitive pass on masks at m = 4, both generators in one pass
+    # the id-sensitive pass on masks at m = 4, for each generator
     rule = make("voter1-doubled-seqav", 4)
-    generators = (step_generator(rule), derived_generator(rule))
-    for g, report in zip(generators, axioms._consistency_reports(generators, Bounds(n_pair_each=2))):
+    for g in (step_generator(rule), derived_generator(rule)):
+        report = check_generator_consistency(g, Bounds(n_pair_each=2))
         assert render_report(report.witness) == render_report(naive_consistency_witness(g, 2))
         assert report.verdict == "pass-exhaustive"
 
@@ -735,20 +737,17 @@ def test_voter1_doubled_at_four_candidates():
     ("voter1-in-company", "derived(voter1-doubled-seqav)", "step(voter1-doubled-seqav)"),
 ])
 def test_one_pass_over_generators_of_different_rules(names):
+    # passes over generators sharing rules and their trace caches give the
+    # same reports in either order, each with the naive search's witness
     bounds = Bounds(n_pair_each=2)
-    generators = tuple(_generators(3)[name] for name in names)
-    together = axioms._consistency_reports(generators, bounds)
-    for g, report in zip(generators, together):
-        assert render_report(report) == render_report(check_generator_consistency(g, bounds))
-        assert render_report(report.witness) == render_report(naive_consistency_witness(g, 2))
-
-
-def test_one_pass_needs_one_m_and_one_voter_id_flag():
-    gens = _generators(3)
-    with pytest.raises(ValueError):
-        axioms._consistency_reports((gens["crowd-shy"], gens["voter1-outside"]))
-    with pytest.raises(ValueError):
-        axioms._consistency_reports((gens["crowd-shy"], _generators(2)["crowd-shy"]))
+    generators = _generators(3)
+    forward = [check_generator_consistency(generators[name], bounds) for name in names]
+    generators = _generators(3)
+    backward = [check_generator_consistency(generators[name], bounds) for name in reversed(names)]
+    for name, report, other in zip(names, forward, reversed(backward)):
+        assert render_report(report) == render_report(other)
+        expected = naive_consistency_witness(generators[name], 2)
+        assert render_report(report.witness) == render_report(expected)
 
 
 def test_no_union_is_evaluated_at_size_m_minus_1():
@@ -763,7 +762,7 @@ def test_no_union_is_evaluated_at_size_m_minus_1():
     assert any(voters > n for voters, _ in calls)  # unions were evaluated
     assert all(size < m - 1 for _, size in calls)
 
-    # a rule's own step and its derived generator, in one pass: the items of
+    # a rule's own step and its derived generator, as the suite runs them: the items of
     # the universe are traced in full through the rule's cache, the unions
     # only up to size m - 1
     calls.clear()
@@ -785,6 +784,107 @@ def test_a_choice_inside_the_committee_is_an_error():
     rule = Rule("inside", 3, "zoo", step=_inside)
     with pytest.raises(ValueError, match="from inside the committee"):
         check_generator_consistency(derived_generator(rule), bounds)
+
+
+def _drawn_valuation(data, m):
+    """A table or ``fn`` valuation with values drawn from a few small
+    rationals, so extensions tie often."""
+    values = [Fraction(v, d) for v in range(-2, 3) for d in (1, 2)]
+    if data.draw(st.booleans(), label="table"):
+        grid = {
+            (x, y, z): data.draw(st.sampled_from(values))
+            for y in range(m + 1) for z in range(1, m + 1) for x in range(min(y, z) + 1)
+        }
+        return Valuation("drawn-table", counting=lambda x, y, z: grid[x, y, z])
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    return Valuation("drawn-fn", fn=lambda ballot, W: values[hash((seed, ballot, W)) % len(values)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_step_by_the_largest_score_is_consistent(data):
+    # the lemma that decides such steps without a search: scores add over
+    # disjoint electorates, so wherever J = g(A, W) & g(B, W) is not empty,
+    # the step on A + B chooses exactly J
+    m = data.draw(st.integers(2, 5), label="m")
+    valuation = _drawn_valuation(data, m)
+    electorate = st.lists(
+        st.frozensets(st.integers(0, m - 1), min_size=1), min_size=1, max_size=4
+    )
+    a = Profile.from_ballots(m, data.draw(electorate, label="A"))
+    b = Profile.from_ballots(m, data.draw(electorate, label="B")).relabeled(a.n + 1)
+    for W in all_committees(m, m - 1):
+        joint = generator_step(valuation, a, W) & generator_step(valuation, b, W)
+        if joint:
+            assert generator_step(valuation, a + b, W) == joint
+
+
+def _boom(ballot, W):
+    raise AssertionError("a decided step is never called")
+
+
+def _parity_step(valuation, profile, W):
+    """The largest score's candidates for an odd electorate, every outsider
+    for an even one: not additive."""
+    if profile.n % 2:
+        return generator_step(valuation, profile, W)
+    return frozenset(range(profile.m)) - W
+
+
+def test_only_a_step_by_the_largest_score_is_decided():
+    bounds = Bounds(n_pair_each=2)
+    # decided by the step's identity, for a table or an fn valuation: the
+    # step is never called
+    for valuation in (make("seqpav", 3).valuation, Valuation("boom", fn=_boom)):
+        g = GeneratorFunction("decided", 3, partial(generator_step, valuation))
+        report = check_generator_consistency(g, bounds)
+        assert (report.verdict, report.bounds, report.note) == (
+            "pass-exhaustive", {"m": 3, "n_each": 2}, ""
+        )
+    # a step that binds one valuation but is not generator_step is searched
+    g = GeneratorFunction("parity", 3, partial(_parity_step, make("seqav", 3).valuation))
+    report = check_generator_consistency(g, bounds)
+    assert report.verdict == "violation"
+    assert render_report(report.witness) == render_report(naive_consistency_witness(g, 2))
+    # and so is generator_step bound to no valuation, which fails when called
+    with pytest.raises(TypeError):
+        check_generator_consistency(GeneratorFunction("bare", 3, partial(generator_step)), bounds)
+
+
+def test_a_decided_step_is_held_to_the_universe_cap():
+    # three candidates and 40 voters a side: far more profiles than the cap
+    bounds = Bounds(n_pair_each=40)
+    searched = _generators(3)["crowd-shy"]
+    with pytest.raises(EnumerationCapError) as expected:
+        check_generator_consistency(searched, bounds)
+    for g in (step_generator(make("seqpav", 3)), step_generator(make("candidate-a-doubled-seqav", 3))):
+        with pytest.raises(EnumerationCapError) as error:
+            check_generator_consistency(g, bounds)
+        assert str(error.value) == str(expected.value)
+
+
+def test_each_unordered_pair_is_visited_once(monkeypatch):
+    # relabeling tables over the universe's cap (3! * 7 = 42 > 41 >= 35
+    # profiles of up to two voters): the representatives fall back to every
+    # item, and the pass still pairs A only with B from A on and finds the
+    # same first witness
+    g = derived_generator(make("seqpav", 3))
+    expected = check_generator_consistency(g, Bounds(n_pair_each=2))
+    assert expected.verdict == "violation"
+    capped = partial(ProfileUniverse, cap=41)
+    monkeypatch.setattr(axioms, "ProfileUniverse", capped)
+    universe = capped(3, 2)
+    assert list(universe.representatives()) == list(universe.items())
+    items = list(universe.items())
+    pairs = [(a, b) for a, others in axioms._pairs(universe, True, False) for b in others]
+    assert pairs == [(a, b) for pos, a in enumerate(items) for b in items[pos:]]
+    got = check_generator_consistency(derived_generator(make("seqpav", 3)), Bounds(n_pair_each=2))
+    assert render_report(got) == render_report(expected)
+    # under the default cap: the reduced pairs, B from A on
+    universe = ProfileUniverse(3, 3)
+    pairs = [(a, b) for a, others in axioms._pairs(universe, True, False) for b in others]
+    assert all((len(b), b) >= (len(a), a) for a, b in pairs)
+    assert len(pairs) == 2733 - 1114
 
 
 TRACED_ROW = axioms._traced_row  # the mask trace, also where a test replaces it
@@ -901,14 +1001,14 @@ def _random_step(seed, id_sensitive, failing):
     return step
 
 
-def _pass_outcome(rule, generators, traced_row):
-    """The rendered reports of one consistency pass over ``generators`` of
-    ``rule`` with ``_traced_row`` replaced by ``traced_row``, or the error
-    it raises."""
+def _pass_outcome(rule, g, traced_row):
+    """The rendered report of the consistency pass over the generator ``g``
+    of ``rule`` with ``_traced_row`` replaced by ``traced_row``, or the
+    error it raises."""
     rule._traces.clear()
     with mock.patch.object(axioms, "_traced_row", traced_row):
-        out = _outcome(axioms._consistency_reports, generators, Bounds(n_pair_each=2))
-    return out if isinstance(out, str) else [render_report(report) for report in out]
+        out = _outcome(check_generator_consistency, g, Bounds(n_pair_each=2))
+    return out if isinstance(out, str) else render_report(out)
 
 
 @settings(max_examples=40, deadline=None)
@@ -929,20 +1029,18 @@ def test_mask_trace_in_the_consistency_pass(seed, id_sensitive, failing, cap):
     def by_step_trace(choice, k, cap, growth):
         return _by_step_trace(choice, m, k, cap)
 
-    # the rule's own step and its derived generator in one pass, as the
-    # suite runs them, and the derived generator alone, which evaluates its
-    # choices in the trace's order
-    for generators in ((step_generator(rule), derived_generator(rule)), (derived_generator(rule),)):
+    # the rule's own step, then its derived generator, as the suite runs
+    # them; the derived pass evaluates its choices in the trace's order
+    for g in (step_generator(rule), derived_generator(rule)):
         ambiguous.clear()
-        got = _pass_outcome(rule, generators, checked)
-        expected = _pass_outcome(rule, generators, by_step_trace)
+        got = _pass_outcome(rule, g, checked)
+        expected = _pass_outcome(rule, g, by_step_trace)
         if got != expected:
             assert any(ambiguous) and got.startswith("ValueError")
-        if not failing and cap == DEFAULT_BRANCH_CAP:  # no error: the naive search's witnesses
-            reports = axioms._consistency_reports(generators, Bounds(n_pair_each=2))
-            assert [render_report(report) for report in reports] == got
-            for g, report in zip(generators, reports):
-                assert render_report(report.witness) == render_report(naive_consistency_witness(g, 2))
+        if not failing and cap == DEFAULT_BRANCH_CAP:  # no error: the naive search's witness
+            report = check_generator_consistency(g, Bounds(n_pair_each=2))
+            assert render_report(report) == got
+            assert render_report(report.witness) == render_report(naive_consistency_witness(g, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -1261,7 +1359,8 @@ def test_reduced_searches_match_the_literal_ones(name, m, n):
     generators = (derived_generator(rule),)
     if rule.step is not None:
         generators = (step_generator(rule), *generators)
-    for g, report in zip(generators, axioms._consistency_reports(generators, bounds)):
+    for g in generators:
+        report = check_generator_consistency(g, bounds)
         pairs.append((report, naive_consistency_witness(g, bounds.n_pair_each)))
     for report, expected in pairs:
         assert report.verdict == ("pass-exhaustive" if expected is None else "violation")
@@ -1287,8 +1386,8 @@ CAPPED_CHECKS = {
     "neutrality": check_neutrality,
     "monotonicity": check_committee_monotonicity,
     "consistency": lambda rule, bounds: [
-        report.witness
-        for report in axioms._consistency_reports((step_generator(rule), derived_generator(rule)), bounds)
+        check_generator_consistency(g, bounds).witness
+        for g in (step_generator(rule), derived_generator(rule))
     ],
     "continuity": continuity_search,
     "independence": check_independence_of_losers,

@@ -24,7 +24,8 @@ stdout and stderr of
   (the first violation or error in canonical order is the first of its
   orbit, so a reduced search needs no second pass over every item), and
   ``candidate-a-doubled-seqav``, whose neutrality search falls back from
-  two generating relabelings to all of S_m;
+  two generating relabelings to all of S_m, and ``all --max-m 5
+  --max-voters 3`` for ``seqpav``;
 - ``seqvote axioms <rule> proper --max-voters 3 --j-max 1`` for every rule:
   the continuity certificate decides the rules with a step and a valuation
   that are not id-sensitive, and the others are searched at j = 1 only
@@ -163,6 +164,8 @@ def cases(workdir: Path):
     for rule in ("seqpav", "candidate-a-doubled-seqav"):
         argv = ["axioms", rule, "all", "--max-m", "4", "--max-voters", "3"]
         yield f"axioms-{rule}-m4-n3", argv
+    # m = 5, where the decided step(seqpav) consistency pass used to be most of the run
+    yield "axioms-seqpav-m5-n3", ["axioms", "seqpav", "all", "--max-m", "5", "--max-voters", "3"]
     for construction in witnesses.CONSTRUCTIONS:
         for table_name in NAMED_TABLES:
             for m in ("3", "4", "6"):
