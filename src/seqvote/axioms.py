@@ -37,13 +37,15 @@ generator is searched over the pairs, keeping one choice row per profile,
 an int holding the generator's choice at every committee below size m - 1,
 memoized per what the generator sees: the item for an anonymous generator,
 whose union of a pair is the item ``sorted(a + b)``, and the item with its
-voter-id offset for an id-sensitive one.  A profile's choices are candidate
-masks, evaluated one committee at a time (or read off its gain rows), and a
-derived generator's row is read off a trace on masks over its rule's
-choices (:func:`_traced_row`).  No committee of size m - 1 is searched,
-since its one outside candidate x leaves every choice there empty or
-``{x}``, so the intersection and the combined choice cannot both be
-non-empty and differ.
+voter-id offset for an id-sensitive one.  A derived generator reads an
+item's row off the item's trace in its rule's cache (:func:`_derived_row`),
+for every rule, and the row of a profile outside the universe off a trace
+of its own: from summed gains with gain rows, else on candidate masks over
+the rule's choices (:func:`_traced_row`).  Any other generator's choices
+are candidate masks, evaluated one committee at a time.  No committee of
+size m - 1 is searched, since its one outside candidate x leaves every
+choice there empty or ``{x}``, so the intersection and the combined choice
+cannot both be non-empty and differ.
 
 Candidate symmetry is used once.  A rule with gain rows commutes with
 every relabeling by construction, so its monotonicity,
@@ -60,9 +62,10 @@ Anonymity is never reduced.
 
 The rule's trace cache holds what several checks share, the items of a
 universe.  A profile built for one comparison (the union of a pair, B
-renumbered above A, a replicated ``jA + B``) is stepped outside the cache,
-by the trace on masks or :meth:`Rule.trace_uncached`, and dropped; with
-gain rows, none is built.
+renumbered above A, a replicated ``jA + B``, a clone-proportionality
+profile, an id-shifted profile) is stepped outside the cache, by the trace
+on masks or :meth:`Rule.trace_uncached`, extended level by level where a
+cached trace would have been, and dropped; with gain rows, none is built.
 Enumeration order is canonical throughout, so the first witness found is
 deterministic, and every universe is capped: one over its cap raises
 :class:`seqvote.oracle.EnumerationCapError` before it yields anything.
@@ -81,6 +84,7 @@ from functools import partial
 from operator import add
 from typing import Callable, Iterable, Iterator
 
+from .counting import Valuation
 from .engine import (
     TRACE_CACHE_SIZE,
     BranchCapError,
@@ -305,16 +309,18 @@ def _anonymity_witnesses(rule: Rule, n: int) -> Iterator[dict]:
     trace = rule.trace if rule.id_sensitive else rule.trace_uncached
     for profile in _universe(rule, n):
         ids = profile.voter_ids
-        perms = [dict(zip(ids, image)) for image in itertools.permutations(ids)]
-        perms.append({v: v + 1 for v in ids})
+        # a relabeling of the ids 1..n gives another item of the universe;
+        # the id shift does not, so it is stepped outside the cache
+        perms = [(dict(zip(ids, image)), trace) for image in itertools.permutations(ids)]
+        perms.append(({v: v + 1 for v in ids}, rule.trace_uncached))
         base = trace(profile)
         seen = {profile.votes}
-        for pi in perms:
+        for pi, trace_other in perms:
             other = apply_voter_permutation(pi, profile)
             if other.votes in seen:
                 continue
             seen.add(other.votes)
-            for k, (fam, fam2) in enumerate(zip(base, trace(other))):
+            for k, (fam, fam2) in enumerate(zip(base, trace_other(other))):
                 if fam != fam2:
                     yield {
                         "profile": profile,
@@ -793,30 +799,6 @@ def _traced_row(
     return out
 
 
-def _gain_fields(rows: GainRows) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Per committee, its slots ``[first, end)`` in a gain row and the bits of
-    their candidates in a choice row: the slots follow :func:`all_committees`
-    ``(m, m - 2)``, so the i-th committee's candidate c is bit ``i*m + c``."""
-    m = rows.m
-    return [
-        (first, end, tuple(1 << (i * m + c) for c in outside))
-        for i, (first, end, outside, _) in enumerate(rows.slots.values())
-    ]
-
-
-def _step_row(gains: list[int], fields: list[tuple[int, int, tuple[int, ...]]]) -> int:
-    """The choice row of :func:`generator_step`, which picks the largest
-    gains at each committee, from an electorate's ``gains``."""
-    out = 0
-    for first, end, bits in fields:
-        scores = gains[first:end]
-        best = max(scores)
-        for bit, score in zip(bits, scores):
-            if score == best:
-                out |= bit
-    return out
-
-
 def _pairs(
     universe: ProfileUniverse, reduced: bool, ordered: bool
 ) -> Iterator[tuple[tuple[int, ...], Iterable[tuple[int, ...]]]]:
@@ -865,16 +847,19 @@ def _consistency_witness(g: GeneratorFunction, n: int) -> dict | None:
     profile; it is evaluated only at the committees where the choices of A
     and B intersect, and not kept.
 
-    A generator that steps a profile reads one mask per committee index,
-    evaluated on first use: its ``fn``, or the step of the rule it is
-    derived from, whose row is read off :func:`_traced_row`, a trace on
-    masks over those choices with the rule's ``branch_cap``.  The items of
-    the universe are traced for a derived generator through the rule's
-    cache, which the single-profile checks share; a derived rule without a
-    step traces every other profile with :meth:`Rule.trace_uncached`.  The
-    derived generator of a rule with gain rows reads its choices off the
-    step row of an item's gains, or of a union's as the sum of its sides',
-    with no profile built, and A and B range over orbit representatives
+    A derived generator reads the row of an item of the universe, a union
+    that is one included, off the item's trace in its rule's cache
+    (:func:`_item_tracer`, which the single-profile checks share), with
+    :func:`_derived_row`, for every rule.  The trace runs to size m, as
+    theirs do; with gain rows its last level is the full committee alone,
+    which no cap of at least 1 refuses.  A profile outside the universe (B
+    renumbered above A, a larger union) is traced for its one comparison to
+    the largest size its row needs: with gain rows from the sum of its
+    sides' gains, with no profile built; with a step on masks over the
+    step's choices (:func:`_traced_row`, with the rule's ``branch_cap``);
+    without one by :meth:`Rule.trace_uncached`.  Any other generator reads
+    one mask per committee index off its ``fn``, evaluated on first use.
+    With gain rows A and B range over orbit representatives
     (:func:`_orbits` says why that finds the first witness in canonical
     order).
     """
@@ -927,11 +912,9 @@ def _consistency_witness(g: GeneratorFunction, n: int) -> dict | None:
 
         return choice
 
-    def choice_row(p: Profile, wanted: int = -1, cached: bool = False) -> int:
+    def choice_row(p: Profile, wanted: int = -1) -> int:
         """The row of ``g`` on ``p`` at the committees whose field in
-        ``wanted`` is non-zero (all by default); the other fields may read 0.
-        ``cached`` marks a universe item, which a derived generator traces
-        through its rule's cache."""
+        ``wanted`` is non-zero (all by default); the other fields may read 0."""
         if rule is None:
             choice = choices(p)
             out = 0
@@ -942,8 +925,6 @@ def _consistency_witness(g: GeneratorFunction, n: int) -> dict | None:
                 i = top.bit_length() // m - 1
                 out |= choice(i) << (i * m)
             return out
-        if cached:
-            return _derived_row(rule.trace(p), index, m)
         top = width - 1 if wanted < 0 else (wanted.bit_length() - 1) // m
         k = len(committees[top]) + 1
         if step is None:
@@ -951,14 +932,7 @@ def _consistency_witness(g: GeneratorFunction, n: int) -> dict | None:
         return _traced_row(choices(p), k, rule.branch_cap, growth)
 
     rows = None if rule is None else gain_rows(rule)
-    fields = [] if rows is None else _gain_fields(rows)
-
-    def gain_row(gains: list[int]) -> int:
-        """The derived row of the electorate with ``gains``: a trace of the
-        step's choices, which are the fields of its step row."""
-        step_row = _step_row(gains, fields)
-        return _traced_row(lambda i: step_row >> (i * m) & field, m - 1, rule.branch_cap, growth)
-
+    trace_item = None if rule is None else _item_tracer(rule, _universe(rule, n), rows)
     votes: dict[tuple, tuple] = {}  # (offset, item) -> its votes, ids from offset + 1
 
     def votes_of(key: tuple) -> tuple:
@@ -975,29 +949,28 @@ def _consistency_witness(g: GeneratorFunction, n: int) -> dict | None:
         row = memo.get(key)
         if row is None:
             offset, item = key
-            if rows is not None:
-                row = gain_row(rows.gains(item))
-            elif offset:
+            if offset:
                 row = choice_row(Profile(m, votes_of(key), checked=True))
+            elif rule is not None:
+                row = _derived_row(trace_item(item), index, m)
             else:  # a non-decreasing item: the canonical profile, counts filled in
-                p = Profile.from_counts(m, universe.counts(item), checked=True)
-                row = choice_row(p, cached=True)
+                row = choice_row(Profile.from_counts(m, universe.counts(item), checked=True))
             memo[key] = row
         return row
 
-    unions: OrderedDict[tuple, int] = OrderedDict()  # the rows of anonymous unions, bounded
+    unions: OrderedDict[tuple, int] = OrderedDict()  # the rows of unions outside the universe, bounded
 
     def union_row(a: tuple, b: tuple) -> int:
         item = tuple(sorted(a + b))
-        row = memo.get((0, item))
-        if row is None:
-            row = unions.get(item)
+        if len(item) <= n:
+            return item_row((0, item))
+        row = unions.get(item)
         if row is None:
             if rows is not None:
-                row = gain_row(list(map(add, rows.gains(a), rows.gains(b))))
+                gains = list(map(add, rows.gains(a), rows.gains(b)))
+                row = _derived_row(rows.trace(gains, m - 1, rule.branch_cap), index, m)
             else:
-                p = Profile.from_counts(m, universe.counts(item), checked=True)
-                row = choice_row(p, cached=len(item) <= n)
+                row = choice_row(Profile.from_counts(m, universe.counts(item), checked=True))
             unions[item] = row
             if len(unions) > TRACE_CACHE_SIZE:
                 unions.popitem(last=False)
@@ -1199,13 +1172,15 @@ def _separability_witnesses(rule: Rule, n_total: int) -> Iterator[dict]:
                 continue
             shifted = b.relabeled(a.n + 1)
             combined = a + shifted
-            trace = ()
+            trace = trace_b = ()
             for k in range(m + 1):
                 trace = rule.trace_uncached(combined, k, prefix=trace)
                 for W in trace[k]:
                     wa, wb = W & a.support, W & complement
                     ok_a = wa in rule.apply(a, len(wa))
-                    ok_b = wb in rule.apply(shifted, len(wb))
+                    if len(trace_b) <= len(wb):
+                        trace_b = rule.trace_uncached(shifted, len(wb), prefix=trace_b)
+                    ok_b = wb in trace_b[len(wb)]
                     if not (ok_a and ok_b):
                         yield {
                             "a": a, "b": shifted, "k": k, "committee": W,
@@ -1269,12 +1244,15 @@ def _proportionality_witness(rule: Rule, bounds: Bounds) -> dict | None:
             blocs = ((bloc, n1), (single, n2))
             if rows is None:
                 profile = Profile.from_ballots(m, [bloc] * n1 + [single] * n2)
-                family = partial(rule.apply, profile)
             else:
                 gains = [n1 * x + n2 * y for x, y in zip(row_of[bloc], row_of[single])]
-                family = lambda k: rows.trace(gains, k, rule.branch_cap)[k]
+            trace = ()
             for k in range(1, min(len(bloc), bounds.k_max_proportional) + 1):
-                found = proportionality_violation(blocs, k, c, family(k))
+                if rows is None:
+                    trace = rule.trace_uncached(profile, k, prefix=trace)
+                else:
+                    trace = rows.trace(gains, k, rule.branch_cap)
+                found = proportionality_violation(blocs, k, c, trace[k])
                 if found:
                     if rows is not None:
                         profile = Profile.from_ballots(m, [bloc] * n1 + [single] * n2)

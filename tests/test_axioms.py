@@ -102,22 +102,24 @@ def test_gain_rows_match_stepping_the_profiles(name, m, data):
     g_a, g_b = rows.gains(a), rows.gains(b)
     # an item's trace, the trivial last step included
     assert rows.trace(g_a, m, rule.branch_cap) == rule.trace_uncached(p_a)
-    # the step row: generator_step at every committee below size m - 1
+    # generator_step picks the largest gains at every committee below size m - 1
     committees = all_committees(m, m - 2)
-    step_row = derived_row = 0
+    index = {W: i for i, W in enumerate(committees)}
+    derived_row = 0
     union = Profile.from_ballots(m, p_a.ballots() + p_b.ballots())
     for i, W in enumerate(committees):
-        step_row |= sum(1 << (i * m + c) for c in generator_step(rule.valuation, p_a, W))
+        at = rows.at(g_a, W)
+        assert {c for c in at if at[c] == max(at.values())} == generator_step(rule.valuation, p_a, W)
         derived_row |= sum(1 << (i * m + c) for c in derive_generator(rule, union, W))
-    fields = axioms._gain_fields(rows)
-    assert axioms._step_row(g_a, fields) == step_row
     # a union's gains are the sum of its sides', and its derived row is read
-    # off a trace on masks of their step row
+    # off their trace
     g_ab = list(map(add, g_a, g_b))
     assert g_ab == rows.gains(tuple(sorted(a + b)))
-    row_ab, field, growth = axioms._step_row(g_ab, fields), (1 << m) - 1, axioms._growth(m)
-    choice = lambda i: row_ab >> (i * m) & field
-    assert axioms._traced_row(choice, m - 1, rule.branch_cap, growth) == derived_row
+
+    def row_ab(k, cap):
+        return axioms._derived_row(rows.trace(g_ab, k, cap), index, m)
+
+    assert row_ab(m - 1, rule.branch_cap) == derived_row
     # jA + B from j * G(A) + G(B)
     expected = rule.trace_uncached(Profile.from_ballots(m, p_a.ballots() * j + p_b.ballots()))
     for k in range(m + 1):
@@ -131,7 +133,7 @@ def test_gain_rows_match_stepping_the_profiles(name, m, data):
         assert _outcome(trace_item, a, k) == _outcome(rule.trace_uncached, p_a, k)
         if 0 < k < m:
             expected = _outcome(derived_row_by_step_trace, rule.step, union, k, cap)
-            assert _outcome(axioms._traced_row, choice, k, cap, growth) == expected
+            assert _outcome(row_ab, k, cap) == expected
 
 
 @pytest.mark.parametrize("name", GAIN_ROW_RULES)
@@ -689,6 +691,18 @@ def test_consistency_search_caches_only_shared_traces():
     before = len(rule._traces)
     check_generator_consistency(derived_generator(rule), Bounds(n_pair_each=3))
     assert len(rule._traces) - before <= 399
+
+
+def test_a_derived_pass_reads_its_items_off_the_rules_cached_traces():
+    # with gain rows too: a derived generator reads an item's row off the
+    # trace the single-profile checks share
+    rule = make("seqav", 3)
+    report = check_generator_consistency(derived_generator(rule), Bounds(n_pair_each=2))
+    assert report.verdict == "pass-exhaustive"  # so every item was read
+    universe = ProfileUniverse(3, 2)
+    representatives = list(universe.representatives())
+    assert len(representatives) == 12
+    assert all(rule.cached(universe.counts(a), 3) is not None for a in representatives)
 
 
 def test_native_step_of_cc_tiebreak_is_consistent_but_derived_is_not():
@@ -1308,6 +1322,16 @@ def test_suite_trivial_proper():
     assert reports["neutrality"] == "pass-exhaustive"
     assert reports["continuity"] == "pass"
     assert reports["proper"] == "inconclusive"
+
+
+@pytest.mark.parametrize("name", [name for name in catalog.RULE_NAMES if name not in GAIN_ROW_RULES])
+def test_the_trace_cache_holds_only_universe_items(name):
+    # a profile built for one comparison (a clone-proportionality profile,
+    # B renumbered above A, an id-shifted one) is stepped outside the cache
+    rule = make(name, 3)
+    run_suite(rule, "all", Bounds(n_single=3))
+    universe = axioms._universe(rule, 3)
+    assert set(rule._traces) <= set(map(universe.key, universe.items()))
 
 
 def test_suite_unknown_name():

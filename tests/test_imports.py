@@ -3,13 +3,19 @@
 
 Each check runs in a fresh interpreter started with ``-S``, so the modules
 it sees are the ones seqvote imports, not those a site hook happens to load.
+The last test, run in this process, resolves every annotation of the
+package, since each names what its module must import.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
+from types import FunctionType
 
 import seqvote
 
@@ -118,3 +124,28 @@ def test_unknown_names_are_attribute_errors():
     from seqvote import catalog  # submodules still import through the package
 
     assert seqvote.catalog is catalog
+
+
+def _annotated(module):
+    """The functions and classes ``module`` defines, and the functions,
+    properties' getters and class or static methods of those classes."""
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if isinstance(value, FunctionType):
+            yield value
+        elif isinstance(value, type):
+            yield value
+            for member in vars(value).values():
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                if isinstance(member, FunctionType):
+                    yield member
+
+
+def test_every_annotation_resolves():
+    # ``from __future__ import annotations`` leaves annotations as text, so
+    # a name a module never imports goes unnoticed until a tool resolves it
+    for info in pkgutil.iter_modules(seqvote.__path__):
+        module = importlib.import_module(f"seqvote.{info.name}")
+        for value in _annotated(module):
+            typing.get_type_hints(value)

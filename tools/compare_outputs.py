@@ -30,6 +30,10 @@ stdout and stderr of
   the continuity certificate decides the rules with a step and a valuation
   that are not id-sensitive, and the others are searched at j = 1 only
   (``trivial`` passes there, the rest are inconclusive with limit 1);
+- ``seqvote axioms <rule> all --max-voters 3 --branch-cap c`` for c in
+  {1, 2, 4} and ``monotone --max-m 4 --max-voters 2 --branch-cap c`` for c
+  in {2, 4}, for every rule: where a tie frontier outgrows the cap, the
+  run exits 3 with the error of the first check that meets it;
 - ``seqvote witness <construction> <table> --m <m>`` for every
   construction, named table and m in {3, 4, 6};
 - error runs: an unknown witness construction (argparse usage error), a
@@ -161,6 +165,13 @@ def cases(workdir: Path):
         yield f"axioms-{rule}-clones-m4-n3", argv
         argv = ["axioms", rule, "proper", "--max-voters", "3", "--j-max", "1"]
         yield f"axioms-{rule}-proper-n3-j1", argv
+        for cap in ("1", "2", "4"):
+            argv = ["axioms", rule, "all", "--max-voters", "3", "--branch-cap", cap]
+            yield f"axioms-{rule}-n3-cap{cap}", argv
+        for cap in ("2", "4"):
+            argv = ["axioms", rule, "monotone", "--max-m", "4", "--max-voters", "2",
+                    "--branch-cap", cap]
+            yield f"axioms-{rule}-monotone-m4-n2-cap{cap}", argv
     for rule in ("seqpav", "candidate-a-doubled-seqav"):
         argv = ["axioms", rule, "all", "--max-m", "4", "--max-voters", "3"]
         yield f"axioms-{rule}-m4-n3", argv
