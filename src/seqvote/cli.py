@@ -16,8 +16,8 @@ string form, so ``"10"`` precedes ``"2"``; sets as arrays sorted by each
 member's compact JSON text, sets of ints numerically; rationals as ``"p/q"``
 strings; candidates as indices; strings ASCII-escaped (``\\uXXXX``); no
 timestamps.  Identical inputs give byte-identical output.  The ``compute``
-report is written by its own writer, :func:`render_compute`, straight from
-the trace and the scoring pass's integers, in the same bytes;
+report is written in the same bytes by :func:`render_compute`, straight
+from the committee bit masks and integers of the scored trace;
 :func:`render_report` writes the ``axioms`` and ``witness`` reports.
 
 Exit codes: 0 all pass/computed, 1 a violation was found (or a witness
@@ -278,31 +278,39 @@ def candidate_letter(c: int) -> str:
     return chr(ord("a") + c) if c < 26 else f"c{c}"
 
 
-def _letters(committee) -> str:
-    if not committee:
-        return "{}"
-    return "{" + ",".join(candidate_letter(c) for c in sorted(committee)) + "}"
+def _named(trace, names: list[str], sep: str) -> tuple[dict, dict]:
+    """``(bits, text)`` by mask U of ``trace``: U's bits in order and its
+    names joined by ``sep``, built from U less its top bit."""
+    bits, text = {0: ()}, {0: ""}
+
+    def add(U: int) -> None:
+        top = U.bit_length() - 1
+        rest = U ^ 1 << top
+        if rest not in bits:
+            add(rest)
+        bits[U] = bits[rest] + (1 << top,)
+        text[U] = text[rest] + sep + names[top] if rest else names[top]
+
+    for level in trace[1:]:
+        for U in level:
+            add(U)
+    return bits, text
 
 
-def _ratio(numerator, denominator: int) -> str:
-    """``numerator / denominator`` as ``str(Fraction)`` prints it: ``"p"`` or
-    ``"p/q"`` in lowest terms.  An int numerator is reduced by one gcd; a
-    ``Fraction`` one (a custom valuation's score, over 1) prints itself."""
-    if type(numerator) is not int:
-        return str(numerator / denominator)
-    g = gcd(numerator, denominator)
-    if g == denominator:
-        return str(numerator // g)
-    return f"{numerator // g}/{denominator // g}"
-
-
-def _indented(compact: str, nl: str) -> str:
-    """A committee's compact text ``[0, 1]`` as an array on its own line
-    indented by ``nl`` (a newline and the indent), one member a line."""
-    if compact == "[]":
-        return compact
-    inner = nl + "  "
-    return "[" + inner + compact[1:-1].replace(", ", "," + inner) + nl + "]"
+def _cells(scored, memos: list[dict], heads: list[str], tail: str) -> list[str]:
+    """``heads[c] + score + tail`` per outside c of a parent's ``(base, gains,
+    D)``, the score as ``str(Fraction)`` prints it, once per ``memos[c]``."""
+    base, gains, scale = scored
+    row = []
+    for c, gain in gains.items():
+        n, memo = base + gain, memos[c]
+        text = memo.get(n)
+        if text is None:  # a custom valuation's Fraction n has scale 1
+            g = gcd(n.numerator, scale)
+            p, q = n.numerator // g, scale // g * n.denominator
+            text = memo[n] = heads[c] + (str(p) if q == 1 else f"{p}/{q}") + tail
+        row.append(text)
+    return row
 
 
 # a newline and an indent of 2 to 12 spaces: the line starts of a compute report
@@ -318,29 +326,24 @@ def render_compute(
     scores,
     table_digest: str | None = None,
 ) -> str:
-    """The ``compute`` report as JSON, written straight from the rule's
-    ``(trace, scores)`` of :meth:`Rule.scored_trace`.
+    """The ``compute`` report as JSON, straight from the masks and integers
+    of :meth:`Rule.scored_trace`, in the bytes :func:`render_report` writes
+    for the report object (keys ``command``, ``input_digest``, ``k``, ``m``,
+    ``rule``, ``steps``, ``table_digest`` with ``--table`` only, ``trace``),
+    which is never built.  Each committee's text is made once and laid out
+    by one ``str.replace`` per depth, each family once for ``trace[j]`` and
+    ``steps[j-1]``; the extensions come from one pass over the next family."""
+    bits, text = _named(trace, [str(c) for c in range(m)], ", ")
+    heads = [f'{_I12}"{c}": "' for c in range(m)]
 
-    The bytes are those :func:`render_report` writes for the report object
-    with keys ``command``, ``input_digest``, ``k``, ``m``, ``rule``,
-    ``steps``, ``table_digest`` (with ``--table`` only) and ``trace``; no
-    such object is built.  Each committee's compact text is made once and
-    laid out once per depth it appears at; each family ``f(A, j)`` is
-    written once and stands both as ``trace[j].committees`` and as
-    ``steps[j-1].chosen``; a score is its integers ``(base + gain) / D``
-    reduced by one gcd.
-    """
-    text = {W: str(sorted(W)) for level in trace for W in level}
-    # every family sorted by compact text, so each parent's extensions,
-    # collected in this order, come out sorted too
-    orders = [sorted(level, key=text.__getitem__) for level in trace]
-    families = [
-        "[" + _I8 + ("," + _I8).join(_indented(text[W], _I8) for W in order) + _I6 + "]"
-        for order in orders
-    ]
-    as_extension = {W: _indented(text[W], _I12) for order in orders[1:] for W in order}
-    score_keys = [(c, f'{_I12}"{c}": "') for c in sorted(range(m), key=str)]
-    ratios: dict[tuple, str] = {}  # (base + gain, D) -> its text, closing quote included
+    def laid(U: int, nl: str) -> str:  # U as an array indented by nl
+        inner = nl + "  "
+        return "[" + inner + text[U].replace(", ", "," + inner) + nl + "]" if U else "[]"
+
+    # families in compact-text order: extensions collected in it are sorted
+    orders = [sorted(level, key=lambda U: text[U] + "]") for level in trace]
+    families = ["[" + _I8 + ("," + _I8).join([laid(U, _I8) for U in order]) + _I6 + "]"
+                for order in orders]
     # one flat list of pieces, joined once: no piece is copied into another
     out = [
         "{", _I2, '"command": "compute",', _I2, '"input_digest": ', _escape(input_digest),
@@ -348,36 +351,29 @@ def render_compute(
         ",", _I2, '"steps": [' if k else '"steps": []',
     ]
     for j in range(1, k + 1):
-        children: dict[frozenset, list[str]] = {}
-        for W in orders[j]:
-            extension = as_extension[W]
-            for x in W:
-                children.setdefault(W - {x}, []).append(extension)
+        parents = sorted(trace[j - 1], key=bits.__getitem__)
+        below = {P: [] for P in parents}
+        for U in orders[j]:
+            extension = laid(U, _I12)
+            for bit in bits[U]:
+                got = below.get(U ^ bit)
+                if got is not None:
+                    got.append(extension)
         out += [
             _I4 if j == 1 else "," + _I4, "{", _I6, '"chosen": ', families[j],
             ",", _I6, '"per_parent": [',
         ]
+        memos = [{} for _ in range(m)]
         sep = _I8 + "{" + _I10 + '"extensions": '
-        for parent in sorted(trace[j - 1], key=sorted):
-            below = children.get(parent)
-            out += [
-                sep,
-                "[" + _I12 + ("," + _I12).join(below) + _I10 + "]" if below else "[]",
-                "," + _I10 + '"parent": ',
-                _indented(text[parent], _I10),
-            ]
+        for P in parents:
+            extensions = below[P]
+            out += [sep, "[" + _I12 + ("," + _I12).join(extensions) + _I10 + "]"
+                    if extensions else "[]", "," + _I10 + '"parent": ', laid(P, _I10)]
             if scores is not None:
-                base, gains, scale = scores[parent]
-                cells = []
-                for c, key in score_keys:
-                    gain = gains.get(c)
-                    if gain is not None:
-                        score = base + gain, scale
-                        shown = ratios.get(score)
-                        if shown is None:
-                            shown = ratios[score] = _ratio(*score) + '"'
-                        cells.append(key + shown)
-                out += ["," + _I10 + '"scores": {', ",".join(cells), _I10 + "}"]
+                # cells agree up to their key's digits, and the closing quote
+                # sorts before every digit: sorted, they are in key order
+                row = sorted(_cells(scores[P], memos, heads, '"'))
+                out += ["," + _I10 + '"scores": {', ",".join(row), _I10 + "}"]
             out.append(_I8 + "}")
             sep = "," + _I8 + "{" + _I10 + '"extensions": '
         out += [_I6, "],", _I6, f'"size": {j}', _I4, "}"]
@@ -396,19 +392,21 @@ def render_compute(
 
 
 def render_compute_pretty(rule_name: str, m: int, k: int, trace, scores) -> str:
-    """Plain-text trace with candidates as letters (indices stay in JSON mode)."""
+    """Plain-text trace with candidates as letters (indices stay in JSON
+    mode), from the masks and integers :func:`render_compute` reads."""
+    letters = [candidate_letter(c) for c in range(m)]
+    heads = [name + "=" for name in letters]
+    bits, text = _named(trace, letters, ",")
+    orders = [sorted(level, key=bits.__getitem__) for level in trace]
     lines = [f"{rule_name} on m={m}, k={k}"]
-    for j, level in enumerate(trace):
-        names = " ".join(_letters(w) for w in sorted(level, key=sorted))
-        lines.append(f"  size {j}: {names}")
+    for j, order in enumerate(orders):
+        lines.append(f"  size {j}: " + " ".join(["{" + text[U] + "}" for U in order]))
     if scores is not None:
-        for level in trace[:k]:
-            for parent in sorted(level, key=sorted):
-                base, gains, scale = scores[parent]
-                shown = ", ".join(
-                    f"{candidate_letter(c)}={_ratio(base + gains[c], scale)}" for c in sorted(gains)
-                )
-                lines.append(f"  extending {_letters(parent)}: {shown}")
+        for order in orders[:k]:
+            memos = [{} for _ in range(m)]
+            for P in order:
+                row = _cells(scores[P], memos, heads, "")
+                lines.append("  extending {" + text[P] + "}: " + ", ".join(row))
     return "\n".join(lines) + "\n"
 
 

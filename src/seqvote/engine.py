@@ -1,20 +1,17 @@
 """Sequential rule execution: generator steps, tie-branching runs, rules.
 
 A committee family is a frozenset of frozensets of candidates, all of one
-size; ties are always kept, never broken.  :func:`step_trace` materializes
-every tied branch and raises :class:`BranchCapError` instead of pruning when
-the frontier would exceed the cap, since silent pruning would corrupt the
-axiom checkers downstream.
+size; ties are always kept, never broken.  :func:`step_trace` keeps every
+tied branch and raises :class:`BranchCapError` instead of pruning past the
+cap, since silent pruning would corrupt the axiom checkers downstream.
 
 Every table-backed score comes from one integer pass over the distinct
-ballots, :func:`_scored_gains`: at a level with denominator ``D`` it returns
-``base`` and each outside candidate's ``gain``, and ``W + {c}`` scores
-``(base + gain) / D``.  :func:`extension_scores`, :func:`extension_gains`,
-:func:`generator_step`, :func:`weighted_approval_step` and
-:meth:`Rule.scored_trace` all go through it; a custom ``fn`` valuation is
-the only other path, scored extension by extension.  :meth:`Rule.scored_trace`
-hands the integers ``base``, ``gain`` and ``D`` on unreduced, so a caller
-that only prints the scores builds no rational.
+ballots, :func:`_scored_gains`, on a committee's bit mask (bit c is
+candidate c): at a level with denominator ``D``, ``W + {c}`` scores ``(base
++ gain) / D``.  The public steps and scores go through it, as does
+:meth:`Rule.scored_trace`, which traces on masks and hands ``base``,
+``gain`` and ``D`` on unreduced; only a custom ``fn`` valuation is
+scored extension by extension.
 """
 
 from __future__ import annotations
@@ -44,38 +41,38 @@ class NoCandidatesError(ValueError):
     """A generator step was asked to extend the full candidate set."""
 
 
+_BIT = (1).__lshift__  # c -> 1 << c
+
+
 def _argmax(scores: dict) -> frozenset[int]:
     best = max(scores.values())
     return frozenset(c for c, s in scores.items() if s == best)
 
 
-def _outside(profile: Profile, committee: frozenset[int]) -> list[int]:
-    outside = [c for c in range(profile.m) if c not in committee]
+def _outside(profile: Profile, committee: int) -> list[int]:
+    outside = [c for c in range(profile.m) if not committee >> c & 1]
     if not outside:
         raise NoCandidatesError("committee already contains every candidate")
     return outside
 
 
 def _scored_gains(
-    level: ScaledLevel, profile: Profile, committee: frozenset[int]
+    level: ScaledLevel, profile: Profile, committee: int
 ) -> tuple[int, dict[int, int]]:
-    """``(base, gains)`` in one pass over the distinct ballots.
-
-    A ballot of size ``z`` approving ``x`` members of ``committee`` adds
-    ``count * values[x][z]`` to ``base`` and ``count * gains[x][z]`` to
-    every candidate outside the committee that it approves, so ``W + {c}``
-    scores ``(base + gains[c]) / D``.  Every entry is an integer, so no
-    rational is built per ballot.
-    """
+    """``(base, gains)`` of the committee W with bit mask ``committee``: a
+    ballot of size ``z`` approving ``x`` members of W adds ``count *
+    values[x][z]`` to ``base`` and ``count * gains[x][z]`` to each outside
+    candidate it approves, so ``W + {c}`` scores ``(base + gains[c]) / D``;
+    ``gains`` lists the outside candidates in increasing order."""
     values, rows = level.values, level.gains
     gains = dict.fromkeys(_outside(profile, committee), 0)
     base = 0
-    for ballot, count in profile.ballot_counts:
-        x, z = len(ballot & committee), len(ballot)
+    for mask, count, z, members in profile.ballot_masks:
+        x = (mask & committee).bit_count()
         base += count * values[x][z]
         weight = count * rows[x][z]
         if weight:
-            for c in ballot:
+            for c in members:
                 if c in gains:
                     gains[c] += weight
     return base, gains
@@ -84,19 +81,15 @@ def _scored_gains(
 def _scaled_gains(
     valuation: Valuation, profile: Profile, committee: frozenset[int]
 ) -> tuple[int, dict[int, int | Fraction], int]:
-    """``(base, gains, D)``: ``W + {c}`` scores exactly ``(base + gains[c]) / D``.
-
-    A table-backed valuation gets them from :func:`_scored_gains` at the
-    level of size ``|W| + 1``, all integers; a custom ``fn`` valuation scores
-    each extension outright, so its gains are its scores, ``base`` is 0 and
-    ``D`` is 1.
-    """
+    """``(base, gains, D)``: ``W + {c}`` scores ``(base + gains[c]) / D``,
+    from :func:`_scored_gains` at size ``|W| + 1``; a custom ``fn``
+    valuation scores each extension outright: ``(0, scores, 1)``."""
+    mask = sum(map(_BIT, committee))
     if valuation.counting is None:
-        outside = _outside(profile, committee)
+        outside = _outside(profile, mask)
         return 0, {c: committee_score(valuation, profile, committee | {c}) for c in outside}, 1
     level = valuation.level(len(committee) + 1, profile.m)
-    base, gains = _scored_gains(level, profile, committee)
-    return base, gains, level.denominator
+    return (*_scored_gains(level, profile, mask), level.denominator)
 
 
 def extension_scores(
@@ -112,11 +105,10 @@ def extension_gains(
 ) -> dict[int, int | Fraction]:
     """The scores of ``W + {c}`` up to an offset and a positive factor.
 
-    For a table-backed valuation these are the level's integer gains: the
-    exact score is ``(base + gain) / D``, where the offset ``base`` depends
-    on the profile and the factor ``D`` only on ``|W|`` and m.  Differences
-    between gains therefore compare exactly across profiles, without a
-    rational per candidate.  Other valuations get their exact scores.
+    For a table-backed valuation these are the level's integer gains of
+    score ``(base + gain) / D``, where ``base`` depends on the profile and
+    ``D`` only on ``|W|`` and m, so gains compare exactly across profiles.
+    Other valuations get their exact scores.
     """
     return _scaled_gains(valuation, profile, frozenset(committee))[1]
 
@@ -127,11 +119,10 @@ def generator_step(
     """All candidates whose addition maximizes the committee score.
 
     This is the generator function of the sequential rule induced by
-    ``valuation``; it is complete (never empty for a proper committee) and,
-    because scores add over disjoint electorates, consistent.  For a
-    table-backed valuation it is one weighted approval step under the
-    counting function's forward differences, compared as integers scaled by
-    the level's positive denominator, so the tied set is the exact one.
+    ``valuation``: complete (never empty for a proper committee) and, since
+    scores add over disjoint electorates, consistent.  A table-backed
+    valuation takes one weighted approval step under the counting
+    function's forward differences, on integers, so the tie is exact.
     """
     return _argmax(extension_gains(valuation, profile, committee))
 
@@ -145,7 +136,7 @@ def weighted_approval_step(
     approves, where ``x`` counts her approved committee members and ``z`` her
     ballot size; the argmax set is returned.
     """
-    return _argmax(_scored_gains(weights.scaled, profile, frozenset(committee))[1])
+    return _argmax(_scored_gains(weights.scaled, profile, sum(map(_BIT, committee)))[1])
 
 
 StepFn = Callable[[Profile, frozenset], frozenset]
@@ -160,18 +151,17 @@ def step_trace(
 ) -> tuple[Family, ...]:
     """Run a generator step for ``k`` rounds, keeping all tied branches.
 
-    Returns the tuple ``(f(A,0), ..., f(A,k))``; duplicate committees reached
-    through different parents are merged.  A ``prefix`` ``(f(A,0), ...,
-    f(A,j))`` already traced with the same step and profile is extended
-    rather than recomputed.
+    Returns ``(f(A,0), ..., f(A,k))``; committees reached through different
+    parents are merged.  A ``prefix`` ``(f(A,0), ..., f(A,j))`` traced with
+    the same step and profile is extended rather than recomputed.
 
     Errors are raised level by level, and within a level a failing step
     outranks the cap: once the frontier passes ``branch_cap``, the level's
-    remaining committees are stepped only to find an empty choice (a
-    :class:`ValueError`) or any error the step raises, and then
-    :class:`BranchCapError` is raised.  Which error a level raises thus
-    never depends on the order of its set, and the frontier never holds
-    more than ``branch_cap + m`` committees.
+    other committees are stepped only to find a failing choice (a
+    :class:`ValueError` for an empty one or one holding a member of its
+    committee) or any error the step raises, and then
+    :class:`BranchCapError` is raised.  So a level's error never depends on
+    the order of its set, and the frontier never exceeds ``branch_cap + m``.
     """
     if not 0 <= k <= profile.m:
         raise ValueError(f"committee size {k} outside 0..{profile.m}")
@@ -183,6 +173,9 @@ def step_trace(
             extension = step(profile, committee)
             if not extension:
                 raise ValueError("generator step returned no candidates mid-run")
+            if not committee.isdisjoint(extension):
+                inside, W = sorted(committee.intersection(extension)), sorted(committee)
+                raise ValueError(f"generator chose {inside} from inside the committee {W}")
             if not over:
                 frontier.update(committee | {c} for c in extension)
                 over = len(frontier) > branch_cap
@@ -200,14 +193,11 @@ class Rule:
     ``valuation`` steps by :func:`generator_step` over it.  A rule's
     ``valuation`` also gives the scores :meth:`scored_trace` reports.
     :meth:`trace` memoizes traces per profile, at most
-    :data:`TRACE_CACHE_SIZE` per rule; anonymous rules key them on the
-    ballot counts, so voter relabelings share an entry and a profile given
-    by its counts alone is only built on a miss.  The cache is for profiles
-    that several callers ask about, such as the items of a checker's
+    :data:`TRACE_CACHE_SIZE` per rule, anonymous rules by ballot counts (a
+    profile given by its counts alone is only built on a miss).  The cache
+    is for profiles that several callers ask about, such as a checker's
     universe; a profile built for one comparison (a union of two
-    electorates, a replicated ``jA + B``) is traced outside it, by
-    :meth:`trace_uncached` or the checkers' own traces, and leaves nothing
-    behind.
+    electorates, ``jA + B``) is traced outside it and leaves nothing behind.
     """
 
     def __init__(
@@ -284,8 +274,7 @@ class Rule:
 
     def remember(self, key, trace: tuple[Family, ...]) -> tuple[Family, ...]:
         """Cache ``trace`` under ``key``, as :meth:`trace` does on a miss, and
-        return it; a caller that derives a trace without stepping a profile
-        stores it here, so every check shares it."""
+        return it: a trace derived without stepping a profile is shared so."""
         traces = self._traces
         traces[key] = trace
         traces.move_to_end(key)
@@ -299,11 +288,9 @@ class Rule:
         k: Optional[int] = None,
         prefix: Optional[tuple[Family, ...]] = None,
     ) -> tuple[Family, ...]:
-        """``(f(A,0), ..., f(A,k))`` run on ``profile`` itself, bypassing the cache.
-
-        Unlike :meth:`trace` this sees the vote sequence even for a rule not
-        flagged id-sensitive; ``prefix`` is extended as in :func:`step_trace`.
-        """
+        """``(f(A,0), ..., f(A,k))`` run on ``profile`` itself, bypassing the
+        cache, so even a rule not flagged id-sensitive sees the vote sequence;
+        ``prefix`` is extended as in :func:`step_trace`."""
         if k is None:
             k = self.m
         if self.step is not None:
@@ -317,36 +304,42 @@ class Rule:
 
     def scored_trace(
         self, profile: Profile, k: int
-    ) -> tuple[tuple[Family, ...], dict[frozenset, tuple[int, dict, int]] | None]:
-        """``(trace, scores)``: ``(f(A,0), ..., f(A,k))`` run on ``profile``,
-        and ``scores[W] = (base, gains, D)`` for every committee ``W`` of
-        levels ``0..k-1``, so that ``W + {c}`` scores exactly ``(base +
-        gains[c]) / D`` under the rule's valuation for every ``c`` outside
-        ``W`` (``scores`` is ``None`` for a rule without a valuation).  For a
-        table-backed valuation all three are integers, so no rational is
-        built; a custom ``fn`` valuation gives ``(0, exact scores, 1)``.
-
-        A rule that steps by its valuation records the scores while it
-        traces, from the gains its steps compute anyway; any other rule is
-        traced through :meth:`trace` and each committee scored afterwards.
-        """
+    ) -> tuple[tuple[frozenset[int], ...], dict[int, tuple[int, dict, int]] | None]:
+        """``(trace, scores)`` on committee bit masks (bit c is candidate c):
+        ``trace[j]`` is f(A, j) as a frozenset of masks, and ``scores[W] =
+        (base, gains, D)`` for each W of levels 0..k-1: ``W + {c}`` scores
+        ``(base + gains[c]) / D`` for each ``c`` outside W, in increasing
+        order (integers for a table valuation, ``(0, scores, 1)`` for an
+        ``fn`` one; None without a valuation).  A rule stepping by a table
+        valuation is traced here, on the gains that score W (its steps never
+        fail, so its cap fires as in :func:`step_trace`); any other rule by
+        :meth:`trace`, its committees scored afterwards."""
         if profile.m != self.m:
             raise ValueError(f"profile has m={profile.m}, rule expects m={self.m}")
-        valuation = self.valuation
-        if self._steps_by_valuation:
-            scores: dict = {}
-
-            def step(profile: Profile, committee: frozenset) -> frozenset:
-                scores[committee] = scored = _scaled_gains(valuation, profile, committee)
-                return _argmax(scored[1])
-
-            return step_trace(step, profile, k, self.branch_cap), scores
-        trace = self.trace(profile, k)
-        if valuation is None:
-            return trace, None
-        return trace, {
-            W: _scaled_gains(valuation, profile, W) for level in trace[:k] for W in level
-        }
+        if not 0 <= k <= self.m:
+            raise ValueError(f"committee size {k} outside 0..{self.m}")
+        valuation, cap = self.valuation, self.branch_cap
+        if not self._steps_by_valuation or valuation.counting is None:
+            trace = self.trace(profile, k)
+            mask = {W: sum(map(_BIT, W)) for level in trace for W in level}
+            masks = tuple(frozenset(map(mask.get, level)) for level in trace)
+            if valuation is None:
+                return masks, None
+            return masks, {mask[W]: _scaled_gains(valuation, profile, W) for W in mask if len(W) < k}
+        scores: dict[int, tuple[int, dict, int]] = {}
+        families = [frozenset({0})]
+        for size in range(1, k + 1):
+            level = valuation.level(size, self.m)
+            frontier: set[int] = set()
+            for W in families[-1]:
+                base, gains = _scored_gains(level, profile, W)
+                scores[W] = base, gains, level.denominator
+                best = max(gains.values())
+                frontier.update([W | 1 << c for c, gain in gains.items() if gain == best])
+                if len(frontier) > cap:
+                    raise BranchCapError(f"more than {cap} tied committees")
+            families.append(frozenset(frontier))
+        return tuple(families), scores
 
 
 def derive_generator(rule: Rule, profile: Profile, committee: frozenset[int]) -> frozenset[int]:
@@ -374,9 +367,8 @@ class GeneratorFunction(Record):
 
     ``id_sensitive`` steps may read voter ids; the others see only the
     ballot counts, so the checkers may evaluate them on canonical profiles.
-    ``derived_from`` is the rule a :func:`derived_generator` extracts from:
-    its choices at every committee can be read off one trace of the rule,
-    which is what the checkers do instead of calling ``fn`` per committee.
+    ``derived_from`` is the rule a :func:`derived_generator` extracts from,
+    whose choices the checkers read off one trace of the rule.
     """
 
     name: str

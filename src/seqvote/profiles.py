@@ -49,12 +49,11 @@ def validate_ballot(m: int, approved: Iterable[int]) -> frozenset[int]:
 class lazy:
     """A record field computed from the others on first access.
 
-    The value goes into the instance's ``__dict__``, which a non-data
-    descriptor like this one gives way to, so every later access is a plain
-    attribute read; a constructor that already knows the value may put it
-    there first.  This is :func:`functools.cached_property` without its
-    lock, which Python 3.11 takes on every first access: two threads that
-    both compute a field compute the same immutable value.
+    The value goes into the instance's ``__dict__``, which this non-data
+    descriptor gives way to, so later accesses are plain attribute reads; a
+    constructor that knows the value may put it there first.  This is
+    :func:`functools.cached_property` without the lock Python 3.11 takes on
+    every first access: two threads computing a field get one value.
     """
 
     def __init__(self, compute):
@@ -73,16 +72,15 @@ class Record:
     """An immutable value with named fields, as a frozen dataclass would be.
 
     The records of the compute path (profiles, counting tables, valuations,
-    generator functions) are plain classes on this base rather than
-    dataclasses, because importing ``dataclasses`` imports ``inspect``: about
-    9 ms of start-up in every ``seqvote compute`` process when no bytecode
-    is cached (Python 3.11), as much as the engine work of a typical run.
+    generator functions) are plain classes on this base, not dataclasses:
+    importing ``dataclasses`` imports ``inspect``, about 9 ms of start-up in
+    every ``seqvote compute`` process with no cached bytecode (Python 3.11).
     Every annotation in a subclass body is a field, in declaration order,
     and a value given with it there is its default.  The base constructor
     takes the fields by position or by name; a subclass that validates or
     coerces its fields writes its own ``__init__`` and sets them through
     ``__dict__``.  Instances of one class compare and hash by their fields
-    and print them; assigning or deleting any attribute raises
+    and print them; assigning or deleting an attribute raises
     :class:`AttributeError`.
     """
 
@@ -134,13 +132,12 @@ class Record:
 class Profile(Record):
     """A finite, non-empty map from voter ids to approval ballots.
 
-    ``votes`` is stored as a tuple of ``(voter_id, ballot)`` pairs sorted by
-    voter id.  Use :meth:`from_dict`, :meth:`from_ballots` or
-    :meth:`from_counts` instead of the raw constructor.  Every constructor
-    validates each ballot once; ``checked=True`` is the promise of a caller
-    whose ballots are already validated frozensets (the profile algebra, the
-    enumerators over :func:`seqvote.oracle.all_ballots`, the CLI's profile
-    parser) and skips the checks.
+    ``votes`` is a tuple of ``(voter_id, ballot)`` pairs sorted by voter id;
+    build one with :meth:`from_dict`, :meth:`from_ballots` or
+    :meth:`from_counts`.  Every constructor validates each ballot once;
+    ``checked=True``, a caller's promise that its ballots are validated
+    frozensets (the profile algebra, the enumerators over
+    :func:`seqvote.oracle.all_ballots`, the CLI's parser), skips the checks.
     """
 
     m: int
@@ -178,10 +175,9 @@ class Profile(Record):
     def from_counts(cls, m: int, counts: BallotCounts, checked: bool = False) -> "Profile":
         """The canonical profile (ids 1..n) holding each ``(ballot, count)``.
 
-        ``counts`` is an anonymous profile in the form of
-        :attr:`ballot_counts`: distinct ballots in canonical order, each with
-        a positive multiplicity.  Each distinct ballot is validated once, or
-        not at all with ``checked=True``.
+        ``counts`` is an anonymous profile as :attr:`ballot_counts` gives
+        it: distinct ballots in canonical order with positive multiplicities.
+        Each is validated once, or not at all with ``checked=True``.
         """
         counts = tuple(counts) if checked else _validated_counts(m, counts)
         profile = cls(m, _numbered(counts), checked=True)
@@ -219,6 +215,11 @@ class Profile(Record):
             (ballot, len(list(group)))
             for ballot, group in itertools.groupby(self.ballot_multiset)
         )
+
+    @lazy
+    def ballot_masks(self) -> tuple[tuple[int, int, int, frozenset[int]], ...]:
+        """``(mask, count, size, ballot)`` per distinct ballot; bit c of ``mask`` is candidate c."""
+        return tuple((sum(map((1).__lshift__, b)), n, len(b), b) for b, n in self.ballot_counts)
 
     @lazy
     def support(self) -> frozenset[int]:
@@ -278,17 +279,14 @@ def profile_sum(a: Profile, b: Profile) -> Profile:
 def profile_scale(j: int, a: Profile) -> Profile:
     """``j`` disjoint copies of ``a``.
 
-    The first copy keeps the original voter ids; later copies are shifted by
-    multiples of the largest id, so ids stay disjoint and the original voters
-    (in particular voter 1) remain present.
+    The first copy keeps the original voter ids and later ones are shifted
+    by multiples of the largest id, so ids stay disjoint and voter 1 stays.
     """
     if not isinstance(j, int) or j < 1:
         raise ProfileError("the number of copies must be a positive integer")
     top = max(a.voter_ids)
-    votes = []
-    for t in range(j):
-        votes.extend((v + t * top, b) for v, b in a.votes)
-    return Profile(a.m, tuple(sorted(votes)), checked=True)
+    votes = sorted((v + t * top, b) for t in range(j) for v, b in a.votes)
+    return Profile(a.m, tuple(votes), checked=True)
 
 
 def _validated_counts(m: int, counts) -> BallotCounts:

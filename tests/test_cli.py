@@ -30,6 +30,7 @@ from seqvote.profiles import CapError, Profile, ProfileError
 
 from util import (
     SymmetrizationCapError,
+    as_sets,
     compute_report,
     fam,
     naive_compute_pretty,
@@ -347,12 +348,51 @@ def test_compute_writers_match_the_report_dict(rule_name, m, data):
     ballot = st.frozensets(st.integers(0, m - 1), min_size=1)
     profile = Profile.from_ballots(m, data.draw(st.lists(ballot, min_size=1, max_size=5)))
     k = data.draw(st.integers(0, m))
-    trace, scores = rule.scored_trace(profile, k)
+    masks = rule.scored_trace(profile, k)
     digest = hashlib.sha256(format_profile(profile).encode()).hexdigest()
-    report = compute_report(rule.name, m, k, digest, trace, scores, table_digest)
-    written = cli.render_compute(rule.name, m, k, digest, trace, scores, table_digest)
+    report = compute_report(rule.name, m, k, digest, *as_sets(masks), table_digest)
+    written = cli.render_compute(rule.name, m, k, digest, *masks, table_digest)
     assert written == render_report(report)
-    assert cli.render_compute_pretty(rule.name, m, k, trace, scores) == naive_compute_pretty(report)
+    assert cli.render_compute_pretty(rule.name, m, k, *masks) == naive_compute_pretty(report)
+
+
+@pytest.mark.parametrize(
+    "rule_name, m, k, ballots",
+    [
+        ("seqav", 10, 5, [[c] for c in range(10)]),  # every committee ties
+        ("seqpav", 11, 5, [[c, (c + 1) % 11] for c in range(11)]),  # two-digit candidates
+        # f(A, 1) = {{0}, {1}, {3}); {1} chooses {3} alone, yet {0, 1} is in
+        # f(A, 2), through {0}: a parent lists an extension it did not choose
+        ("seqpav", 4, 2, [[2, 3], [0, 3], [0, 1], [1]]),
+    ],
+)
+def test_compute_writers_match_the_report_dict_at_tie_depth(rule_name, m, k, ballots):
+    rule = catalog.make(rule_name, m)
+    profile = Profile.from_ballots(m, ballots)
+    masks = rule.scored_trace(profile, k)
+    report = compute_report(rule.name, m, k, "ab" * 32, *as_sets(masks))
+    assert cli.render_compute(rule.name, m, k, "ab" * 32, *masks) == render_report(report)
+    assert cli.render_compute_pretty(rule.name, m, k, *masks) == naive_compute_pretty(report)
+    if m == 4:
+        assert rule.step(profile, frozenset({1})) == {3}
+        [entry] = [e for e in report["steps"][1]["per_parent"] if e["parent"] == {1}]
+        assert entry["extensions"] == fam({0, 1}, {1, 3})
+
+
+def test_compute_branch_cap_leaves_stdout_empty(tmp_path, capsys):
+    # C(8, 4) = 70 committees tie at the last level: a cap of 69 is hit there
+    path = tmp_path / "singletons.txt"
+    path.write_text("m=8\n" + "".join(f"1: {c}\n" for c in range(8)))
+    for pretty in ([], ["--pretty"]):
+        code, out, err = run_cli(
+            "compute", "seqav", str(path), "4", "--branch-cap", "69", *pretty, capsys=capsys
+        )
+        assert (code, out) == (EXIT_CAP, "")
+        assert "more than 69 tied committees" in err
+        code, out, _ = run_cli(
+            "compute", "seqav", str(path), "4", "--branch-cap", "70", *pretty, capsys=capsys
+        )
+        assert code == EXIT_OK and out
 
 
 def test_compute_table_m_mismatch(tmp_path, capsys):

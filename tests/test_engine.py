@@ -1,3 +1,5 @@
+import math
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqvote import engine
-from seqvote.axioms import Bounds, check_independence_of_losers
+from seqvote.axioms import Bounds, check_generator_consistency, check_independence_of_losers
 from seqvote.catalog import RULE_NAMES, make, make_zoo_rule, sav_table, thiele_table
 from seqvote.counting import (
     StepCountingTable,
@@ -39,6 +41,7 @@ from seqvote.oracle import ProfileUniverse, all_committees
 from seqvote.profiles import Profile, apply_voter_permutation
 
 from util import (
+    as_sets,
     exact_scores,
     fam,
     naive_best_extensions,
@@ -378,7 +381,7 @@ def test_scored_trace_records_the_scores_of_every_parent(case, data):
     profile = Profile.from_ballots(m, ballots)
     rule = Rule("by-valuation", m, "zoo", valuation=valuation)
     k = data.draw(st.integers(0, m))
-    trace, scores = rule.scored_trace(profile, k)
+    trace, scores = as_sets(rule.scored_trace(profile, k))
     assert trace == step_trace(partial(generator_step, valuation), profile, k)
     assert trace == rule.trace(profile, k)
     parents = [W for level in trace[:k] for W in level]
@@ -418,14 +421,15 @@ def test_scores_add_over_disjoint_electorates(source, data):
             assert measure(valuation, union, W) == {c: parts[0][c] + parts[1][c] for c in parts[0]}
         if valuation.counting is not None:
             level = valuation.level(len(W) + 1, m)
-            base = _scored_gains(level, union, W)[0]
-            assert base == _scored_gains(level, a, W)[0] + _scored_gains(level, b, W)[0]
+            mask = sum(1 << c for c in W)
+            base = _scored_gains(level, union, mask)[0]
+            assert base == _scored_gains(level, a, mask)[0] + _scored_gains(level, b, mask)[0]
 
 
 def test_scored_trace_of_rules_that_do_not_step_by_their_valuation():
     profile = Profile.from_ballots(3, [{0, 1}, {2}, {0}])
     optimizing = make("optimizing-pav", 3)  # brute force, scores shown afterwards
-    trace, scores = optimizing.scored_trace(profile, 2)
+    trace, scores = as_sets(optimizing.scored_trace(profile, 2))
     assert trace == optimizing.trace(profile, 2)
     parents = [W for level in trace[:2] for W in level]
     assert sorted(scores, key=sorted) == sorted(parents, key=sorted)
@@ -433,13 +437,63 @@ def test_scored_trace_of_rules_that_do_not_step_by_their_valuation():
         assert exact_scores(scores[W]) == extension_scores(optimizing.valuation, profile, W)
     # a custom fn valuation hands its exact scores over as they are
     custom = make("candidate-a-doubled-seqav", 3)
-    trace, scores = custom.scored_trace(profile, 2)
+    trace, scores = as_sets(custom.scored_trace(profile, 2))
     for W in (W for level in trace[:2] for W in level):
         assert scores[W] == (0, extension_scores(custom.valuation, profile, W), 1)
     doubled = make("voter1-doubled-seqav", 3)  # no valuation, no scores
-    assert doubled.scored_trace(profile, 2) == (doubled.trace(profile, 2), None)
+    assert as_sets(doubled.scored_trace(profile, 2)) == (doubled.trace(profile, 2), None)
     with pytest.raises(ValueError):
         make("seqav", 3).scored_trace(Profile.from_ballots(2, [{0}]), 1)
+
+
+def test_scored_trace_raises_the_cap_where_step_trace_does():
+    # Singletons at m=8 tie everywhere: level j holds C(8, j) committees, so
+    # every cap up to C(8, 4) is hit at some level of k = 4, or at none.
+    m = 8
+    rule = make("seqav", m)
+    profile = Profile.from_ballots(m, [[c] for c in range(m)])
+    step = partial(generator_step, rule.valuation)
+
+    def outcome(trace, *args):
+        try:
+            return trace(*args)
+        except BranchCapError as exc:
+            return f"BranchCapError: {exc}"
+
+    raised = 0
+    for cap in range(1, math.comb(m, 4) + 1):
+        rule.branch_cap = cap
+        for k in range(5):
+            expected = outcome(step_trace, step, profile, k, cap)
+            got = outcome(rule.scored_trace, profile, k)
+            if isinstance(got, tuple):
+                got = as_sets(got)[0]
+            assert got == expected, (cap, k)
+            raised += isinstance(got, str)
+    assert raised > 0
+
+
+def test_step_trace_refuses_a_choice_inside_the_committee():
+    # A step that returns W | choice at |W| = 1 on one profile would make
+    # its f(A, 2) mix sizes ({0}, {0, 1} and {0, 2}); the trace and both
+    # consistency checks raise, the derived one reading that profile's row
+    # off its trace, and the failing choice outranks a cap its level exceeds.
+    m = 3
+    counts = ((frozenset({0}), 2),)
+
+    def step(profile, W):
+        choice = generator_step(AV, profile, W)
+        return W | choice if len(W) == 1 and profile.ballot_counts == counts else choice
+
+    profile = Profile.from_counts(m, counts)
+    message = re.escape("generator chose [0] from inside the committee [0]")
+    for cap in (1, 10):
+        rule = Rule("inside", m, "zoo", step=step, branch_cap=cap)
+        with pytest.raises(ValueError, match=message):
+            rule.trace(profile, 3)
+    for g in (step_generator(rule), derived_generator(rule)):
+        with pytest.raises(ValueError, match=message):
+            check_generator_consistency(g, Bounds(n_pair_each=2))
 
 
 def test_rule_needs_a_step_an_apply_direct_or_a_valuation():

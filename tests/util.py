@@ -182,6 +182,18 @@ def exact_scores(scored):
     return {c: Fraction(base + gain, scale) for c, gain in gains.items()}
 
 
+def as_sets(scored):
+    """A :meth:`Rule.scored_trace` result ``(trace, scores)`` with each
+    committee bit mask (bit c is candidate c) as the frozenset it stands for."""
+    trace, scores = scored
+
+    def members(mask):
+        return frozenset(c for c in range(mask.bit_length()) if mask >> c & 1)
+
+    sets = tuple(frozenset(map(members, level)) for level in trace)
+    return sets, None if scores is None else {members(W): s for W, s in scores.items()}
+
+
 def compute_report(rule_name, m, k, input_digest, trace, scores, table_digest=None):
     """The ``seqvote compute`` report as one dict, built the literal way: the
     oracle for the CLI's compute writers, which render ``(trace, scores)``

@@ -13,7 +13,9 @@ stdout and stderr of
   seeded random profiles (m 3..6) and tie-heavy ones (one voter per
   singleton, cyclic pairs, everyone approving everything), at k in
   {0, 1, m/2, m}, and on the tie-heavy singletons and cyclic pairs at m=12
-  and k=3, where candidates have two digits, plus ``compute table --table``
+  and k=3, where candidates have two digits, and on the benchmark's tie
+  shapes at full depth (singletons at m=12, k=6 and cyclic pairs at m=14,
+  k=7) for ``seqav`` and ``seqpav``, plus ``compute table --table``
   on one valid counting-table file of each arity, h(x), h(x,y) and h(x,y,z)
   (all with h(0, ...) != 0 and non-unit denominators), and on one invalid
   table of each arity (exit 2);
@@ -37,8 +39,9 @@ stdout and stderr of
 - ``seqvote witness <construction> <table> --m <m>`` for every
   construction, named table and m in {3, 4, 6};
 - error runs: an unknown witness construction (argparse usage error), a
-  committee size out of range, a ``compute --branch-cap`` that is hit, and
-  an ``axioms`` universe over its cap;
+  committee size out of range, a ``compute --branch-cap`` that is hit, one
+  hit at the last level of the m=12 singletons (cap 923 < C(12, 6)), and an
+  ``axioms`` universe over its cap;
 
 then diffs the two sets, prints how many outputs were compared and which
 differ, and exits 1 if any does.
@@ -124,6 +127,15 @@ def two_digit_profiles() -> dict[str, str]:
     }
 
 
+def full_depth_profiles() -> dict[str, tuple[str, int]]:
+    """The benchmark's tie-heavy profiles with the k they are run at, where
+    thousands of parents tie: ``(text, k)`` by name."""
+    return {
+        "singletons-m12": (profile_text(12, [[c] for c in range(12)]), 6),
+        "cyclic-pairs-m14": (profile_text(14, [[c, (c + 1) % 14] for c in range(14)]), 7),
+    }
+
+
 def cases(workdir: Path):
     """``(name, argv)`` for every output to compare."""
     from seqvote import catalog, witnesses
@@ -156,6 +168,13 @@ def cases(workdir: Path):
             argv = ["compute", rule, str(path), "3"]
             yield f"compute-{rule}-{name}-k3", argv
             yield f"compute-{rule}-{name}-k3-pretty", argv + ["--pretty"]
+    for name, (text, k) in full_depth_profiles().items():
+        path = workdir / f"{name}-full.txt"
+        path.write_text(text)
+        for rule in ("seqav", "seqpav"):
+            argv = ["compute", rule, str(path), str(k)]
+            yield f"compute-{rule}-{name}-k{k}", argv
+            yield f"compute-{rule}-{name}-k{k}-pretty", argv + ["--pretty"]
     for rule in catalog.RULE_NAMES:
         for n in ("2", "3"):
             yield f"axioms-{rule}-n{n}", ["axioms", rule, "all", "--max-voters", n]
@@ -186,6 +205,8 @@ def cases(workdir: Path):
     yield "error-witness-unknown", ["witness", "T9", "seqav"]
     yield "error-compute-k-range", ["compute", "seqav", singletons, "99"]
     yield "error-compute-branch-cap", ["compute", "seqav", singletons, "4", "--branch-cap", "20"]
+    argv = ["compute", "seqav", str(workdir / "singletons-m12-full.txt"), "6", "--branch-cap", "923"]
+    yield "error-compute-branch-cap-last-level", argv
     for table_name in invalid:
         argv = ["compute", "table", str(table_profile), "1", "--table", str(tables[table_name])]
         yield f"error-compute-{table_name}", argv
