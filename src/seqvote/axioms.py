@@ -40,12 +40,12 @@ whose union of a pair is the item ``sorted(a + b)``, and the item with its
 voter-id offset for an id-sensitive one.  A derived generator reads an
 item's row off the item's trace in its rule's cache (:func:`_derived_row`),
 for every rule, and the row of a profile outside the universe off a trace
-of its own: from summed gains with gain rows, else on candidate masks over
-the rule's choices (:func:`_traced_row`).  Any other generator's choices
-are candidate masks, evaluated one committee at a time.  No committee of
-size m - 1 is searched, since its one outside candidate x leaves every
-choice there empty or ``{x}``, so the intersection and the combined choice
-cannot both be non-empty and differ.
+of its own: from summed gains with gain rows, else the rule's own
+:meth:`Rule.trace_uncached`, whose errors it raises.  Any other
+generator's choices are candidate masks, evaluated one committee at a
+time.  No committee of size m - 1 is searched, since its one outside
+candidate x leaves every choice there empty or ``{x}``, so the
+intersection and the combined choice cannot both be non-empty and differ.
 
 Candidate symmetry is used once.  A rule with gain rows commutes with
 every relabeling by construction, so its monotonicity,
@@ -63,9 +63,9 @@ Anonymity is never reduced.
 The rule's trace cache holds what several checks share, the items of a
 universe.  A profile built for one comparison (the union of a pair, B
 renumbered above A, a replicated ``jA + B``, a clone-proportionality
-profile, an id-shifted profile) is stepped outside the cache, by the trace
-on masks or :meth:`Rule.trace_uncached`, extended level by level where a
-cached trace would have been, and dropped; with gain rows, none is built.
+profile, an id-shifted profile) is stepped outside the cache, by
+:meth:`Rule.trace_uncached`, extended level by level where a cached trace
+would have been, and dropped; with gain rows, none is built.
 Enumeration order is canonical throughout, so the first witness found is
 deterministic, and every universe is capped: one over its cap raises
 :class:`seqvote.oracle.EnumerationCapError` before it yields anything.
@@ -87,7 +87,6 @@ from typing import Callable, Iterable, Iterator
 from .counting import Valuation
 from .engine import (
     TRACE_CACHE_SIZE,
-    BranchCapError,
     Family,
     GeneratorFunction,
     Rule,
@@ -737,68 +736,6 @@ def _derived_row(trace: tuple[Family, ...], index: dict[frozenset, int], m: int)
     return out
 
 
-def _growth(m: int) -> list[tuple[tuple[int, int, int], ...]]:
-    """Per committee of :func:`all_committees` ``(m, m - 2)``, in order, one
-    ``(candidate bit, child bit, row bit)`` per candidate c outside it: c's
-    bit in a choice mask, the bit of the child W + c in a family mask over
-    :func:`all_committees` ``(m, m - 1)``, and the bit of (W, c) in a choice
-    row, as :func:`_derived_row` lays rows out."""
-    family = all_committees(m, m - 1)
-    where = {W: j for j, W in enumerate(family)}
-    return [
-        tuple((1 << c, 1 << where[W | {c}], 1 << (i * m + c)) for c in range(m) if c not in W)
-        for i, W in enumerate(all_committees(m, m - 2))
-    ]
-
-
-def _traced_row(
-    choice: Callable[[int], int],
-    k: int,
-    branch_cap: int,
-    growth: list[tuple[tuple[int, int, int], ...]],
-) -> int:
-    """The row :func:`_derived_row` reads off the trace ``(f(A,0), ...,
-    f(A,k))``, ``k < m``, of the step whose choice at the i-th committee of
-    :func:`all_committees` ``(m, m - 2)`` is the candidate mask
-    ``choice(i)``, traced on masks with the layout of :func:`_growth`: a
-    family is the list of its committees' indices, and W's derived choice
-    is every c whose W + c is in the next family, through any parent.
-
-    The errors are :func:`seqvote.engine.step_trace`'s, level by level: an
-    empty choice raises its :class:`ValueError`, and so does any error
-    ``choice`` raises, and a level of more than ``branch_cap`` committees
-    raises :class:`BranchCapError`.  The cap is checked once the level is
-    complete, so where one level holds both a failing choice and more
-    committees than the cap, the failing choice's error is raised, as
-    ``step_trace`` raises it.  Only between two failing choices of one level
-    can the two differ: this trace steps a level in committee order,
-    ``step_trace`` in the order of its set.
-    """
-    out = 0
-    family = [0]  # the committees' indices, in order: f(A, 0) = {{}}
-    for _ in range(k):
-        grown = 0  # the next family, one bit per committee
-        for i in family:
-            chosen = choice(i)
-            if not chosen:
-                raise ValueError("generator step returned no candidates mid-run")
-            for bit, child, _ in growth[i]:
-                if chosen & bit:
-                    grown |= child
-        if grown.bit_count() > branch_cap:
-            raise BranchCapError(f"more than {branch_cap} tied committees")
-        for i in family:
-            for _, child, row_bit in growth[i]:
-                if grown & child:
-                    out |= row_bit
-        family = []
-        while grown:
-            low = grown & -grown
-            family.append(low.bit_length() - 1)
-            grown ^= low
-    return out
-
-
 def _pairs(
     universe: ProfileUniverse, reduced: bool, ordered: bool
 ) -> Iterator[tuple[tuple[int, ...], Iterable[tuple[int, ...]]]]:
@@ -855,10 +792,10 @@ def _consistency_witness(g: GeneratorFunction, n: int) -> dict | None:
     which no cap of at least 1 refuses.  A profile outside the universe (B
     renumbered above A, a larger union) is traced for its one comparison to
     the largest size its row needs: with gain rows from the sum of its
-    sides' gains, with no profile built; with a step on masks over the
-    step's choices (:func:`_traced_row`, with the rule's ``branch_cap``);
-    without one by :meth:`Rule.trace_uncached`.  Any other generator reads
-    one mask per committee index off its ``fn``, evaluated on first use.
+    sides' gains, with no profile built, and else by
+    :meth:`Rule.trace_uncached`, so the pass raises the error the rule's
+    own trace raises there.  Any other generator reads one mask per
+    committee index off its ``fn``, only at the committees the row needs.
     With gain rows A and B range over orbit representatives
     (:func:`_orbits` says why that finds the first witness in canonical
     order).
@@ -875,7 +812,6 @@ def _consistency_witness(g: GeneratorFunction, n: int) -> dict | None:
     width = len(committees)
     index = {W: i for i, W in enumerate(committees)}
     inside = [sum(1 << c for c in W) for W in committees]
-    growth = _growth(m)
     field = (1 << m) - 1
     # the top bit of every field, and the bits below it
     high = sum(1 << (i * m + m - 1) for i in range(width))
@@ -888,48 +824,31 @@ def _consistency_witness(g: GeneratorFunction, n: int) -> dict | None:
 
     ballots = universe.ballots
     masks: dict[frozenset, int] = {}  # each choice set's bit mask
-    step = g.fn if rule is None else rule.step
-
-    def choices(p: Profile) -> Callable[[int], int]:
-        """``choice(i)``: the mask of ``step(p, W)`` for the i-th committee W,
-        evaluated on first use; a member of W in it raises ValueError."""
-        got: list[int | None] = [None] * width
-
-        def choice(i: int) -> int:
-            mask = got[i]
-            if mask is None:
-                chosen = frozenset(step(p, committees[i]))
-                mask = masks.get(chosen)
-                if mask is None:
-                    mask = masks[chosen] = sum(1 << c for c in chosen)
-                if mask & inside[i]:
-                    W = committees[i]
-                    raise ValueError(
-                        f"generator chose {sorted(chosen & W)} from inside the committee {sorted(W)}"
-                    )
-                got[i] = mask
-            return mask
-
-        return choice
+    step = g.fn
 
     def choice_row(p: Profile, wanted: int = -1) -> int:
         """The row of ``g`` on ``p`` at the committees whose field in
         ``wanted`` is non-zero (all by default); the other fields may read 0."""
-        if rule is None:
-            choice = choices(p)
-            out = 0
-            tops = high if wanted < 0 else nonzero(wanted)
-            while tops:
-                top = tops & -tops
-                tops ^= top
-                i = top.bit_length() // m - 1
-                out |= choice(i) << (i * m)
-            return out
-        top = width - 1 if wanted < 0 else (wanted.bit_length() - 1) // m
-        k = len(committees[top]) + 1
-        if step is None:
-            return _derived_row(rule.trace_uncached(p, k), index, m)
-        return _traced_row(choices(p), k, rule.branch_cap, growth)
+        if rule is not None:
+            top = width - 1 if wanted < 0 else (wanted.bit_length() - 1) // m
+            return _derived_row(rule.trace_uncached(p, len(committees[top]) + 1), index, m)
+        out = 0
+        tops = high if wanted < 0 else nonzero(wanted)
+        while tops:
+            top = tops & -tops
+            tops ^= top
+            i = top.bit_length() // m - 1
+            chosen = frozenset(step(p, committees[i]))
+            mask = masks.get(chosen)
+            if mask is None:
+                mask = masks[chosen] = sum(1 << c for c in chosen)
+            if mask & inside[i]:
+                W = committees[i]
+                raise ValueError(
+                    f"generator chose {sorted(chosen & W)} from inside the committee {sorted(W)}"
+                )
+            out |= mask << (i * m)
+        return out
 
     rows = None if rule is None else gain_rows(rule)
     trace_item = None if rule is None else _item_tracer(rule, _universe(rule, n), rows)

@@ -9,9 +9,9 @@ Every table-backed score comes from one integer pass over the distinct
 ballots, :func:`_scored_gains`, on a committee's bit mask (bit c is
 candidate c): at a level with denominator ``D``, ``W + {c}`` scores ``(base
 + gain) / D``.  The public steps and scores go through it, as does
-:meth:`Rule.scored_trace`, which traces on masks and hands ``base``,
-``gain`` and ``D`` on unreduced; only a custom ``fn`` valuation is
-scored extension by extension.
+:meth:`Rule.scored_trace`, which traces a rule stepping by its valuation on
+masks and hands ``base``, ``gain`` and ``D`` on unreduced; only a custom
+``fn`` valuation is scored extension by extension, once per parent.
 """
 
 from __future__ import annotations
@@ -79,51 +79,48 @@ def _scored_gains(
 
 
 def _scaled_gains(
-    valuation: Valuation, profile: Profile, committee: frozenset[int]
+    valuation: Valuation, profile: Profile, committee: int
 ) -> tuple[int, dict[int, int | Fraction], int]:
-    """``(base, gains, D)``: ``W + {c}`` scores ``(base + gains[c]) / D``,
-    from :func:`_scored_gains` at size ``|W| + 1``; a custom ``fn``
-    valuation scores each extension outright: ``(0, scores, 1)``."""
-    mask = sum(map(_BIT, committee))
+    """``(base, gains, D)`` of the committee W with bit mask ``committee``:
+    ``W + {c}`` scores ``(base + gains[c]) / D``, from :func:`_scored_gains`
+    at size ``|W| + 1``; a custom ``fn`` valuation scores each extension
+    outright: ``(0, scores, 1)``."""
     if valuation.counting is None:
-        outside = _outside(profile, mask)
-        return 0, {c: committee_score(valuation, profile, committee | {c}) for c in outside}, 1
-    level = valuation.level(len(committee) + 1, profile.m)
-    return (*_scored_gains(level, profile, mask), level.denominator)
+        outside = _outside(profile, committee)
+        W = frozenset(c for c in range(profile.m) if committee >> c & 1)
+        return 0, {c: committee_score(valuation, profile, W | {c}) for c in outside}, 1
+    level = valuation.level(committee.bit_count() + 1, profile.m)
+    return (*_scored_gains(level, profile, committee), level.denominator)
 
 
 def extension_scores(
     valuation: Valuation, profile: Profile, committee: frozenset[int]
 ) -> dict[int, Fraction]:
     """Exact scores of ``W + {c}`` for every candidate ``c`` outside ``W``."""
-    base, gains, scale = _scaled_gains(valuation, profile, frozenset(committee))
+    base, gains, scale = _scaled_gains(valuation, profile, sum(map(_BIT, committee)))
     return {c: Fraction(base + gain, scale) for c, gain in gains.items()}
 
 
 def extension_gains(
     valuation: Valuation, profile: Profile, committee: frozenset[int]
 ) -> dict[int, int | Fraction]:
-    """The scores of ``W + {c}`` up to an offset and a positive factor.
-
-    For a table-backed valuation these are the level's integer gains of
-    score ``(base + gain) / D``, where ``base`` depends on the profile and
-    ``D`` only on ``|W|`` and m, so gains compare exactly across profiles.
-    Other valuations get their exact scores.
-    """
-    return _scaled_gains(valuation, profile, frozenset(committee))[1]
+    """The scores of ``W + {c}`` up to an offset and a positive factor: for
+    a table-backed valuation the level's integer gains of score ``(base +
+    gain) / D``, where ``base`` depends on the profile and ``D`` only on
+    ``|W|`` and m, so gains compare exactly across profiles; for any other
+    valuation its exact scores."""
+    return _scaled_gains(valuation, profile, sum(map(_BIT, committee)))[1]
 
 
 def generator_step(
     valuation: Valuation, profile: Profile, committee: frozenset[int]
 ) -> frozenset[int]:
-    """All candidates whose addition maximizes the committee score.
-
-    This is the generator function of the sequential rule induced by
-    ``valuation``: complete (never empty for a proper committee) and, since
-    scores add over disjoint electorates, consistent.  A table-backed
-    valuation takes one weighted approval step under the counting
-    function's forward differences, on integers, so the tie is exact.
-    """
+    """All candidates whose addition maximizes the committee score: the
+    generator function of the sequential rule induced by ``valuation``,
+    complete (never empty for a proper committee) and, since scores add over
+    disjoint electorates, consistent.  A table-backed valuation takes one
+    weighted approval step on the counting function's forward differences,
+    on integers, so the tie is exact."""
     return _argmax(extension_gains(valuation, profile, committee))
 
 
@@ -309,35 +306,38 @@ class Rule:
         ``trace[j]`` is f(A, j) as a frozenset of masks, and ``scores[W] =
         (base, gains, D)`` for each W of levels 0..k-1: ``W + {c}`` scores
         ``(base + gains[c]) / D`` for each ``c`` outside W, in increasing
-        order (integers for a table valuation, ``(0, scores, 1)`` for an
-        ``fn`` one; None without a valuation).  A rule stepping by a table
-        valuation is traced here, on the gains that score W (its steps never
-        fail, so its cap fires as in :func:`step_trace`); any other rule by
-        :meth:`trace`, its committees scored afterwards."""
+        order (:func:`_scaled_gains`; None without a valuation).  A rule
+        stepping by its valuation is traced here, on the gains that score
+        each parent once, and raises as :func:`step_trace` does; any other
+        rule by :meth:`trace`, its committees scored afterwards."""
         if profile.m != self.m:
             raise ValueError(f"profile has m={profile.m}, rule expects m={self.m}")
         if not 0 <= k <= self.m:
             raise ValueError(f"committee size {k} outside 0..{self.m}")
         valuation, cap = self.valuation, self.branch_cap
-        if not self._steps_by_valuation or valuation.counting is None:
+        if not self._steps_by_valuation:
             trace = self.trace(profile, k)
             mask = {W: sum(map(_BIT, W)) for level in trace for W in level}
             masks = tuple(frozenset(map(mask.get, level)) for level in trace)
             if valuation is None:
                 return masks, None
-            return masks, {mask[W]: _scaled_gains(valuation, profile, W) for W in mask if len(W) < k}
+            return masks, {X: _scaled_gains(valuation, profile, X) for F in masks[:k] for X in F}
         scores: dict[int, tuple[int, dict, int]] = {}
         families = [frozenset({0})]
         for size in range(1, k + 1):
-            level = valuation.level(size, self.m)
+            level = None if valuation.counting is None else valuation.level(size, self.m)
             frontier: set[int] = set()
             for W in families[-1]:
-                base, gains = _scored_gains(level, profile, W)
-                scores[W] = base, gains, level.denominator
-                best = max(gains.values())
-                frontier.update([W | 1 << c for c, gain in gains.items() if gain == best])
-                if len(frontier) > cap:
-                    raise BranchCapError(f"more than {cap} tied committees")
+                if level is None:
+                    _, gains, _ = scores[W] = _scaled_gains(valuation, profile, W)
+                else:
+                    base, gains = _scored_gains(level, profile, W)
+                    scores[W] = base, gains, level.denominator
+                if len(frontier) <= cap:
+                    best = max(gains.values())
+                    frontier.update([W | 1 << c for c, gain in gains.items() if gain == best])
+            if len(frontier) > cap:
+                raise BranchCapError(f"more than {cap} tied committees")
             families.append(frozenset(frontier))
         return tuple(families), scores
 

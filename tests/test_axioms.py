@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 from functools import partial
 from operator import add
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -736,7 +735,8 @@ def test_one_pass_matches_each_generator_alone(name, m):
 
 
 def test_voter1_doubled_at_four_candidates():
-    # the id-sensitive pass on masks at m = 4, for each generator
+    # the id-sensitive pass at m = 4, for each generator: the derived one
+    # reads the row of every B renumbered above A off the rule's own trace
     rule = make("voter1-doubled-seqav", 4)
     for g in (step_generator(rule), derived_generator(rule)):
         report = check_generator_consistency(g, Bounds(n_pair_each=2))
@@ -901,74 +901,13 @@ def test_each_unordered_pair_is_visited_once(monkeypatch):
     assert len(pairs) == 2733 - 1114
 
 
-TRACED_ROW = axioms._traced_row  # the mask trace, also where a test replaces it
-
-
-def _by_step_trace(choice, m, k, cap):
-    """The row ``step_trace`` gives for a step that chooses the mask
-    ``choice(i)`` at the i-th committee, whatever the profile."""
-    index = {W: i for i, W in enumerate(all_committees(m, m - 2))}
-
-    def step(_, W):
-        return frozenset(c for c in range(m) if choice(index[W]) >> c & 1)
-
-    return derived_row_by_step_trace(step, Profile.from_ballots(m, [range(m)]), k, cap)
-
-
-def _compare_traced_row(choice, m, k, cap):
-    """``(new, old)``: the outcomes of :func:`axioms._traced_row` on the
-    choice masks ``choice`` and of the row ``step_trace`` gives for the same
-    choices, after checking that they agree.
-
-    Both trace level by level, so they fail first at the same level, and
-    both let a failing choice outrank a frontier over the cap.  They step a
-    level's committees in different orders, committee order and the order
-    of ``step_trace``'s set, so where one level holds two failing choices,
-    they may report different ones; both are ValueErrors.
-    """
-    growth = axioms._growth(m)
-
-    def new(j, cap):
-        return _outcome(TRACED_ROW, choice, j, cap, growth)
-
-    def old(j, cap):
-        return _outcome(_by_step_trace, choice, m, j, cap)
-
-    got, expected = new(k, cap), old(k, cap)
-    if got != expected:
-        level = next(j for j in range(1, k + 1) if isinstance(old(j, cap), str))
-        assert [isinstance(new(j, cap), str) for j in range(1, level + 1)] == [False] * (level - 1) + [True]
-        assert got.startswith("ValueError")
-        assert old(level, DEFAULT_BRANCH_CAP).startswith("ValueError")
-    return got, expected
-
-
 CAPS = st.integers(1, 3) | st.just(DEFAULT_BRANCH_CAP)
-
-
-@pytest.mark.parametrize("m", (2, 3, 4))
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_mask_trace_matches_step_trace(m, data):
-    # a choice per committee: outsiders, ties included, or, for a failing
-    # step, possibly none
-    failing = data.draw(st.booleans())
-    masks = []
-    for W in all_committees(m, m - 2):
-        outside = [c for c in range(m) if c not in W]
-        chosen = data.draw(st.sets(st.sampled_from(outside), min_size=0 if failing else 1))
-        masks.append(sum(1 << c for c in chosen))
-    k, cap = data.draw(st.integers(1, m - 1)), data.draw(CAPS)
-    got, _ = _compare_traced_row(masks.__getitem__, m, k, cap)
-    if not failing and cap == DEFAULT_BRANCH_CAP:
-        assert isinstance(got, int)
 
 
 def test_a_failing_choice_outranks_an_overflow_at_its_level():
     # at size 2, one committee of f(A, 1) has three children, over the cap
-    # of 2, and the other chooses nothing: step_trace and the mask trace
-    # both report the empty choice, whatever order step_trace's set steps
-    # the level in
+    # of 2, and the other chooses nothing: step_trace reports the empty
+    # choice, whatever order its set steps the level in
     m = 4
     index = {W: i for i, W in enumerate(all_committees(m, m - 2))}
     profile = Profile.from_ballots(m, [range(m)])
@@ -976,12 +915,11 @@ def test_a_failing_choice_outranks_an_overflow_at_its_level():
         masks = [0] * len(index)
         masks[index[frozenset()]] = 1 << wide | 1 << empty
         masks[index[frozenset({wide})]] = ((1 << m) - 1) ^ 1 << wide
-        got, expected = _compare_traced_row(masks.__getitem__, m, 2, 2)
-        assert got == expected == "ValueError: generator step returned no candidates mid-run"
 
         def step(_, W, masks=masks):
             return frozenset(c for c in range(m) if masks[index[W]] >> c & 1)
 
+        expected = "ValueError: generator step returned no candidates mid-run"
         assert _outcome(step_trace, step, profile, 2, 2) == expected
         # one level down, with no failing choice left, the cap fires
         masks[index[frozenset({empty})]] = 1 << wide
@@ -1015,46 +953,72 @@ def _random_step(seed, id_sensitive, failing):
     return step
 
 
-def _pass_outcome(rule, g, traced_row):
-    """The rendered report of the consistency pass over the generator ``g``
-    of ``rule`` with ``_traced_row`` replaced by ``traced_row``, or the
-    error it raises."""
-    rule._traces.clear()
-    with mock.patch.object(axioms, "_traced_row", traced_row):
-        out = _outcome(check_generator_consistency, g, Bounds(n_pair_each=2))
-    return out if isinstance(out, str) else render_report(out)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32), id_sensitive=st.booleans(), failing=st.booleans(), cap=CAPS
 )
-def test_mask_trace_in_the_consistency_pass(seed, id_sensitive, failing, cap):
+def test_random_steps_in_the_consistency_pass(seed, id_sensitive, failing, cap):
+    # the rule's own step, then its derived generator, as the suite runs
+    # them: a pass raises only what a trace or a checked choice raises, a
+    # step that never fails raises only the cap, and where it and the naive
+    # search both finish, they give one witness
     m = 3
     step = _random_step(seed, id_sensitive, failing)
     rule = Rule("random", m, "zoo", step=step, id_sensitive=id_sensitive, branch_cap=cap)
-    ambiguous = []
-
-    def checked(choice, k, cap, growth):  # each row checked, then the mask trace's
-        got, expected = _compare_traced_row(choice, m, k, cap)
-        ambiguous.append(got != expected)
-        return TRACED_ROW(choice, k, cap, growth)
-
-    def by_step_trace(choice, k, cap, growth):
-        return _by_step_trace(choice, m, k, cap)
-
-    # the rule's own step, then its derived generator, as the suite runs
-    # them; the derived pass evaluates its choices in the trace's order
     for g in (step_generator(rule), derived_generator(rule)):
-        ambiguous.clear()
-        got = _pass_outcome(rule, g, checked)
-        expected = _pass_outcome(rule, g, by_step_trace)
-        if got != expected:
-            assert any(ambiguous) and got.startswith("ValueError")
-        if not failing and cap == DEFAULT_BRANCH_CAP:  # no error: the naive search's witness
-            report = check_generator_consistency(g, Bounds(n_pair_each=2))
-            assert render_report(report) == got
-            assert render_report(report.witness) == render_report(naive_consistency_witness(g, 2))
+        got = _outcome(check_generator_consistency, g, Bounds(n_pair_each=2))
+        if failing:
+            continue
+        if isinstance(got, str):
+            assert got.startswith("BranchCapError") and cap != DEFAULT_BRANCH_CAP
+            continue
+        naive = _outcome(naive_consistency_witness, g, 2)
+        if not isinstance(naive, str):
+            assert got.verdict == ("pass-exhaustive" if naive is None else "violation")
+            assert render_report(got.witness) == render_report(naive)
+
+
+def test_a_derived_pass_raises_what_the_rules_trace_raises():
+    # An id-sensitive seqav step that, on one voter approving everything
+    # with voter id 2 (B renumbered above a one-voter A), chooses nothing
+    # at {0} and its own member at {2}.  The derived pass reads that
+    # profile's row off the rule's own trace, so it raises that trace's
+    # error, from whichever of the two its set steps first.
+    m = 3
+    av = make("seqav", m).valuation
+    probe = Profile(m, ((2, frozenset(range(m))),))
+    odd = {frozenset({0}): frozenset(), frozenset({2}): frozenset({2})}
+
+    def step(profile, W):
+        if profile.votes == probe.votes and W in odd:
+            return odd[W]
+        return generator_step(av, profile, W)
+
+    rule = Rule("probe", m, "zoo", step=step, id_sensitive=True)
+    expected = _outcome(rule.trace_uncached, probe)
+    assert expected.startswith("ValueError: generator")
+    got = _outcome(check_generator_consistency, derived_generator(rule), Bounds(n_pair_each=1))
+    assert got == expected
+
+
+def test_a_derived_pass_traces_a_union_only_as_deep_as_its_row_is_needed():
+    # An id-sensitive seqav step that chooses nothing at every committee of
+    # size 1 of one union, {0, 1} (voter 1) + {0, 2} (voter 2).  The sides'
+    # derived choices meet only at the empty committee ({0, 1} & {0, 2}),
+    # so the pass traces that union to size 1 and never meets the failure.
+    m = 3
+    av = make("seqav", m).valuation
+    union = Profile(m, ((1, frozenset({0, 1})), (2, frozenset({0, 2}))))
+
+    def step(profile, W):
+        if profile.votes == union.votes and len(W) == 1:
+            return frozenset()
+        return generator_step(av, profile, W)
+
+    rule = Rule("deep-failure", m, "zoo", step=step, id_sensitive=True)
+    assert _outcome(rule.trace_uncached, union, 2).startswith("ValueError")
+    report = check_generator_consistency(derived_generator(rule), Bounds(n_pair_each=1))
+    assert report.verdict == "pass-exhaustive"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from seqvote.counting import (
     StepCountingTable,
     StepThieleTable,
     ThieleTable,
+    Valuation,
     WeightTable,
     committee_score,
     step_scoring_valuation,
@@ -448,29 +449,67 @@ def test_scored_trace_of_rules_that_do_not_step_by_their_valuation():
 
 def test_scored_trace_raises_the_cap_where_step_trace_does():
     # Singletons at m=8 tie everywhere: level j holds C(8, j) committees, so
-    # every cap up to C(8, 4) is hit at some level of k = 4, or at none.
+    # every cap up to C(8, 4) is hit at some level of k = 4, or at none.  A
+    # custom fn valuation is traced on masks too, at the caps around each
+    # level's size; one that raises at a committee of size 4 raises there
+    # under every cap level 4 exceeds, as step_trace steps the whole level.
     m = 8
-    rule = make("seqav", m)
     profile = Profile.from_ballots(m, [[c] for c in range(m)])
-    step = partial(generator_step, rule.valuation)
+
+    def approvals(ballot, W):
+        return Fraction(len(ballot & W))
+
+    def raising(ballot, W):
+        if W == {4, 5, 6, 7}:
+            raise ValueError("no value at {4, 5, 6, 7}")
+        return approvals(ballot, W)
+
+    level_caps = sorted({j + d for j in map(partial(math.comb, m), range(1, 5)) for d in (-1, 0)})
+    cases = [(make("seqav", m).valuation, range(1, math.comb(m, 4) + 1))]
+    cases += [(Valuation(fn.__name__, fn), level_caps) for fn in (approvals, raising)]
 
     def outcome(trace, *args):
         try:
             return trace(*args)
-        except BranchCapError as exc:
-            return f"BranchCapError: {exc}"
+        except (BranchCapError, ValueError) as exc:
+            return f"{type(exc).__name__}: {exc}"
 
-    raised = 0
-    for cap in range(1, math.comb(m, 4) + 1):
-        rule.branch_cap = cap
-        for k in range(5):
-            expected = outcome(step_trace, step, profile, k, cap)
-            got = outcome(rule.scored_trace, profile, k)
-            if isinstance(got, tuple):
-                got = as_sets(got)[0]
-            assert got == expected, (cap, k)
-            raised += isinstance(got, str)
-    assert raised > 0
+    raised = set()
+    for valuation, caps in cases:
+        step = partial(generator_step, valuation)
+        for cap in caps:
+            rule = Rule("singletons", m, "zoo", valuation=valuation, branch_cap=cap)
+            for k in range(5):
+                expected = outcome(step_trace, step, profile, k, cap)
+                got = outcome(rule.scored_trace, profile, k)
+                if isinstance(got, tuple):
+                    got = as_sets(got)[0]
+                else:
+                    raised.add((valuation.name, got.split(":")[0]))
+                assert got == expected, (valuation.name, cap, k)
+    assert raised == {
+        ("seqav", "BranchCapError"), ("approvals", "BranchCapError"),
+        ("raising", "BranchCapError"), ("raising", "ValueError"),
+    }
+
+
+def test_scored_trace_scores_each_parent_of_an_fn_valuation_once(monkeypatch):
+    # candidate-a-doubled-seqav steps by a custom fn valuation: the trace
+    # that finds each parent scores its extensions, once each.  On
+    # singletons at m=5, k=4, the parents are {}, {0}, four {0, c} and six
+    # {0, c, d}, with 5, 4, 3 and 2 extensions.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return committee_score(*args)
+
+    monkeypatch.setattr(engine, "committee_score", counted)
+    rule = make("candidate-a-doubled-seqav", 5)
+    trace, scores = as_sets(rule.scored_trace(Profile.from_ballots(5, [[c] for c in range(5)]), 4))
+    assert [len(level) for level in trace] == [1, 1, 4, 6, 4]
+    assert len(scores) == 12
+    assert len(calls) == 5 + 4 + 4 * 3 + 6 * 2
 
 
 def test_step_trace_refuses_a_choice_inside_the_committee():

@@ -27,7 +27,10 @@ stdout and stderr of
   orbit, so a reduced search needs no second pass over every item), and
   ``candidate-a-doubled-seqav``, whose neutrality search falls back from
   two generating relabelings to all of S_m, and ``all --max-m 5
-  --max-voters 3`` for ``seqpav``;
+  --max-voters 3`` for ``seqpav``, and ``monotone --max-m 4 --max-voters
+  3`` for ``voter1-doubled-seqav`` and ``cc-tiebreak-seqav``, stepped rules
+  without gain rows whose derived consistency pass traces each B renumbered
+  above A, or each union larger than the universe, with the rule itself;
 - ``seqvote axioms <rule> proper --max-voters 3 --j-max 1`` for every rule:
   the continuity certificate decides the rules with a step and a valuation
   that are not id-sensitive, and the others are searched at j = 1 only
@@ -196,6 +199,9 @@ def cases(workdir: Path):
         yield f"axioms-{rule}-m4-n3", argv
     # m = 5, where the decided step(seqpav) consistency pass used to be most of the run
     yield "axioms-seqpav-m5-n3", ["axioms", "seqpav", "all", "--max-m", "5", "--max-voters", "3"]
+    for rule in ("voter1-doubled-seqav", "cc-tiebreak-seqav"):
+        argv = ["axioms", rule, "monotone", "--max-m", "4", "--max-voters", "3"]
+        yield f"axioms-{rule}-monotone-m4-n3", argv
     for construction in witnesses.CONSTRUCTIONS:
         for table_name in NAMED_TABLES:
             for m in ("3", "4", "6"):
