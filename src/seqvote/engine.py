@@ -104,23 +104,27 @@ def extension_scores(
 def extension_gains(
     valuation: Valuation, profile: Profile, committee: frozenset[int]
 ) -> dict[int, int | Fraction]:
-    """The scores of ``W + {c}`` up to an offset and a positive factor: for
-    a table-backed valuation the level's integer gains of score ``(base +
-    gain) / D``, where ``base`` depends on the profile and ``D`` only on
-    ``|W|`` and m, so gains compare exactly across profiles; for any other
-    valuation its exact scores."""
+    """The scores of ``W + {c}`` up to an offset and a positive factor.
+
+    For a table-backed valuation these are the level's integer gains of
+    score ``(base + gain) / D``, where ``base`` depends on the profile and
+    ``D`` only on ``|W|`` and m, so gains compare exactly across profiles.
+    Other valuations get their exact scores.
+    """
     return _scaled_gains(valuation, profile, sum(map(_BIT, committee)))[1]
 
 
 def generator_step(
     valuation: Valuation, profile: Profile, committee: frozenset[int]
 ) -> frozenset[int]:
-    """All candidates whose addition maximizes the committee score: the
-    generator function of the sequential rule induced by ``valuation``,
-    complete (never empty for a proper committee) and, since scores add over
-    disjoint electorates, consistent.  A table-backed valuation takes one
-    weighted approval step on the counting function's forward differences,
-    on integers, so the tie is exact."""
+    """All candidates whose addition maximizes the committee score.
+
+    This is the generator function of the sequential rule induced by
+    ``valuation``: complete (never empty for a proper committee) and, since
+    scores add over disjoint electorates, consistent.  A table-backed
+    valuation takes one weighted approval step under the counting
+    function's forward differences, on integers, so the tie is exact.
+    """
     return _argmax(extension_gains(valuation, profile, committee))
 
 
@@ -308,8 +312,9 @@ class Rule:
         ``(base + gains[c]) / D`` for each ``c`` outside W, in increasing
         order (:func:`_scaled_gains`; None without a valuation).  A rule
         stepping by its valuation is traced here, on the gains that score
-        each parent once, and raises as :func:`step_trace` does; any other
-        rule by :meth:`trace`, its committees scored afterwards."""
+        each parent once, and raises what :meth:`trace_uncached` raises (a
+        failing ``fn`` valuation is traced again there for its error); any
+        other rule by :meth:`trace`, its committees scored afterwards."""
         if profile.m != self.m:
             raise ValueError(f"profile has m={profile.m}, rule expects m={self.m}")
         if not 0 <= k <= self.m:
@@ -324,21 +329,25 @@ class Rule:
             return masks, {X: _scaled_gains(valuation, profile, X) for F in masks[:k] for X in F}
         scores: dict[int, tuple[int, dict, int]] = {}
         families = [frozenset({0})]
-        for size in range(1, k + 1):
-            level = None if valuation.counting is None else valuation.level(size, self.m)
-            frontier: set[int] = set()
-            for W in families[-1]:
-                if level is None:
-                    _, gains, _ = scores[W] = _scaled_gains(valuation, profile, W)
-                else:
-                    base, gains = _scored_gains(level, profile, W)
-                    scores[W] = base, gains, level.denominator
-                if len(frontier) <= cap:
+        try:
+            for size in range(1, k + 1):
+                level = None if valuation.counting is None else valuation.level(size, self.m)
+                frontier: set[int] = set()
+                for W in families[-1]:
+                    if level is None:
+                        _, gains, _ = scores[W] = _scaled_gains(valuation, profile, W)
+                    else:
+                        base, gains = _scored_gains(level, profile, W)
+                        scores[W] = base, gains, level.denominator
                     best = max(gains.values())
                     frontier.update([W | 1 << c for c, gain in gains.items() if gain == best])
-            if len(frontier) > cap:
-                raise BranchCapError(f"more than {cap} tied committees")
-            families.append(frozenset(frontier))
+                    if len(frontier) > cap:
+                        raise BranchCapError(f"more than {cap} tied committees")
+                families.append(frozenset(frontier))
+        except Exception:
+            if valuation.counting is None:  # an fn may fail, outranking the cap
+                self.trace_uncached(profile, k)  # raises what the rule's trace raises
+            raise
         return tuple(families), scores
 
 

@@ -961,7 +961,8 @@ def test_random_steps_in_the_consistency_pass(seed, id_sensitive, failing, cap):
     # the rule's own step, then its derived generator, as the suite runs
     # them: a pass raises only what a trace or a checked choice raises, a
     # step that never fails raises only the cap, and where it and the naive
-    # search both finish, they give one witness
+    # search both finish, they give one witness; under the default cap
+    # both must finish
     m = 3
     step = _random_step(seed, id_sensitive, failing)
     rule = Rule("random", m, "zoo", step=step, id_sensitive=id_sensitive, branch_cap=cap)
@@ -973,6 +974,7 @@ def test_random_steps_in_the_consistency_pass(seed, id_sensitive, failing, cap):
             assert got.startswith("BranchCapError") and cap != DEFAULT_BRANCH_CAP
             continue
         naive = _outcome(naive_consistency_witness, g, 2)
+        assert cap != DEFAULT_BRANCH_CAP or not isinstance(naive, str), naive
         if not isinstance(naive, str):
             assert got.verdict == ("pass-exhaustive" if naive is None else "violation")
             assert render_report(got.witness) == render_report(naive)

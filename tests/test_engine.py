@@ -493,6 +493,26 @@ def test_scored_trace_raises_the_cap_where_step_trace_does():
     }
 
 
+def test_scored_trace_raises_the_error_the_rules_trace_raises():
+    # An fn valuation that fails at every committee of size 3 fails at
+    # several parents of level 3; the error reported is the one the rule's
+    # own trace meets first, whatever order the masks of the level take.
+    def raising(ballot, W):
+        if len(W) == 3:
+            raise ValueError(f"no value at {sorted(W)}")
+        return Fraction(len(ballot & W))
+
+    for m in (4, 8):
+        profile = Profile.from_ballots(m, [[c] for c in range(m)])
+        rule = Rule("singletons", m, "zoo", valuation=Valuation("raising", raising))
+        errors = []
+        for trace in (rule.trace_uncached, rule.scored_trace):
+            with pytest.raises(ValueError) as info:
+                trace(profile, 3)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1], m
+
+
 def test_scored_trace_scores_each_parent_of_an_fn_valuation_once(monkeypatch):
     # candidate-a-doubled-seqav steps by a custom fn valuation: the trace
     # that finds each parent scores its extensions, once each.  On
