@@ -452,7 +452,9 @@ def test_scored_trace_raises_the_cap_where_step_trace_does():
     # every cap up to C(8, 4) is hit at some level of k = 4, or at none.  A
     # custom fn valuation is traced on masks too, at the caps around each
     # level's size; one that raises at a committee of size 4 raises there
-    # under every cap level 4 exceeds, as step_trace steps the whole level.
+    # under every cap level 4 exceeds, as step_trace steps the whole level,
+    # and one that raises at every committee of size 3 raises the error of
+    # the parent step_trace steps first, whatever order the masks take.
     m = 8
     profile = Profile.from_ballots(m, [[c] for c in range(m)])
 
@@ -464,9 +466,15 @@ def test_scored_trace_raises_the_cap_where_step_trace_does():
             raise ValueError("no value at {4, 5, 6, 7}")
         return approvals(ballot, W)
 
+    def raising_at_three(ballot, W):
+        if len(W) == 3:
+            raise ValueError(f"no value at {sorted(W)}")
+        return approvals(ballot, W)
+
     level_caps = sorted({j + d for j in map(partial(math.comb, m), range(1, 5)) for d in (-1, 0)})
     cases = [(make("seqav", m).valuation, range(1, math.comb(m, 4) + 1))]
-    cases += [(Valuation(fn.__name__, fn), level_caps) for fn in (approvals, raising)]
+    fns = (approvals, raising, raising_at_three)
+    cases += [(Valuation(fn.__name__, fn), level_caps) for fn in fns]
 
     def outcome(trace, *args):
         try:
@@ -490,27 +498,8 @@ def test_scored_trace_raises_the_cap_where_step_trace_does():
     assert raised == {
         ("seqav", "BranchCapError"), ("approvals", "BranchCapError"),
         ("raising", "BranchCapError"), ("raising", "ValueError"),
+        ("raising_at_three", "BranchCapError"), ("raising_at_three", "ValueError"),
     }
-
-
-def test_scored_trace_raises_the_error_the_rules_trace_raises():
-    # An fn valuation that fails at every committee of size 3 fails at
-    # several parents of level 3; the error reported is the one the rule's
-    # own trace meets first, whatever order the masks of the level take.
-    def raising(ballot, W):
-        if len(W) == 3:
-            raise ValueError(f"no value at {sorted(W)}")
-        return Fraction(len(ballot & W))
-
-    for m in (4, 8):
-        profile = Profile.from_ballots(m, [[c] for c in range(m)])
-        rule = Rule("singletons", m, "zoo", valuation=Valuation("raising", raising))
-        errors = []
-        for trace in (rule.trace_uncached, rule.scored_trace):
-            with pytest.raises(ValueError) as info:
-                trace(profile, 3)
-            errors.append(str(info.value))
-        assert errors[0] == errors[1], m
 
 
 def test_scored_trace_scores_each_parent_of_an_fn_valuation_once(monkeypatch):
