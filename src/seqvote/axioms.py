@@ -12,22 +12,18 @@ and its test oracle, a literal loop over ``jA + B``, shares none of it.
 
 Profile universes (:class:`seqvote.oracle.ProfileUniverse`) stream items,
 tuples of ballot indices: ballot multisets (non-decreasing items) for
-anonymous rules, ballot sequences for id-sensitive ones.  An item is traced
-on one of two paths, into the rule's trace cache under the key
-:meth:`Rule.trace` uses.  A rule that steps by :func:`generator_step` over a
-table-backed valuation and reads no voter ids (the seq-Thiele family,
-``seqsav``, ``av-cc-alternating``, ``clone-trusting``, ``reverse-*``) is
-traced from :class:`GainRows`: one precomputed int row per ballot, summed
-per item, so no :class:`Profile` is built and no ballot passed over; the
-same sums give generator consistency's rows and continuity's ``jA + B``
-traces and certificate gains.  Every other rule is traced by
-:meth:`Rule.trace`, which builds a :class:`Profile` from an anonymous
-item's ballot counts only on a trace-cache miss; a witness builds its
-profiles either way.  Independence of losers is decided over single drops,
-one voter dropping one approval, which settle every shrinking; only on a
-violation are all shrinkings searched, voters moving in groups (each run of
-equal indices of an anonymous item, each voter of an ordered one), for the
-first witness in canonical order.
+anonymous rules, ballot sequences for id-sensitive ones.  Every check
+traces through one :class:`_Traces`, the only code that knows whether a
+rule is traced from gain rows, summed per item with no :class:`Profile`
+built, or by stepping profiles, and which valuation certifies its
+continuity.  It traces an item into the rule's trace cache under the key
+:meth:`Rule.trace` uses, and a combination of two items (a union, a
+replicated ``jA + B``, a clone-proportionality profile) outside it; a
+witness builds its profiles either way.  Independence of losers is decided
+over single drops, one voter dropping one approval, which settle every
+shrinking; only on a violation are all shrinkings searched, voters moving
+in groups (each run of equal indices of an anonymous item, each voter of
+an ordered one), for the first witness in canonical order.
 
 Generator consistency checks one generator per pass.  A step by the
 largest score, ``partial(generator_step, valuation)``, is consistent
@@ -40,35 +36,36 @@ whose union of a pair is the item ``sorted(a + b)``, and the item with its
 voter-id offset for an id-sensitive one.  A derived generator reads an
 item's row off the item's trace in its rule's cache (:func:`_derived_row`),
 for every rule, and the row of a profile outside the universe off a trace
-of its own: from summed gains with gain rows, else the rule's own
-:meth:`Rule.trace_uncached`, whose errors it raises.  Any other
-generator's choices are candidate masks, evaluated one committee at a
-time.  No committee of size m - 1 is searched, since its one outside
+of its own, a larger union's by :meth:`_Traces.combined` and B renumbered
+above A's by :meth:`Rule.trace_uncached`, raising the rule's own errors.
+Any other generator's choices are candidate masks, evaluated one committee
+at a time.  No committee of size m - 1 is searched, since its one outside
 candidate x leaves every choice there empty or ``{x}``, so the
 intersection and the combined choice cannot both be non-empty and differ.
 
 Candidate symmetry is used once.  A rule with gain rows commutes with
 every relabeling by construction, so its monotonicity,
 generator-consistency, continuity, independence-of-losers and clone
-searches run once, over the first item of each orbit (:func:`_orbits`),
-and clone proportionality over one (bloc, c) per bloc size.  A relabeling
-maps violations to violations and errors to the same errors, so the first
-one in canonical order is the first of its orbit: the reduced search
-returns the unreduced search's first witness, or raises its error, in one
-pass.  Neutrality is decided over two relabelings that generate S_m, for
-every rule, and searches all of S_m only where they find a violation or
-raise, since they are not a prefix of the ``permutations`` order.
+searches run once, over the first item of each orbit
+(:meth:`_Traces.items`), and clone proportionality over one (bloc, c) per
+bloc size.  A relabeling maps violations to violations and errors to the
+same errors, so the first one in canonical order is the first of its
+orbit: the reduced search returns the unreduced search's first witness, or
+raises its error, in one pass.  Neutrality is decided over two relabelings
+that generate S_m, for every rule, and searches all of S_m only where they
+find a violation or raise, since they are not a prefix of the
+``permutations`` order.
 Anonymity is never reduced.
 
 The rule's trace cache holds what several checks share, the items of a
 universe.  A profile built for one comparison (the union of a pair, B
 renumbered above A, a replicated ``jA + B``, a clone-proportionality
-profile, an id-shifted profile) is stepped outside the cache, by
-:meth:`Rule.trace_uncached`, extended level by level where a cached trace
-would have been, and dropped; with gain rows, none is built.
-Enumeration order is canonical throughout, so the first witness found is
-deterministic, and every universe is capped: one over its cap raises
-:class:`seqvote.oracle.EnumerationCapError` before it yields anything.
+profile, an id-shifted profile) is traced outside the cache, by
+:meth:`_Traces.combined` or :meth:`Rule.trace_uncached`, and dropped; with
+gain rows, none is built.  Enumeration order is canonical throughout, so
+the first witness found is deterministic, and every universe is capped:
+one over its cap raises :class:`seqvote.oracle.EnumerationCapError` before
+it yields anything.
 
 Default bounds: single-profile checks search up to five voters and pairwise
 checks up to three voters per side, all configurable; the checks quantified
@@ -80,8 +77,6 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from functools import partial
-from operator import add
 from typing import Callable, Iterable, Iterator
 
 from .counting import Valuation
@@ -94,8 +89,9 @@ from .engine import (
     extension_gains,
     generator_step,
     step_generator,
+    step_valuation,
 )
-from .gains import GainRows, gain_rows, step_valuation
+from .gains import gain_rows, rule_valuation
 from .oracle import ProfileUniverse, all_ballots, all_committees, committees_of_size
 from .predicates import CLONE_AXIOMS, clone_pairs, clone_violation, proportionality_violation
 from .profiles import (
@@ -176,79 +172,113 @@ def _universe(rule: Rule, n_max: int) -> ProfileUniverse:
 # Tracing items
 
 
-def _item_tracer(
-    rule: Rule, universe: ProfileUniverse, rows: GainRows | None
-) -> Callable[..., tuple[Family, ...]]:
-    """``trace(item, k=None)``: the rule's ``(f(A,0), ..., f(A,k))`` on an
-    item of ``universe``, kept in the rule's trace cache under the key
-    :meth:`Rule.trace` uses.  With gain ``rows`` a miss is traced from the
-    item's gains instead of a profile."""
-    m = rule.m
-    if rows is None:
-        key = universe.key
-        return lambda item, k=None: rule.trace(key(item), k)
-    counts = universe.counts
+class _Traces:
+    """How every check traces ``rule`` on the items of ``universe``: from
+    the rule's :func:`seqvote.gains.gain_rows`, if it has them, with no
+    :class:`Profile` built, else by stepping profiles, a cached item's only
+    on a miss.  The valuation that certifies continuity is the one the
+    step maximizes (:func:`seqvote.gains.rule_valuation`), never one the
+    rule only carries for its scores.
+    """
 
-    def trace(item: tuple[int, ...], k: int | None = None) -> tuple[Family, ...]:
-        k = m if k is None else k
-        key = counts(item)
+    def __init__(self, rule: Rule, universe: ProfileUniverse):
+        self.rule = rule
+        self.universe = universe
+        self.rows = gain_rows(rule)
+        #: whether the searches may run over orbit representatives
+        self.reduced = self.rows is not None
+        self.valuation = rule_valuation(rule)
+
+    def items(self) -> Iterator[tuple[int, ...]]:
+        """The items a check searches: for a rule with gain rows, the first
+        item of each orbit under candidate relabeling
+        (``universe.representatives()``), and for any other rule every item.
+
+        Such a rule steps by the largest gain, and a gain reads only ``|ballot
+        & W|``, ``|ballot|`` and whether the ballot approves the candidate, so
+        ``f(tau(A), k) = tau(f(A, k))`` for every candidate relabeling tau, and
+        ``derived`` and ``step`` generators satisfy ``g(tau(A), tau(W)) =
+        tau(g(A, W))``; the universe is closed under relabeling.  Each reduced
+        check states why tau maps its violations at A to violations at tau(A).
+        Its errors map too: a trace raises :class:`BranchCapError` where a tie
+        frontier outgrows the cap, and :class:`ValueError` where a step chooses
+        nothing; tau keeps frontier sizes and empty choices, and neither
+        message names a candidate.  So an item has a violation or an error iff
+        every item of its orbit has one, and the first such item in
+        canonical order is the first of its orbit.  The search over
+        representatives reaches it having found nothing, and searches it as
+        the search over every item would: it returns the same first witness,
+        or raises the same error, in one pass.
+
+        The same argument serves the searches over other streams:
+
+        - generator consistency has one pairing rule for every anonymous
+          stream (:func:`_pairs`): A is paired only with B from A on, ``(len(b),
+          b) >= (len(a), a)``, since the test is symmetric in A and B and a
+          pair with B earlier than A is the pair (B, A), which comes earlier.
+          Reduced, each representative A is paired with the first items of the
+          orbits under the relabelings that fix A
+          (``universe.representatives(fixing=a)``) from A on.  tau maps a
+          violation or error at (A, B) to one at (tau(A), tau(B)), so the first
+          such pair with A no later than B has A the first of its orbit and B
+          the first of its orbit under A's stabilizer: its witness, or its
+          error, comes at the same pair as over every pair.  Where the
+          representatives fall back to every item (m >= 8), the rule leaves
+          each unordered pair once;
+        - clone proportionality searches ``({0, ..., s - 1}, s)`` per bloc size
+          s, the first ``(bloc, c)`` with ``|bloc| = s`` in canonical order,
+          since :func:`all_ballots` sorts ballots by size and then
+          lexicographically, and every pair of that size is in its orbit.
+
+        Anonymity and neutrality test symmetries themselves and are never
+        reduced by orbits.
+        """
+        return self.universe.representatives() if self.reduced else self.universe.items()
+
+    def __call__(self, item: tuple[int, ...], k: int | None = None) -> tuple[Family, ...]:
+        """The rule's ``(f(A,0), ..., f(A,k))`` on ``item``, kept in the
+        rule's trace cache under the key :meth:`Rule.trace` uses; with gain
+        rows a miss is traced from the item's gains instead of a profile."""
+        rule, rows = self.rule, self.rows
+        if rows is None:
+            return rule.trace(self.universe.key(item), k)
+        k = rule.m if k is None else k
+        key = self.universe.counts(item)
         hit = rule.cached(key, k)
         if hit is not None:
             return hit
         return rule.remember(key, rows.trace(rows.gains(item), k, rule.branch_cap))
 
-    return trace
+    def combined(self, a: tuple, i: int, b: tuple, j: int, k: int) -> tuple[Family, ...]:
+        """``(f(P,0), ..., f(P,k))`` of the electorate P of i copies of item
+        ``a``'s voters and j copies of item ``b``'s, outside the cache: from
+        the gains ``i * G(a) + j * G(b)`` with gain rows, else stepped on the
+        profile of the item ``a * i + b * j``, in that voter order in an
+        ordered universe and canonical in an anonymous one, as
+        :meth:`Rule.trace` keys it."""
+        rule, rows = self.rule, self.rows
+        if rows is not None:
+            gains = [i * x + j * y for x, y in zip(rows.gains(a), rows.gains(b))]
+            return rows.trace(gains, k, rule.branch_cap)
+        universe, item = self.universe, a * i + b * j
+        if universe.ordered:
+            profile = universe.profile(item)
+        else:
+            profile = Profile.from_counts(rule.m, universe.counts(item), checked=True)
+        return rule.trace_uncached(profile, k)
 
-
-# ---------------------------------------------------------------------------
-# Orbit-reduced searches
-
-
-def _orbits(universe: ProfileUniverse, rows: GainRows | None) -> Iterator[tuple[int, ...]]:
-    """The items a check searches: for a rule with gain ``rows``, the first
-    item of each orbit under candidate relabeling
-    (``universe.representatives()``), and for any other rule every item.
-
-    Such a rule steps by the largest gain, and a gain reads only ``|ballot
-    & W|``, ``|ballot|`` and whether the ballot approves the candidate, so
-    ``f(tau(A), k) = tau(f(A, k))`` for every candidate relabeling tau, and
-    ``derived`` and ``step`` generators satisfy ``g(tau(A), tau(W)) =
-    tau(g(A, W))``; the universe is closed under relabeling.  Each reduced
-    check states why tau maps its violations at A to violations at tau(A).
-    Its errors map too: a trace raises :class:`BranchCapError` where a tie
-    frontier outgrows the cap, and :class:`ValueError` where a step chooses
-    nothing; tau keeps frontier sizes and empty choices, and neither
-    message names a candidate.  So an item has a violation or an error iff
-    every item of its orbit has one, and the first such item in
-    canonical order is the first of its orbit.  The search over
-    representatives reaches it having found nothing, and searches it as
-    the search over every item would: it returns the same first witness,
-    or raises the same error, in one pass.
-
-    The same argument serves the searches over other streams:
-
-    - generator consistency has one pairing rule for every anonymous
-      stream (:func:`_pairs`): A is paired only with B from A on, ``(len(b),
-      b) >= (len(a), a)``, since the test is symmetric in A and B and a
-      pair with B earlier than A is the pair (B, A), which comes earlier.
-      Reduced, each representative A is paired with the first items of the
-      orbits under the relabelings that fix A
-      (``universe.representatives(fixing=a)``) from A on.  tau maps a
-      violation or error at (A, B) to one at (tau(A), tau(B)), so the first
-      such pair with A no later than B has A the first of its orbit and B
-      the first of its orbit under A's stabilizer: its witness, or its
-      error, comes at the same pair as over every pair.  Where the
-      representatives fall back to every item (m >= 8), the rule leaves
-      each unordered pair once;
-    - clone proportionality searches ``({0, ..., s - 1}, s)`` per bloc size
-      s, the first ``(bloc, c)`` with ``|bloc| = s`` in canonical order,
-      since :func:`all_ballots` sorts ballots by size and then
-      lexicographically, and every pair of that size is in its orbit.
-
-    Anonymity and neutrality test symmetries themselves and are never
-    reduced by orbits.
-    """
-    return universe.items() if rows is None else universe.representatives()
+    def gains(self, item: tuple, committees: Iterable[frozenset]) -> dict | None:
+        """``{X: {c: gain}}``, the extension gains of ``item``'s electorate at
+        each of ``committees`` under the valuation that certifies continuity
+        (:func:`_replications`), or None for a rule with none."""
+        rows, valuation = self.rows, self.valuation
+        if rows is not None:
+            gains = rows.gains(item)
+            return {X: rows.at(gains, X) for X in committees}
+        if valuation is None:
+            return None
+        profile = self.universe.profile(item)
+        return {X: extension_gains(valuation, profile, X) for X in committees}
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +387,7 @@ def _neutrality_witness(rule: Rule, n: int) -> dict | None:
     """
     m = rule.m
     universe = _universe(rule, n)
-    trace_item = _item_tracer(rule, universe, gain_rows(rule))
+    trace_item = _Traces(rule, universe)
 
     def search(taus: Iterable[tuple[int, ...]]) -> dict | None:
         relabelings = [(tau, universe.relabeling(tau)) for tau in taus]
@@ -398,7 +428,7 @@ def check_non_imposition(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRe
     targets = {(k, W) for k in range(1, m + 1) for W in committees_of_size(m, k)}
     found: dict[tuple[int, frozenset], Profile] = {}
     universe = _universe(rule, bounds.n_single)
-    trace_item = _item_tracer(rule, universe, gain_rows(rule))
+    trace_item = _Traces(rule, universe)
     for item in universe.items():
         trace = trace_item(item)
         for k in range(1, m + 1):
@@ -447,10 +477,6 @@ def _combined(a: Profile, j: int, b: Profile) -> Profile:
     return scaled + b.relabeled(max(scaled.voter_ids) + 1)
 
 
-def _certifiable(rule: Rule) -> bool:
-    return rule.valuation is not None and not rule.id_sensitive and rule.step is not None
-
-
 def _replications(
     m: int,
     trace: tuple[Family, ...],
@@ -466,8 +492,9 @@ def _replications(
     for every k still pending.
 
     A limit is ``j_max``, or certified by ``gains``: the extension gains of
-    A and of B at each committee of ``trace`` below the largest k, for a
-    rule that genuinely is a sequential valuation rule.  For every winning
+    A and of B at each committee of ``trace`` below the largest k, under the
+    valuation the rule's step maximizes (:func:`seqvote.gains.rule_valuation`),
+    never one it only carries for its scores.  For every winning
     committee of A and every extension outside the next winning family,
     some argmax candidate beats it by a positive exact gap; enough copies of
     A make that gap dominate whatever B contributes, which pins ``f(jA+B,
@@ -535,10 +562,10 @@ def check_continuity(
     trace = rule.trace(a, k)
     if len(trace[k]) != 1:
         raise PreconditionError("continuity needs a unique winning committee for A")
-    gains = None
-    if _certifiable(rule):
+    gains, valuation = None, rule_valuation(rule)
+    if valuation is not None:
         winners = [X for level in range(min(k, rule.m - 1)) for X in trace[level]]
-        gains = tuple({X: extension_gains(rule.valuation, p, X) for X in winners} for p in (a, b))
+        gains = tuple({X: extension_gains(valuation, p, X) for X in winners} for p in (a, b))
     limits, restored = _replications(
         rule.m, trace, [k], j_max,
         lambda j, top: rule.trace_uncached(_combined(a, j, b), top), gains,
@@ -565,16 +592,15 @@ def continuity_search(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRepor
     of work is done once: A is traced once and its extension gains are
     computed once per committee, B's gains once per committee for the whole
     search, and :func:`_replications` decides every k of a pair at once,
-    tracing each ``jA + B`` from its ballot indices (the item ``a * j +
-    b``).  A rule with gain rows (:class:`GainRows`) reads A's and B's gains
-    off them and traces ``jA + B`` from ``j * G(A) + G(B)``.  On an
+    tracing each ``jA + B`` once for all pending k (:meth:`_Traces.combined`,
+    which also gives the gains, :meth:`_Traces.gains`).  On an
     ``inconclusive`` instance the report carries the witness and note
     :func:`check_continuity` gives for it.
 
     For a rule with gain rows, A ranges over orbit representatives
-    (:func:`_orbits`), B over every item.  A relabeling tau maps ``f(A, k)``
-    and ``f(jA + B, k)`` to ``f(tau(A), k)`` and ``f(j tau(A) + tau(B),
-    k)``, and permutes the extension gains behind the certified limits, so
+    (:meth:`_Traces.items`), B over every item.  A relabeling tau maps
+    ``f(A, k)`` and ``f(jA + B, k)`` to ``f(tau(A), k)`` and ``f(j tau(A) +
+    tau(B), k)``, and permutes the extension gains behind the certified limits, so
     the pair (tau(A), tau(B)) has the same limits and minimal replication
     counts as (A, B); as B ranges over every item, so does tau(B).  So the
     first A with an instance no count restores is a representative, and the
@@ -590,38 +616,22 @@ def continuity_search(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRepor
     m = rule.m
     universe = _universe(rule, bounds.n_continuity)
     others = list(_universe(rule, bounds.n_continuity_other).items())
-    rows = gain_rows(rule)
-    trace_item = _item_tracer(rule, universe, rows)
-    certified = _certifiable(rule)
-    if rows is not None:
-        gains_b = [{X: rows.at(rows.gains(b), X) for X in rows.slots} for b in others]
-    elif certified:
-        v = rule.valuation
-        committees = all_committees(m, m - 2)
-        gains_b = [
-            {X: extension_gains(v, universe.profile(b), X) for X in committees} for b in others
-        ]
+    traces = _Traces(rule, universe)
+    committees = all_committees(m, m - 2)
+    gains_b = [traces.gains(b, committees) for b in others]
     worst, beyond = 0, False
-    for a in _orbits(universe, rows):
-        trace = trace_item(a)
+    for a in traces.items():
+        trace = traces(a)
         singleton_ks = [k for k in range(1, m + 1) if len(trace[k]) == 1]
         if not singleton_ks:
             continue
         winners = [X for level in range(min(singleton_ks[-1], m - 1)) for X in trace[level]]
-        if rows is not None:
-            g_a = rows.gains(a)
-            gains_a = {X: rows.at(g_a, X) for X in winners}
-        elif certified:
-            profile_a = universe.profile(a)
-            gains_a = {X: extension_gains(v, profile_a, X) for X in winners}
-        for ib, b in enumerate(others):
-            if rows is not None:
-                replicated = partial(_replicated_from_gains, rule, rows, g_a, rows.gains(b))
-            else:
-                replicated = partial(_replicated_from_items, rule, universe, a, b)
+        gains_a = traces.gains(a, winners)
+        for b, g_b in zip(others, gains_b):
             limits, restored = _replications(
-                m, trace, singleton_ks, bounds.j_max, replicated,
-                (gains_a, gains_b[ib]) if certified else None,
+                m, trace, singleton_ks, bounds.j_max,
+                lambda j, top: traces.combined(a, j, b, 1, top),
+                None if gains_a is None else (gains_a, g_b),
             )
             k = next(
                 (k for k in singleton_ks if k not in restored and limits[k] <= bounds.j_max),
@@ -643,20 +653,6 @@ def continuity_search(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRepor
     return AxiomReport("continuity", rule.name, "pass", used, note=f"{EXISTENTIAL_NOTE}; {seen}")
 
 
-def _replicated_from_items(
-    rule: Rule, universe: ProfileUniverse, a: tuple, b: tuple, j: int, k: int
-) -> tuple[Family, ...]:
-    """``f(jA + B, 0..k)`` traced on the item of j copies of A's voters, then B's."""
-    return rule.trace_uncached(universe.profile(a * j + b), k)
-
-
-def _replicated_from_gains(
-    rule: Rule, rows: GainRows, g_a: list[int], g_b: list[int], j: int, k: int
-) -> tuple[Family, ...]:
-    """``f(jA + B, 0..k)`` traced from the gains ``j * G(A) + G(B)``."""
-    return rows.trace([j * x + y for x, y in zip(g_a, g_b)], k, rule.branch_cap)
-
-
 # ---------------------------------------------------------------------------
 # Committee monotonicity / generator consistency
 
@@ -673,16 +669,15 @@ def _monotonicity_witness(rule: Rule, n: int) -> dict | None:
     parent one size down, or of f(A, k - 1) with no winning extension one
     size up, or None.
 
-    Searched on orbit representatives (:func:`_orbits`): a relabeling tau
-    maps W to tau(W) in f(tau(A), k) = tau(f(A, k)), and W's parents and
+    Searched on orbit representatives (:meth:`_Traces.items`): a relabeling
+    tau maps W to tau(W) in f(tau(A), k) = tau(f(A, k)), and W's parents and
     extensions to tau(W)'s, so a violation at A is one at tau(A).
     """
     m = rule.m
     universe = _universe(rule, n)
-    rows = gain_rows(rule)
-    trace_item = _item_tracer(rule, universe, rows)
-    for item in _orbits(universe, rows):
-        trace = trace_item(item)
+    traces = _Traces(rule, universe)
+    for item in traces.items():
+        trace = traces(item)
         for k in range(1, m + 1):
             for W in trace[k]:
                 if not any(W - {x} in trace[k - 1] for x in W):
@@ -711,7 +706,7 @@ def check_generator_consistency(
     on A + B, nothing scores more, and only a candidate that is an argmax
     on both sides reaches it, so g(A + B, W) = J.  Its choices lie outside
     W and are never empty below size m, so it raises no error either.
-    Eligibility is the step's identity (:func:`seqvote.gains.step_valuation`:
+    Eligibility is the step's identity (:func:`seqvote.engine.step_valuation`:
     one valuation, table or ``fn``, and no other argument), never a bounded
     run; its universe is still held to its cap.
     """
@@ -743,7 +738,7 @@ def _pairs(
     with the items B to pair it with, in order: every B for an ``ordered``
     pass, where B is renumbered above A, and else B from A on, ``(len(b),
     b) >= (len(a), a)``; ``reduced``, over orbit representatives
-    (:func:`_orbits`)."""
+    (:meth:`_Traces.items`)."""
     if reduced:
         return (
             (a, (b for b in universe.representatives(fixing=a) if (len(b), b) >= (len(a), a)))
@@ -777,7 +772,7 @@ def _consistency_witness(g: GeneratorFunction, n: int) -> dict | None:
     rows of items if it is one, else among the rows of unions, at most
     :data:`TRACE_CACHE_SIZE`, oldest evicted first.  The test is symmetric
     in A and B and so is the union, so only pairs with A no later than B
-    are visited (:func:`_orbits`).  For an id-sensitive generator B is
+    are visited (:func:`_pairs`).  For an id-sensitive generator B is
     renumbered above A, and every pair is visited.  The union is built from
     vote tuples, A's ``(1, ballot)``, ... followed by B's shifted by
     ``len(a)``, each kept per ``(offset, item)`` and shared with B's own
@@ -785,20 +780,19 @@ def _consistency_witness(g: GeneratorFunction, n: int) -> dict | None:
     and B intersect, and not kept.
 
     A derived generator reads the row of an item of the universe, a union
-    that is one included, off the item's trace in its rule's cache
-    (:func:`_item_tracer`, which the single-profile checks share), with
+    that is one included, off the item's trace in its rule's cache (its
+    :class:`_Traces`, as the single-profile checks trace it), with
     :func:`_derived_row`, for every rule.  The trace runs to size m, as
     theirs do; with gain rows its last level is the full committee alone,
-    which no cap of at least 1 refuses.  A profile outside the universe (B
-    renumbered above A, a larger union) is traced for its one comparison to
-    the largest size its row needs: with gain rows from the sum of its
-    sides' gains, with no profile built, and else by
+    which no cap of at least 1 refuses.  A profile outside the universe is
+    traced for its one comparison to the largest size its row needs: a
+    larger union by :meth:`_Traces.combined`, B renumbered above A by
     :meth:`Rule.trace_uncached`, so the pass raises the error the rule's
     own trace raises there.  Any other generator reads one mask per
     committee index off its ``fn``, only at the committees the row needs.
     With gain rows A and B range over orbit representatives
-    (:func:`_orbits` says why that finds the first witness in canonical
-    order).
+    (:meth:`_Traces.items` says why that finds the first witness in
+    canonical order).
     """
     m = g.m
     if m < 2:
@@ -850,8 +844,7 @@ def _consistency_witness(g: GeneratorFunction, n: int) -> dict | None:
             out |= mask << (i * m)
         return out
 
-    rows = None if rule is None else gain_rows(rule)
-    trace_item = None if rule is None else _item_tracer(rule, _universe(rule, n), rows)
+    traces = None if rule is None else _Traces(rule, _universe(rule, n))
     votes: dict[tuple, tuple] = {}  # (offset, item) -> its votes, ids from offset + 1
 
     def votes_of(key: tuple) -> tuple:
@@ -871,7 +864,7 @@ def _consistency_witness(g: GeneratorFunction, n: int) -> dict | None:
             if offset:
                 row = choice_row(Profile(m, votes_of(key), checked=True))
             elif rule is not None:
-                row = _derived_row(trace_item(item), index, m)
+                row = _derived_row(traces(item), index, m)
             else:  # a non-decreasing item: the canonical profile, counts filled in
                 row = choice_row(Profile.from_counts(m, universe.counts(item), checked=True))
             memo[key] = row
@@ -885,9 +878,8 @@ def _consistency_witness(g: GeneratorFunction, n: int) -> dict | None:
             return item_row((0, item))
         row = unions.get(item)
         if row is None:
-            if rows is not None:
-                gains = list(map(add, rows.gains(a), rows.gains(b)))
-                row = _derived_row(rows.trace(gains, m - 1, rule.branch_cap), index, m)
+            if rule is not None:
+                row = _derived_row(traces.combined(a, 1, b, 1, m - 1), index, m)
             else:
                 row = choice_row(Profile.from_counts(m, universe.counts(item), checked=True))
             unions[item] = row
@@ -898,7 +890,7 @@ def _consistency_witness(g: GeneratorFunction, n: int) -> dict | None:
     def members(mask: int) -> frozenset:
         return frozenset(c for c in range(m) if mask >> c & 1)
 
-    for a, others in _pairs(universe, rows is not None, g.id_sensitive):
+    for a, others in _pairs(universe, rule is not None and traces.reduced, g.id_sensitive):
         row_a = item_row((0, a))
         offset = len(a) if g.id_sensitive else 0
         votes_a = votes_of((0, a)) if offset else ()
@@ -988,38 +980,34 @@ def _independence_witness(rule: Rule, n: int) -> dict | None:
     """The first violation in canonical order (:func:`_shrinking_witnesses`),
     searched only if :func:`_single_drops_violate` says there is one.
 
-    Both search orbit representatives (:func:`_orbits`): a relabeling tau
-    maps a voter of A dropping c where W wins in f(A, k) to the same voter
-    of tau(A) dropping tau(c) where tau(W) wins, and the shrunk item to its
-    relabeled one, so a single drop that makes W lose is one that makes
-    tau(W) lose; likewise a shrinking of tau(A) that keeps tau(W) is tau of
-    a shrinking of A that keeps W.
+    Both search orbit representatives (:meth:`_Traces.items`): a relabeling
+    tau maps a voter of A dropping c where W wins in f(A, k) to the same
+    voter of tau(A) dropping tau(c) where tau(W) wins, and the shrunk item
+    to its relabeled one, so a single drop that makes W lose is one that
+    makes tau(W) lose; likewise a shrinking of tau(A) that keeps tau(W) is
+    tau of a shrinking of A that keeps W.
     """
-    m = rule.m
-    universe = _universe(rule, n)
-    rows = gain_rows(rule)
-    trace_item = _item_tracer(rule, universe, rows)
-    if not _single_drops_violate(m, universe, trace_item, _orbits(universe, rows)):
+    traces = _Traces(rule, _universe(rule, n))
+    if not _single_drops_violate(traces, traces.items()):
         return None
-    return next(_shrinking_witnesses(m, universe, trace_item, _orbits(universe, rows)), None)
+    return next(_shrinking_witnesses(traces, traces.items()), None)
 
 
-def _shrinking_witnesses(
-    m: int, universe: ProfileUniverse, trace_item, items: Iterable[tuple[int, ...]]
-) -> Iterator[dict]:
-    """Every violation of independence of losers over the ``items`` of
-    ``universe``, in their order: per item, size and winning committee W,
-    every :func:`_shrunk` item where W loses."""
+def _shrinking_witnesses(traces: _Traces, items: Iterable[tuple[int, ...]]) -> Iterator[dict]:
+    """Every violation of independence of losers over ``items`` of the
+    tracer's universe, in their order: per item, size and winning committee
+    W, every :func:`_shrunk` item where W loses."""
+    m, universe = traces.rule.m, traces.universe
     moves: dict = {}
     kept = set()  # (shrunk, k, W) already seen to keep W winning
     for item in items:
-        trace = trace_item(item)
+        trace = traces(item)
         for k in range(1, m + 1):
             for W in sorted(trace[k], key=lambda c: tuple(sorted(c))):
                 for shrunk in _shrunk(universe, item, W, moves):
                     if (shrunk, k, W) in kept:
                         continue
-                    family = trace_item(shrunk, k)[k]
+                    family = traces(shrunk, k)[k]
                     if W not in family:
                         yield {
                             "profile": universe.profile(item), "k": k, "committee": W,
@@ -1029,11 +1017,9 @@ def _shrinking_witnesses(
                     kept.add((shrunk, k, W))
 
 
-def _single_drops_violate(
-    m: int, universe: ProfileUniverse, trace_item, items: Iterable[tuple[int, ...]]
-) -> bool:
+def _single_drops_violate(traces: _Traces, items: Iterable[tuple[int, ...]]) -> bool:
     """Whether one voter dropping one approval outside a winning committee W
-    ever makes W lose, over the ``items`` of ``universe``.
+    ever makes W lose, over ``items`` of the tracer's universe.
 
     Over every item, that decides independence of losers over the whole
     universe: any shrinking of A that keeps W's part of every ballot is a
@@ -1043,12 +1029,13 @@ def _single_drops_violate(
     canonical order than its item, and the drops trace no item that the full
     search would not trace; over every item, each trace is at hand.
     """
+    m, universe = traces.rule.m, traces.universe
     ballots, index, ordered = universe.ballots, universe.index, universe.ordered
     # per ballot: (c, the index of the ballot without c) for each c it can drop
     drops = [tuple((c, index[b - {c}]) for c in sorted(b)) if len(b) > 1 else () for b in ballots]
-    traces: dict[tuple[int, ...], tuple[Family, ...]] = {}
+    seen: dict[tuple[int, ...], tuple[Family, ...]] = {}
     for item in items:
-        winners = traces[item] = trace_item(item)
+        winners = seen[item] = traces(item)
         for p, i in enumerate(item):
             if not ordered and p and item[p - 1] == i:
                 continue  # equal voters of an anonymous item drop alike
@@ -1056,9 +1043,9 @@ def _single_drops_violate(
                 shrunk = item[:p] + (j,) + item[p + 1:]
                 if not ordered:
                     shrunk = tuple(sorted(shrunk))
-                after = traces.get(shrunk)
+                after = seen.get(shrunk)
                 if after is None:
-                    after = traces[shrunk] = trace_item(shrunk)
+                    after = seen[shrunk] = traces(shrunk)
                 for k in range(1, m):
                     for W in winners[k]:
                         if c not in W and W not in after[k]:
@@ -1141,40 +1128,32 @@ def _proportionality_witness(rule: Rule, bounds: Bounds) -> dict | None:
     bloc and ``n2`` approving ``{c}``, c outside the bloc, per (bloc, c,
     n1, n2) in ``product`` order and each size k up to ``|bloc|``, or None.
 
-    A rule with gain rows is traced from ``n1 * row[bloc] + n2 * row[{c}]``
-    with no profile built, and is searched on one pair (bloc, c) per bloc
-    size, ``({0, ..., s - 1}, s)``, the first of its orbit (:func:`_orbits`):
-    a relabeling tau maps every pair with ``|bloc| = s`` to every other, and
-    ``c in W`` for W in f(A, k) to ``tau(c) in tau(W)`` for tau(W) in
-    f(tau(A), k), with n1, n2 and k unchanged.
+    Each profile is traced outside the cache, one level at a time, as the
+    combination of the one-voter items of the bloc and of ``{c}``
+    (:meth:`_Traces.combined`).  A rule with gain rows is searched on one
+    pair (bloc, c) per bloc size, ``({0, ..., s - 1}, s)``, the first of its
+    orbit (:meth:`_Traces.items`): a relabeling tau maps every pair with
+    ``|bloc| = s`` to every other, and ``c in W`` for W in f(A, k) to
+    ``tau(c) in tau(W)`` for tau(W) in f(tau(A), k), with n1, n2 and k
+    unchanged.
     """
     m = rule.m
-    rows = gain_rows(rule)
-    ballots = all_ballots(m)
-    row_of = dict(zip(ballots, rows.rows)) if rows is not None else {}
+    traces = _Traces(rule, _universe(rule, 1))
+    index = traces.universe.index
     sizes = list(itertools.product(range(1, bounds.n1_max + 1), range(1, bounds.n2_max + 1)))
-    if rows is None:
-        pairs = [(bloc, c) for bloc in ballots for c in range(m) if c not in bloc]
-    else:
+    if traces.reduced:
         pairs = [(frozenset(range(s)), s) for s in range(1, m)]
+    else:
+        pairs = [(bloc, c) for bloc in all_ballots(m) for c in range(m) if c not in bloc]
     for bloc, c in pairs:
         single = frozenset({c})
         for n1, n2 in sizes:
             blocs = ((bloc, n1), (single, n2))
-            if rows is None:
-                profile = Profile.from_ballots(m, [bloc] * n1 + [single] * n2)
-            else:
-                gains = [n1 * x + n2 * y for x, y in zip(row_of[bloc], row_of[single])]
-            trace = ()
             for k in range(1, min(len(bloc), bounds.k_max_proportional) + 1):
-                if rows is None:
-                    trace = rule.trace_uncached(profile, k, prefix=trace)
-                else:
-                    trace = rows.trace(gains, k, rule.branch_cap)
+                trace = traces.combined((index[bloc],), n1, (index[single],), n2, k)
                 found = proportionality_violation(blocs, k, c, trace[k])
                 if found:
-                    if rows is not None:
-                        profile = Profile.from_ballots(m, [bloc] * n1 + [single] * n2)
+                    profile = Profile.from_ballots(m, [bloc] * n1 + [single] * n2)
                     return {"profile": profile, **found}
     return None
 
@@ -1183,20 +1162,19 @@ def _clone_witness(rule: Rule, which: str, n: int) -> dict | None:
     """The first item that violates clone rejection, acceptance or distrust
     (:func:`clone_violation`), or None.
 
-    Searched on orbit representatives (:func:`_orbits`): a relabeling tau
-    maps clone pairs (c, d) to clone pairs (tau(c), tau(d)), each
+    Searched on orbit representatives (:meth:`_Traces.items`): a relabeling
+    tau maps clone pairs (c, d) to clone pairs (tau(c), tau(d)), each
     candidate's approval and singleton counts to tau's image, and f(A, k)
     to tau(f(A, k)), so whatever violation A shows, tau(A) shows relabeled.
     """
     m = rule.m
     universe = _universe(rule, n)
-    rows = gain_rows(rule)
-    trace = _item_tracer(rule, universe, rows)
-    for item in _orbits(universe, rows):
+    traces = _Traces(rule, universe)
+    for item in traces.items():
         counts = universe.counts(item)
         if which != "distrust" and not clone_pairs(m, counts):
             continue  # those two axioms only constrain profiles with clones
-        found = clone_violation(which, m, counts, trace(item))
+        found = clone_violation(which, m, counts, traces(item))
         if found:
             return {"profile": universe.profile(item), **found}
     return None

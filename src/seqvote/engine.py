@@ -128,6 +128,17 @@ def generator_step(
     return _argmax(extension_gains(valuation, profile, committee))
 
 
+def step_valuation(step) -> Valuation | None:
+    """The valuation ``step`` maximizes, if ``step`` is
+    :func:`generator_step` bound to one valuation, with no other argument,
+    as a rule given only a valuation steps; None for any other step."""
+    if isinstance(step, partial) and step.func is generator_step and len(step.args) == 1:
+        valuation = step.args[0]
+        if isinstance(valuation, Valuation) and not step.keywords:
+            return valuation
+    return None
+
+
 def weighted_approval_step(
     weights: WeightTable, profile: Profile, committee: frozenset[int]
 ) -> frozenset[int]:
@@ -216,8 +227,7 @@ class Rule:
     ):
         if step is not None and apply_direct is not None:
             raise ValueError("provide at most one of step/apply_direct")
-        self._steps_by_valuation = step is None and apply_direct is None
-        if self._steps_by_valuation:
+        if step is None and apply_direct is None:
             if valuation is None:
                 raise ValueError("provide one of step/apply_direct/valuation")
             step = partial(generator_step, valuation)
@@ -311,16 +321,17 @@ class Rule:
         (base, gains, D)`` for each W of levels 0..k-1: ``W + {c}`` scores
         ``(base + gains[c]) / D`` for each ``c`` outside W, in increasing
         order (:func:`_scaled_gains`; None without a valuation).  A rule
-        stepping by its valuation is traced here, on the gains that score
-        each parent once, and raises what :meth:`trace_uncached` raises (a
-        failing ``fn`` valuation is traced again there for its error); any
-        other rule by :meth:`trace`, its committees scored afterwards."""
+        stepping by its own valuation (:func:`step_valuation`) is traced
+        here, on the gains that score each parent once, and raises what
+        :meth:`trace_uncached` raises (a failing ``fn`` valuation is traced
+        again there for its error); any other rule by :meth:`trace`, its
+        committees scored afterwards."""
         if profile.m != self.m:
             raise ValueError(f"profile has m={profile.m}, rule expects m={self.m}")
         if not 0 <= k <= self.m:
             raise ValueError(f"committee size {k} outside 0..{self.m}")
         valuation, cap = self.valuation, self.branch_cap
-        if not self._steps_by_valuation:
+        if valuation is None or step_valuation(self.step) is not valuation:
             trace = self.trace(profile, k)
             mask = {W: sum(map(_BIT, W)) for level in trace for W in level}
             masks = tuple(frozenset(map(mask.get, level)) for level in trace)

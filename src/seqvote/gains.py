@@ -21,29 +21,24 @@ imports this module.
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import partial
 from operator import add
 
 from .counting import Valuation
-from .engine import TRACE_CACHE_SIZE, BranchCapError, Family, Rule, generator_step
+from .engine import TRACE_CACHE_SIZE, BranchCapError, Family, Rule, step_valuation
 from .oracle import all_ballots, all_committees
 
 
-def step_valuation(step) -> Valuation | None:
-    """The valuation ``step`` maximizes, if ``step`` is
-    :func:`generator_step` bound to one valuation, with no other argument,
-    as a rule given only a valuation steps; None for any other step."""
-    if isinstance(step, partial) and step.func is generator_step and len(step.args) == 1:
-        valuation = step.args[0]
-        if isinstance(valuation, Valuation) and not step.keywords:
-            return valuation
-    return None
+def rule_valuation(rule: Rule) -> Valuation | None:
+    """The valuation the rule's step maximizes (:func:`step_valuation`), if
+    the rule reads no voter ids, else None: the valuation whose table gives
+    the rule gain rows and whose score gaps certify its continuity."""
+    return None if rule.id_sensitive else step_valuation(rule.step)
 
 
 def gain_rows(rule: Rule) -> GainRows | None:
     """Gain rows for a rule that steps by a table valuation and reads no
     voter ids, or None: every other rule is traced by stepping profiles."""
-    valuation = None if rule.id_sensitive else step_valuation(rule.step)
+    valuation = rule_valuation(rule)
     if valuation is None or valuation.counting is None:
         return None
     return GainRows(valuation, rule.m)

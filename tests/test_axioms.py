@@ -99,6 +99,7 @@ def test_gain_rows_match_stepping_the_profiles(name, m, data):
     a, b, j = data.draw(item), data.draw(item), data.draw(st.integers(1, 3))
     p_a, p_b = universe.profile(a), universe.profile(b)
     g_a, g_b = rows.gains(a), rows.gains(b)
+    traces = axioms._Traces(rule, universe)
     # an item's trace, the trivial last step included
     assert rows.trace(g_a, m, rule.branch_cap) == rule.trace_uncached(p_a)
     # generator_step picks the largest gains at every committee below size m - 1
@@ -122,14 +123,13 @@ def test_gain_rows_match_stepping_the_profiles(name, m, data):
     # jA + B from j * G(A) + G(B)
     expected = rule.trace_uncached(Profile.from_ballots(m, p_a.ballots() * j + p_b.ballots()))
     for k in range(m + 1):
-        assert axioms._replicated_from_gains(rule, rows, g_a, g_b, j, k) == expected[: k + 1]
-    # a small branch cap fires where step_trace fires, through the item tracer too
+        assert traces.combined(a, j, b, 1, k) == expected[: k + 1]
+    # a small branch cap fires where step_trace fires, through the tracer too
     rule.branch_cap = cap = data.draw(st.integers(0, 3))
-    trace_item = axioms._item_tracer(rule, universe, rows)
     for k in range(m + 1):
         expected = _outcome(step_trace, rule.step, union, k, cap)
         assert _outcome(rows.trace, g_ab, k, cap) == expected
-        assert _outcome(trace_item, a, k) == _outcome(rule.trace_uncached, p_a, k)
+        assert _outcome(traces, a, k) == _outcome(rule.trace_uncached, p_a, k)
         if 0 < k < m:
             expected = _outcome(derived_row_by_step_trace, rule.step, union, k, cap)
             assert _outcome(row_ab, k, cap) == expected
@@ -437,10 +437,36 @@ CERTIFIABLE = (
 )
 
 
+def _certifiable(rule):
+    # the tracer gives certificate gains, at no committee here
+    return axioms._Traces(rule, axioms._universe(rule, 1)).gains((0,), ()) is not None
+
+
 def test_the_certifiable_catalog_rules():
-    # a step and a valuation, and no voter ids read
-    certifiable = [name for name in catalog.RULE_NAMES if axioms._certifiable(make(name, 3))]
+    # a step by the rule's valuation, and no voter ids read
+    certifiable = [name for name in catalog.RULE_NAMES if _certifiable(make(name, 3))]
     assert certifiable == list(CERTIFIABLE)
+
+
+def test_the_certificate_reads_the_valuation_the_step_maximizes():
+    # cc-tiebreak-seqav's step carrying seqav's valuation: its score gaps
+    # say nothing about the coverage tie-break, so nothing is certified and
+    # every report is cc-tiebreak-seqav's own
+    zoo = make("cc-tiebreak-seqav", 3)
+    rule = Rule("cc-with-valuation", 3, "zoo", step=zoo.step, valuation=make("seqav", 3).valuation)
+    a, b, k = continuity_gap_instance(3)
+
+    def unnamed(report):
+        return {**report.asdict(), "subject": None}
+
+    for j_max in (1, 16):
+        expected = check_continuity(zoo, a, b, k, j_max=j_max)
+        assert expected.verdict == "inconclusive"
+        assert unnamed(check_continuity(rule, a, b, k, j_max=j_max)) == unnamed(expected)
+        bounds = Bounds(n_continuity=2, j_max=j_max)
+        expected = continuity_search(zoo, bounds)
+        assert unnamed(continuity_search(rule, bounds)) == unnamed(expected)
+    assert not _certifiable(rule)
 
 
 @pytest.mark.parametrize("name", CERTIFIABLE)
@@ -475,14 +501,13 @@ def test_continuity_search_replicates_no_further_than_j_max(name, monkeypatch):
     # a certified count above j_max is never searched to, by gain rows or by
     # profiles; the note says that some minimal count exceeds j_max
     counts = []
-    for provider in ("_replicated_from_gains", "_replicated_from_items"):
-        replicate = getattr(axioms, provider)
+    combined = axioms._Traces.combined
 
-        def counted(*args, replicate=replicate):
-            counts.append(args[-2])
-            return replicate(*args)
+    def counted(traces, a, i, b, j, k):
+        counts.append(i)
+        return combined(traces, a, i, b, j, k)
 
-        monkeypatch.setattr(axioms, provider, counted)
+    monkeypatch.setattr(axioms._Traces, "combined", counted)
     report = continuity_search(make(name, 3), Bounds(n_continuity=1, j_max=1))
     assert report.verdict == "pass" and "exceeds j_max = 1" in report.note
     assert counts and max(counts) == 1
@@ -1120,13 +1145,13 @@ def test_single_drops_decide_independence_of_losers(name):
         rule = _drop_test_rule(name, m)
         for n in range(n_max, 0, -1):
             universe = axioms._universe(rule, n)
-            trace_item = axioms._item_tracer(rule, universe, gains.gain_rows(rule))
-            first = next(axioms._shrinking_witnesses(m, universe, trace_item, universe.items()), None)
-            drops = axioms._single_drops_violate(m, universe, trace_item, universe.items())
+            traces = axioms._Traces(rule, universe)
+            first = next(axioms._shrinking_witnesses(traces, universe.items()), None)
+            drops = axioms._single_drops_violate(traces, universe.items())
             assert drops == (first is not None)
             if gains.gain_rows(rule) is not None:  # the same verdict on orbit representatives
                 reduced = universe.representatives()
-                assert axioms._single_drops_violate(m, universe, trace_item, reduced) == drops
+                assert axioms._single_drops_violate(traces, reduced) == drops
             report = check_independence_of_losers(rule, Bounds(n_single=n))
             assert render_report(report.witness) == render_report(first)
             if first is None:

@@ -445,6 +445,23 @@ def test_scored_trace_of_rules_that_do_not_step_by_their_valuation():
     assert as_sets(doubled.scored_trace(profile, 2)) == (doubled.trace(profile, 2), None)
     with pytest.raises(ValueError):
         make("seqav", 3).scored_trace(Profile.from_ballots(2, [{0}]), 1)
+    # a step by another valuation than the rule's is traced, then scored
+    seqav, seqpav = make("seqav", 3).valuation, make("seqpav", 3).valuation
+    mixed = Rule("mixed", 3, "zoo", step=partial(generator_step, seqav), valuation=seqpav)
+    trace, scores = as_sets(mixed.scored_trace(profile, 2))
+    assert trace == mixed.trace(profile, 2)
+    for W in (W for level in trace[:2] for W in level):
+        assert exact_scores(scores[W]) == extension_scores(seqpav, profile, W)
+
+
+def test_a_step_by_the_rules_own_valuation_is_scored_on_masks():
+    # the step given outright, not derived from the valuation: the mask
+    # path all the same, which leaves nothing in the trace cache
+    valuation = make("seqpav", 3).valuation
+    rule = Rule("explicit", 3, "zoo", step=partial(generator_step, valuation), valuation=valuation)
+    profile = Profile.from_ballots(3, [{0, 1}, {2}, {0}, {1, 2}])
+    assert rule.scored_trace(profile, 3) == make("seqpav", 3).scored_trace(profile, 3)
+    assert not rule._traces
 
 
 def test_scored_trace_raises_the_cap_where_step_trace_does():

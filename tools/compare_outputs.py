@@ -32,9 +32,10 @@ stdout and stderr of
   without gain rows whose derived consistency pass traces each B renumbered
   above A, or each union larger than the universe, with the rule itself;
 - ``seqvote axioms <rule> proper --max-voters 3 --j-max 1`` for every rule:
-  the continuity certificate decides the rules with a step and a valuation
-  that are not id-sensitive, and the others are searched at j = 1 only
-  (``trivial`` passes there, the rest are inconclusive with limit 1);
+  the continuity certificate decides the rules that step by a valuation and
+  are not id-sensitive (``gains.rule_valuation``), and the others are
+  searched at j = 1 only (``trivial`` passes there, the rest are
+  inconclusive with limit 1);
 - ``seqvote axioms <rule> all --max-voters 3 --branch-cap c`` for c in
   {1, 2, 4} and ``monotone --max-m 4 --max-voters 2 --branch-cap c`` for c
   in {2, 4}, for every rule: where a tie frontier outgrows the cap, the
