@@ -249,13 +249,15 @@ class _Traces:
             return hit
         return rule.remember(key, rows.trace(rows.gains(item), k, rule.branch_cap))
 
-    def combined(self, a: tuple, i: int, b: tuple, j: int, k: int) -> tuple[Family, ...]:
+    def combined(
+        self, a: tuple, i: int, b: tuple, j: int, k: int, prefix: tuple = ()
+    ) -> tuple[Family, ...]:
         """``(f(P,0), ..., f(P,k))`` of the electorate P of i copies of item
         ``a``'s voters and j copies of item ``b``'s, outside the cache: from
         the gains ``i * G(a) + j * G(b)`` with gain rows, else stepped on the
         profile of the item ``a * i + b * j``, in that voter order in an
         ordered universe and canonical in an anonymous one, as
-        :meth:`Rule.trace` keys it."""
+        :meth:`Rule.trace` keys it, extending P's ``prefix`` if given."""
         rule, rows = self.rule, self.rows
         if rows is not None:
             gains = [i * x + j * y for x, y in zip(rows.gains(a), rows.gains(b))]
@@ -265,7 +267,7 @@ class _Traces:
             profile = universe.profile(item)
         else:
             profile = Profile.from_counts(rule.m, universe.counts(item), checked=True)
-        return rule.trace_uncached(profile, k)
+        return rule.trace_uncached(profile, k, prefix)
 
     def gains(self, item: tuple, committees: Iterable[frozenset]) -> dict | None:
         """``{X: {c: gain}}``, the extension gains of ``item``'s electorate at
@@ -1149,8 +1151,9 @@ def _proportionality_witness(rule: Rule, bounds: Bounds) -> dict | None:
         single = frozenset({c})
         for n1, n2 in sizes:
             blocs = ((bloc, n1), (single, n2))
+            trace = ()
             for k in range(1, min(len(bloc), bounds.k_max_proportional) + 1):
-                trace = traces.combined((index[bloc],), n1, (index[single],), n2, k)
+                trace = traces.combined((index[bloc],), n1, (index[single],), n2, k, trace)
                 found = proportionality_violation(blocs, k, c, trace[k])
                 if found:
                     profile = Profile.from_ballots(m, [bloc] * n1 + [single] * n2)
