@@ -239,11 +239,10 @@ class _Traces:
         """The rule's ``(f(A,0), ..., f(A,k))`` on ``item``, kept in the
         rule's trace cache under the key :meth:`Rule.trace` uses; with gain
         rows a miss is traced from the item's gains instead of a profile."""
-        rule, rows = self.rule, self.rows
+        rule, rows, key = self.rule, self.rows, self.universe.key(item)
         if rows is None:
-            return rule.trace(self.universe.key(item), k)
+            return rule.trace(key, k)
         k = rule.m if k is None else k
-        key = self.universe.counts(item)
         hit = rule.cached(key, k)
         if hit is not None:
             return hit
@@ -262,11 +261,8 @@ class _Traces:
         if rows is not None:
             gains = [i * x + j * y for x, y in zip(rows.gains(a), rows.gains(b))]
             return rows.trace(gains, k, rule.branch_cap)
-        universe, item = self.universe, a * i + b * j
-        if universe.ordered:
-            profile = universe.profile(item)
-        else:
-            profile = Profile.from_counts(rule.m, universe.counts(item), checked=True)
+        key = self.universe.key(a * i + b * j)
+        profile = key if self.universe.ordered else Profile.from_counts(rule.m, key, checked=True)
         return rule.trace_uncached(profile, k, prefix)
 
     def gains(self, item: tuple, committees: Iterable[frozenset]) -> dict | None:
