@@ -55,7 +55,9 @@ raises its error, in one pass.  Neutrality is decided over two relabelings
 that generate S_m, for every rule, and searches all of S_m only where they
 find a violation or raise, since they are not a prefix of the
 ``permutations`` order.
-Anonymity is never reduced.
+Anonymity is never reduced by orbits: a rule that steps by a valuation and
+reads no voter ids is decided by its step's identity, as consistency is
+(:func:`check_anonymity`), and every other rule is searched over all of S_n.
 
 The rule's trace cache holds what several checks share, the items of a
 universe.  A profile built for one comparison (the union of a pair, B
@@ -185,6 +187,8 @@ class _Traces:
         self.rule = rule
         self.universe = universe
         self.rows = gain_rows(rule)
+        if self.rows is not None:  # built once per rule; the memo lives for one check
+            self.rows.memo.clear()
         #: whether the searches may run over orbit representatives
         self.reduced = self.rows is not None
         self.valuation = rule_valuation(rule)
@@ -231,7 +235,8 @@ class _Traces:
           lexicographically, and every pair of that size is in its orbit.
 
         Anonymity and neutrality test symmetries themselves and are never
-        reduced by orbits.
+        reduced by orbits; anonymity is decided without a search for a rule
+        that steps by a valuation (:func:`check_anonymity`).
         """
         return self.universe.representatives() if self.reduced else self.universe.items()
 
@@ -323,16 +328,23 @@ def compute_n_stats(profile: Profile, committee) -> tuple[tuple[int, tuple[int, 
 def check_anonymity(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomReport:
     """Voter relabelings never change the outcome (universal, exhaustive).
 
-    A rule not flagged id-sensitive caches one trace per ballot multiset,
-    which every relabeling shares; both sides are therefore traced from
-    their vote sequences, so a rule that reads voter ids without saying so
-    is still caught and its witness replays.
+    A rule that steps by a valuation and reads no voter ids
+    (:func:`seqvote.gains.rule_valuation`) is anonymous, so it is decided
+    without a search (:func:`check_generator_consistency` states the lemma);
+    its universe is still held to its cap.  Any other rule not flagged
+    id-sensitive caches one trace per ballot multiset, which every
+    relabeling shares; both sides are therefore traced from their vote
+    sequences, so a rule that reads voter ids without saying so is still
+    caught and its witness replays.
     """
     used = {"m": rule.m, "n": bounds.n_perm, "permutations": "all of S_n plus an id shift"}
     return _verdict("anonymity", rule.name, used, _anonymity_witnesses(rule, bounds.n_perm))
 
 
 def _anonymity_witnesses(rule: Rule, n: int) -> Iterator[dict]:
+    if rule_valuation(rule) is not None:
+        _universe(rule, n).items()  # anonymous, but held to the cap: over it this raises
+        return
     trace = rule.trace if rule.id_sensitive else rule.trace_uncached
     for profile in _universe(rule, n):
         ids = profile.voter_ids
@@ -707,6 +719,11 @@ def check_generator_consistency(
     Eligibility is the step's identity (:func:`seqvote.engine.step_valuation`:
     one valuation, table or ``fn``, and no other argument), never a bounded
     run; its universe is still held to its cap.
+
+    Such a step is anonymous by the same reading, which decides
+    :func:`check_anonymity` for a rule that steps by it and reads no voter
+    ids: it scores ``W + {c}`` from ``ballot_counts`` alone, which every
+    voter relabeling and the id shift keep, so ``f(pi(A), k) = f(A, k)``.
     """
     n = bounds.n_pair_each
     return _report(

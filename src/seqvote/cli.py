@@ -17,8 +17,9 @@ member's compact JSON text, sets of ints numerically; rationals as ``"p/q"``
 strings; candidates as indices; strings ASCII-escaped (``\\uXXXX``); no
 timestamps.  Identical inputs give byte-identical output.  The ``compute``
 report is written in the same bytes by :func:`render_compute`, straight
-from the committee bit masks and integers of the scored trace;
-:func:`render_report` writes the ``axioms`` and ``witness`` reports.
+from the committee bit masks and integers of the scored trace; the
+``axioms`` and ``witness`` reports go through the standard library's
+encoder, :func:`render_report`, which converts them to plain JSON values.
 
 Exit codes: 0 all pass/computed, 1 a violation was found (or a witness
 reproduced one), 2 usage or parse error, 3 a cap was exceeded, 4 an internal
@@ -199,72 +200,42 @@ def rule_from_table(table, name: str = "table") -> Rule:
 
 
 _escape = json.encoder.encode_basestring_ascii
-_LINE_BREAKS = re.compile(r"\n *")
 
 
 def render_report(data) -> str:
     """The report as JSON text in the byte format of the module docstring."""
-    out: list[str] = []
-    _write(data, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(_jsonable(data), indent=2, sort_keys=True) + "\n"
 
 
 def _compact(value) -> str:
-    """One-line JSON; escaped strings hold no raw newline, so each one is layout."""
-    out: list[str] = []
-    _write(value, "\n", out)
-    return _LINE_BREAKS.sub("", "".join(out).replace(",\n", ", \n"))
+    """One-line JSON of plain JSON values: the default separators, keys sorted."""
+    return json.dumps(value, sort_keys=True)
 
 
-def _write(obj, nl: str, out: list[str]) -> None:
-    """Append ``obj`` as JSON to ``out``; ``nl`` is a newline and the current indent."""
-    if isinstance(obj, str):
-        out.append(_escape(obj))
-    elif obj is None or obj is True or obj is False:
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, Fraction):
-        out.append(f'"{obj}"')
-    elif isinstance(obj, (dict, list, tuple)):
-        if not obj:
-            out.append("{}" if isinstance(obj, dict) else "[]")
-            return
-        inner = nl + "  "
-        if isinstance(obj, dict):
-            keyed = {
-                _compact(k) if isinstance(k, (tuple, frozenset)) else str(k): v
-                for k, v in obj.items()
-            }
-            sep, close = "{" + inner, nl + "}"
-            for key, value in sorted(keyed.items()):
-                out.append(sep + _escape(key) + ": ")
-                _write(value, inner, out)
-                sep = "," + inner
-        else:
-            sep, close = "[" + inner, nl + "]"
-            for item in obj:
-                out.append(sep)
-                _write(item, inner, out)
-                sep = "," + inner
-        out.append(close)
-    elif isinstance(obj, (frozenset, set)):
-        _write_set(obj, nl, out)
-    elif isinstance(obj, Profile):
+def _jsonable(obj):
+    """``obj`` as plain JSON values: str keys, sets as sorted lists, a
+    ``Fraction`` as ``"p/q"``, a :class:`Profile` and a record by their fields."""
+    if isinstance(obj, (str, int)) or obj is None:
+        return obj
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {
+            _compact(_jsonable(k)) if isinstance(k, (tuple, frozenset)) else str(k): _jsonable(v)
+            for k, v in obj.items()
+        }
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(item) for item in obj]
+    if isinstance(obj, (frozenset, set)):
+        if all(isinstance(item, int) for item in obj):
+            return sorted(obj)
+        return sorted(map(_jsonable, obj), key=_compact)
+    if isinstance(obj, Profile):
         votes = [[voter, sorted(ballot)] for voter, ballot in obj.votes]
-        _write({"m": obj.m, "votes": votes, "text": format_profile(obj)}, nl, out)
-    elif hasattr(obj, "asdict"):  # a Record: an AxiomReport or a Witness
-        _write(obj.asdict(), nl, out)
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _write_set(obj, nl: str, out: list[str]) -> None:
-    """A set as an array sorted by compact text (all-int sets numerically)."""
-    items = list(obj)
-    items.sort(key=None if all(isinstance(i, int) for i in items) else _compact)
-    _write(items, nl, out)
+        return {"m": obj.m, "votes": votes, "text": format_profile(obj)}
+    if hasattr(obj, "asdict"):  # a Record: an AxiomReport or a Witness
+        return _jsonable(obj.asdict())
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _digest(text: str) -> str:

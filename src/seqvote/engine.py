@@ -241,6 +241,7 @@ class Rule:
         self.violates = violates
         self.branch_cap = branch_cap
         self._traces: OrderedDict[object, tuple[Family, ...]] = OrderedDict()
+        self.gain_rows = None  # the checkers' GainRows, built by seqvote.gains.gain_rows
 
     def __repr__(self):
         return f"Rule({self.name!r}, m={self.m})"

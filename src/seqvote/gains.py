@@ -37,11 +37,15 @@ def rule_valuation(rule: Rule) -> Valuation | None:
 
 def gain_rows(rule: Rule) -> GainRows | None:
     """Gain rows for a rule that steps by a table valuation and reads no
-    voter ids, or None: every other rule is traced by stepping profiles."""
+    voter ids, or None: every other rule is traced by stepping profiles.
+    They are built once per rule and valuation, and the rule holds them."""
     valuation = rule_valuation(rule)
     if valuation is None or valuation.counting is None:
         return None
-    return GainRows(valuation, rule.m)
+    rows = rule.gain_rows
+    if rows is None or rows.valuation is not valuation:
+        rows = rule.gain_rows = GainRows(valuation, rule.m)
+    return rows
 
 
 class GainRows:
@@ -62,6 +66,7 @@ class GainRows:
     """
 
     def __init__(self, valuation: Valuation, m: int):
+        self.valuation = valuation
         self.m = m
         self.full = frozenset(range(m))
         self.slots: dict[frozenset, tuple[int, int, tuple[int, ...], tuple[frozenset, ...]]] = {}

@@ -76,7 +76,8 @@ class Witness(Record):
     note: str = ""
 
     def asdict(self) -> dict:
-        """The fields as :func:`seqvote.cli.render_report` writes them."""
+        """The fields as :func:`seqvote.cli.render_report` hands them to the
+        standard library's JSON encoder."""
         return {**super().asdict(), "expected_trace": dict(self.expected_trace)}
 
 

@@ -175,6 +175,28 @@ def _outcomes(reports):
     return [(r.axiom, r.verdict, render_report(r.witness)) for r in reports if r.axiom not in valued]
 
 
+def test_a_rule_builds_its_gain_rows_once(monkeypatch):
+    built = []
+    build = gains.GainRows.__init__
+
+    def counted(self, valuation, m):
+        built.append(valuation)
+        build(self, valuation, m)
+
+    monkeypatch.setattr(gains.GainRows, "__init__", counted)
+    rule = make("seqpav", 4)
+    bounds = Bounds(
+        n_single=2, n_perm=2, n_pair_each=2, n_pair_total=2, n_continuity=1, n1_max=3, n2_max=3
+    )
+    run_suite(rule, "all", bounds)
+    assert built == [rule.valuation]
+    # a step by another valuation gets rows of its own
+    other = make("seqav", 4).valuation
+    rule.step = partial(generator_step, other)
+    assert gains.gain_rows(rule).valuation is other
+    assert built == [rule.valuation, other]
+
+
 def test_only_a_step_by_the_table_valuation_takes_gain_rows(monkeypatch):
     m = 3
     bounds = Bounds(
@@ -275,6 +297,46 @@ def test_anonymity_witness_replays_after_a_relabeled_profile_filled_the_cache():
 
 def test_anonymity_passes_for_trivial():
     assert check_anonymity(make("trivial", 3), SMALL).verdict == "pass-exhaustive"
+
+
+def _first_id_step(valuation, profile, W):
+    """The largest score's candidates if the first voter has id 1, every
+    outsider otherwise: it binds one valuation but reads voter ids."""
+    if profile.votes[0][0] == 1:
+        return generator_step(valuation, profile, W)
+    return frozenset(range(profile.m)) - W
+
+
+def test_anonymity_searches_a_bound_step_that_is_not_generator_step():
+    rule = Rule("first-id", 3, "zoo", step=partial(_first_id_step, make("seqav", 3).valuation))
+    report = check_anonymity(rule, SMALL)
+    assert report.verdict == "violation"
+    w = report.witness
+    permuted = apply_voter_permutation(w["voter_permutation"], w["profile"])
+    assert step_trace(rule.step, w["profile"], w["k"])[w["k"]] == w["families"][0]
+    assert step_trace(rule.step, permuted, w["k"])[w["k"]] == w["families"][1]
+
+
+def test_anonymity_of_a_step_by_a_valuation_is_decided_without_tracing():
+    # no profile is traced, so a branch cap the traces exceed no longer
+    # raises, where neutrality, over the same universe, still does
+    bounds = Bounds(n_perm=3)
+    used = {"m": 3, "n": 3, "permutations": "all of S_n plus an id shift"}
+    for name in ("seqav", "seqpav", "seqsav"):
+        rule = make(name, 3)
+        rule.branch_cap = 1
+        report = check_anonymity(rule, bounds)
+        assert (report.verdict, report.bounds, report.note) == ("pass-exhaustive", used, "")
+        with pytest.raises(BranchCapError):
+            check_neutrality(rule, bounds)
+    # the universe is still held to its cap
+    with pytest.raises(EnumerationCapError):
+        check_anonymity(make("seqav", 3), Bounds(n_perm=40))
+    # an id-sensitive rule is still traced
+    rule = make("voter1-doubled-seqav", 3)
+    rule.branch_cap = 1
+    with pytest.raises(BranchCapError):
+        check_anonymity(rule, bounds)
 
 
 def test_neutrality_passes_for_pav():
@@ -856,6 +918,27 @@ def test_a_step_by_the_largest_score_is_consistent(data):
         joint = generator_step(valuation, a, W) & generator_step(valuation, b, W)
         if joint:
             assert generator_step(valuation, a + b, W) == joint
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_step_by_the_largest_score_is_anonymous(data):
+    # the lemma that decides anonymity for such steps without a search: the
+    # step reads the ballot counts alone, which every voter relabeling and
+    # the id shift keep
+    m = data.draw(st.integers(2, 5), label="m")
+    valuation = _drawn_valuation(data, m)
+    electorate = st.lists(
+        st.frozensets(st.integers(0, m - 1), min_size=1), min_size=1, max_size=4
+    )
+    profile = Profile.from_ballots(m, data.draw(electorate, label="A"))
+    ids = profile.voter_ids
+    others = [apply_voter_permutation(dict(zip(ids, image)), profile)
+              for image in itertools.permutations(ids)]
+    others.append(profile.relabeled(2))
+    for W in all_committees(m, m - 1):
+        choice = generator_step(valuation, profile, W)
+        assert [generator_step(valuation, other, W) for other in others] == [choice] * len(others)
 
 
 def _boom(ballot, W):
