@@ -15,10 +15,10 @@ tuples of ballot indices: ballot multisets (non-decreasing items) for
 anonymous rules, ballot sequences for id-sensitive ones.  Every check
 traces through one :class:`_Traces`, the only code that knows whether a
 rule is traced from gain rows, summed per item with no :class:`Profile`
-built, or by stepping profiles, and which valuation certifies its
-continuity.  It traces an item into the rule's trace cache under the key
-:meth:`Rule.trace` uses, and a combination of two items (a union, a
-replicated ``jA + B``, a clone-proportionality profile) outside it; a
+built, or by stepping profiles.  It traces an item into the rule's trace
+cache under the key :meth:`Rule.trace` uses, and a combination of two
+items (a union, a replicated ``jA + B``, a clone-proportionality profile)
+outside it; a
 witness builds its profiles either way.  Independence of losers is decided
 over single drops, one voter dropping one approval, which settle every
 shrinking; only on a violation are all shrinkings searched, voters moving
@@ -43,10 +43,10 @@ at a time.  No committee of size m - 1 is searched, since its one outside
 candidate x leaves every choice there empty or ``{x}``, so the
 intersection and the combined choice cannot both be non-empty and differ.
 
-Candidate symmetry is used once.  A rule with gain rows commutes with
-every relabeling by construction, so its monotonicity,
-generator-consistency, continuity, independence-of-losers and clone
-searches run once, over the first item of each orbit
+Candidate symmetry is used once.  A rule with gain rows of a table
+valuation commutes with every relabeling by construction, so its
+monotonicity, generator-consistency, continuity, independence-of-losers and
+clone searches run once, over the first item of each orbit
 (:meth:`_Traces.items`), and clone proportionality over one (bloc, c) per
 bloc size.  A relabeling maps violations to violations and errors to the
 same errors, so the first one in canonical order is the first of its
@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
+from functools import cached_property
 from typing import Callable, Iterable, Iterator
 
 from .counting import Valuation
@@ -93,7 +94,7 @@ from .engine import (
     step_generator,
     step_valuation,
 )
-from .gains import gain_rows, rule_valuation
+from .gains import GainRows, gain_rows, rule_valuation
 from .oracle import ProfileUniverse, all_ballots, all_committees, committees_of_size
 from .predicates import CLONE_AXIOMS, clone_pairs, clone_violation, proportionality_violation
 from .profiles import (
@@ -176,43 +177,46 @@ def _universe(rule: Rule, n_max: int) -> ProfileUniverse:
 
 class _Traces:
     """How every check traces ``rule`` on the items of ``universe``: from
-    the rule's :func:`seqvote.gains.gain_rows`, if it has them, with no
-    :class:`Profile` built, else by stepping profiles, a cached item's only
-    on a miss.  The valuation that certifies continuity is the one the
-    step maximizes (:func:`seqvote.gains.rule_valuation`), never one the
-    rule only carries for its scores.
-    """
+    the rule's :func:`seqvote.gains.gain_rows`, which also certify its
+    continuity, with no :class:`Profile` built, else by stepping profiles, a
+    cached item's only on a miss."""
 
     def __init__(self, rule: Rule, universe: ProfileUniverse):
         self.rule = rule
         self.universe = universe
-        self.rows = gain_rows(rule)
-        if self.rows is not None:  # built once per rule; the memo lives for one check
-            self.rows.memo.clear()
+        valuation = rule_valuation(rule)
         #: whether the searches may run over orbit representatives
-        self.reduced = self.rows is not None
-        self.valuation = rule_valuation(rule)
+        self.reduced = valuation is not None and valuation.counting is not None
+
+    @cached_property
+    def rows(self) -> GainRows | None:
+        """Gain rows, taken at the first trace, after the cap check; their memo lives one check."""
+        rows = gain_rows(self.rule)
+        if rows is not None:
+            rows.memo.clear()
+        return rows
 
     def items(self) -> Iterator[tuple[int, ...]]:
-        """The items a check searches: for a rule with gain rows, the first
-        item of each orbit under candidate relabeling
-        (``universe.representatives()``), and for any other rule every item.
+        """The items a check searches: for a rule with table gain rows
+        (:attr:`reduced`), the first item of each orbit under candidate
+        relabeling (``universe.representatives()``), and for any other rule
+        every item.
 
-        Such a rule steps by the largest gain, and a gain reads only ``|ballot
-        & W|``, ``|ballot|`` and whether the ballot approves the candidate, so
-        ``f(tau(A), k) = tau(f(A, k))`` for every candidate relabeling tau, and
-        ``derived`` and ``step`` generators satisfy ``g(tau(A), tau(W)) =
-        tau(g(A, W))``; the universe is closed under relabeling.  Each reduced
-        check states why tau maps its violations at A to violations at tau(A).
-        Its errors map too: a trace raises :class:`BranchCapError` where a tie
-        frontier outgrows the cap, and :class:`ValueError` where a step chooses
-        nothing; tau keeps frontier sizes and empty choices, and neither
-        message names a candidate.  So an item has a violation or an error iff
-        every item of its orbit has one, and the first such item in
-        canonical order is the first of its orbit.  The search over
-        representatives reaches it having found nothing, and searches it as
-        the search over every item would: it returns the same first witness,
-        or raises the same error, in one pass.
+        Such a rule steps by the largest gain, and a table's gain, unlike an
+        ``fn``'s, reads only ``|ballot & W|``, ``|ballot|``, ``|W|`` and
+        whether the ballot approves the candidate, so ``f(tau(A), k) = tau(f(A,
+        k))`` for every candidate relabeling tau, and ``derived`` and ``step``
+        generators satisfy ``g(tau(A), tau(W)) = tau(g(A, W))``; the universe
+        is closed under relabeling.  Each reduced check states why tau maps its
+        violations at A to violations at tau(A).  Its errors map too: a trace
+        raises :class:`BranchCapError` where a tie frontier outgrows the cap,
+        and :class:`ValueError` where a step chooses nothing; tau keeps
+        frontier sizes and empty choices, and neither message names a
+        candidate.  So an item has a violation or an error iff every item of
+        its orbit has one, and the first such item in canonical order is the
+        first of its orbit.  The search over representatives reaches it having
+        found nothing, and searches it as the search over every item would: it
+        returns the same first witness, or raises the same error, in one pass.
 
         The same argument serves the searches over other streams:
 
@@ -271,17 +275,10 @@ class _Traces:
         return rule.trace_uncached(profile, k, prefix)
 
     def gains(self, item: tuple, committees: Iterable[frozenset]) -> dict | None:
-        """``{X: {c: gain}}``, the extension gains of ``item``'s electorate at
-        each of ``committees`` under the valuation that certifies continuity
-        (:func:`_replications`), or None for a rule with none."""
-        rows, valuation = self.rows, self.valuation
-        if rows is not None:
-            gains = rows.gains(item)
-            return {X: rows.at(gains, X) for X in committees}
-        if valuation is None:
-            return None
-        profile = self.universe.profile(item)
-        return {X: extension_gains(valuation, profile, X) for X in committees}
+        """``{X: {c: gain}}`` of ``item``'s electorate at each of ``committees``
+        off the gain rows, which certify continuity, or None without rows."""
+        rows = self.rows
+        return None if rows is None else {X: rows.at(rows.gains(item), X) for X in committees}
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +514,7 @@ def _replications(
     needed = 1
     for level in range(0 if gains is None else ks[-1]):
         for X in trace[level] if level < m - 1 else ():
-            # gains share one positive factor per level, so push // gap is
+            # gains share one positive factor per committee, so push // gap is
             # the ratio of the exact score differences, rounded down
             score_a = gains[0][X]
             score_b = gains[1][X]
@@ -607,7 +604,7 @@ def continuity_search(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRepor
     ``inconclusive`` instance the report carries the witness and note
     :func:`check_continuity` gives for it.
 
-    For a rule with gain rows, A ranges over orbit representatives
+    For a rule with table gain rows, A ranges over orbit representatives
     (:meth:`_Traces.items`), B over every item.  A relabeling tau maps
     ``f(A, k)`` and ``f(jA + B, k)`` to ``f(tau(A), k)`` and ``f(j tau(A) +
     tau(B), k)``, and permutes the extension gains behind the certified limits, so
@@ -627,11 +624,11 @@ def continuity_search(rule: Rule, bounds: Bounds = DEFAULT_BOUNDS) -> AxiomRepor
     universe = _universe(rule, bounds.n_continuity)
     others = list(_universe(rule, bounds.n_continuity_other).items())
     traces = _Traces(rule, universe)
-    committees = all_committees(m, m - 2)
-    gains_b = [traces.gains(b, committees) for b in others]
+    gains_b = None  # taken at the first trace, once the universe is held to its cap
     worst, beyond = 0, False
     for a in traces.items():
         trace = traces(a)
+        gains_b = gains_b or [traces.gains(b, all_committees(m, m - 2)) for b in others]
         singleton_ks = [k for k in range(1, m + 1) if len(trace[k]) == 1]
         if not singleton_ks:
             continue
@@ -805,7 +802,7 @@ def _consistency_witness(g: GeneratorFunction, n: int) -> dict | None:
     :meth:`Rule.trace_uncached`, so the pass raises the error the rule's
     own trace raises there.  Any other generator reads one mask per
     committee index off its ``fn``, only at the committees the row needs.
-    With gain rows A and B range over orbit representatives
+    With table gain rows A and B range over orbit representatives
     (:meth:`_Traces.items` says why that finds the first witness in
     canonical order).
     """
@@ -1145,7 +1142,7 @@ def _proportionality_witness(rule: Rule, bounds: Bounds) -> dict | None:
 
     Each profile is traced outside the cache, one level at a time, as the
     combination of the one-voter items of the bloc and of ``{c}``
-    (:meth:`_Traces.combined`).  A rule with gain rows is searched on one
+    (:meth:`_Traces.combined`).  A rule with table gain rows is searched on one
     pair (bloc, c) per bloc size, ``({0, ..., s - 1}, s)``, the first of its
     orbit (:meth:`_Traces.items`): a relabeling tau maps every pair with
     ``|bloc| = s`` to every other, and ``c in W`` for W in f(A, k) to

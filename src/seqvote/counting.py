@@ -248,7 +248,10 @@ class Valuation(Record):
     ``y``, ballot size ``z``; ``y = 0`` is the empty committee) and scores
     through integer levels built once per committee size; a custom valuation
     carries an arbitrary ``fn(ballot, committee)``, which must depend only on
-    the pair itself.  Valuations compare and hash by identity.
+    the pair itself.  The axiom checkers evaluate it at every ballot and W + c
+    of their gain rows (:class:`seqvote.gains.GainRows`) once, at the first
+    trace after a universe's cap check, so a raising ``fn`` raises there.
+    Valuations compare and hash by identity.
     """
 
     name: str

@@ -37,6 +37,7 @@ from seqvote.engine import (
     Rule,
     derive_generator,
     derived_generator,
+    extension_gains,
     generator_step,
     step_generator,
     step_trace,
@@ -64,17 +65,23 @@ SMALL = Bounds(n_single=4, n_perm=2, n_pair_each=2, n_pair_total=3)
 # ---------------------------------------------------------------------------
 # Gain rows
 
-# the catalog rules that step by generator_step over a table valuation and
-# read no voter ids
+# the catalog rules that step by generator_step over one valuation, table or
+# fn, and read no voter ids
 GAIN_ROW_RULES = (
-    "seqav", "seqpav", "seqccav", "seqsav", "av-cc-alternating", "clone-trusting",
-    "reverse-seqav", "reverse-seqpav", "reverse-seqccav",
+    "seqav", "seqpav", "seqccav", "seqsav", "av-cc-alternating", "candidate-a-doubled-seqav",
+    "clone-trusting", "reverse-seqav", "reverse-seqpav", "reverse-seqccav",
 )
+# those whose valuation is a table, searched over orbit representatives
+TABLE_ROW_RULES = tuple(name for name in GAIN_ROW_RULES if name != "candidate-a-doubled-seqav")
 
 
 def test_the_catalog_rules_with_gain_rows():
-    rows = {name: gains.gain_rows(make(name, 3)) for name in catalog.RULE_NAMES}
+    rules = {name: make(name, 3) for name in catalog.RULE_NAMES}
+    rows = {name: gains.gain_rows(rule) for name, rule in rules.items()}
     assert [name for name, row in rows.items() if row is not None] == list(GAIN_ROW_RULES)
+    universe = ProfileUniverse(3, 1)
+    reduced = [name for name, rule in rules.items() if axioms._Traces(rule, universe).reduced]
+    assert reduced == list(TABLE_ROW_RULES)
 
 
 def _outcome(trace, *args):
@@ -86,12 +93,28 @@ def _outcome(trace, *args):
         return f"{type(error).__name__}: {error}"
 
 
+def _fractions(size):
+    return st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+                    min_size=size, max_size=size)
+
+
+@st.composite
+def _fn_valuations(draw, m):
+    """``fn(b, W) = sum of w[c] over b & W, plus t[|W|] if b meets W``: an
+    fn valuation that names candidates, its values with denominators 1..6."""
+    w, t = draw(_fractions(m)), draw(_fractions(m + 1))
+    return Valuation("drawn", lambda b, W: sum((w[c] for c in b & W), t[len(W)] if b & W else 0))
+
+
 @pytest.mark.parametrize("m", (2, 3, 4))
 @pytest.mark.parametrize("name", GAIN_ROW_RULES)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_gain_rows_match_stepping_the_profiles(name, m, data):
+    # the catalog rule, or a rule stepping by a drawn fn valuation
     rule = make(name, m)
+    if data.draw(st.booleans()):
+        rule = Rule("drawn", m, "zoo", valuation=data.draw(_fn_valuations(m)))
     rows = gains.gain_rows(rule)
     universe = ProfileUniverse(m, 4)
     ballot = st.integers(0, len(universe.ballots) - 1)
@@ -108,7 +131,11 @@ def test_gain_rows_match_stepping_the_profiles(name, m, data):
     derived_row = 0
     union = Profile.from_ballots(m, p_a.ballots() + p_b.ballots())
     for i, W in enumerate(committees):
-        at = rows.at(g_a, W)
+        # the exact extension gains times one positive factor per committee
+        at, exact = rows.at(g_a, W), extension_gains(rule.valuation, p_a, W)
+        scale = next((Fraction(at[c], exact[c]) for c in at if exact[c]), 1)
+        assert scale == 1 if rule.valuation.counting else scale > 0
+        assert at == {c: scale * exact[c] for c in exact}
         assert {c for c in at if at[c] == max(at.values())} == generator_step(rule.valuation, p_a, W)
         derived_row |= sum(1 << (i * m + c) for c in derive_generator(rule, union, W))
     # a union's gains are the sum of its sides', and its derived row is read
@@ -135,7 +162,7 @@ def test_gain_rows_match_stepping_the_profiles(name, m, data):
             assert _outcome(row_ab, k, cap) == expected
 
 
-@pytest.mark.parametrize("name", GAIN_ROW_RULES)
+@pytest.mark.parametrize("name", TABLE_ROW_RULES)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_gain_row_rules_commute_with_candidate_relabeling(name, data):
@@ -159,12 +186,12 @@ def test_gain_row_rules_commute_with_candidate_relabeling(name, data):
 
 
 def _refuse(*args):
-    raise AssertionError("gain rows built for a rule that does not step by its table valuation")
+    raise AssertionError("gain rows built for a rule whose step is not partial(generator_step, v)")
 
 
 GAIN_FREE = (
-    "cc-tiebreak-seqav", "candidate-a-doubled-seqav", "voter1-doubled-seqav",
-    "optimizing-av", "optimizing-pav", "optimizing-ccav",
+    "cc-tiebreak-seqav", "voter1-doubled-seqav", "optimizing-av", "optimizing-pav",
+    "optimizing-ccav",
 )
 
 
@@ -197,7 +224,7 @@ def test_a_rule_builds_its_gain_rows_once(monkeypatch):
     assert built == [rule.valuation, other]
 
 
-def test_only_a_step_by_the_table_valuation_takes_gain_rows(monkeypatch):
+def test_only_a_step_by_generator_step_over_a_valuation_takes_gain_rows(monkeypatch):
     m = 3
     bounds = Bounds(
         n_single=2, n_perm=2, n_pair_each=2, n_pair_total=2, n_continuity=1, n1_max=3, n2_max=3
@@ -588,15 +615,15 @@ def test_continuity_search_matches_the_per_instance_loop(name):
 # m = 4 with A of up to two voters
 LARGEST_REPLICATION_COUNT = {
     "seqav": (2, 2), "seqpav": (3, 4), "seqccav": (2, 2), "seqsav": (3, 7),
-    "av-cc-alternating": (2, 2), "clone-trusting": (5, 5),
+    "av-cc-alternating": (2, 2), "candidate-a-doubled-seqav": (3, 3), "clone-trusting": (5, 5),
     "reverse-seqav": (2, 2), "reverse-seqpav": (3, 4), "reverse-seqccav": (2, 2),
 }
 
 
 @pytest.mark.parametrize("name", GAIN_ROW_RULES)
 def test_continuity_note_keeps_its_largest_replication_count(name):
-    # A ranges over orbit representatives for these rules; the count is the
-    # same over every item, as each orbit shares its counts
+    # A ranges over orbit representatives for the rules with table rows; the
+    # count is the same over every item, as each orbit shares its counts
     for m, bounds in ((3, Bounds()), (4, Bounds(n_continuity=2))):
         report = continuity_search(make(name, m), bounds)
         count = LARGEST_REPLICATION_COUNT[name][m - 3]
@@ -1232,7 +1259,7 @@ def test_single_drops_decide_independence_of_losers(name):
             first = next(axioms._shrinking_witnesses(traces, universe.items()), None)
             drops = axioms._single_drops_violate(traces, universe.items())
             assert drops == (first is not None)
-            if gains.gain_rows(rule) is not None:  # the same verdict on orbit representatives
+            if traces.reduced:  # the same verdict on orbit representatives
                 reduced = universe.representatives()
                 assert axioms._single_drops_violate(traces, reduced) == drops
             report = check_independence_of_losers(rule, Bounds(n_single=n))
@@ -1398,7 +1425,7 @@ def test_suite_trivial_proper():
     assert reports["proper"] == "inconclusive"
 
 
-@pytest.mark.parametrize("name", [name for name in catalog.RULE_NAMES if name not in GAIN_ROW_RULES])
+@pytest.mark.parametrize("name", catalog.RULE_NAMES)
 def test_the_trace_cache_holds_only_universe_items(name):
     # a profile built for one comparison (a clone-proportionality profile,
     # B renumbered above A, an id-shifted one) is stepped outside the cache
@@ -1494,6 +1521,32 @@ CAPPED_CHECKS = {
         for which in CLONE_AXIOMS
     },
 }
+
+
+def _raises_at_the_largest_rows(ballot, W):
+    """Approval scores, but raising at every committee of size m - 1 = 2."""
+    if len(W) == 2:
+        raise ZeroDivisionError("no score at two members")
+    return Fraction(len(ballot & W))
+
+
+@pytest.mark.parametrize("check", CAPPED_CHECKS)
+def test_an_fn_that_raises_raises_from_the_rows_after_the_cap(check):
+    # rows evaluate the fn at every ballot and committee W + c, so a check
+    # that traces raises the fn's error, never a verdict; a universe over
+    # its cap raises first, before any row is built
+    def run(n):
+        return CAPPED_CHECKS[check](rule, Bounds(
+            n_single=n, n_perm=n, n_pair_each=n, n_continuity=n, n1_max=n, n2_max=n
+        ))
+
+    rule = Rule("raising", 3, "zoo", valuation=Valuation("raising", _raises_at_the_largest_rows))
+    if check != "proportionality":  # whose universe holds one voter
+        with pytest.raises(EnumerationCapError):
+            run(30)
+        assert rule.gain_rows is None
+    with pytest.raises(ZeroDivisionError, match="no score at two members"):
+        run(2)
 
 
 def _capped_bounds(m):
